@@ -70,7 +70,6 @@ func main() {
 	clip := flag.Int("clip", 0, "corpus clip index (0-29)")
 	record := flag.String("record", "", "capture each session to <dir>/session-<id>.ektrace for ekho-replay (empty = off)")
 	pprofAddr := flag.String("pprof", "", "serve the admin mux (/metrics, /sessions, /debug/pprof) on this address (e.g. 127.0.0.1:6060; empty = off)")
-	detector := flag.String("detector", "two-stage", "marker detector pipeline: two-stage or full-rate")
 	wire := flag.String("wire", "auto", "accepted wire framings: auto (sniff v2+rtp per datagram), v2 or rtp")
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
@@ -105,11 +104,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ekho-server: unknown -wire %q (want auto, v2 or rtp)\n", *wire)
 		os.Exit(2)
 	}
-	det, ok := ekho.ParseDetectorMode(*detector)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ekho-server: unknown -detector %q (want two-stage or full-rate)\n", *detector)
-		os.Exit(2)
-	}
 
 	h := hub.New(hub.Config{
 		Capacity:    *capacity,
@@ -117,7 +111,6 @@ func main() {
 		IdleTimeout: *idle,
 		MarkerC:     *markerC,
 		Clip:        *clip,
-		Detector:    det,
 		RecordDir:   *record,
 		Logf:        log.Printf,
 		OnSessionEnd: func(id uint32, r hub.SessionResult) {

@@ -131,20 +131,6 @@ func NewEstimator(seq *MarkerSequence) *Estimator {
 	return estimator.NewStreamer(estimator.Config{Seq: seq})
 }
 
-// DetectorMode selects the streaming marker-detection pipeline.
-type DetectorMode = estimator.DetectorMode
-
-// Detector modes: the band-decimated coarse-to-fine pipeline (default)
-// and the full-rate reference.
-const (
-	DetectorTwoStage = estimator.DetectorTwoStage
-	DetectorFullRate = estimator.DetectorFullRate
-)
-
-// ParseDetectorMode converts a flag/config spelling ("two-stage",
-// "full-rate", ...) into a DetectorMode.
-func ParseDetectorMode(s string) (DetectorMode, bool) { return estimator.ParseDetectorMode(s) }
-
 // Compensation types re-exported for the feedback loop.
 type (
 	// Compensator turns measurements into corrective actions.

@@ -69,8 +69,22 @@ const (
 	blockTag = 0x02
 )
 
-// ErrBadPacket reports a corrupt or truncated encoded frame.
+// ErrBadPacket reports a corrupt, truncated or out-of-range encoded frame.
 var ErrBadPacket = errors.New("codec: bad packet")
+
+// Wire values are floating point, so a hostile or corrupt packet can carry
+// NaN, ±Inf or an absurd magnitude. Downstream, the estimator keeps
+// since-stream-start power sums that one such sample poisons for good, so
+// the decoder refuses them at the door.
+const (
+	// maxSample bounds a lossless sample's magnitude: well above full
+	// scale (±1), far below anything the power sums cannot absorb.
+	maxSample = 16
+	// maxBandScale bounds a lossy band's scale factor: the unnormalized
+	// MDCT of a 2·FrameSamples block of samples within ±maxSample cannot
+	// exceed it.
+	maxBandScale = maxSample * 2 * FrameSamples
+)
 
 // blockLen returns the transform block length for the profile: two frames
 // (50% overlap) normally, one frame in low-delay mode.
@@ -428,8 +442,13 @@ func (d *Decoder) appendLossless(dst []float64, pkt []byte) ([]float64, error) {
 	if n != FrameSamples {
 		return dst, ErrBadPacket
 	}
+	start := len(dst)
 	for i := 0; i < n; i++ {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(pkt[3+8*i:])))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(pkt[3+8*i:]))
+		if !(math.Abs(v) <= maxSample) { // NaN fails every comparison
+			return dst[:start], ErrBadPacket
+		}
+		dst = append(dst, v)
 	}
 	d.lastOK = true
 	return dst, nil
@@ -454,6 +473,9 @@ func (d *Decoder) appendBlock(dst []float64, pkt []byte) ([]float64, error) {
 			return dst, ErrBadPacket
 		}
 		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(pkt[pos:])))
+		if !(math.Abs(scale) <= maxBandScale) { // NaN fails every comparison
+			return dst, ErrBadPacket
+		}
 		bitCount := int(pkt[pos+4])
 		pos += 5
 		levels := float64(int(1) << clampBits(bitCount))

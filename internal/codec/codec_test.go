@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -342,6 +344,44 @@ func BenchmarkRoundTrip1s(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RoundTrip(clip, SWB32); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Wire floats are outside input: a frame carrying NaN, ±Inf or an absurd
+// magnitude must be refused whole (no partial output, decoder state left
+// usable), on the lossless sample words and the lossy band scales alike.
+func TestDecodeRejectsNonFiniteAndHugeValues(t *testing.T) {
+	frame := make([]float64, FrameSamples)
+	for i := range frame {
+		frame[i] = 0.25 * math.Sin(float64(i)/7)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -17} {
+		pkt, err := NewEncoder(Lossless).Encode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(pkt[3+8*500:], math.Float64bits(bad))
+		out, err := NewDecoder(Lossless).DecodeTo(make([]float64, 0, FrameSamples), pkt)
+		if !errors.Is(err, ErrBadPacket) || len(out) != 0 {
+			t.Fatalf("lossless sample %g: err %v, %d samples out", bad, err, len(out))
+		}
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30} {
+		pkt, err := NewEncoder(SWB32).Encode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first band's scale sits right after magic, tag and band count.
+		binary.LittleEndian.PutUint32(pkt[3:], math.Float32bits(bad))
+		dec := NewDecoder(SWB32)
+		if _, err := dec.Decode(pkt); !errors.Is(err, ErrBadPacket) {
+			t.Fatalf("lossy scale %g: err %v", bad, err)
+		}
+		for _, v := range dec.Conceal() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("lossy scale %g poisoned the decoder state", bad)
+			}
 		}
 	}
 }

@@ -15,22 +15,8 @@ func benchSignal(n int, seed int64) []float64 {
 	return x
 }
 
-// BenchmarkMarkerCorrelate measures one overlap-save correlation step at
-// Ekho's production size: a 1 s (48000-sample) marker template against a
-// full FFT-sized segment, the per-block cost of the streaming estimator.
-func BenchmarkMarkerCorrelate(b *testing.B) {
-	template := benchSignal(48000, 1)
-	c := NewMarkerCorrelator(template, NextPow2(2*len(template)))
-	seg := benchSignal(c.SegmentLen(), 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Correlate(seg)
-	}
-}
-
-// BenchmarkFFTPow2 measures the raw complex transform at the correlator's
-// production size.
+// BenchmarkFFTPow2 measures the raw legacy radix-2 complex transform at
+// 131072 points.
 func BenchmarkFFTPow2(b *testing.B) {
 	const n = 131072
 	x := make([]complex128, n)
@@ -42,20 +28,6 @@ func BenchmarkFFTPow2(b *testing.B) {
 			x[j] = complex(v, 0)
 		}
 		fftPow2(x, false)
-	}
-}
-
-// BenchmarkMarkerCorrelateInto is the steady-state variant the estimator
-// actually runs: correlate into a reused destination buffer.
-func BenchmarkMarkerCorrelateInto(b *testing.B) {
-	template := benchSignal(48000, 1)
-	c := NewMarkerCorrelator(template, NextPow2(2*len(template)))
-	seg := benchSignal(c.SegmentLen(), 2)
-	dst := make([]float64, c.Step())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = c.CorrelateInto(dst, seg)
 	}
 }
 

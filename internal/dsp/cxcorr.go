@@ -6,16 +6,17 @@ import (
 	"sync"
 )
 
-// ComplexCorrelator is the complex-signal counterpart of MarkerCorrelator:
-// streaming cross-correlation against a fixed complex template using
-// overlap-save with a cached conjugate template spectrum,
+// ComplexCorrelator performs streaming cross-correlation against a fixed
+// complex template using overlap-save with a cached conjugate template
+// spectrum,
 //
 //	C[t] = Σ_i seg[t+i] · conj(w[i])   for t = 0 .. Step()-1.
 //
-// The band-decimated marker detector uses it on the heterodyned, decimated
-// mic stream, where the signal is genuinely complex so the real-input
-// packing trick does not apply — but the decimated template is ~D× shorter,
-// which is where the speedup lives.
+// Compared to calling a one-shot correlation per chunk — which pays a
+// forward FFT of the template every time and re-transforms the
+// template-length overlap — a correlator amortizes to roughly two FFTs per
+// Step() lags. The marker detector uses it on the heterodyned, decimated
+// mic stream, whose template is ~D× shorter than the full-rate marker.
 type ComplexCorrelator struct {
 	n    int          // FFT size
 	m    int          // template length
@@ -46,8 +47,11 @@ func NewComplexCorrelator(template []complex128, fftSize int) *ComplexCorrelator
 }
 
 // NewComplexCorrelatorShared is NewComplexCorrelator with the conjugate
-// template spectrum served from the package-level cache under tag (see
-// NewMarkerCorrelatorShared for the sharing contract).
+// template spectrum served from the package-level template-spectrum cache:
+// every correlator built for the same (tag, FFT size) shares one immutable
+// spectrum instead of each storing its own. The tag must identify the
+// template (Ekho uses the PN sequence seed); a content checksum detects
+// tag collisions and falls back to a private spectrum.
 func NewComplexCorrelatorShared(template []complex128, fftSize int, tag uint64) *ComplexCorrelator {
 	if fftSize < NextPow2(len(template)+1) {
 		fftSize = NextPow2(2 * len(template))
@@ -60,7 +64,7 @@ func NewComplexCorrelatorShared(template []complex128, fftSize int, tag uint64) 
 		n: n,
 		m: len(template),
 		p: Plan4For(n),
-		wfft: sharedSpectrumKind(tag, 1, n, checksumComplex(template), func() []complex128 {
+		wfft: sharedSpectrum(tag, n, checksumComplex(template), func() []complex128 {
 			return conjSpectrumComplex(template, n)
 		}),
 		x: make([]complex128, n),
@@ -138,11 +142,10 @@ func CrossCorrelateComplex(x, w []complex128) []complex128 {
 
 // Shared template-spectrum cache.
 //
-// Every hub session correlates against the same marker sequence, but each
-// session used to transform and store its own conjugate template spectrum —
-// 1 MB per session at the full-rate correlator's 131072-point FFT. The
-// spectra depend only on (template, FFT size), so they are cached at
-// package level like the transform plans and shared across sessions.
+// Every hub session correlates against the same marker sequence. The
+// conjugate template spectra depend only on (template, FFT size), so they
+// are cached at package level like the transform plans and shared across
+// sessions instead of each session transforming and storing its own.
 //
 // The cache key is a caller-supplied tag (Ekho uses the PN sequence seed)
 // plus the FFT size; a checksum of the template contents guards against
@@ -150,9 +153,8 @@ func CrossCorrelateComplex(x, w []complex128) []complex128 {
 // spectrum, so a colliding tag costs memory, never correctness.
 
 type templateSpecKey struct {
-	tag  uint64
-	kind uint8 // 0 = real half-spectrum, 1 = complex full-spectrum
-	n    int   // FFT size
+	tag uint64
+	n   int // FFT size
 }
 
 type templateSpecEntry struct {
@@ -191,12 +193,12 @@ func checksumComplex(x []complex128) uint64 {
 	return h.Sum64()
 }
 
-// sharedSpectrumKind returns the cached spectrum for (tag, kind, n) when
-// its checksum matches sum, computing and publishing it on first use. A
+// sharedSpectrum returns the cached spectrum for (tag, n) when its
+// checksum matches sum, computing and publishing it on first use. A
 // checksum mismatch (two different templates under one tag) falls back to
 // a private computation.
-func sharedSpectrumKind(tag uint64, kind uint8, n int, sum uint64, compute func() []complex128) []complex128 {
-	key := templateSpecKey{tag: tag, kind: kind, n: n}
+func sharedSpectrum(tag uint64, n int, sum uint64, compute func() []complex128) []complex128 {
+	key := templateSpecKey{tag: tag, n: n}
 	if e, ok := templateSpecCache.Load(key); ok {
 		ent := e.(*templateSpecEntry)
 		if ent.sum == sum {

@@ -18,6 +18,10 @@ package dsp
 // Both the mic stream and the correlation template run through identical
 // chains, so the chains' group delays cancel and a decimated-domain
 // correlation lag τ maps back to full-rate sample τ·D exactly.
+//
+// The detector's front-end runs the specialised BandDecimator and
+// HalfBandDecimator; Decimator is the general form their tests compare
+// them against.
 type Decimator struct {
 	d    int
 	hist int // inputs of lookback a retained output needs: len(taps)-1
@@ -100,18 +104,4 @@ func (c *Decimator) Process(dst []complex128, x []complex128) []complex128 {
 		c.base += drop
 	}
 	return dst
-}
-
-// DecimateChain runs a signal through a cascade of decimators in one call
-// (offline helper for preparing decimated correlation templates; the
-// streaming path feeds Process per stage instead). The stages are consumed:
-// pass freshly constructed decimators, not ones mid-stream.
-func DecimateChain(x []float64, mix *QuadOsc, stages ...*Decimator) []complex128 {
-	mix.Reset()
-	cur := mix.MixDown(make([]complex128, 0, len(x)), x)
-	for _, st := range stages {
-		out := make([]complex128, 0, len(cur)/st.Factor()+1)
-		cur = st.Process(out, cur)
-	}
-	return cur
 }

@@ -104,16 +104,16 @@ func TestRealPlanRoundTrip(t *testing.T) {
 // goroutines (run with -race): plan lookup, real transforms, pooled helpers
 // and correlators all sharing tables.
 func TestPlanCacheConcurrency(t *testing.T) {
-	template := benchSignal(512, 9)
+	template := planRandComplex(512, 9)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			x := benchSignal(1024, seed)
-			c := NewMarkerCorrelator(template, 2048)
-			seg := benchSignal(c.SegmentLen(), seed+1)
-			dst := make([]float64, 0)
+			c := NewComplexCorrelator(template, 2048)
+			seg := planRandComplex(c.SegmentLen(), seed+1)
+			dst := make([]complex128, 0)
 			for i := 0; i < 20; i++ {
 				_ = FFTReal(x)
 				_ = BandPower(x, 48000, 6000, 12000)
@@ -127,38 +127,6 @@ func TestPlanCacheConcurrency(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-}
-
-// TestCorrelateIntoMatchesDirect verifies the overlap-save output against
-// the O(n·m) direct correlation, and that the steady state is allocation
-// free.
-func TestCorrelateIntoMatchesDirect(t *testing.T) {
-	template := benchSignal(300, 4)
-	c := NewMarkerCorrelator(template, 1024)
-	seg := benchSignal(c.SegmentLen(), 5)
-
-	want := make([]float64, c.Step())
-	for lag := range want {
-		var sum float64
-		for i, w := range template {
-			sum += seg[lag+i] * w
-		}
-		want[lag] = sum
-	}
-	got := c.Correlate(seg)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9*float64(len(template)) {
-			t.Fatalf("lag %d: got %g want %g", i, got[i], want[i])
-		}
-	}
-
-	dst := make([]float64, c.Step())
-	allocs := testing.AllocsPerRun(50, func() {
-		dst = c.CorrelateInto(dst, seg)
-	})
-	if allocs != 0 {
-		t.Fatalf("CorrelateInto allocates %v per op, want 0", allocs)
-	}
 }
 
 // TestBandPowerZeroAlloc asserts the per-frame marker-band probe stays off

@@ -9,18 +9,28 @@ import (
 	"ekho/internal/pn"
 )
 
-// Two-stage (coarse-to-fine) marker detection.
+// Streaming marker detection, coarse to fine.
 //
-// Ekho's markers occupy 6-12 kHz only (pn.BandLowHz..BandHighHz), yet the
-// reference detector correlates at the full 48 kHz rate against a 48000-
-// sample template. The two-stage detector exploits the band-limited
-// structure:
+// IncrementalDetector is the streaming form of the Eq. 3-7 pipeline: audio
+// arrives in arbitrary chunks and confirmed detections are emitted as soon
+// as the equations' lookaheads allow (about one marker interval after the
+// marker starts, dominated by the Eq. 7 companion requirement). The batch
+// DetectMarkers pipeline — the equations verbatim at the full 48 kHz rate —
+// is its oracle: TestTwoStageParity holds the two to the same detection set
+// within ±1 sample. Differences from the batch pipeline are limited to
+// causality: the Eq. 4 silence floor uses the running (not whole-file)
+// correlation RMS, and a marker's first appearance can only confirm once
+// its companion one interval away has been seen.
+//
+// Ekho's markers occupy 6-12 kHz only (pn.BandLowHz..BandHighHz), so the
+// detector never correlates at the full rate against the 48000-sample
+// template; it exploits the band-limited structure in two stages.
 //
 // Coarse stage. The mic stream is multiplied by e^{-jω0·n} (ω0 at the
 // 9 kHz band center — exact, the oscillator period is 16 samples), which
-// translates the marker band to complex baseband ±3 kHz. A cascade of
-// half-band polyphase decimators brings the rate down by D (default 8, to
-// 6 kHz), and an overlap-save ComplexCorrelator correlates against the
+// translates the marker band to complex baseband ±3 kHz. A fused
+// heterodyne/decimate front-end brings the rate down by D = coarseFactor
+// (to 6 kHz), and an overlap-save ComplexCorrelator correlates against the
 // identically-processed template — D× fewer lags against a D× shorter
 // template. Writing the full-rate analytic correlation as C(t), the
 // correlation of the mixed signals satisfies
@@ -29,7 +39,7 @@ import (
 //
 // because both legs pass through the same filter chain: group delays
 // cancel and coarse lag τ maps to full-rate sample τ·D exactly. |C_dec| is
-// carrier-free, so the Eq. 4-7 peak logic runs on it unchanged with
+// carrier-free, so the Eq. 4-6 peak logic runs on it unchanged with
 // parameters scaled to the lag rate: S/D, β^D, ⌈δ/D⌉ — and a ½ weight on
 // squared magnitudes in the power terms, which lands the coarse normalized
 // envelope in the same σ units as the full-rate Z* (a narrowband real
@@ -39,7 +49,7 @@ import (
 // plus up to a ~carrier half-cycle of skew between the envelope max and
 // the real correlation's argmax. The refiner scores a contiguous span of
 // lags around τ·D with exact 48 kHz template dot products under the same
-// Eq. 4 normalization as the reference (den's baseline comes from the
+// Eq. 4 normalization as the batch pipeline (den's baseline comes from the
 // de-rotated baseband, calibrated into full-rate units; den *differences*
 // between span lags come from the exact dots), growing the span whenever
 // the argmax rides its edge — the sample-accurate position the
@@ -48,27 +58,40 @@ import (
 // numerics.
 //
 // Confirmation (Eq. 7 companion pairing) runs on the refined full-rate
-// positions via the shared peakConfirm, so emission semantics match the
-// reference exactly.
+// positions in peakConfirm.
 
-// coarseThetaScale relaxes the Eq. 6 threshold at the coarse stage. The
-// decimated envelope reads a few percent low against the full-rate Z*
-// (band-edge loss through the decimation chain), so the coarse scan
-// admits candidates slightly under θ and the fine stage re-applies the
-// threshold to its exact, calibrated score — threshold decisions then
-// track the reference's rather than the coarse approximation's.
-const coarseThetaScale = 0.9
+const (
+	// coarseFactor is the coarse stage's decimation factor D: the 6-12 kHz
+	// marker band heterodyned to a 6 kHz complex baseband.
+	coarseFactor = 8
 
-// interpHalfWidth is the windowed-sinc half-width (taps per side) for
-// reconstructing the baseband correlation between decimated lags.
-const interpHalfWidth = 8
+	// refineRadius is the fine stage's search half-width around a coarse
+	// candidate, in full-rate samples: 2·D covers the coarse stage's
+	// localization error plus the carrier-phase skew.
+	refineRadius = 2 * coarseFactor
 
-// twoStageDetector implements the coarse-to-fine pipeline behind
-// IncrementalDetector.
-type twoStageDetector struct {
+	// coarseThetaScale relaxes the Eq. 6 threshold at the coarse stage. The
+	// decimated envelope reads a few percent low against the full-rate Z*
+	// (band-edge loss through the decimation chain), so the coarse scan
+	// admits candidates slightly under θ and the fine stage re-applies the
+	// threshold to its exact, calibrated score — threshold decisions then
+	// track the full-rate Z* rather than the coarse approximation.
+	coarseThetaScale = 0.9
+
+	// coarsePowScale weights |C|² in the coarse Eq. 4 power terms: a
+	// narrowband real signal of envelope |C| has mean square |C|²/2, so the
+	// ½ lands the coarse normalization in the same σ units as Z*.
+	coarsePowScale = 0.5
+
+	// interpHalfWidth is the windowed-sinc half-width (taps per side) for
+	// reconstructing the baseband correlation between decimated lags.
+	interpHalfWidth = 8
+)
+
+// IncrementalDetector is the streaming marker detector; see the file
+// comment for the pipeline.
+type IncrementalDetector struct {
 	cfg  Config
-	fac  int // decimation factor D
-	refR int // fine-stage half-width, full-rate samples
 	mdec int // decimated template length
 
 	// Full-rate audio retained for the fine stage; rec[0] is absolute
@@ -76,17 +99,15 @@ type twoStageDetector struct {
 	rec     []float64
 	recBase int
 
-	osc   *dsp.QuadOsc // band-center mix-down oscillator
-	derot *dsp.QuadOsc // carrier at the decimated rate: e^{-jω0·D·τ}
+	// osc is the band-center carrier e^{-jω0·t} the fine stage puts back
+	// on the reconstructed baseband.
+	osc *dsp.QuadOsc
 
-	// Fused front-end for even factors ≥ 4: a modulated ÷(D/2) stage
-	// reading the real stream directly, then a half-band ÷2. Odd factors
-	// fall back to the generic mix-down cascade in stages.
+	// Fused front-end: a modulated ÷(D/2) stage reading the real stream
+	// directly, then a half-band ÷2.
 	fastA  *dsp.BandDecimator
 	fastB  *dsp.HalfBandDecimator
-	stages []*dsp.Decimator // fallback ÷2 half-band cascade (plus odd residue)
-	mixBuf []complex128     // per-feed scratch, one per chain link
-	stgBuf [][]complex128
+	mixBuf []complex128 // per-feed scratch between the two links
 
 	// Decimated baseband; bb[0] is absolute decimated index bbBase.
 	bb     []complex128
@@ -109,7 +130,7 @@ type twoStageDetector struct {
 
 	refZt   []float64 // reconstructed Z̃ over the refinement window
 	refPz   []float64 // prefix sums of Z̃²
-	refBp   []float64 // prefix sums of the coarse block power (fac/2)·|A|²
+	refBp   []float64 // prefix sums of the coarse block power (D/2)·|A|²
 	refEx   []float64 // exact Z cache across the refinement window
 	refExOk []bool    // which refEx entries hold a computed dot
 
@@ -119,14 +140,12 @@ type twoStageDetector struct {
 	gEx, gRec float64
 }
 
-// coarseKey identifies a decimated template: sequence seed and length plus
-// the decimation factor. A checksum of the source samples guards against
-// seed collisions (see dsp's template-spectrum cache for the same
-// contract).
+// coarseKey identifies a decimated template: sequence seed and length. A
+// checksum of the source samples guards against seed collisions (see dsp's
+// template-spectrum cache for the same contract).
 type coarseKey struct {
 	seed   int64
 	length int
-	fac    int
 }
 
 type coarseEntry struct {
@@ -139,52 +158,20 @@ var coarseTemplateCache sync.Map // coarseKey -> *coarseEntry
 // bandCenterHz is the heterodyne frequency: the middle of the marker band.
 func bandCenterHz() int { return int((pn.BandLowHz + pn.BandHighHz) / 2) }
 
-// decimStages designs the decimation cascade for factor d at the given
-// input rate: ÷2 stages (half-band: cutoff at a quarter of the stage's
-// input rate, every second tap exactly zero) plus one generic stage for an
-// odd residue. Early stages only protect the full ±bandHalf baseband from
-// aliases and stay short; the final stage, whose output Nyquist may sit
-// inside the band, rolls the outer edge off between 0.85 and 1.15 of the
-// output Nyquist — the few-percent band-energy loss is far below the
-// marker's ~39 dB correlation processing gain.
-func decimStages(d int, rate, bandHalf float64) []*dsp.Decimator {
-	var out []*dsp.Decimator
-	r := rate
-	for d > 1 {
-		m := 2
-		if d%2 != 0 {
-			m = d
-		}
-		rOut := r / float64(m)
-		pass := math.Min(bandHalf, 0.85*rOut/2)
-		stop := rOut - pass
-		taps := int(math.Ceil(3.3*r/(stop-pass))) + 2
-		out = append(out, dsp.NewDecimator(m, dsp.LowPass((pass+stop)/2, r, taps).Taps))
-		r = rOut
-		d /= m
-	}
-	return out
-}
-
-// fastFrontEnd designs the fused two-link chain for even factors ≥ 4: a
+// fastFrontEnd designs the fused two-link decimation chain: a
 // BandDecimator folding the band-center mix into the ÷(D/2) stage (its
 // stop band at the first alias fold, rOut − pass) and a half-band ÷2 to
-// the final rate, with the same edge placement decimStages uses — so the
-// composite passband matches the cascade it replaces to within design
-// ripple. Returns nils when the factor has no even split.
-func fastFrontEnd(fac, rate int, bandHalf float64) (*dsp.BandDecimator, *dsp.HalfBandDecimator) {
-	if fac%2 != 0 || fac < 4 {
-		return nil, nil
-	}
-	m1 := fac / 2
+// the final rate.
+func fastFrontEnd() (*dsp.BandDecimator, *dsp.HalfBandDecimator) {
+	const rate = audio.SampleRate
+	bandHalf := (pn.BandHighHz - pn.BandLowHz) / 2
+	m1 := coarseFactor / 2
 	r1 := float64(rate) / float64(m1)
 	pass1 := math.Min(bandHalf, 0.85*r1/2)
 	stop1 := r1 - pass1
 	// The first link tolerates a transition running ~15% past the fold
 	// edge: only the outermost slice of the folded image lands in band,
-	// and it arrives tens of dB down — the same early-stage relaxation
-	// decimStages applies to its opening ÷2 (whose folds onto the band
-	// carry comparable residuals). The fine stage's exact dots are
+	// and it arrives tens of dB down. The fine stage's exact dots are
 	// unaffected; only the coarse gate sees the slightly higher noise
 	// floor, inside the coarseThetaScale margin.
 	taps1 := int(math.Ceil(2.6 * float64(rate) / (stop1 - pass1)))
@@ -193,7 +180,7 @@ func fastFrontEnd(fac, rate int, bandHalf float64) (*dsp.BandDecimator, *dsp.Hal
 	r2 := r1 / 2
 	// The final link runs at the critical rate, so its transition band is
 	// the tightest in the chain and dominates the front-end's tap budget;
-	// 0.75·Nyquist instead of decimStages' 0.85 trades a slightly earlier
+	// passing 0.75·Nyquist rather than 0.85 trades a slightly earlier
 	// roll-off (the template sees the identical response, so correlation
 	// shape is unaffected) for ~40% fewer wing taps.
 	pass2 := math.Min(bandHalf, 0.75*r2/2)
@@ -203,19 +190,19 @@ func fastFrontEnd(fac, rate int, bandHalf float64) (*dsp.BandDecimator, *dsp.Hal
 	return a, b
 }
 
-// coarseTemplateFor returns the decimated complex template for seq at
-// factor fac, shared across sessions via the package cache.
-func coarseTemplateFor(seq *pn.Sequence, fac, rate int) []complex128 {
-	key := coarseKey{seed: seq.Seed, length: seq.Len(), fac: fac}
+// coarseTemplateFor returns the decimated complex template for seq, shared
+// across sessions via the package cache.
+func coarseTemplateFor(seq *pn.Sequence) []complex128 {
+	key := coarseKey{seed: seq.Seed, length: seq.Len()}
 	sum := dsp.ChecksumFloats(seq.Samples)
 	if e, ok := coarseTemplateCache.Load(key); ok {
 		ent := e.(*coarseEntry)
 		if ent.sum == sum {
 			return ent.wdec
 		}
-		return buildCoarseTemplate(seq, fac, rate)
+		return buildCoarseTemplate(seq)
 	}
-	ent := &coarseEntry{sum: sum, wdec: buildCoarseTemplate(seq, fac, rate)}
+	ent := &coarseEntry{sum: sum, wdec: buildCoarseTemplate(seq)}
 	if prev, loaded := coarseTemplateCache.LoadOrStore(key, ent); loaded {
 		got := prev.(*coarseEntry)
 		if got.sum == sum {
@@ -225,36 +212,31 @@ func coarseTemplateFor(seq *pn.Sequence, fac, rate int) []complex128 {
 	return ent.wdec
 }
 
-func buildCoarseTemplate(seq *pn.Sequence, fac, rate int) []complex128 {
-	bandHalf := (pn.BandHighHz - pn.BandLowHz) / 2
-	var w []complex128
-	// The template must pass through a chain identical to the stream's so
-	// the group delays cancel; pick the same variant the detector will use.
-	if a, b := fastFrontEnd(fac, rate, bandHalf); a != nil {
-		mid := a.Process(make([]complex128, 0, len(seq.Samples)/a.Factor()+1), seq.Samples)
-		w = b.Process(make([]complex128, 0, len(mid)/2+1), mid)
-	} else {
-		osc := dsp.NewQuadOsc(bandCenterHz(), rate)
-		stages := decimStages(fac, float64(rate), bandHalf)
-		w = dsp.DecimateChain(seq.Samples, osc, stages...)
-	}
-	mdec := (seq.Len() + fac - 1) / fac
-	if len(w) > mdec {
+// buildCoarseTemplate passes the template through a chain identical to the
+// stream's, so the group delays cancel.
+func buildCoarseTemplate(seq *pn.Sequence) []complex128 {
+	a, b := fastFrontEnd()
+	mid := a.Process(make([]complex128, 0, len(seq.Samples)/a.Factor()+1), seq.Samples)
+	w := b.Process(make([]complex128, 0, len(mid)/2+1), mid)
+	if mdec := decimatedLen(seq.Len()); len(w) > mdec {
 		w = w[:mdec]
 	}
 	return w
 }
 
-// interpKernel tabulates a windowed-sinc interpolator for the fac
-// fractional phases p/fac, each row spanning offsets
+// decimatedLen is ⌈n/D⌉: the coarse-rate length of n full-rate samples.
+func decimatedLen(n int) int { return (n + coarseFactor - 1) / coarseFactor }
+
+// interpKernel tabulates a windowed-sinc interpolator for the D
+// fractional phases p/D, each row spanning offsets
 // [-interpHalfWidth+1, interpHalfWidth] and normalized to unit DC gain.
 // Phase 0 is the exact identity.
-func interpKernel(fac int) [][]float64 {
+func interpKernel() [][]float64 {
 	h := interpHalfWidth
-	kern := make([][]float64, fac)
+	kern := make([][]float64, coarseFactor)
 	for p := range kern {
 		row := make([]float64, 2*h)
-		frac := float64(p) / float64(fac)
+		frac := float64(p) / coarseFactor
 		var sum float64
 		for k := range row {
 			x := float64(k-(h-1)) - frac
@@ -278,106 +260,76 @@ func interpKernel(fac int) [][]float64 {
 	return kern
 }
 
-func newTwoStageDetector(c Config) *twoStageDetector {
-	fac := c.DecimateBy
-	L := c.Seq.Len()
-	mdec := (L + fac - 1) / fac
-	sDec := c.NormWindow / fac
-	if sDec < 1 {
-		sDec = 1
+// NewIncrementalDetector returns a streaming detector for the config.
+// cfg.Seq is required: without a template there is nothing to detect, so a
+// nil Seq panics rather than building a detector that can never fire.
+func NewIncrementalDetector(cfg Config) *IncrementalDetector {
+	c := cfg.withDefaults()
+	if c.Seq == nil {
+		panic("estimator: NewIncrementalDetector needs Config.Seq (the PN marker sequence)")
 	}
-	dDec := (c.Delta + fac - 1) / fac
-	rate := audio.SampleRate
-	bandHalf := (pn.BandHighHz - pn.BandLowHz) / 2
-	d := &twoStageDetector{
-		cfg:   c,
-		fac:   fac,
-		refR:  c.RefineRadius,
-		mdec:  mdec,
-		osc:   dsp.NewQuadOsc(bandCenterHz(), rate),
-		derot: dsp.NewQuadOsc(bandCenterHz()*fac, rate),
-		wdec:  coarseTemplateFor(c.Seq, fac, rate),
-		kern:  interpKernel(fac),
+	mdec := decimatedLen(c.Seq.Len())
+	sDec := max(c.NormWindow/coarseFactor, 1)
+	dDec := decimatedLen(c.Delta)
+	d := &IncrementalDetector{
+		cfg:  c,
+		mdec: mdec,
+		osc:  dsp.NewQuadOsc(bandCenterHz(), audio.SampleRate),
+		wdec: coarseTemplateFor(c.Seq),
+		kern: interpKernel(),
 		scan: coarseScan{
 			normWindow: sDec,
-			beta2:      math.Pow(c.Beta, float64(2*fac)),
+			beta2:      math.Pow(c.Beta, 2*coarseFactor),
 			theta2:     (c.Theta * coarseThetaScale) * (c.Theta * coarseThetaScale),
 			delta:      dDec,
-			powScale:   0.5,
 		},
 		conf: peakConfirm{interval: c.IntervalSamples, delta: c.Delta},
 	}
-	d.fastA, d.fastB = fastFrontEnd(fac, rate, bandHalf)
-	if d.fastA == nil {
-		d.stages = decimStages(fac, float64(rate), bandHalf)
-	}
-	d.corr = dsp.NewComplexCorrelatorShared(d.wdec, dsp.NextPow2(2*mdec), coarseTag(c.Seq.Seed, fac))
-	// Pre-size every steady-state buffer (see newFullRateDetector): the
-	// hub admits sessions mid-ramp, and lazy growth on the first
-	// correlation block would show up as allocation noise there.
+	d.fastA, d.fastB = fastFrontEnd()
+	// The conjugate template spectrum is shared across sessions, keyed by
+	// the PN seed.
+	d.corr = dsp.NewComplexCorrelatorShared(d.wdec, dsp.NextPow2(2*mdec), uint64(c.Seq.Seed))
+	// Pre-size every steady-state buffer so no session allocates on its
+	// first correlation block mid-stream: the hub admits sessions
+	// mid-ramp, and lazy growth would show up as allocation noise there.
 	step := d.corr.Step()
 	n := d.corr.SegmentLen()
 	d.magBuf = make([]float64, 0, step)
 	d.bb = make([]complex128, 0, n+4096)
 	d.cz = make([]complex128, 0, step+4*(dDec+interpHalfWidth))
-	d.rec = make([]float64, 0, (n+sDec+dDec+8)*fac+2*d.refR)
+	d.rec = make([]float64, 0, (n+sDec+dDec+8)*coarseFactor+2*refineRadius)
 	d.scan.z = make([]float64, 0, step+sDec+1)
 	d.scan.zPrefix = make([]float64, 0, step+sDec+2)
 	d.scan.env = make([]float64, 0, step+9*dDec+2)
 	d.scan.cands = make([]scanPeak, 0, 8)
 	d.conf.pending = make([]pendingPeak, 0, 8)
-	d.refZt = make([]float64, 0, 4*c.RefineRadius+2*fac+8)
-	d.refPz = make([]float64, 0, 4*c.RefineRadius+2*fac+9)
+	d.refZt = make([]float64, 0, 4*refineRadius+2*coarseFactor+8)
+	d.refPz = make([]float64, 0, 4*refineRadius+2*coarseFactor+9)
 	d.refBp = make([]float64, 0, sDec+8)
-	d.refEx = make([]float64, 0, 2*c.RefineRadius+2)
-	d.refExOk = make([]bool, 0, 2*c.RefineRadius+2)
+	d.refEx = make([]float64, 0, 2*refineRadius+2)
+	d.refExOk = make([]bool, 0, 2*refineRadius+2)
 	d.mixBuf = make([]complex128, 0, 2048)
-	d.stgBuf = make([][]complex128, len(d.stages))
-	for i := range d.stgBuf {
-		d.stgBuf[i] = make([]complex128, 0, 2048)
-	}
 	return d
 }
 
-// coarseTag keys the shared decimated-template spectrum: the PN seed in
-// the low bits, the decimation factor up high (full-rate spectra use the
-// bare seed as their tag; the kind byte in the dsp cache also separates
-// real from complex entries).
-func coarseTag(seed int64, fac int) uint64 {
-	return uint64(seed) ^ uint64(fac)<<56
-}
-
-func (d *twoStageDetector) feed(samples []float64) []Detection {
+// Feed appends recording samples and returns newly confirmed detections.
+// Detection.Sample is the absolute sample index since the first Feed.
+func (d *IncrementalDetector) Feed(samples []float64) []Detection {
 	d.rec = append(d.rec, samples...)
-	// Heterodyne and decimate the new audio down to complex baseband.
-	if d.fastA != nil {
-		// Fused chain: the modulated ÷(D/2) stage reads the real samples
-		// directly — no full-rate complex stream is ever materialized.
-		mid := d.fastA.Process(d.mixBuf[:0], samples)
-		d.mixBuf = mid[:0]
-		d.bb = d.fastB.Process(d.bb, mid)
-	} else {
-		cur := d.osc.MixDown(d.mixBuf[:0], samples)
-		d.mixBuf = cur[:0]
-		for i, st := range d.stages {
-			if i == len(d.stages)-1 {
-				d.bb = st.Process(d.bb, cur)
-				break
-			}
-			out := st.Process(d.stgBuf[i][:0], cur)
-			d.stgBuf[i] = out[:0]
-			cur = out
-		}
-		if len(d.stages) == 0 {
-			d.bb = append(d.bb, cur...)
-		}
-	}
+	// Heterodyne and decimate the new audio down to complex baseband: the
+	// modulated ÷(D/2) stage reads the real samples directly, so no
+	// full-rate complex stream is ever materialized.
+	mid := d.fastA.Process(d.mixBuf[:0], samples)
+	d.mixBuf = mid[:0]
+	d.bb = d.fastB.Process(d.bb, mid)
 	d.correlate(false)
 	d.advance()
 	return d.conf.take()
 }
 
-func (d *twoStageDetector) flush() []Detection {
+// Flush processes everything buffered regardless of batch thresholds and
+// returns any final detections (peaks whose companions were already seen).
+func (d *IncrementalDetector) Flush() []Detection {
 	d.correlate(true)
 	d.advance()
 	return d.conf.take()
@@ -385,7 +337,7 @@ func (d *twoStageDetector) flush() []Detection {
 
 // correlate extends the coarse correlation as far as the decimated stream
 // allows; Flush computes the sub-block tail directly.
-func (d *twoStageDetector) correlate(force bool) {
+func (d *IncrementalDetector) correlate(force bool) {
 	for {
 		bbEnd := d.bbBase + len(d.bb)
 		if bbEnd-d.cNext < d.corr.SegmentLen() {
@@ -408,30 +360,18 @@ func (d *twoStageDetector) correlate(force bool) {
 
 // appendC integrates freshly correlated coarse lags: the carrier
 // e^{-jω0·D·τ} is removed (A[τ] is what the fine stage interpolates) and
-// the squared magnitudes feed the squared-domain Eq. 4-6 scan — the
-// de-rotation is unit-modulus, so |A| = |C_dec| and the scan input never
-// needs a root.
-func (d *twoStageDetector) appendC(c []complex128) {
+// the squared magnitudes feed the squared-domain Eq. 4-6 scan. ω0·D is
+// 3π per lag (9 kHz · 8 / 48 kHz = 3/2 turns), so the de-rotation is the
+// sign (−1)^τ — which the magnitudes never see.
+func (d *IncrementalDetector) appendC(c []complex128) {
 	d.magBuf = d.magBuf[:0]
-	if d.derot.Period() <= 2 {
-		// ω0·D lands on 0 or π (it does for Ekho's 9 kHz center at D=8):
-		// the de-rotation degenerates to a sign the magnitudes never see.
-		for i, v := range c {
-			a := v
-			if real(d.derot.Factor(d.cNext+i)) < 0 {
-				a = -v
-			}
-			d.cz = append(d.cz, a)
-			d.magBuf = append(d.magBuf, real(v)*real(v)+imag(v)*imag(v))
+	for i, v := range c {
+		a := v
+		if (d.cNext+i)&1 == 1 {
+			a = -v
 		}
-	} else {
-		for i, v := range c {
-			// A[τ] = C_dec[τ]·e^{+jω0·D·τ} = C_dec[τ]·conj(Factor(τ)).
-			f := d.derot.Factor(d.cNext + i)
-			a := complex(real(v)*real(f)+imag(v)*imag(f), imag(v)*real(f)-real(v)*imag(f))
-			d.cz = append(d.cz, a)
-			d.magBuf = append(d.magBuf, real(v)*real(v)+imag(v)*imag(v))
-		}
+		d.cz = append(d.cz, a)
+		d.magBuf = append(d.magBuf, real(v)*real(v)+imag(v)*imag(v))
 	}
 	d.scan.append(d.cNext, d.magBuf)
 	d.cNext += len(c)
@@ -439,7 +379,7 @@ func (d *twoStageDetector) appendC(c []complex128) {
 
 // dropCoveredBB discards decimated samples already consumed by the coarse
 // frontier (the next block still needs the template-length overlap).
-func (d *twoStageDetector) dropCoveredBB() {
+func (d *IncrementalDetector) dropCoveredBB() {
 	if drop := d.cNext - d.bbBase; drop > 0 {
 		if drop > len(d.bb) {
 			drop = len(d.bb)
@@ -451,8 +391,8 @@ func (d *twoStageDetector) dropCoveredBB() {
 }
 
 // advance runs the scaled Eq. 4-6 scan, refines each coarse candidate to
-// a full-rate sample and confirms via the shared Eq. 7 logic.
-func (d *twoStageDetector) advance() {
+// a full-rate sample and confirms via Eq. 7 (peakConfirm).
+func (d *IncrementalDetector) advance() {
 	d.scan.advance()
 	for _, p := range d.scan.cands {
 		if det, ok := d.refine(p); ok {
@@ -460,16 +400,16 @@ func (d *twoStageDetector) advance() {
 		}
 	}
 	d.scan.cands = d.scan.cands[:0]
-	d.conf.confirm(d.scan.peakNext * d.fac)
+	d.conf.confirm(d.scan.peakNext * coarseFactor)
 	d.trimCZ()
 	d.trimRec()
 }
 
 // reconstructA interpolates the de-rotated baseband correlation Ã at the
 // full-rate lag t from the retained decimated samples.
-func (d *twoStageDetector) reconstructA(t int) (ar, ai float64) {
-	m := t / d.fac
-	ph := t - m*d.fac
+func (d *IncrementalDetector) reconstructA(t int) (ar, ai float64) {
+	m := t / coarseFactor
+	ph := t - m*coarseFactor
 	row := d.kern[ph]
 	base := m - (interpHalfWidth - 1) - d.czBase
 	for k, kv := range row {
@@ -488,7 +428,7 @@ func (d *twoStageDetector) reconstructA(t int) (ar, ai float64) {
 // over one decimated block: Σ_{k=τD}^{(τ+1)D-1} Z[k]² ≈ (D/2)·|A[τ]|². The
 // second-harmonic term cancels exactly over a block (2ω0·D spans whole
 // turns), so the estimate only errs by A's variation within the block.
-func (d *twoStageDetector) blockPower(tau int) float64 {
+func (d *IncrementalDetector) blockPower(tau int) float64 {
 	j := tau - d.czBase
 	if j < 0 {
 		j = 0
@@ -497,15 +437,15 @@ func (d *twoStageDetector) blockPower(tau int) float64 {
 		j = len(d.cz) - 1
 	}
 	a := d.cz[j]
-	return 0.5 * float64(d.fac) * (real(a)*real(a) + imag(a)*imag(a))
+	return 0.5 * coarseFactor * (real(a)*real(a) + imag(a)*imag(a))
 }
 
 // refine recovers the sample-accurate marker position for one coarse
-// candidate. The full-rate detector's peak is the argmax of the
+// candidate. The batch pipeline's peak is the argmax of the
 // *normalized* correlation Z*[t] = |Z[t]|/den[t] (Eq. 4), and den's
 // trailing window [t, t+S) drops steeply as its left edge crosses the
 // peak cluster — the argmax typically sits a half carrier cycle after the
-// raw |Z| maximum, so matching the reference to ±1 sample requires
+// raw |Z| maximum, so matching the batch oracle to ±1 sample requires
 // scoring candidates with the same normalization.
 //
 // The baseband is critically sampled (±3 kHz at rate·D⁻¹ = 6 kHz), so a
@@ -525,16 +465,16 @@ func (d *twoStageDetector) blockPower(tau int) float64 {
 // the window bound.
 //
 // The refined score is the full-rate Z* estimate in σ units, so the
-// Eq. 6 threshold is re-applied here exactly where the reference applies
-// it; the coarse stage's relaxed gate only selects which lags get
+// Eq. 6 threshold is re-applied here exactly where the batch pipeline
+// applies it; the coarse stage's relaxed gate only selects which lags get
 // refined.
-func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
-	t0 := p.pos * d.fac
-	lo := t0 - d.refR
+func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
+	t0 := p.pos * coarseFactor
+	lo := t0 - refineRadius
 	if lo < 0 {
 		lo = 0
 	}
-	hi := t0 + d.refR
+	hi := t0 + refineRadius
 	L := d.cfg.Seq.Len()
 	recEnd := d.recBase + len(d.rec)
 	if m := recEnd - L; hi > m {
@@ -548,8 +488,8 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 	}
 	// Reconstruct Z̃ from lo through the end of the block containing
 	// hi+fac, so every candidate's per-sample head [t, rEnd) is covered.
-	mHead := hi/d.fac + 2
-	rEnd := mHead * d.fac
+	mHead := hi/coarseFactor + 2
+	rEnd := mHead * coarseFactor
 	d.refZt = d.refZt[:0]
 	d.refPz = append(d.refPz[:0], 0)
 	for t := lo; t < rEnd; t++ {
@@ -563,7 +503,7 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 	// Block-power prefix over the coarse lags covering the rest of the
 	// normalization window, [mHead, mHead + S/D + 1].
 	S := d.cfg.NormWindow
-	nb := S/d.fac + 2
+	nb := S/coarseFactor + 2
 	d.refBp = append(d.refBp[:0], 0)
 	for j := 0; j < nb; j++ {
 		d.refBp = append(d.refBp, d.refBp[len(d.refBp)-1]+d.blockPower(mHead+j))
@@ -574,13 +514,13 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 	denSum := func(t int) float64 {
 		sum := d.refPz[rEnd-lo] - d.refPz[t-lo]
 		remain := S - (rEnd - t)
-		whole := remain / d.fac
+		whole := remain / coarseFactor
 		if whole > nb-1 {
 			whole = nb - 1
 		}
 		sum += d.refBp[whole]
-		if fr := remain - whole*d.fac; fr > 0 && whole < nb {
-			sum += float64(fr) / float64(d.fac) * (d.refBp[whole+1] - d.refBp[whole])
+		if fr := remain - whole*coarseFactor; fr > 0 && whole < nb {
+			sum += float64(fr) / coarseFactor * (d.refBp[whole+1] - d.refBp[whole])
 		}
 		return sum
 	}
@@ -659,11 +599,11 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 	// Measured over the parity suite the winner lands in [t0−3, t0+4] with
 	// the mode at +3; this span keeps that mode interior while the adaptive
 	// extension below covers the tails.
-	s0 := t0 - d.fac/4
+	s0 := t0 - coarseFactor/4
 	if s0 < lo {
 		s0 = lo
 	}
-	s1 := t0 + d.fac/2 + 1
+	s1 := t0 + coarseFactor/2 + 1
 	if s1 > hi {
 		s1 = hi
 	}
@@ -685,7 +625,7 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 		zr := d.refZt[t-lo]
 		sumEx += ze * ze
 		sumRec += zr * zr
-		if t%d.fac == 0 {
+		if t%coarseFactor == 0 {
 			d.gEx += ze * ze
 			d.gRec += zr * zr
 		}
@@ -722,13 +662,13 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 		// interior winner (or pinned at the window bound).
 		grew := false
 		if best-s0 <= 1 && s0 > lo {
-			if s0 -= d.fac / 2; s0 < lo {
+			if s0 -= coarseFactor / 2; s0 < lo {
 				s0 = lo
 			}
 			grew = true
 		}
 		if s1-best <= 1 && s1 < hi {
-			if s1 += d.fac / 2; s1 > hi {
+			if s1 += coarseFactor / 2; s1 > hi {
 				s1 = hi
 			}
 			grew = true
@@ -745,8 +685,8 @@ func (d *twoStageDetector) refine(p scanPeak) (Detection, bool) {
 
 // trimCZ drops de-rotated correlation history the fine stage can no
 // longer need (future candidates sit at or past the peak-scan frontier).
-func (d *twoStageDetector) trimCZ() {
-	keep := d.refR/d.fac + interpHalfWidth + 4
+func (d *IncrementalDetector) trimCZ() {
+	keep := refineRadius/coarseFactor + interpHalfWidth + 4
 	cut := d.scan.peakNext - keep - d.czBase
 	// Batching the cut keeps the copy-back amortized well under the scan's
 	// cost; the retained tail is `keep` either way.
@@ -760,8 +700,8 @@ func (d *twoStageDetector) trimCZ() {
 
 // trimRec drops full-rate audio behind every possible future refinement
 // window.
-func (d *twoStageDetector) trimRec() {
-	cutoff := d.scan.peakNext*d.fac - d.refR - 2*d.fac
+func (d *IncrementalDetector) trimRec() {
+	cutoff := d.scan.peakNext*coarseFactor - refineRadius - 2*coarseFactor
 	drop := cutoff - d.recBase
 	// The retained span behind the scan frontier is large (roughly one
 	// correlator segment at the full rate), so the copy-back is batched
@@ -778,27 +718,26 @@ func (d *twoStageDetector) trimRec() {
 	d.recBase += drop
 }
 
-// coarseScan is peakScan transported to the squared domain for the coarse
-// stage's envelope magnitudes: callers feed |C|² and every Eq. 4-6
-// quantity is kept squared — the normalization denominator (a mean of
-// squares needs no root), the silence floor, the peak-hold envelope
-// (max and the β decay commute with squaring) and the θ gate. All the
-// comparisons the equations make are between non-negative values, so the
-// squared scan picks the identical candidate set while dropping the two
-// per-lag square roots the linear form pays at the decimated rate; the
-// one root left runs per emitted candidate, whose val stays in linear
-// normalized-correlation units. Kept separate from peakScan — which the
-// full-rate reference feeds signed lags — so coarse-path tuning never
-// touches the reference's cost or numerics.
+// coarseScan runs the Eq. 4-6 stages — running power normalization,
+// peak-hold envelope and dominant-local-max candidate pick — over the
+// coarse stage's streaming correlation, in the squared domain: callers
+// feed |C|² and every quantity is kept squared — the normalization
+// denominator (a mean of squares needs no root), the silence floor, the
+// peak-hold envelope (max and the β decay commute with squaring) and the
+// θ gate. All the comparisons the equations make are between non-negative
+// values, so the squared scan picks the same candidates a linear one
+// would while paying no per-lag square roots; the one root left runs per
+// emitted candidate, whose val stays in linear normalized-correlation
+// units. Window, decay and dominance parameters are scaled to the
+// decimated lag rate by the constructor.
 type coarseScan struct {
 	normWindow int
 	beta2      float64 // β², the squared-envelope decay
 	theta2     float64 // θ², the squared candidate gate
 	delta      int
-	powScale   float64 // weight on |C|² in the power terms (½, see peakScan)
 
 	// Squared correlation magnitudes; z[0] is absolute lag zBase. zPrefix
-	// has len(z)+1 entries with zPrefix[k+1]-zPrefix[k] = powScale·z[k].
+	// has len(z)+1 entries with zPrefix[k+1]-zPrefix[k] = coarsePowScale·z[k].
 	z       []float64
 	zPrefix []float64
 	zBase   int
@@ -813,7 +752,14 @@ type coarseScan struct {
 	envSeen  bool
 	peakNext int
 
-	cands []scanPeak
+	cands []scanPeak // Eq. 6 candidates awaiting refinement
+}
+
+// scanPeak is one Eq. 6 candidate: a dominant local envelope max at an
+// absolute coarse lag, val in linear normalized-correlation units.
+type scanPeak struct {
+	pos int
+	val float64
 }
 
 // append integrates freshly squared correlation magnitudes starting at
@@ -826,13 +772,14 @@ func (s *coarseScan) append(start int, sq []float64) {
 	}
 	for _, v := range sq {
 		s.z = append(s.z, v)
-		s.zPrefix = append(s.zPrefix, s.zPrefix[len(s.zPrefix)-1]+v*s.powScale)
-		s.sumSq += v * s.powScale
+		s.zPrefix = append(s.zPrefix, s.zPrefix[len(s.zPrefix)-1]+v*coarsePowScale)
+		s.sumSq += v * coarsePowScale
 		s.count++
 	}
 }
 
-// advance runs Eq. 4-6 (squared) over every position with full lookahead.
+// advance runs Eq. 4-6 (squared) over every position whose lookahead is
+// satisfied, leaving new candidates in cands for the caller to drain.
 func (s *coarseScan) advance() {
 	S := s.normWindow
 	zEnd := s.zBase + len(s.z)
@@ -857,6 +804,7 @@ func (s *coarseScan) advance() {
 	s.checkPeaks()
 }
 
+// pushEnvelope advances Eq. 5.
 func (s *coarseScan) pushEnvelope(abs int, nv2 float64) {
 	s.envState *= s.beta2
 	if nv2 > s.envState {
@@ -864,8 +812,9 @@ func (s *coarseScan) pushEnvelope(abs int, nv2 float64) {
 	}
 	if !s.envSeen {
 		s.envBase = abs
-		// Same boundary handling as peakScan: abs 0 is eligible with only
-		// a right neighbor.
+		// Match the batch pipeline's boundary handling: a peak at the very
+		// first correlation lag (abs 0) is eligible with only a right
+		// neighbor; elsewhere peak checks start one position in.
 		s.peakNext = abs
 		if abs != 0 {
 			s.peakNext = abs + 1
@@ -875,6 +824,8 @@ func (s *coarseScan) pushEnvelope(abs int, nv2 float64) {
 	s.env = append(s.env, s.envState)
 }
 
+// checkPeaks evaluates Eq. 6 plus the ±δ dominance rule for positions with
+// full δ lookahead.
 func (s *coarseScan) checkPeaks() {
 	delta := s.delta
 	envEnd := s.envBase + len(s.env)
@@ -904,6 +855,7 @@ func (s *coarseScan) checkPeaks() {
 		}
 		s.cands = append(s.cands, scanPeak{pos: t, val: math.Sqrt(v)})
 	}
+	// Trim envelope history: only δ of lookbehind is ever needed again.
 	if cut := s.peakNext - delta - 2 - s.envBase; cut > 8*delta {
 		n := copy(s.env, s.env[cut:])
 		s.env = s.env[:n]
@@ -911,12 +863,13 @@ func (s *coarseScan) checkPeaks() {
 	}
 }
 
+// trimZ drops correlation history that can no longer be read.
 func (s *coarseScan) trimZ() {
 	cut := s.nmNext - s.zBase
 	if cut <= s.normWindow {
 		return
 	}
-	cut -= s.normWindow
+	cut -= s.normWindow // keep the live normalization window
 	base := s.zPrefix[cut]
 	n := copy(s.z, s.z[cut:])
 	s.z = s.z[:n]
@@ -925,4 +878,81 @@ func (s *coarseScan) trimZ() {
 	}
 	s.zPrefix = s.zPrefix[:len(s.zPrefix)-cut]
 	s.zBase += cut
+}
+
+// peakConfirm applies Eq. 7 over full-rate peak positions: a peak is
+// confirmed once a companion peak exists one marker interval away (±δ) in
+// either direction; expired peaks are dropped. Coarse candidates are
+// refined to full-rate samples before they enter, so confirmation
+// semantics are the batch pipeline's.
+type peakConfirm struct {
+	interval int // marker period L, full-rate samples
+	delta    int
+	pending  []pendingPeak
+	out      []Detection
+}
+
+type pendingPeak struct {
+	det       Detection
+	confirmed bool
+	emitted   bool
+}
+
+// add registers one peak (full-rate Sample) for confirmation.
+func (c *peakConfirm) add(det Detection) {
+	c.pending = append(c.pending, pendingPeak{det: det})
+}
+
+// confirm re-evaluates Eq. 7 against the given full-rate peak-scan
+// frontier, queuing newly confirmed detections on out.
+func (c *peakConfirm) confirm(frontier int) {
+	L := c.interval
+	delta := c.delta
+	for i := range c.pending {
+		p := &c.pending[i]
+		if p.confirmed {
+			continue
+		}
+		if c.hasPeakNear(p.det.Sample-L, delta) || c.hasPeakNear(p.det.Sample+L, delta) {
+			p.confirmed = true
+		}
+	}
+	// Emit newly confirmed in order; drop entries that are both expired
+	// as candidates and too old to serve as companions.
+	cutoff := frontier - 2*(L+delta)
+	kept := c.pending[:0]
+	for _, p := range c.pending {
+		if p.confirmed && !p.emitted {
+			c.out = append(c.out, p.det)
+			p.emitted = true
+		}
+		expiredCandidate := !p.confirmed && p.det.Sample+L+delta < frontier
+		tooOldCompanion := p.det.Sample < cutoff
+		if (p.confirmed || expiredCandidate) && tooOldCompanion {
+			continue
+		}
+		if expiredCandidate && p.det.Sample+2*(L+delta) < frontier {
+			continue
+		}
+		kept = append(kept, p)
+	}
+	c.pending = kept
+}
+
+// hasPeakNear reports whether any pending/confirmed peak lies within
+// ±delta of center.
+func (c *peakConfirm) hasPeakNear(center, delta int) bool {
+	for _, q := range c.pending {
+		if q.det.Sample >= center-delta && q.det.Sample <= center+delta {
+			return true
+		}
+	}
+	return false
+}
+
+// take returns and clears the emitted detections.
+func (c *peakConfirm) take() []Detection {
+	out := c.out
+	c.out = nil
+	return out
 }

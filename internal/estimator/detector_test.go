@@ -123,46 +123,25 @@ func TestIncrementalEmissionLatency(t *testing.T) {
 }
 
 func TestIncrementalStateBounded(t *testing.T) {
-	// Long stream: internal buffers must stay bounded in both modes.
+	// Long stream: internal buffers must stay bounded.
 	marked, _ := makeMarked(t, 12, 0.5, 7)
-	t.Run("full-rate", func(t *testing.T) {
-		cfg := Config{Seq: testSeq, Detector: DetectorFullRate}
-		det := NewIncrementalDetector(cfg)
-		for pos := 0; pos+audio.FrameSamples <= marked.Len(); pos += audio.FrameSamples {
-			det.Feed(marked.Samples[pos : pos+audio.FrameSamples])
-		}
-		d := det.fr
-		if len(d.rec) > d.corr.SegmentLen()+4*audio.FrameSamples {
-			t.Fatalf("rec buffer %d", len(d.rec))
-		}
-		if len(d.scan.z) > 3*cfg.withDefaults().NormWindow+2*testSeq.Len() {
-			t.Fatalf("z buffer %d", len(d.scan.z))
-		}
-		if len(d.scan.env) > 20*cfg.withDefaults().Delta {
-			t.Fatalf("env buffer %d", len(d.scan.env))
-		}
-		if len(d.conf.pending) > 16 {
-			t.Fatalf("pending peaks %d", len(d.conf.pending))
-		}
-	})
 	t.Run("two-stage", func(t *testing.T) {
 		cfg := Config{Seq: testSeq}
-		det := NewIncrementalDetector(cfg)
+		d := NewIncrementalDetector(cfg)
 		for pos := 0; pos+audio.FrameSamples <= marked.Len(); pos += audio.FrameSamples {
-			det.Feed(marked.Samples[pos : pos+audio.FrameSamples])
+			d.Feed(marked.Samples[pos : pos+audio.FrameSamples])
 		}
-		d := det.ts
 		c := cfg.withDefaults()
 		// Full-rate audio retained for refinement: at most one coarse
 		// FFT window of un-correlated audio plus the scan's lag behind
 		// the frontier and the trim hysteresis.
-		if maxRec := (d.corr.SegmentLen()+c.NormWindow/c.DecimateBy+2*c.Delta)*c.DecimateBy + 16384; len(d.rec) > maxRec {
+		if maxRec := (d.corr.SegmentLen()+c.NormWindow/coarseFactor+2*c.Delta)*coarseFactor + 16384; len(d.rec) > maxRec {
 			t.Fatalf("rec buffer %d > %d", len(d.rec), maxRec)
 		}
 		if len(d.bb) > d.corr.SegmentLen()+4096 {
 			t.Fatalf("baseband buffer %d", len(d.bb))
 		}
-		if len(d.scan.z) > 3*c.NormWindow/c.DecimateBy+2*testSeq.Len()/c.DecimateBy {
+		if len(d.scan.z) > 3*c.NormWindow/coarseFactor+2*testSeq.Len()/coarseFactor {
 			t.Fatalf("coarse z buffer %d", len(d.scan.z))
 		}
 		if len(d.cz) > d.corr.Step()+2048 {
@@ -175,6 +154,17 @@ func TestIncrementalStateBounded(t *testing.T) {
 			t.Fatalf("pending peaks %d", len(d.conf.pending))
 		}
 	})
+}
+
+// A detector without a template could never fire; the constructor says so
+// instead of returning one.
+func TestNewIncrementalDetectorNilSeqPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil Seq should panic")
+		}
+	}()
+	NewIncrementalDetector(Config{})
 }
 
 func TestIncrementalFlushOnShortInput(t *testing.T) {

@@ -49,54 +49,6 @@ type Config struct {
 	// MaxISDSeconds bounds |ISD| during matching (default 0.5 s, half the
 	// marker interval; §4.3).
 	MaxISDSeconds float64
-	// Detector selects the streaming detector implementation (see
-	// DetectorMode); the batch DetectMarkers pipeline always runs the
-	// full-rate reference regardless.
-	Detector DetectorMode
-	// DecimateBy is the two-stage detector's coarse decimation factor D
-	// (default 8: the 6-12 kHz marker band heterodyned to a 6 kHz complex
-	// baseband). Factors whose prime decomposition is 2s and at most one
-	// odd residue are supported.
-	DecimateBy int
-	// RefineRadius is the fine stage's search half-width around a coarse
-	// candidate, in full-rate samples (default 2·DecimateBy, covering the
-	// coarse stage's localization error plus carrier-phase skew).
-	RefineRadius int
-}
-
-// DetectorMode selects between the streaming detector implementations.
-type DetectorMode uint8
-
-const (
-	// DetectorTwoStage (the default) runs the band-decimated coarse
-	// correlation front-end with full-rate peak refinement: ~D× less
-	// steady-state work for detections within ±1 sample of the reference.
-	DetectorTwoStage DetectorMode = iota
-	// DetectorFullRate runs Eq. 3-7 entirely at the 48 kHz rate — the
-	// bit-exact streaming form of the batch pipeline, kept as the
-	// config-selectable reference.
-	DetectorFullRate
-)
-
-// String names the mode the way flags and trace dumps spell it.
-func (m DetectorMode) String() string {
-	switch m {
-	case DetectorFullRate:
-		return "full-rate"
-	default:
-		return "two-stage"
-	}
-}
-
-// ParseDetectorMode converts a flag/config spelling into a DetectorMode.
-func ParseDetectorMode(s string) (DetectorMode, bool) {
-	switch s {
-	case "two-stage", "twostage", "2stage", "":
-		return DetectorTwoStage, true
-	case "full-rate", "fullrate", "full":
-		return DetectorFullRate, true
-	}
-	return DetectorTwoStage, false
 }
 
 func (c Config) withDefaults() Config {
@@ -117,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxISDSeconds == 0 {
 		c.MaxISDSeconds = 0.5
-	}
-	if c.DecimateBy == 0 {
-		c.DecimateBy = 8
-	}
-	if c.RefineRadius == 0 {
-		c.RefineRadius = 2 * c.DecimateBy
 	}
 	return c
 }

@@ -11,15 +11,16 @@ import (
 	"ekho/internal/gamesynth"
 )
 
-// Two-stage vs full-rate parity: the band-decimated coarse-to-fine
-// detector must reproduce the reference detector's detection set with
-// sample-accurate timestamps (±1 sample) across every scenario family the
+// Streaming vs batch parity: the band-decimated coarse-to-fine streaming
+// detector must reproduce the detection set of the batch DetectMarkers
+// oracle (Eq. 3-7 verbatim at the full rate) with sample-accurate
+// timestamps (±1 sample) across every scenario family the
 // system meets in practice — clean signals, acoustic channels, ambient
 // noise sweeps, voice babble, codec compression at several bitrates,
 // faint markers, far couches and heavy reverb.
 
-// parityTol is the allowed timestamp disagreement between the two
-// detection pipelines, in full-rate samples.
+// parityTol is the allowed timestamp disagreement between the streaming
+// detector and the batch oracle, in full-rate samples.
 const parityTol = 1
 
 // throughCodec round-trips a recording through the chat codec frame by
@@ -113,7 +114,7 @@ func parityScenarios() []parityScenario {
 	// 8. Reverberant living room with a pronounced tail. (Harder rooms —
 	// RT60 ≳ 0.8 with dense late reflections — put θ-marginal echo peaks
 	// a few hundred samples apart; which micro-peak wins the ±δ dominance
-	// there is knife-edge even for the reference, and the decimated
+	// there is knife-edge even for the batch pipeline, and the decimated
 	// envelope can rank them differently. The parity property covers the
 	// paper's deployment rooms, not that degenerate regime.)
 	scs = append(scs, parityScenario{"reverberant", func(t *testing.T) []float64 {
@@ -134,18 +135,18 @@ func TestTwoStageParity(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			rec := sc.rec(t)
-			ref := feedInChunks(rec, Config{Seq: testSeq, Detector: DetectorFullRate}, 9)
-			two := feedInChunks(rec, Config{Seq: testSeq, Detector: DetectorTwoStage}, 9)
+			ref := DetectMarkers(rec, Config{Seq: testSeq})
+			two := feedInChunks(rec, Config{Seq: testSeq}, 9)
 			if len(ref) == 0 {
-				t.Fatal("reference detector found nothing — scenario is vacuous")
+				t.Fatal("batch oracle found nothing — scenario is vacuous")
 			}
 			if len(two) != len(ref) {
-				t.Fatalf("detection sets differ: two-stage %v vs full-rate %v",
+				t.Fatalf("detection sets differ: streaming %v vs batch %v",
 					samplesOf(two), samplesOf(ref))
 			}
 			for i := range ref {
 				if d := absInt(two[i].Sample - ref[i].Sample); d > parityTol {
-					t.Errorf("detection %d: two-stage %d vs full-rate %d (Δ=%d samples)",
+					t.Errorf("detection %d: streaming %d vs batch %d (Δ=%d samples)",
 						i, two[i].Sample, ref[i].Sample, d)
 				}
 			}

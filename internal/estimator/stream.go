@@ -11,11 +11,10 @@ import (
 // chat-audio frames and accessory marker timestamps arrive continuously
 // and measurements are emitted once per detected marker.
 //
-// Internally it runs the IncrementalDetector (every correlation lag is
-// computed exactly once) and applies the §4.3 matching with a short
-// hold-back so that, when a strong room reflection is detected alongside
-// the direct path, the per-marker arrival selection (see betterArrival)
-// can still pick the direct path.
+// Internally it runs the IncrementalDetector and applies the §4.3 matching
+// with a short hold-back so that, when a strong room reflection is
+// detected alongside the direct path, the per-marker arrival selection
+// (see betterArrival) can still pick the direct path.
 //
 // The paper notes Ekho-Estimator needs 2-5 seconds of recording before a
 // robust ISD is available; the detector's Eq. 7 companion wait (one marker

@@ -96,11 +96,11 @@ func TestStreamerBoundsMemory(t *testing.T) {
 	for i := 0; i+audio.FrameSamples <= marked.Len(); i += audio.FrameSamples {
 		s.AddChat(marked.Samples[i:i+audio.FrameSamples], float64(i)/audio.SampleRate)
 	}
-	// The incremental detector (two-stage by default) must not retain
-	// more than one coarse FFT window of audio or a few normalization
-	// windows of decimated correlation history.
-	d := s.det.ts
-	fac := s.cfg.DecimateBy
+	// The incremental detector must not retain more than one coarse FFT
+	// window of audio or a few normalization windows of decimated
+	// correlation history.
+	d := s.det
+	const fac = coarseFactor
 	if maxRec := (d.corr.SegmentLen()+s.cfg.NormWindow/fac+2*s.cfg.Delta)*fac + 16384; len(d.rec) > maxRec {
 		t.Fatalf("recording buffer grew to %d > %d", len(d.rec), maxRec)
 	}

@@ -258,66 +258,6 @@ func TestBatchedDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestServeFallbackPlainConn proves the per-packet fallback path still
-// works end to end when the hub's Conn lacks batch support: sessions
-// come up and media flows out through the looped SendTo egress flush.
-func TestServeFallbackPlainConn(t *testing.T) {
-	mem := NewMemNet()
-	inner := mem.Endpoint("hub")
-	ready := make(chan uint32, 1)
-	h := New(Config{
-		TickEvery: -1, IdleTimeout: -1, Capacity: 2,
-		OnSessionReady: func(id uint32) { ready <- id },
-	}, plainConn{inner})
-	if h.bconn != nil {
-		t.Fatal("plainConn unexpectedly detected as BatchConn")
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- h.Serve() }()
-	defer h.Close()
-
-	screen := mem.Endpoint("screen")
-	ctrl := mem.Endpoint("ctrl")
-	for _, ep := range []struct {
-		c    Conn
-		role transport.Role
-	}{{screen, transport.RoleScreen}, {ctrl, transport.RoleController}} {
-		if err := ep.c.SendTo(
-			transport.EncodeHello(transport.Hello{Session: 1, Role: ep.role}),
-			inner.LocalAddr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatal("session never became ready on fallback path")
-	}
-	h.Tick()
-	for _, ep := range []Conn{screen, ctrl} {
-		msg, err := ep.Recv(time.Now().Add(5 * time.Second))
-		if err != nil {
-			t.Fatalf("media never arrived on fallback path: %v", err)
-		}
-		if msg.Type != transport.TypeMedia || msg.Session != 1 {
-			t.Fatalf("got %v packet for session %d, want media for 1", msg.Type, msg.Session)
-		}
-	}
-	h.Close()
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-}
-
-// plainConn hides a MemNet endpoint's batch methods, leaving only the
-// basic Conn surface.
-type plainConn struct{ inner Conn }
-
-func (p plainConn) Recv(deadline time.Time) (transport.Message, error) { return p.inner.Recv(deadline) }
-func (p plainConn) SendTo(b []byte, to net.Addr) error                 { return p.inner.SendTo(b, to) }
-func (p plainConn) LocalAddr() net.Addr                                { return p.inner.LocalAddr() }
-func (p plainConn) Close() error                                       { return p.inner.Close() }
-
 // TestDispatchLatencyHistogram sanity-checks the quantile accounting the
 // load harness keys off.
 func TestDispatchLatencyHistogram(t *testing.T) {

@@ -47,34 +47,29 @@ import (
 // Logf is a printf-style sink for hub progress output.
 type Logf func(format string, args ...any)
 
-// Conn is the datagram endpoint a hub serves on. *transport.Conn
+// Conn is the datagram endpoint a hub serves on — the batched wire seam:
+// it drains a burst of datagrams per wakeup and flushes a burst of sends
+// per call, so the whole receive→dispatch→process→send path runs batched
+// (packet arenas amortize decoding, shard workers wake once per batch, and
+// per-shard egress queues flush through SendBatch). *transport.Conn
 // implements it; tests and benchmarks substitute an in-process loopback
 // network (NewMemNet).
-type Conn interface {
-	Recv(deadline time.Time) (transport.Message, error)
-	SendTo(b []byte, to net.Addr) error
-	LocalAddr() net.Addr
-	Close() error
-}
-
-// BatchConn is the batched wire seam: a Conn that can drain a burst of
-// datagrams per wakeup and flush a burst of sends per call. When the
-// hub's Conn implements it (both *transport.Conn and MemNet endpoints
-// do), the whole receive→dispatch→process→send path runs batched:
-// packet arenas amortize decoding, shard workers wake once per batch,
-// and per-shard egress queues flush through SendBatch. A plain Conn
-// falls back to the per-packet path.
 //
 // RecvBatch fills msgs with one blocking read (until deadline) followed
 // by greedy reads until the socket runs dry or the batch fills, reusing
 // each slot's payload capacity (transport.DecodeInto). From may be nil
 // for data-plane packets; it must be set for Hello and Bye. SendBatch
 // attempts every packet and reports how many were sent plus the first
-// error.
-type BatchConn interface {
-	Conn
+// error. The hub itself sends one-off replies outside a shard's egress
+// queue (Busy rejects) through SendTo; Recv is the per-datagram read the
+// loopback clients sharing this interface use.
+type Conn interface {
 	RecvBatch(deadline time.Time, msgs []transport.Message) (int, error)
 	SendBatch(pkts []transport.Packet) (int, error)
+	Recv(deadline time.Time) (transport.Message, error)
+	SendTo(b []byte, to net.Addr) error
+	LocalAddr() net.Addr
+	Close() error
 }
 
 // Config tunes a hub. The zero value serves 64 sessions on 8 shards
@@ -108,9 +103,6 @@ type Config struct {
 	Codec codec.Profile
 	// Compensator tunes the per-session feedback loop.
 	Compensator ekho.CompensatorConfig
-	// Detector selects each session's marker-detection pipeline (zero
-	// value = the band-decimated two-stage detector).
-	Detector ekho.DetectorMode
 	// RecordDir, when non-empty, captures every session's full timeline
 	// to <RecordDir>/session-<id>.ektrace for deterministic replay with
 	// cmd/ekho-replay (see internal/trace).
@@ -162,12 +154,11 @@ func (c Config) withDefaults() Config {
 type Hub struct {
 	cfg    Config
 	conn   Conn
-	bconn  BatchConn // non-nil when conn supports batched I/O
 	shards []*shard
 	stats  counters
 
 	// arenaFree recycles receive batch arenas between the receive loop
-	// and the shard workers (batched path only).
+	// and the shard workers.
 	arenaFree chan *recvArena
 
 	// coarse is the hub's coarse wall clock (UnixNano), refreshed once
@@ -202,7 +193,6 @@ func New(cfg Config, conn Conn) *Hub {
 		done:  make(chan struct{}),
 		clips: make(map[int]*audio.Buffer),
 	}
-	h.bconn, _ = conn.(BatchConn)
 	h.coarse.Store(time.Now().UnixNano())
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
@@ -276,54 +266,27 @@ func (h *Hub) Serve() error {
 		h.wg.Add(1)
 		go h.reapLoop()
 	}
-	h.logf("hub: serving on %s (capacity %d, %d shards, batched=%v)",
-		h.conn.LocalAddr(), h.cfg.Capacity, h.cfg.Shards, h.bconn != nil)
+	h.logf("hub: serving on %s (capacity %d, %d shards)",
+		h.conn.LocalAddr(), h.cfg.Capacity, h.cfg.Shards)
 
-	var err error
-	if h.bconn != nil {
-		err = h.recvLoopBatch()
-	} else {
-		err = h.recvLoop()
-	}
+	err := h.recvLoopBatch()
 	h.Close()
 	h.wg.Wait()
 	h.flushSessions()
 	return err
 }
 
-// recvLoop reads and dispatches datagrams one at a time until the hub
-// closes: the fallback path for plain Conns. Socket errors other than
-// shutdown and deadline expiry are propagated.
-func (h *Hub) recvLoop() error {
-	for {
-		msg, err := h.conn.Recv(time.Now().Add(time.Second))
-		if err != nil {
-			if h.isClosed() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if isTimeout(err) {
-				h.coarse.Store(time.Now().UnixNano())
-				continue
-			}
-			return fmt.Errorf("hub: receive: %w", err)
-		}
-		if h.isClosed() {
-			return nil
-		}
-		h.coarse.Store(time.Now().UnixNano())
-		h.Dispatch(msg)
-	}
-}
-
-// recvLoopBatch drains the socket in batches: each wakeup fills a packet
-// arena, then hands every shard its sub-batch in one queue operation.
+// recvLoopBatch drains the socket in batches until the hub closes: each
+// wakeup fills a packet arena, then hands every shard its sub-batch in one
+// queue operation. Socket errors other than shutdown and deadline expiry
+// are propagated.
 func (h *Hub) recvLoopBatch() error {
 	for {
 		a := h.takeArena()
 		if a == nil {
 			return nil // hub closed while all arenas were in flight
 		}
-		n, err := h.bconn.RecvBatch(time.Now().Add(time.Second), a.msgs)
+		n, err := h.conn.RecvBatch(time.Now().Add(time.Second), a.msgs)
 		if err != nil && n == 0 {
 			h.arenaFree <- a
 			if h.isClosed() || errors.Is(err, net.ErrClosed) {
@@ -344,9 +307,10 @@ func (h *Hub) recvLoopBatch() error {
 }
 
 // Dispatch routes one decoded datagram to its session's shard worker,
-// admitting the session first if the packet is a Hello. It is normally
-// called only by the per-packet fallback receive loop; it is exported
-// for benchmarks and tests that drive the hub without a socket.
+// admitting the session first if the packet is a Hello. The receive loop
+// never calls it (it dispatches whole arenas); it is exported for
+// benchmarks and tests that drive the hub one packet at a time without a
+// socket.
 func (h *Hub) Dispatch(msg transport.Message) {
 	h.stats.packetsIn.Add(1)
 	sh := h.shards[shardIndex(msg.Session, len(h.shards))]

@@ -126,7 +126,7 @@ func (c *memConn) Recv(deadline time.Time) (transport.Message, error) {
 	}
 }
 
-// RecvBatch implements hub.BatchConn: one blocking receive, then a
+// RecvBatch implements hub.Conn: one blocking receive, then a
 // non-blocking drain of the endpoint queue until the batch fills. The
 // loopback fleet and equivalence tests therefore exercise exactly the
 // batched wire path the live UDP server runs.
@@ -167,7 +167,7 @@ func (c *memConn) RecvBatch(deadline time.Time, msgs []transport.Message) (int, 
 	return n, nil
 }
 
-// SendBatch implements hub.BatchConn by delivering each datagram in
+// SendBatch implements hub.Conn by delivering each datagram in
 // order; like UDP, sends to full or unknown endpoints are dropped
 // (unknown destinations count as errors, as with SendTo).
 func (c *memConn) SendBatch(pkts []transport.Packet) (int, error) {

@@ -137,7 +137,6 @@ func (h *Hub) newSession(sh *shard, id uint32, wire transport.Wire) *session {
 		MarkerC:     h.cfg.MarkerC,
 		Codec:       h.codecProfile(),
 		Compensator: h.cfg.Compensator,
-		Detector:    h.cfg.Detector,
 		Sink:        s,
 	}
 	s.pipe = serverpipe.New(cfg)

@@ -188,23 +188,18 @@ func (h *Hub) process(sh *shard, w work) {
 	h.flushEgress(sh)
 }
 
-// flushEgress transmits the shard's queued outbound datagrams: one
-// SendBatch on the batched path, a SendTo loop on the fallback. Called
-// only on the shard's worker, after which the sessions' packet buffers
-// are free to be reused.
+// flushEgress transmits the shard's queued outbound datagrams in one
+// SendBatch. Called only on the shard's worker, after which the
+// sessions' packet buffers are free to be reused.
 func (h *Hub) flushEgress(sh *shard) {
 	if len(sh.egress) == 0 {
 		return
 	}
-	if h.bconn != nil {
-		sent, _ := h.bconn.SendBatch(sh.egress)
-		h.stats.packetsOut.Add(int64(sent))
-		h.stats.sendErrs.Add(int64(len(sh.egress) - sent))
-	} else {
-		for i := range sh.egress {
-			h.send(sh.egress[i].Buf, sh.egress[i].To)
-		}
-	}
+	// The first error is not reported on its own: every failed packet is
+	// counted in sendErrs.
+	sent, _ := h.conn.SendBatch(sh.egress)
+	h.stats.packetsOut.Add(int64(sent))
+	h.stats.sendErrs.Add(int64(len(sh.egress) - sent))
 	sh.egress = sh.egress[:0]
 }
 

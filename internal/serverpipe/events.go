@@ -21,8 +21,9 @@ type EventSink interface {
 	// accessory playback ran MarkerExpireSlack past its content (the
 	// content was skipped and will never play).
 	MarkerExpired(content int64)
-	// ChatGapConcealed fires once per lost uplink packet concealed to
-	// keep the chat timeline contiguous.
+	// ChatGapConcealed fires once per uplink packet concealed to keep the
+	// chat timeline contiguous: a lost packet, or one that arrived but
+	// failed to decode.
 	ChatGapConcealed(seq uint32, startLocal float64)
 	// ISDMeasurement fires for every finalized estimator measurement.
 	ISDMeasurement(now float64, m estimator.Measurement)

@@ -60,10 +60,6 @@ type Config struct {
 	// regime (zero value = estimator defaults; ignored unless
 	// Drift.Enabled).
 	DriftTracker estimator.DriftConfig
-	// Detector selects the marker-detection pipeline (zero value =
-	// DetectorTwoStage, the band-decimated coarse-to-fine detector;
-	// DetectorFullRate is the reference full-rate correlator).
-	Detector estimator.DetectorMode
 	// Now is the pluggable content-time clock used for compensator
 	// settling and event timestamps. Nil uses the built-in clock: the
 	// count of produced screen frames times 20 ms, which holds whether
@@ -170,7 +166,7 @@ func New(cfg Config) *Pipeline {
 		screen:        NewStream(cfg.Game),
 		accessory:     NewStream(cfg.Game),
 		injector:      pn.NewInjector(cfg.Seq, cfg.MarkerC),
-		est:           estimator.NewStreamer(estimator.Config{Seq: cfg.Seq, Detector: cfg.Detector}),
+		est:           estimator.NewStreamer(estimator.Config{Seq: cfg.Seq}),
 		comp:          compensator.New(cfg.Compensator),
 		dec:           codec.NewDecoder(cfg.Codec),
 		seqr:          NewChatSequencer(cfg.ChatStartsAtZero),
@@ -293,13 +289,17 @@ func (p *Pipeline) OfferChat(seq uint32, adcLocal float64, encoded []byte) {
 	if !fresh {
 		return // stale duplicate/reorder
 	}
+	// Decoder output lags capture by one codec hop; correct the stamp.
+	startLocal := adcLocal - p.codecDelaySec
 	decoded, err := p.dec.DecodeTo(p.chatBuf[:0], encoded)
 	if err != nil {
+		// A corrupt or hostile frame is concealed like a lost one, and
+		// counted the same way.
 		decoded = p.dec.ConcealTo(p.chatBuf[:0])
+		p.sink.ChatGapConcealed(seq, startLocal)
 	}
 	p.chatBuf = decoded
-	// Decoder output lags capture by one codec hop; correct the stamp.
-	p.feedChat(decoded, adcLocal-p.codecDelaySec)
+	p.feedChat(decoded, startLocal)
 }
 
 // feedChat pushes decoded chat audio into the streaming estimator and

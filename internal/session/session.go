@@ -134,10 +134,6 @@ type Scenario struct {
 	// MutedMarkerAmpDB is the constant marker amplitude for MutedScreen
 	// (dB above the injector floor; the paper suggests 6-15 dB).
 	MutedMarkerAmpDB float64
-	// Detector selects the server's marker-detection pipeline (zero
-	// value = the band-decimated two-stage detector; DetectorFullRate
-	// is the reference full-rate correlator).
-	Detector estimator.DetectorMode
 	// Provider, when non-empty, selects a named provider-shaped network
 	// profile (netsim.ProviderByName: "stadia", "gfn", "psnow") and
 	// overrides ScreenLink, ControllerLink and ControllerUplink with its
@@ -351,7 +347,6 @@ func (s *sim) setup() {
 		MutedScreen:        sc.MutedScreen,
 		MutedMarkerAmpDB:   sc.MutedMarkerAmpDB,
 		ChatStartsAtZero:   true,
-		Detector:           sc.Detector,
 	}
 	s.pipe = serverpipe.New(cfg)
 	if sc.RecordPath != "" {

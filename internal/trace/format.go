@@ -131,13 +131,28 @@ type Header struct {
 	// what every pre-drift session ran).
 	Drift        compensator.DriftConfig
 	DriftTracker estimator.DriftConfig
-	// Detector selects the marker-detection pipeline
-	// (serverpipe.Config.Detector). Appended at the payload tail within
-	// version 1; traces without it were recorded when the full-rate
-	// detector was the only pipeline, so absence decodes as
-	// DetectorFullRate — NOT the zero value, which is DetectorTwoStage.
-	Detector estimator.DetectorMode
+	// Detector is the raw byte naming the streaming marker detector the
+	// session ran: DetectorCoarseFine (0) is the only one this code has —
+	// HeaderFor always records it — and DetectorLegacy (1) marks a trace
+	// from the removed full-rate streaming detector. The byte sits at the
+	// payload tail, appended within version 1; traces without it predate
+	// the coarse-to-fine detector, so absence decodes as DetectorLegacy.
+	// Replay refuses anything but DetectorCoarseFine
+	// (ErrUnsupportedDetector) rather than re-driving a different detector
+	// and reporting phantom divergences.
+	Detector uint8
 }
+
+// Header.Detector values; any other byte is a corrupt header.
+const (
+	DetectorCoarseFine uint8 = 0
+	DetectorLegacy     uint8 = 1
+)
+
+// ErrUnsupportedDetector reports a well-formed trace recorded under a
+// marker detector this build no longer has, so it cannot be replayed
+// faithfully.
+var ErrUnsupportedDetector = errors.New("trace: recorded with the legacy full-rate streaming detector, which this build cannot replay")
 
 // HeaderFor captures a session's effective pipeline configuration. The
 // clip index and PN seed are passed separately because serverpipe.Config
@@ -161,7 +176,6 @@ func HeaderFor(sessionID uint32, clipIndex int, seed int64, cfg serverpipe.Confi
 		MutedMarkerAmpDB:   cfg.MutedMarkerAmpDB,
 		Drift:              cfg.Drift,
 		DriftTracker:       cfg.DriftTracker,
-		Detector:           cfg.Detector,
 	}
 }
 
@@ -184,7 +198,6 @@ func (h Header) PipelineConfig() serverpipe.Config {
 		MutedMarkerAmpDB:   h.MutedMarkerAmpDB,
 		Drift:              h.Drift,
 		DriftTracker:       h.DriftTracker,
-		Detector:           h.Detector,
 	}
 }
 
@@ -336,7 +349,7 @@ func appendHeader(b []byte, h Header) []byte {
 	b = appendU32(b, uint32(int32(h.DriftTracker.MinPoints)))
 	b = appendF64(b, h.DriftTracker.MinSpanSec)
 	// Detector tail (version-1 growth; readers accept its absence).
-	b = append(b, byte(h.Detector))
+	b = append(b, h.Detector)
 	return b
 }
 
@@ -481,13 +494,16 @@ func decodeHeader(payload []byte) (Header, error) {
 		h.DriftTracker.MinPoints = d.i32()
 		h.DriftTracker.MinSpanSec = d.f64()
 	}
-	// The detector tail came later still. Pre-two-stage traces ran the
-	// full-rate detector, so absence means DetectorFullRate explicitly:
-	// the zero value now names the two-stage default.
-	h.Detector = estimator.DetectorFullRate
+	// The detector tail came later still. Traces that end before it ran
+	// the full-rate streaming detector, so absence means DetectorLegacy
+	// explicitly, not the zero value.
+	h.Detector = DetectorLegacy
 	if d.err == nil && d.off < len(d.b) {
-		h.Detector = estimator.DetectorMode(d.b[d.off])
+		h.Detector = d.b[d.off]
 		d.off++
+		if h.Detector > DetectorLegacy {
+			d.err = fmt.Errorf("%w: unknown detector byte %d in header", ErrCorrupt, h.Detector)
+		}
 	}
 	return h, d.err
 }

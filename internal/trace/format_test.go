@@ -43,24 +43,28 @@ func testHeader() Header {
 		DriftTracker: estimator.DriftConfig{
 			Window: 48, SpanSec: 25, MinPoints: 5, MinSpanSec: 3.5,
 		},
-		Detector: estimator.DetectorFullRate,
+		Detector: DetectorLegacy,
 	}
 }
 
-// A trace recorded before the two-stage detector existed ends before the
-// detector byte; its session can only have run the full-rate pipeline, so
-// the decoder must say so explicitly (the zero DetectorMode now names the
-// two-stage default).
+// A trace recorded before the coarse-to-fine detector existed ends before
+// the detector byte; its session can only have run the removed full-rate
+// streaming detector, so the decoder must say so explicitly rather than
+// leave the zero value, and a byte naming no detector is corruption.
 func TestHeaderDetectorTailAbsent(t *testing.T) {
 	h := testHeader()
-	h.Detector = estimator.DetectorTwoStage
+	h.Detector = DetectorCoarseFine
 	b := appendHeader(nil, h)
 	got, err := decodeHeader(b[:len(b)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Detector != estimator.DetectorFullRate {
-		t.Fatalf("absent detector tail decoded as %v, want full-rate", got.Detector)
+	if got.Detector != DetectorLegacy {
+		t.Fatalf("absent detector tail decoded as %d, want DetectorLegacy", got.Detector)
+	}
+	b[len(b)-1] = 2
+	if _, err := decodeHeader(b); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("detector byte 2: got %v, want ErrCorrupt", err)
 	}
 }
 

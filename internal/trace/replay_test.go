@@ -1,6 +1,8 @@
 package trace_test
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -157,5 +159,23 @@ func TestReplayTwiceIdentical(t *testing.T) {
 		if a.ISDs[i] != b.ISDs[i] {
 			t.Fatalf("ISD %d differs: %v vs %v", i, a.ISDs[i], b.ISDs[i])
 		}
+	}
+}
+
+// A trace recorded under the removed full-rate streaming detector cannot
+// be reproduced: Replay must refuse it by name instead of re-driving the
+// current detector and reporting phantom divergences (or a hollow pass).
+func TestReplayRefusesLegacyDetector(t *testing.T) {
+	var buf bytes.Buffer
+	rec, err := trace.NewRecorder(&buf, trace.Header{SeqLen: 640, Detector: trace.DetectorLegacy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Tick(0.02)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Replay(&buf); !errors.Is(err, trace.ErrUnsupportedDetector) {
+		t.Fatalf("replay of a legacy-detector trace: got %v, want ErrUnsupportedDetector", err)
 	}
 }

@@ -138,7 +138,9 @@ func sameEvent(want, got Rec) bool {
 // verifies that every recorded output — marker lifecycle events, ISD
 // measurements, compensation actions, and the outbound frames' content
 // bookkeeping — is reproduced exactly. It returns a report rather than an
-// error for divergences; an error means the log itself was unreadable.
+// error for divergences; an error means the log itself was unreadable, or
+// (ErrUnsupportedDetector) was recorded under a detector this build no
+// longer has.
 func Replay(r io.Reader) (*ReplayReport, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -156,6 +158,9 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		return nil, fmt.Errorf("%w: log does not start with a session header (got %s)", ErrCorrupt, first)
 	}
 	hdr, _ := rd.Header()
+	if hdr.Detector != DetectorCoarseFine {
+		return nil, ErrUnsupportedDetector
+	}
 	rep.Header = hdr
 
 	// Rebuild the pipeline exactly as recorded, with the recorded content
