@@ -120,6 +120,7 @@ type Decoder struct {
 	overlap []float64 // tail of the previous block awaiting summation
 	nBins   int
 	bands   []bandDef
+	top     int       // end of the last band: bins from here up are never coded and stay zero
 	last    []float64 // last decoded spectrum magnitudes for concealment
 	lastOK  bool
 
@@ -151,12 +152,14 @@ func NewEncoder(p Profile) *Encoder {
 
 // NewDecoder returns a decoder for the profile.
 func NewDecoder(p Profile) *Decoder {
+	bands := makeBands(p.hop(), p.BandwidthHz)
 	return &Decoder{
 		prof:    p,
 		window:  sineWindow(p.blockLen()),
 		overlap: make([]float64, p.hop()),
 		nBins:   p.hop(),
-		bands:   makeBands(p.hop(), p.BandwidthHz),
+		bands:   bands,
+		top:     bands[len(bands)-1].hi, // makeBands returns at least one band
 		mdct:    dsp.NewMDCTPlan(p.hop()),
 		spec:    make([]float64, p.hop()),
 	}
@@ -464,9 +467,7 @@ func (d *Decoder) appendBlock(dst []float64, pkt []byte) ([]float64, error) {
 		return dst, fmt.Errorf("%w: band count %d want %d", ErrBadPacket, nb, len(d.bands))
 	}
 	spec := d.spec
-	for i := range spec {
-		spec[i] = 0
-	}
+	clear(spec[:d.top])
 	pos := 3
 	for _, bd := range d.bands {
 		if pos+5 > len(pkt) {
@@ -509,7 +510,7 @@ func (d *Decoder) rememberSpectrum(spec []float64) {
 	if d.last == nil {
 		d.last = make([]float64, len(spec))
 	}
-	for i, c := range spec {
+	for i, c := range spec[:d.top] {
 		d.last[i] = math.Abs(c)
 	}
 	d.lastOK = true
@@ -539,11 +540,11 @@ func (d *Decoder) ConcealTo(dst []float64) []float64 {
 			d.cspec = make([]float64, len(d.last))
 		}
 		spec := d.cspec[:len(d.last)]
-		for i, m := range d.last {
+		for i, m := range d.last[:d.top] {
 			spec[i] = m * 0.5 // decayed, sign-flattened repeat
 		}
 		dst = d.appendSynthesis(dst, spec)
-		for i := range d.last {
+		for i := range d.last[:d.top] {
 			d.last[i] *= 0.5
 		}
 	}

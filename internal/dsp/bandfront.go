@@ -2,7 +2,7 @@ package dsp
 
 // Fused band-translation front-ends for the two-stage marker detector.
 //
-// The textbook chain — QuadOsc.MixDown into a ÷2 half-band cascade — does
+// The textbook chain — a QuadOsc mix-down into a ÷2 half-band cascade — does
 // its work in three passes over complex data, and profiles as the single
 // largest line of the two-stage detector: the mix-down touches every
 // 48 kHz sample, and each cascade stage runs a gathered sparse-tap FIR

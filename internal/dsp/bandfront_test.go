@@ -7,7 +7,7 @@ import (
 )
 
 // The fused front-end must be numerically interchangeable with the
-// textbook chain it replaces: QuadOsc.MixDown into a Decimator for
+// textbook chain it replaces (reference_test.go): refMixer into a Decimator for
 // BandDecimator, a plain ÷2 Decimator for HalfBandDecimator.
 
 func TestBandDecimatorMatchesMixedChain(t *testing.T) {
@@ -18,7 +18,7 @@ func TestBandDecimatorMatchesMixedChain(t *testing.T) {
 	}
 	taps := LowPass(6000, 48000, 29).Taps
 	for _, m := range []int{1, 2, 3, 4, 8} {
-		mixed := NewQuadOsc(9000, 48000).MixDown(nil, x)
+		mixed := newRefMixer(9000, 48000).MixDown(nil, x)
 		want := NewDecimator(m, taps).Process(nil, mixed)
 		got := NewBandDecimator(9000, 48000, m, taps).Process(nil, x)
 		if len(got) != len(want) {
@@ -178,7 +178,7 @@ func BenchmarkBandFrontFused(b *testing.B) {
 
 func BenchmarkBandFrontChain(b *testing.B) {
 	x := benchFrontInput()
-	osc := NewQuadOsc(9000, 48000)
+	osc := newRefMixer(9000, 48000)
 	st1 := NewDecimator(2, LowPass(12000, 48000, 11).Taps)
 	st2 := NewDecimator(2, LowPass(6000, 24000, 17).Taps)
 	st3 := NewDecimator(2, LowPass(3000, 12000, 47).Taps)

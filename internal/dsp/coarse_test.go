@@ -37,8 +37,8 @@ func TestQuadOscMixDownChunkInvariant(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	whole := NewQuadOsc(9000, 48000).MixDown(nil, x)
-	o := NewQuadOsc(9000, 48000)
+	whole := newRefMixer(9000, 48000).MixDown(nil, x)
+	o := newRefMixer(9000, 48000)
 	var chunked []complex128
 	for pos := 0; pos < len(x); {
 		n := 1 + rng.Intn(300)

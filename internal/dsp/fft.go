@@ -6,20 +6,18 @@
 // self-contained, allocation-conscious replacement built only on the Go
 // standard library. Transform sizes that are powers of two use an
 // iterative radix-2 Cooley-Tukey FFT driven by precomputed, package-cached
-// plans (see plan.go); all other sizes are handled with Bluestein's
-// chirp-z algorithm over cached chirp tables, so every length is
-// supported.
+// plans (see plan.go); all other sizes run the mixed-radix plan
+// (fftmixed.go), so every length is supported.
 package dsp
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // FFT computes the in-place discrete Fourier transform of x when len(x) is a
-// power of two, and an out-of-place Bluestein transform otherwise. The
+// power of two, and an out-of-place mixed-radix transform otherwise. The
 // returned slice aliases x in the power-of-two case.
 func FFT(x []complex128) []complex128 {
 	n := len(x)
@@ -30,7 +28,9 @@ func FFT(x []complex128) []complex128 {
 		fftPow2(x, false)
 		return x
 	}
-	return bluestein(x, false)
+	out := make([]complex128, n)
+	newMixedPlan(n).forward(out, x)
+	return out
 }
 
 // IFFT computes the inverse discrete Fourier transform with 1/N scaling.
@@ -40,12 +40,12 @@ func IFFT(x []complex128) []complex128 {
 	if n == 0 {
 		return x
 	}
-	var out []complex128
+	out := x
 	if isPow2(n) {
 		fftPow2(x, true)
-		out = x
 	} else {
-		out = bluestein(x, true)
+		out = make([]complex128, n)
+		newMixedPlan(n).inverse(out, x)
 	}
 	scale := 1 / float64(n)
 	for i := range out {
@@ -110,100 +110,6 @@ func fftPow2(x []complex128, inverse bool) {
 	}
 }
 
-// blueTables is the size-dependent, immutable setup of a Bluestein
-// (chirp-z) transform: the chirp, the forward FFT of the chirp kernel and
-// the power-of-two plan both FFTs run on. Cached per (size, direction).
-type blueTables struct {
-	n     int
-	m     int // NextPow2(2n-1)
-	chirp []complex128
-	bfft  []complex128
-	plan  *Plan
-}
-
-var blueCache sync.Map // [2]int{n, sign} -> *blueTables
-
-func blueTablesFor(n int, inverse bool) *blueTables {
-	sign := 0
-	if inverse {
-		sign = 1
-	}
-	key := [2]int{n, sign}
-	if t, ok := blueCache.Load(key); ok {
-		return t.(*blueTables)
-	}
-	m := NextPow2(2*n - 1)
-	t := &blueTables{n: n, m: m, plan: PlanFor(m)}
-	t.chirp = make([]complex128, n)
-	s := -1.0
-	if inverse {
-		s = 1.0
-	}
-	for k := 0; k < n; k++ {
-		phase := s * math.Pi * float64(k) * float64(k) / float64(n)
-		t.chirp[k] = complex(math.Cos(phase), math.Sin(phase))
-	}
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		c := t.chirp[k]
-		cc := complex(real(c), -imag(c))
-		b[k] = cc
-		if k > 0 {
-			b[m-k] = cc
-		}
-	}
-	t.plan.Forward(b)
-	t.bfft = b
-	actual, _ := blueCache.LoadOrStore(key, t)
-	return actual.(*blueTables)
-}
-
-// blueTransform runs one Bluestein DFT over cached tables. a is the m-long
-// work buffer (overwritten); dst receives the n outputs. dst may alias x.
-func (t *blueTables) transform(dst, x, a []complex128) {
-	for k := 0; k < t.n; k++ {
-		a[k] = x[k] * t.chirp[k]
-	}
-	for k := t.n; k < t.m; k++ {
-		a[k] = 0
-	}
-	t.plan.Forward(a)
-	for i := range a {
-		a[i] *= t.bfft[i]
-	}
-	t.plan.Inverse(a)
-	scale := complex(1/float64(t.m), 0)
-	for k := 0; k < t.n; k++ {
-		dst[k] = a[k] * scale * t.chirp[k]
-	}
-}
-
-// bluestein computes a DFT of arbitrary length via the chirp-z transform,
-// using cached per-size tables and two power-of-two FFTs per call.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	t := blueTablesFor(len(x), inverse)
-	a := make([]complex128, t.m)
-	out := make([]complex128, t.n)
-	t.transform(out, x, a)
-	return out
-}
-
-// Spectrum returns the one-sided magnitude spectrum of a real signal along
-// with the frequency (Hz) of each bin, given the sample rate. The signal is
-// zero-padded to the next power of two.
-func Spectrum(x []float64, sampleRate float64) (mags, freqs []float64) {
-	spec := FFTReal(x)
-	n := len(spec)
-	half := n/2 + 1
-	mags = make([]float64, half)
-	freqs = make([]float64, half)
-	for i := 0; i < half; i++ {
-		mags[i] = cmplxAbs(spec[i]) / float64(n)
-		freqs[i] = float64(i) * sampleRate / float64(n)
-	}
-	return mags, freqs
-}
-
 // BandPower returns the mean power of x within [lo, hi) Hz, computed in the
 // frequency domain. It is used by the marker amplitude tracker (Eq. 2) to
 // measure game-audio energy in the 6-12 kHz marker band — once per 20 ms
@@ -249,8 +155,6 @@ func BandPower(x []float64, sampleRate, lo, hi float64) float64 {
 	// Parseval with one-sided doubling, normalized per input sample.
 	return 2 * sum / (float64(n) * float64(len(x)))
 }
-
-func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 // CheckLen panics with a descriptive message if got != want; used by
 // internal kernels whose contracts require equal-length slices.

@@ -16,12 +16,10 @@ import "math"
 // no matter how many hours of audio pass through.
 
 // QuadOsc generates e^{-jω·n} for ω = 2π·freq/rate by table lookup over
-// one exact period (rate/gcd(freq,rate) entries). The phase is tracked as
-// an absolute sample index, so mix-down output depends only on a sample's
-// absolute position, never on chunk boundaries.
+// one exact period (rate/gcd(freq,rate) entries), indexed by absolute
+// sample position, so mix-down output never depends on chunk boundaries.
 type QuadOsc struct {
 	tab []complex128 // tab[k] = e^{-jω·k} over one exact period
-	idx int          // next absolute sample index mod len(tab)
 }
 
 // NewQuadOsc returns an oscillator at freq Hz for a rate Hz stream. Both
@@ -49,26 +47,6 @@ func (o *QuadOsc) Period() int { return len(o.tab) }
 
 // Factor returns e^{-jω·k} for an absolute sample index k ≥ 0.
 func (o *QuadOsc) Factor(k int) complex128 { return o.tab[k%len(o.tab)] }
-
-// MixDown appends x[i]·e^{-jω·(n+i)} to dst, where n is the running count
-// of samples already mixed, and returns the extended slice. With a dst
-// whose capacity covers the result it allocates nothing.
-func (o *QuadOsc) MixDown(dst []complex128, x []float64) []complex128 {
-	idx, tab := o.idx, o.tab
-	for _, v := range x {
-		w := tab[idx]
-		dst = append(dst, complex(v*real(w), v*imag(w)))
-		idx++
-		if idx == len(tab) {
-			idx = 0
-		}
-	}
-	o.idx = idx
-	return dst
-}
-
-// Reset rewinds the oscillator to absolute sample 0.
-func (o *QuadOsc) Reset() { o.idx = 0 }
 
 func gcd(a, b int) int {
 	for b != 0 {

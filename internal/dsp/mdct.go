@@ -1,52 +1,61 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"sync"
 )
 
 // Modified Discrete Cosine Transform with time-domain alias cancellation
 // (TDAC) — the transform real audio codecs (CELT inside OPUS, AAC) build
-// on. The codec package uses it with the Princen-Bradley sqrt-Hann window:
+// on. The codec package uses it with the Princen-Bradley sine window:
 // windowed MDCT → quantize → windowed IMDCT → 50% overlap-add reconstructs
 // the signal exactly (up to quantization).
 //
 //	X[k] = Σ_{n=0}^{2N-1} x[n] · cos(π/N · (n + ½ + N/2) · (k + ½))
 //
-// The implementation folds the 2N-point input into an N-point DCT-IV and
-// evaluates the DCT-IV with one zero-padded FFT. All size-dependent setup
-// — the pre/post twiddles and, for non-power-of-two lengths, the Bluestein
-// chirp tables — is computed once and cached at package level; an MDCTPlan
-// adds the per-instance scratch buffers so the steady-state transform
-// allocates nothing.
+// The 2N-sample block folds onto an N-point DCT-IV, and the DCT-IV runs as
+// one N/2-point complex FFT between two twiddle passes (the algorithm CELT
+// uses). Pair the folded samples from both ends, rotate, transform, rotate:
+//
+//	t[n] = (u[2n] + i·u[N−1−2n]) · e^{−iπ(4n+1)/4N}        n < N/2
+//	Y    = FFT_{N/2}(t) · e^{−iπk/N}
+//	X[2k] = Re Y[k],   X[N−1−2k] = −Im Y[k]
+//
+// because the three phases multiply out to e^{−iπ(2n+½)(2k+½)/N}, whose
+// real and imaginary parts are the DCT-IV kernel at the even input 2n and
+// (by cos(π/2 − θ) = sin θ) the odd input N−1−2n. The twiddles are cached
+// per size at package level; an MDCTPlan adds per-instance scratch, so the
+// steady-state transform allocates nothing.
 
-// dct4Tables is the immutable size-dependent setup of a DCT-IV: the
-// pre-rotation applied to the input and the post-rotation applied to the
-// DFT output. Shared across all plans of one size.
-type dct4Tables struct {
-	pre  []complex128 // pre[i] = exp(-i·π·i/(2n))
-	post []complex128 // post[k] = exp(-i·π·(2k+1)/(4n))
+// mdctTwiddles is the immutable size-dependent setup of the N-point
+// DCT-IV. Shared across all plans of one size.
+type mdctTwiddles struct {
+	// pre[i] = e^{−iπ(4n+1)/4N} at n = perm[i]: stored in the FFT's
+	// gather order so the pre-rotation writes its input directly in place.
+	pre  []complex128
+	post []complex128 // post[k] = e^{−iπk/N}
 }
 
-var dct4Cache sync.Map // int -> *dct4Tables
+var mdctCache sync.Map // int -> *mdctTwiddles
 
-func dct4TablesFor(n int) *dct4Tables {
-	if t, ok := dct4Cache.Load(n); ok {
-		return t.(*dct4Tables)
+func mdctTwiddlesFor(n int, perm []int32) *mdctTwiddles {
+	if t, ok := mdctCache.Load(n); ok {
+		return t.(*mdctTwiddles)
 	}
-	a := math.Pi / float64(n)
-	t := &dct4Tables{
-		pre:  make([]complex128, n),
-		post: make([]complex128, n),
+	t := &mdctTwiddles{
+		pre:  make([]complex128, n/2),
+		post: make([]complex128, n/2),
 	}
-	for i := 0; i < n; i++ {
-		s, c := math.Sincos(-a * float64(i) / 2)
+	a := -math.Pi / float64(n)
+	for i, j := range perm {
+		s, c := math.Sincos(a * (float64(j) + 0.25))
 		t.pre[i] = complex(c, s)
-		s, c = math.Sincos(-a * (float64(i)/2 + 0.25))
+		s, c = math.Sincos(a * float64(i))
 		t.post[i] = complex(c, s)
 	}
-	actual, _ := dct4Cache.LoadOrStore(n, t)
-	return actual.(*dct4Tables)
+	actual, _ := mdctCache.LoadOrStore(n, t)
+	return actual.(*mdctTwiddles)
 }
 
 // MDCTPlan computes N-bin forward and inverse MDCTs over shared cached
@@ -56,32 +65,26 @@ func dct4TablesFor(n int) *dct4Tables {
 // underneath.
 type MDCTPlan struct {
 	n    int // spectral bins per block (block length 2n)
-	tabs *dct4Tables
-	plan *Plan       // 2n-point DFT when 2n is a power of two
-	blu  *blueTables // otherwise
-	buf  []complex128
-	ba   []complex128 // bluestein work area (nil when plan != nil)
-	fold []float64
+	tw   *mdctTwiddles
+	fft  *mixedPlan   // n/2 points
+	buf  []complex128 // n/2
+	fold []float64    // n
 }
 
 // NewMDCTPlan returns a plan for nBins-bin MDCT blocks (2·nBins samples).
+// nBins must be even: the transform pairs the folded samples.
 func NewMDCTPlan(nBins int) *MDCTPlan {
-	if nBins <= 0 {
-		panic("dsp: NewMDCTPlan requires nBins > 0")
+	if nBins <= 0 || nBins%2 != 0 {
+		panic(fmt.Sprintf("dsp: NewMDCTPlan requires a positive even nBins, got %d", nBins))
 	}
-	p := &MDCTPlan{
+	fft := newMixedPlan(nBins / 2)
+	return &MDCTPlan{
 		n:    nBins,
-		tabs: dct4TablesFor(nBins),
-		buf:  make([]complex128, 2*nBins),
+		tw:   mdctTwiddlesFor(nBins, fft.t.perm),
+		fft:  fft,
+		buf:  make([]complex128, nBins/2),
 		fold: make([]float64, nBins),
 	}
-	if isPow2(2 * nBins) {
-		p.plan = PlanFor(2 * nBins)
-	} else {
-		p.blu = blueTablesFor(2*nBins, false)
-		p.ba = make([]complex128, p.blu.m)
-	}
-	return p
 }
 
 // Bins returns the spectral bin count N (block length is 2N).
@@ -91,9 +94,15 @@ func (p *MDCTPlan) Bins() int { return p.n }
 // which is grown (reusing capacity) to N and returned.
 func (p *MDCTPlan) Forward(dst, x []float64) []float64 {
 	CheckLen("MDCT block", len(x), 2*p.n)
-	foldMDCTInto(p.fold, x, p.n)
+	// Fold the block onto the DCT-IV domain by the TDAC boundary
+	// symmetries.
+	u, half := p.fold, p.n/2
+	for i := 0; i < half; i++ {
+		u[i] = -x[3*half-1-i] - x[3*half+i]
+		u[half+i] = x[i] - x[2*half-1-i]
+	}
 	dst = growFloats(dst, p.n)
-	p.dct4Into(dst, p.fold)
+	p.dct4Into(dst, u)
 	return dst
 }
 
@@ -103,23 +112,18 @@ func (p *MDCTPlan) Forward(dst, x []float64) []float64 {
 // aliasing exactly when the window satisfies Princen-Bradley.
 func (p *MDCTPlan) Inverse(dst, spec []float64) []float64 {
 	CheckLen("IMDCT spectrum", len(spec), p.n)
-	n := p.n
-	p.dct4Into(p.fold, spec)
-	d := p.fold
-	dst = growFloats(dst, 2*n)
-	scale := 2.0 / float64(n)
-	for i := 0; i < 2*n; i++ {
-		m := i + n/2
-		var v float64
-		switch {
-		case m < n:
-			v = d[m]
-		case m < 2*n:
-			v = -d[2*n-1-m]
-		default: // m < 2n + n/2
-			v = -d[m-2*n]
-		}
-		dst[i] = v * scale
+	d, half := p.fold, p.n/2
+	p.dct4Into(d, spec)
+	dst = growFloats(dst, 2*p.n)
+	scale := 2.0 / float64(p.n)
+	// Unfold: the DCT-IV output, odd-extended about N and even about 2N,
+	// read from N/2 on.
+	for i := 0; i < half; i++ {
+		dst[i] = d[half+i] * scale
+		dst[3*half+i] = -d[i] * scale
+	}
+	for i := 0; i < p.n; i++ {
+		dst[half+i] = -d[p.n-1-i] * scale
 	}
 	return dst
 }
@@ -128,77 +132,18 @@ func (p *MDCTPlan) Inverse(dst, spec []float64) []float64 {
 //
 //	X[k] = Σ_{n=0}^{N-1} u[n] · cos(π/N · (n+½)(k+½))
 //
-// via a zero-padded 2N-point DFT with cached pre/post twiddles. dst and u
-// may alias.
+// by the N/2-point algorithm above. dst and u may alias.
 func (p *MDCTPlan) dct4Into(dst, u []float64) {
-	n := p.n
-	for i, v := range u {
-		p.buf[i] = p.tabs.pre[i] * complex(v, 0)
+	n, buf := p.n, p.buf
+	pre := p.tw.pre[:len(buf)]
+	for i, j := range p.fft.t.perm {
+		a, b, w := u[2*j], u[n-1-2*int(j)], pre[i]
+		buf[i] = complex(a*real(w)-b*imag(w), a*imag(w)+b*real(w))
 	}
-	for i := n; i < 2*n; i++ {
-		p.buf[i] = 0
+	p.fft.butterflies(buf)
+	for k, w := range p.tw.post {
+		y := buf[k] * w
+		dst[2*k] = real(y)
+		dst[n-1-2*k] = -imag(y)
 	}
-	if p.plan != nil {
-		p.plan.Forward(p.buf)
-	} else {
-		p.blu.transform(p.buf, p.buf, p.ba)
-	}
-	for k := 0; k < n; k++ {
-		dst[k] = real(p.tabs.post[k] * p.buf[k])
-	}
-}
-
-// foldMDCTInto maps the 2N input samples onto the N-point DCT-IV domain
-// using the standard TDAC boundary symmetries.
-func foldMDCTInto(u, x []float64, n int) {
-	half := n / 2
-	for i := 0; i < half; i++ {
-		u[i] = -x[3*half-1-i] - x[3*half+i]
-	}
-	for i := half; i < n; i++ {
-		u[i] = x[i-half] - x[3*half-1-i]
-	}
-}
-
-// mdctPool hands out per-size plans for the one-shot MDCT/IMDCT helpers so
-// casual callers also hit the cached tables without allocating scratch
-// every call.
-var mdctPool sync.Map // int -> *sync.Pool
-
-func pooledMDCTPlan(n int) (*MDCTPlan, *sync.Pool) {
-	pl, ok := mdctPool.Load(n)
-	if !ok {
-		pl, _ = mdctPool.LoadOrStore(n, &sync.Pool{New: func() any { return NewMDCTPlan(n) }})
-	}
-	pool := pl.(*sync.Pool)
-	return pool.Get().(*MDCTPlan), pool
-}
-
-// MDCT computes the N-point forward transform of a 2N-sample block.
-func MDCT(x []float64) []float64 {
-	n2 := len(x)
-	if n2%2 != 0 {
-		panic("dsp: MDCT input length must be even")
-	}
-	if n2 == 0 {
-		return nil
-	}
-	p, pool := pooledMDCTPlan(n2 / 2)
-	out := p.Forward(nil, x)
-	pool.Put(p)
-	return out
-}
-
-// IMDCT computes the 2N-sample inverse (with time-domain aliasing) of an
-// N-bin spectrum. Overlap-adding two consecutive windowed IMDCT outputs
-// cancels the aliasing exactly when the window satisfies Princen-Bradley
-// (w[n]² + w[n+N]² = 1).
-func IMDCT(spec []float64) []float64 {
-	if len(spec) == 0 {
-		return make([]float64, 0)
-	}
-	p, pool := pooledMDCTPlan(len(spec))
-	out := p.Inverse(nil, spec)
-	pool.Put(p)
-	return out
 }

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -42,9 +43,9 @@ func TestMDCTMatchesNaive(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		want := naiveMDCT(x)
-		got := MDCT(x)
+		got := NewMDCTPlan(n).Forward(nil, x)
 		for k := range want {
-			if math.Abs(got[k]-want[k]) > 1e-7*float64(n) {
+			if math.Abs(got[k]-want[k]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d bin %d: got %g want %g", n, k, got[k], want[k])
 			}
 		}
@@ -59,9 +60,9 @@ func TestIMDCTMatchesNaive(t *testing.T) {
 			spec[i] = rng.NormFloat64()
 		}
 		want := naiveIMDCT(spec)
-		got := IMDCT(spec)
+		got := NewMDCTPlan(n).Inverse(nil, spec)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-7*float64(n) {
+			if math.Abs(got[i]-want[i]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d sample %d: got %g want %g", n, i, got[i], want[i])
 			}
 		}
@@ -89,14 +90,15 @@ func TestTDACPerfectReconstruction(t *testing.T) {
 		sig[i] = rng.NormFloat64()
 	}
 	w := sineWindow(2 * n)
+	p := NewMDCTPlan(n)
 	recon := make([]float64, len(sig))
 	for start := 0; start+2*n <= len(sig); start += n {
 		block := make([]float64, 2*n)
 		for i := range block {
 			block[i] = sig[start+i] * w[i]
 		}
-		spec := MDCT(block)
-		back := IMDCT(spec)
+		spec := p.Forward(nil, block)
+		back := p.Inverse(nil, spec)
 		for i := range back {
 			recon[start+i] += back[i] * w[i]
 		}
@@ -115,6 +117,7 @@ func TestTDACPerfectReconstruction(t *testing.T) {
 
 func TestTDACReconstructionProperty(t *testing.T) {
 	w := sineWindow(2 * 128)
+	p := NewMDCTPlan(128)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 128
@@ -128,7 +131,7 @@ func TestTDACReconstructionProperty(t *testing.T) {
 			for i := range block {
 				block[i] = sig[start+i] * w[i]
 			}
-			back := IMDCT(MDCT(block))
+			back := p.Inverse(nil, p.Forward(nil, block))
 			for i := range back {
 				recon[start+i] += back[i] * w[i]
 			}
@@ -145,13 +148,16 @@ func TestTDACReconstructionProperty(t *testing.T) {
 	}
 }
 
+// TestMDCTPanicsOnOddLength: the N/2-point algorithm pairs the folded
+// samples, so an odd bin count has no transform; the panic must say so.
 func TestMDCTPanicsOnOddLength(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("odd input should panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "even nBins") || !strings.Contains(msg, "7") {
+			t.Fatalf("NewMDCTPlan(7) panic = %q, want the even-nBins constraint and the value", msg)
 		}
 	}()
-	MDCT(make([]float64, 7))
+	NewMDCTPlan(7)
 }
 
 func TestMDCTEnergyCompaction(t *testing.T) {
@@ -163,7 +169,7 @@ func TestMDCTEnergyCompaction(t *testing.T) {
 	for i := range block {
 		block[i] = math.Sin(2*math.Pi*3000*float64(i)/48000) * w[i]
 	}
-	spec := MDCT(block)
+	spec := NewMDCTPlan(n).Forward(nil, block)
 	var total float64
 	for _, v := range spec {
 		total += v * v
@@ -195,9 +201,11 @@ func BenchmarkMDCT960(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
+	p := NewMDCTPlan(960)
+	spec := make([]float64, 960)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MDCT(x)
+		spec = p.Forward(spec, x)
 	}
 }

@@ -41,20 +41,6 @@ func TestWindowDegenerateSizes(t *testing.T) {
 	}
 }
 
-func TestGoertzelMatchesSpectrumPeak(t *testing.T) {
-	const sr = 48000.0
-	n := 4800
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 5000 * float64(i) / sr)
-	}
-	at := Goertzel(x, 5000, sr)
-	off := Goertzel(x, 9000, sr)
-	if at < 100*off {
-		t.Fatalf("Goertzel at tone %g should dwarf off-tone %g", at, off)
-	}
-}
-
 func TestRMSAndMeanPower(t *testing.T) {
 	if RMS(nil) != 0 || MeanPower(nil) != 0 {
 		t.Error("empty inputs should be 0")

@@ -1,5 +1,30 @@
 package dsp
 
+// The textbook band-decimation chain — mix down, then low-pass and
+// downsample — that BandDecimator and HalfBandDecimator fuse. Nothing in
+// production runs it; the front-end tests and benchmarks compare against
+// it.
+
+// refMixer multiplies a real stream by a QuadOsc, tracking the absolute
+// sample index across calls.
+type refMixer struct {
+	osc *QuadOsc
+	n   int
+}
+
+func newRefMixer(freq, rate int) *refMixer { return &refMixer{osc: NewQuadOsc(freq, rate)} }
+
+// MixDown appends x[i]·e^{-jω·(n+i)} to dst, where n is the running count
+// of samples already mixed, and returns the extended slice.
+func (m *refMixer) MixDown(dst []complex128, x []float64) []complex128 {
+	for _, v := range x {
+		w := m.osc.Factor(m.n)
+		dst = append(dst, complex(v*real(w), v*imag(w)))
+		m.n++
+	}
+	return dst
+}
+
 // Decimator low-pass filters and downsamples a complex stream by an
 // integer factor, evaluating the FIR only at retained output positions
 // (polyphase operation: len(taps)/D multiply-adds per input sample instead
@@ -55,9 +80,6 @@ func NewDecimator(factor int, taps []float64) *Decimator {
 	}
 	return c
 }
-
-// Factor returns the decimation factor D.
-func (c *Decimator) Factor() int { return c.d }
 
 // Process consumes x, appends every newly computable output to dst and
 // returns the extended slice. Chunk boundaries never change the result:
