@@ -118,6 +118,9 @@ func NewBandDecimator(freq, rate, factor int, taps []float64) *BandDecimator {
 // Factor returns the decimation factor M.
 func (b *BandDecimator) Factor() int { return b.m }
 
+// Reset restarts the stream at input index 0, keeping the window's storage.
+func (b *BandDecimator) Reset() { b.buf, b.base, b.next = b.buf[:0], 0, 0 }
+
 // Process consumes real samples, appends every newly computable complex
 // baseband output to dst and returns the extended slice.
 func (b *BandDecimator) Process(dst []complex128, x []float64) []complex128 {
@@ -235,6 +238,9 @@ func NewHalfBandDecimator(taps []float64) *HalfBandDecimator {
 
 // Factor returns the decimation factor, always 2.
 func (h *HalfBandDecimator) Factor() int { return 2 }
+
+// Reset restarts the stream at input index 0, keeping the window's storage.
+func (h *HalfBandDecimator) Reset() { h.buf, h.base, h.next = h.buf[:0], 0, 0 }
 
 // Process consumes complex samples, appends every newly computable output
 // to dst and returns the extended slice.

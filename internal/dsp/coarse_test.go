@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -160,6 +161,95 @@ func TestComplexCorrelatorMatchesDirect(t *testing.T) {
 		if e := cmplx.Abs(got[i] - want[i]); e > 1e-9 {
 			t.Fatalf("lag %d: fft %v direct %v", i, got[i], want[i])
 		}
+	}
+}
+
+// AppendCorrelate leaves what dst already holds in place and appends the
+// same lags CorrelateInto produces.
+func TestAppendCorrelateKeepsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	w := make([]complex128, 100)
+	for i := range w {
+		w[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	c := NewComplexCorrelator(w, 512)
+	seg := make([]complex128, c.SegmentLen())
+	for i := range seg {
+		seg[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	want := c.CorrelateInto(nil, seg)
+	prefix := []complex128{1, 2i, 3}
+	got := c.AppendCorrelate(append([]complex128(nil), prefix...), seg)
+	if len(got) != len(prefix)+c.Step() {
+		t.Fatalf("%d elements, want %d", len(got), len(prefix)+c.Step())
+	}
+	for i, v := range prefix {
+		if got[i] != v {
+			t.Fatalf("prefix[%d] = %v, want %v", i, got[i], v)
+		}
+	}
+	for i, v := range want {
+		if got[len(prefix)+i] != v {
+			t.Fatalf("lag %d: appended %v, CorrelateInto %v", i, got[len(prefix)+i], v)
+		}
+	}
+}
+
+// A correlator holds no scratch, so concurrent callers may share one; the
+// free list hands each in-flight call its own spectrum buffer.
+func TestComplexCorrelatorConcurrentCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	w := make([]complex128, 200)
+	for i := range w {
+		w[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	c := NewComplexCorrelator(w, 1024)
+	segs := make([][]complex128, 8)
+	wants := make([][]complex128, len(segs))
+	for k := range segs {
+		segs[k] = make([]complex128, c.SegmentLen())
+		for i := range segs[k] {
+			segs[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		wants[k] = c.CorrelateInto(nil, segs[k])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, len(segs))
+	for k := range segs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			var dst []complex128
+			for rep := 0; rep < 20; rep++ {
+				dst = c.CorrelateInto(dst[:0], segs[k])
+				for i, v := range wants[k] {
+					if dst[i] != v {
+						errs <- fmt.Sprintf("caller %d lag %d: %v, want %v", k, i, dst[i], v)
+						return
+					}
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// Borrow after Return hands back the same storage, without allocating.
+func TestFreeListReuse(t *testing.T) {
+	const n = 4099 // a size no other test borrows
+	a := BorrowFloats(n)
+	ReturnFloats(a)
+	if b := BorrowFloats(n); &b[0] != &a[0] || len(b) != n {
+		t.Fatal("free list did not reuse the returned buffer")
+	} else {
+		ReturnFloats(b)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { ReturnComplex(BorrowComplex(n)) }); allocs > 0 {
+		t.Fatalf("borrow/return allocates %v times", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package dsp
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -17,13 +18,17 @@ import (
 // template-length overlap — a correlator amortizes to roughly two FFTs per
 // Step() lags. The marker detector uses it on the heterodyned, decimated
 // mic stream, whose template is ~D× shorter than the full-rate marker.
+//
+// A correlator holds no scratch of its own: the forward spectrum is
+// borrowed from the package free list for one call (see scratch.go) and
+// the inverse runs in the caller's output buffer, so a hub's per-session
+// correlators cost only their shared plan and template spectrum, and one
+// correlator is safe for concurrent calls.
 type ComplexCorrelator struct {
 	n    int          // FFT size
 	m    int          // template length
 	p    *Plan4       // shared transform plan (radix-4: see Plan4)
 	wfft []complex128 // conj(FFT(template))/n, cached (possibly shared)
-	x    []complex128 // forward-spectrum scratch
-	y    []complex128 // inverse-output scratch (lent out by Correlate)
 }
 
 // NewComplexCorrelator prepares a correlator for the template with a
@@ -41,8 +46,6 @@ func NewComplexCorrelator(template []complex128, fftSize int) *ComplexCorrelator
 		m:    len(template),
 		p:    Plan4For(fftSize),
 		wfft: conjSpectrumComplex(template, fftSize),
-		x:    make([]complex128, fftSize),
-		y:    make([]complex128, fftSize),
 	}
 }
 
@@ -67,8 +70,6 @@ func NewComplexCorrelatorShared(template []complex128, fftSize int, tag uint64) 
 		wfft: sharedSpectrum(tag, n, checksumComplex(template), func() []complex128 {
 			return conjSpectrumComplex(template, n)
 		}),
-		x: make([]complex128, n),
-		y: make([]complex128, n),
 	}
 }
 
@@ -93,27 +94,30 @@ func (c *ComplexCorrelator) Step() int { return c.n - c.m + 1 }
 func (c *ComplexCorrelator) SegmentLen() int { return c.n }
 
 // CorrelateInto computes the correlation of seg (exactly SegmentLen()
-// samples) into dst, grown to Step() reusing capacity. With a reused dst
+// samples) into dst, resized to Step() reusing capacity. With a reused dst
 // the steady state allocates nothing.
 func (c *ComplexCorrelator) CorrelateInto(dst, seg []complex128) []complex128 {
-	lags := c.Correlate(seg)
-	dst = growComplex(dst, len(lags))
-	copy(dst, lags)
-	return dst
+	return c.AppendCorrelate(dst[:0], seg)
 }
 
-// Correlate computes the correlation of seg (exactly SegmentLen() samples)
-// and lends the Step() lags from internal scratch: the result is valid
-// until the next call on this correlator, sparing the hot path a copy.
-// The template spectrum carries the 1/n round-trip scale (see
-// conjSpectrumComplex), and both transforms run through Plan4's fused
+// AppendCorrelate appends the Step() lags of seg's correlation (seg is
+// exactly SegmentLen() samples) to dst and returns the extended slice. The
+// inverse transform runs in place in dst's spare capacity, which is grown
+// to SegmentLen() past len(dst) if short, so the lags land where they are
+// returned without a copy; like append, it overwrites whatever lies in
+// that capacity. The template spectrum carries the 1/n round-trip scale
+// (see conjSpectrumComplex), and both transforms run through Plan4's fused
 // gather entry points, so the whole block is three passes of transform
 // butterflies and nothing else.
-func (c *ComplexCorrelator) Correlate(seg []complex128) []complex128 {
+func (c *ComplexCorrelator) AppendCorrelate(dst, seg []complex128) []complex128 {
 	CheckLen("overlap-save segment", len(seg), c.n)
-	c.p.ForwardFrom(c.x, seg)
-	c.p.InverseFromProduct(c.y, c.x, c.wfft)
-	return c.y[:c.Step()]
+	at := len(dst)
+	dst = slices.Grow(dst, c.n)
+	x := BorrowComplex(c.n)
+	c.p.ForwardFrom(x, seg)
+	c.p.InverseFromProduct(dst[at:at+c.n], x, c.wfft)
+	ReturnComplex(x)
+	return dst[:at+c.Step()]
 }
 
 // CrossCorrelateComplex computes C[t] = Σ_i x[t+i]·conj(w[i]) for

@@ -86,6 +86,15 @@ const (
 	// interpHalfWidth is the windowed-sinc half-width (taps per side) for
 	// reconstructing the baseband correlation between decimated lags.
 	interpHalfWidth = 8
+
+	// czKeep is how many de-rotated lags behind the peak-scan frontier the
+	// fine stage can still read: refineRadius/D of search plus the
+	// interpolator's reach, with margin.
+	czKeep = refineRadius/coarseFactor + interpHalfWidth + 4
+
+	// feedChunk is the Feed size the buffers are pre-sized for: one 20 ms
+	// frame, the unit every host feeds the detector in.
+	feedChunk = audio.FrameSamples
 )
 
 // IncrementalDetector is the streaming marker detector; see the file
@@ -115,12 +124,17 @@ type IncrementalDetector struct {
 	cNext  int // next absolute decimated lag to correlate
 	corr   *dsp.ComplexCorrelator
 	wdec   []complex128 // decimated template (shared, immutable)
-	magBuf []float64
 
 	// De-rotated correlation A[τ] retained around the peak-scan frontier
 	// for the fine stage's interpolation; cz[0] is absolute lag czBase.
 	cz     []complex128
 	czBase int
+
+	// While a block is correlated, scanned and refined, cz and the scan's
+	// z, zPrefix and env hold a whole block and live in lent, buffers
+	// borrowed from dsp's free list; between blocks they hold short tails
+	// in home, the session's own storage (see lend and settle).
+	home, lent blockBufs
 
 	// kern[p] interpolates A at fractional position m + p/D.
 	kern [][]float64
@@ -289,18 +303,24 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	// The conjugate template spectrum is shared across sessions, keyed by
 	// the PN seed.
 	d.corr = dsp.NewComplexCorrelatorShared(d.wdec, dsp.NextPow2(2*mdec), uint64(c.Seq.Seed))
-	// Pre-size every steady-state buffer so no session allocates on its
-	// first correlation block mid-stream: the hub admits sessions
-	// mid-ramp, and lazy growth would show up as allocation noise there.
-	step := d.corr.Step()
+	// Size every buffer to the longest it gets when fed one frame at a time,
+	// so none regrows mid-stream: a regrown buffer leaves its outgrown
+	// storage behind as garbage in every session the hub admits. Larger
+	// feeds still work; their buffers grow once. The block-sized arrays are
+	// sized to their tails here and borrowed whole per block (lend).
+	// DESIGN.md §12 tabulates the budget.
 	n := d.corr.SegmentLen()
-	d.magBuf = make([]float64, 0, step)
-	d.bb = make([]complex128, 0, n+4096)
-	d.cz = make([]complex128, 0, step+4*(dDec+interpHalfWidth))
-	d.rec = make([]float64, 0, (n+sDec+dDec+8)*coarseFactor+2*refineRadius)
-	d.scan.z = make([]float64, 0, step+sDec+1)
-	d.scan.zPrefix = make([]float64, 0, step+sDec+2)
-	d.scan.env = make([]float64, 0, step+9*dDec+2)
+	czTail, zTail, envTail := d.tailLens()
+	// rec peaks on the feed that completes a block: n decimated samples
+	// past the correlation frontier, which leads the peak-scan frontier by
+	// sDec+dDec lags, which trimRec trails by 2·refineRadius samples.
+	d.rec = make([]float64, 0, (n+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
+	d.bb = make([]complex128, 0, n+feedChunk/coarseFactor)
+	d.mixBuf = make([]complex128, 0, feedChunk/(coarseFactor/2)+1)
+	d.cz = make([]complex128, 0, czTail)
+	d.scan.z = make([]float64, 0, zTail)
+	d.scan.zPrefix = make([]float64, 0, zTail+1)
+	d.scan.env = make([]float64, 0, envTail)
 	d.scan.cands = make([]scanPeak, 0, 8)
 	d.conf.pending = make([]pendingPeak, 0, 8)
 	d.refZt = make([]float64, 0, 4*refineRadius+2*coarseFactor+8)
@@ -308,7 +328,6 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	d.refBp = make([]float64, 0, sDec+8)
 	d.refEx = make([]float64, 0, 2*refineRadius+2)
 	d.refExOk = make([]bool, 0, 2*refineRadius+2)
-	d.mixBuf = make([]complex128, 0, 2048)
 	return d
 }
 
@@ -335,16 +354,35 @@ func (d *IncrementalDetector) Flush() []Detection {
 	return d.conf.take()
 }
 
+// Reset returns the detector to its just-constructed state, an empty
+// stream starting at sample 0, keeping every buffer's storage: a resync
+// allocates nothing.
+func (d *IncrementalDetector) Reset() {
+	d.fastA.Reset()
+	d.fastB.Reset()
+	d.rec, d.recBase = d.rec[:0], 0
+	d.bb, d.bbBase, d.cNext = d.bb[:0], 0, 0
+	d.cz, d.czBase = d.cz[:0], 0
+	s := &d.scan
+	*s = coarseScan{
+		normWindow: s.normWindow, beta2: s.beta2, theta2: s.theta2, delta: s.delta,
+		z: s.z[:0], zPrefix: s.zPrefix[:0], env: s.env[:0], cands: s.cands[:0],
+	}
+	d.conf = peakConfirm{interval: d.conf.interval, delta: d.conf.delta, pending: d.conf.pending[:0]}
+	d.gEx, d.gRec = 0, 0
+}
+
 // correlate extends the coarse correlation as far as the decimated stream
-// allows; Flush computes the sub-block tail directly.
+// allows; Flush computes the sub-block tail directly. The lags are
+// appended to cz, borrowing the block arrays first (lend).
 func (d *IncrementalDetector) correlate(force bool) {
-	for {
-		bbEnd := d.bbBase + len(d.bb)
-		if bbEnd-d.cNext < d.corr.SegmentLen() {
-			break
-		}
+	n := d.corr.SegmentLen()
+	for d.bbBase+len(d.bb)-d.cNext >= n {
+		d.lend()
 		off := d.cNext - d.bbBase
-		d.appendC(d.corr.Correlate(d.bb[off : off+d.corr.SegmentLen()]))
+		at := len(d.cz)
+		d.cz = d.corr.AppendCorrelate(d.cz, d.bb[off:off+n])
+		d.integrate(at)
 		d.dropCoveredBB()
 	}
 	if !force {
@@ -352,29 +390,88 @@ func (d *IncrementalDetector) correlate(force bool) {
 	}
 	bbEnd := d.bbBase + len(d.bb)
 	if avail := bbEnd - d.mdec + 1 - d.cNext; avail > 0 {
-		tail := dsp.CrossCorrelateComplex(d.bb[d.cNext-d.bbBase:], d.wdec)
-		d.appendC(tail)
+		d.lend()
+		at := len(d.cz)
+		d.cz = append(d.cz, dsp.CrossCorrelateComplex(d.bb[d.cNext-d.bbBase:], d.wdec)...)
+		d.integrate(at)
 		d.dropCoveredBB()
 	}
 }
 
-// appendC integrates freshly correlated coarse lags: the carrier
-// e^{-jω0·D·τ} is removed (A[τ] is what the fine stage interpolates) and
-// the squared magnitudes feed the squared-domain Eq. 4-6 scan. ω0·D is
-// 3π per lag (9 kHz · 8 / 48 kHz = 3/2 turns), so the de-rotation is the
-// sign (−1)^τ — which the magnitudes never see.
-func (d *IncrementalDetector) appendC(c []complex128) {
-	d.magBuf = d.magBuf[:0]
-	for i, v := range c {
-		a := v
-		if (d.cNext+i)&1 == 1 {
-			a = -v
+// integrate takes in the raw coarse lags appended to cz past index at: the
+// carrier e^{-jω0·D·τ} is removed in place (A[τ] is what the fine stage
+// interpolates) and the squared magnitudes feed the squared-domain Eq. 4-6
+// scan. ω0·D is 3π per lag (9 kHz · 8 / 48 kHz = 3/2 turns), so the
+// de-rotation is the sign (−1)^τ — which the magnitudes never see.
+func (d *IncrementalDetector) integrate(at int) {
+	for i := at; i < len(d.cz); i++ {
+		v := d.cz[i]
+		d.scan.push(d.cNext, real(v)*real(v)+imag(v)*imag(v))
+		if d.cNext&1 == 1 {
+			d.cz[i] = -v
 		}
-		d.cz = append(d.cz, a)
-		d.magBuf = append(d.magBuf, real(v)*real(v)+imag(v)*imag(v))
+		d.cNext++
 	}
-	d.scan.append(d.cNext, d.magBuf)
-	d.cNext += len(c)
+}
+
+// blockBufs are the arrays that grow by a whole block while it is
+// correlated, scanned and refined, and shrink to short tails once the
+// frontiers have moved past it.
+type blockBufs struct {
+	cz              []complex128
+	z, zPrefix, env []float64
+}
+
+// tailLens returns the lengths cz, z and env keep between blocks, once
+// advance's trims have run: cz reaches czKeep behind the peak-scan
+// frontier, which trails the correlation frontier by S/D+δ/D; z holds the
+// live normalization window plus the S/D−1 lags still short of a full one;
+// env holds δ/D+2 behind the peak-scan frontier plus its δ/D+1 lookahead.
+// zPrefix is one longer than z.
+func (d *IncrementalDetector) tailLens() (cz, z, env int) {
+	sDec, dDec := d.scan.normWindow, d.scan.delta
+	return czKeep + sDec + dDec, 2*sDec - 1, 2*dDec + 3
+}
+
+// lend moves the block arrays' tails into buffers borrowed from dsp's free
+// list, sized for one block past them (cz for a whole segment, which the
+// correlator's inverse transform runs in). Idempotent until settle.
+func (d *IncrementalDetector) lend() {
+	if d.lent.cz != nil {
+		return
+	}
+	czTail, zTail, envTail := d.tailLens()
+	n, step := d.corr.SegmentLen(), d.corr.Step()
+	s := &d.scan
+	d.lent = blockBufs{
+		cz:      dsp.BorrowComplex(czTail + n),
+		z:       dsp.BorrowFloats(zTail + step),
+		zPrefix: dsp.BorrowFloats(zTail + 1 + step),
+		env:     dsp.BorrowFloats(envTail + step),
+	}
+	d.home = blockBufs{cz: d.cz, z: s.z, zPrefix: s.zPrefix, env: s.env}
+	d.cz = append(d.lent.cz[:0], d.cz...)
+	s.z = append(d.lent.z[:0], s.z...)
+	s.zPrefix = append(d.lent.zPrefix[:0], s.zPrefix...)
+	s.env = append(d.lent.env[:0], s.env...)
+}
+
+// settle copies the trimmed tails back into the session's own storage and
+// returns the borrowed buffers. A no-op unless lend ran.
+func (d *IncrementalDetector) settle() {
+	if d.lent.cz == nil {
+		return
+	}
+	s := &d.scan
+	d.cz = append(d.home.cz[:0], d.cz...)
+	s.z = append(d.home.z[:0], s.z...)
+	s.zPrefix = append(d.home.zPrefix[:0], s.zPrefix...)
+	s.env = append(d.home.env[:0], s.env...)
+	dsp.ReturnComplex(d.lent.cz)
+	dsp.ReturnFloats(d.lent.z)
+	dsp.ReturnFloats(d.lent.zPrefix)
+	dsp.ReturnFloats(d.lent.env)
+	d.home, d.lent = blockBufs{}, blockBufs{}
 }
 
 // dropCoveredBB discards decimated samples already consumed by the coarse
@@ -403,6 +500,7 @@ func (d *IncrementalDetector) advance() {
 	d.conf.confirm(d.scan.peakNext * coarseFactor)
 	d.trimCZ()
 	d.trimRec()
+	d.settle()
 }
 
 // reconstructA interpolates the de-rotated baseband correlation Ã at the
@@ -685,29 +783,23 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 
 // trimCZ drops de-rotated correlation history the fine stage can no
 // longer need (future candidates sit at or past the peak-scan frontier).
+// Like the other trims it cuts once per block: the frontier only moves
+// when a block is scanned.
 func (d *IncrementalDetector) trimCZ() {
-	keep := refineRadius/coarseFactor + interpHalfWidth + 4
-	cut := d.scan.peakNext - keep - d.czBase
-	// Batching the cut keeps the copy-back amortized well under the scan's
-	// cost; the retained tail is `keep` either way.
-	if cut <= 4096 {
-		return
+	if cut := d.scan.peakNext - czKeep - d.czBase; cut > 0 {
+		n := copy(d.cz, d.cz[cut:])
+		d.cz = d.cz[:n]
+		d.czBase += cut
 	}
-	n := copy(d.cz, d.cz[cut:])
-	d.cz = d.cz[:n]
-	d.czBase += cut
 }
 
 // trimRec drops full-rate audio behind every possible future refinement
-// window.
+// window. Each block moves the frontier by Step()·D ≈ 83k samples, so the
+// cut is one copy of the retained span (≈ 53k samples) per block.
 func (d *IncrementalDetector) trimRec() {
 	cutoff := d.scan.peakNext*coarseFactor - refineRadius - 2*coarseFactor
 	drop := cutoff - d.recBase
-	// The retained span behind the scan frontier is large (roughly one
-	// correlator segment at the full rate), so the copy-back is batched
-	// coarsely: ~64k samples of extra lookback buys a 4× cut in bytes
-	// moved per fed second.
-	if drop <= 65536 {
+	if drop <= 0 {
 		return
 	}
 	if drop > len(d.rec) {
@@ -762,20 +854,18 @@ type scanPeak struct {
 	val float64
 }
 
-// append integrates freshly squared correlation magnitudes starting at
-// absolute lag start (the current frontier).
-func (s *coarseScan) append(start int, sq []float64) {
+// push integrates one squared correlation magnitude at absolute lag at
+// (the current frontier).
+func (s *coarseScan) push(at int, v float64) {
 	if len(s.zPrefix) == 0 {
-		s.zBase = start
-		s.nmNext = start
+		s.zBase, s.nmNext = at, at
 		s.zPrefix = append(s.zPrefix, 0)
 	}
-	for _, v := range sq {
-		s.z = append(s.z, v)
-		s.zPrefix = append(s.zPrefix, s.zPrefix[len(s.zPrefix)-1]+v*coarsePowScale)
-		s.sumSq += v * coarsePowScale
-		s.count++
-	}
+	p := v * coarsePowScale
+	s.z = append(s.z, v)
+	s.zPrefix = append(s.zPrefix, s.zPrefix[len(s.zPrefix)-1]+p)
+	s.sumSq += p
+	s.count++
 }
 
 // advance runs Eq. 4-6 (squared) over every position whose lookahead is
@@ -856,7 +946,7 @@ func (s *coarseScan) checkPeaks() {
 		s.cands = append(s.cands, scanPeak{pos: t, val: math.Sqrt(v)})
 	}
 	// Trim envelope history: only δ of lookbehind is ever needed again.
-	if cut := s.peakNext - delta - 2 - s.envBase; cut > 8*delta {
+	if cut := s.peakNext - delta - 2 - s.envBase; cut > 0 {
 		n := copy(s.env, s.env[cut:])
 		s.env = s.env[:n]
 		s.envBase += cut

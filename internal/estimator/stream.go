@@ -156,12 +156,14 @@ func (s *Streamer) flush() []Measurement {
 }
 
 // Reset clears all buffered audio and marker history (used when stale
-// measurements must be discarded, e.g. after a long uplink outage).
+// measurements must be discarded, e.g. after a long uplink outage). The
+// next AddChat starts a new timeline. Every buffer is kept, so a reset
+// allocates nothing.
 func (s *Streamer) Reset() {
-	s.det = NewIncrementalDetector(s.cfg)
-	s.markerTimes = nil
+	s.det.Reset()
+	s.markerTimes = s.markerTimes[:0]
 	s.started = false
 	s.totalSamples = 0
-	s.held = make(map[float64]heldMeasurement)
-	s.done = make(map[float64]bool)
+	clear(s.held)
+	clear(s.done)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,21 @@ func TestAdminEndpoints(t *testing.T) {
 	} {
 		if !strings.Contains(body, line) {
 			t.Fatalf("/metrics missing %q in:\n%s", line, body)
+		}
+	}
+	// The memory gauges read the live heap, so with a session admitted both
+	// are positive.
+	for _, name := range []string{"ekho_heap_bytes", "ekho_heap_bytes_per_session"} {
+		var v float64
+		found := false
+		for _, line := range strings.Split(body, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+				v, _ = strconv.ParseFloat(f[1], 64)
+				found = true
+			}
+		}
+		if !found || v <= 0 {
+			t.Fatalf("/metrics %s = %v (served: %v), want > 0", name, v, found)
 		}
 	}
 

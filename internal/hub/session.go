@@ -416,6 +416,10 @@ func (s *session) ChatGapConcealed(seq uint32, startLocal float64) {
 	s.hub.stats.conceals.Inc()
 }
 
+// ChatResync implements serverpipe.EventSink. It is counted, not logged:
+// any host can send a far-ahead sequence number, one per datagram.
+func (s *session) ChatResync(uint32, int) { s.hub.stats.chatResyncs.Inc() }
+
 // ISDMeasurement implements serverpipe.EventSink.
 func (s *session) ISDMeasurement(now float64, m ekho.Measurement) {
 	if s.rec != nil {

@@ -3,6 +3,7 @@ package hub
 import (
 	"fmt"
 	"math/bits"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -52,9 +53,11 @@ type counters struct {
 	expired    *metrics.Counter
 
 	// Chat uplink resequencing plane: conceals is the pipeline's gap
-	// concealment, the reorder* counters are the jitterbuf.Reorder
-	// stage's routing decisions.
+	// concealment and chatResyncs its resyncs past gaps too long to
+	// conceal; the reorder* counters are the jitterbuf.Reorder stage's
+	// routing decisions.
 	conceals       *metrics.Counter
+	chatResyncs    *metrics.Counter
 	reordered      *metrics.Counter
 	reorderLate    *metrics.Counter
 	reorderDups    *metrics.Counter
@@ -100,6 +103,7 @@ func newCounters(reg *metrics.Registry) counters {
 		expired:    reg.Counter("ekho_markers_expired_total", "PN markers expired unmatched."),
 
 		conceals:       reg.Counter("ekho_chat_conceals_total", "Chat sequence gaps concealed by the pipeline."),
+		chatResyncs:    reg.Counter("ekho_chat_resyncs_total", "Chat gaps too long to conceal; the session's estimator restarted."),
 		reordered:      reg.Counter("ekho_chat_reordered_total", "Out-of-order chat packets resequenced before the pipeline."),
 		reorderLate:    reg.Counter("ekho_chat_reorder_late_total", "Chat packets dropped as too late to resequence."),
 		reorderDups:    reg.Counter("ekho_chat_reorder_dup_total", "Duplicate chat packets dropped by the resequencer."),
@@ -114,7 +118,26 @@ func newCounters(reg *metrics.Registry) counters {
 		}
 		return float64(c.matches.Load()) / float64(inj)
 	})
+	reg.GaugeFunc("ekho_heap_bytes", "Bytes in live and not-yet-swept heap objects (runtime/metrics, no stop-the-world).", heapBytes)
+	reg.GaugeFunc("ekho_heap_bytes_per_session", "ekho_heap_bytes divided by active sessions (0 when idle).", func() float64 {
+		n := c.active.Load()
+		if n <= 0 {
+			return 0
+		}
+		return heapBytes() / float64(n)
+	})
 	return c
+}
+
+// heapBytes reads the heap's object bytes from runtime/metrics, which,
+// unlike runtime.ReadMemStats, does not stop the world.
+func heapBytes() float64 {
+	s := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindUint64 {
+		return 0
+	}
+	return float64(s[0].Value.Uint64())
 }
 
 // observeDispatch records one batch's receive-to-worker latency for all

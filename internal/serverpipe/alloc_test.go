@@ -86,4 +86,15 @@ func TestPipelineSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("OfferChat allocates %v per packet, want 0", allocs)
 	}
+	// A gap too long to conceal resets the estimator in place: a client
+	// jumping its sequence on every packet costs no garbage either.
+	allocs = testing.AllocsPerRun(100, func() {
+		seq += 2 * maxConcealFrames
+		p.OfferChat(seq, at, pkt)
+		seq++
+		at += frameSec
+	})
+	if allocs != 0 {
+		t.Fatalf("OfferChat allocates %v per resync, want 0", allocs)
+	}
 }

@@ -25,6 +25,10 @@ type EventSink interface {
 	// chat timeline contiguous: a lost packet, or one that arrived but
 	// failed to decode.
 	ChatGapConcealed(seq uint32, startLocal float64)
+	// ChatResync fires when an uplink gap of lost packets is too long to
+	// conceal: the estimator's timeline restarts at packet seq, and audio
+	// and marker times buffered before the gap are discarded.
+	ChatResync(seq uint32, lost int)
 	// ISDMeasurement fires for every finalized estimator measurement.
 	ISDMeasurement(now float64, m estimator.Measurement)
 	// CompensationAction fires when the compensator issues a correction
@@ -51,6 +55,9 @@ func (NopSink) MarkerExpired(int64) {}
 
 // ChatGapConcealed implements EventSink.
 func (NopSink) ChatGapConcealed(uint32, float64) {}
+
+// ChatResync implements EventSink.
+func (NopSink) ChatResync(uint32, int) {}
 
 // ISDMeasurement implements EventSink.
 func (NopSink) ISDMeasurement(float64, estimator.Measurement) {}

@@ -31,6 +31,13 @@ import (
 // frameSec is the content-time advance of one 20 ms frame.
 const frameSec = float64(audio.FrameSamples) / audio.SampleRate
 
+// maxConcealFrames bounds the uplink gap OfferChat conceals frame by
+// frame: one marker interval (1 s). Concealment keeps the estimator's
+// timeline contiguous across short loss; a longer gap, or a sequence jump
+// from a restarted or hostile client, resyncs the timeline instead of
+// synthesizing up to 2³² frames of filler.
+const maxConcealFrames = 50
+
 // injectorLogKeep bounds the retained injection log; the pipeline only
 // needs the start count, so a short tail (for debugging) suffices.
 const injectorLogKeep = 16
@@ -272,14 +279,22 @@ func (p *Pipeline) OfferRecords(rs []Record) {
 
 // OfferChat runs the server's uplink path on one chat packet: resolve
 // pending markers against the record book, conceal lost packets so the
-// estimator's timeline stays contiguous, drop stale reorders, decode,
-// correct the capture timestamp for the codec's lookahead delay, feed the
-// estimator and route any resulting compensation.
+// estimator's timeline stays contiguous (or, past maxConcealFrames,
+// resync it), drop stale reorders, decode, correct the capture timestamp
+// for the codec's lookahead delay, feed the estimator and route any
+// resulting compensation.
 func (p *Pipeline) OfferChat(seq uint32, adcLocal float64, encoded []byte) {
 	p.ledger.Resolve(&p.book, p.est, p.sink)
 	p.book.Evict(p.ledger.MinPending())
 
 	lost, fresh := p.seqr.Offer(seq)
+	if lost > maxConcealFrames {
+		// The audio before the gap can no longer pair with what follows:
+		// restart the estimator at this packet's timestamp.
+		p.est.Reset()
+		p.sink.ChatResync(seq, lost)
+		lost = 0
+	}
 	for i := lost; i > 0; i-- {
 		// AddChat copies the samples, so the scratch is safe to reuse.
 		p.chatBuf = p.dec.ConcealTo(p.chatBuf[:0])

@@ -631,6 +631,9 @@ func (s *sim) ChatGapConcealed(seq uint32, startLocal float64) {
 	}
 }
 
+// ChatResync implements serverpipe.EventSink.
+func (s *sim) ChatResync(uint32, int) {}
+
 // ISDMeasurement implements serverpipe.EventSink.
 func (s *sim) ISDMeasurement(now float64, m estimator.Measurement) {
 	s.measurements = append(s.measurements, MeasurementRecord{TimeSec: now, ISDSeconds: m.ISDSeconds})

@@ -154,6 +154,11 @@ func (r *Recorder) ChatGapConcealed(seq uint32, startLocal float64) {
 	r.emit(RecChatConcealed, b)
 }
 
+// ChatResync implements serverpipe.EventSink. It writes nothing: a
+// resync is a pure function of the recorded chat sequence numbers, so
+// replay re-derives it from the RecChat inputs.
+func (r *Recorder) ChatResync(uint32, int) {}
+
 // ISDMeasurement implements serverpipe.EventSink.
 func (r *Recorder) ISDMeasurement(now float64, m estimator.Measurement) {
 	b := appendF64(r.begin(), now)

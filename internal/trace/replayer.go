@@ -100,6 +100,7 @@ func (s *replaySink) MarkerExpired(content int64) {
 func (s *replaySink) ChatGapConcealed(seq uint32, startLocal float64) {
 	s.push(Rec{Type: RecChatConcealed, Seq: seq, LocalTime: startLocal})
 }
+func (s *replaySink) ChatResync(uint32, int) {} // untraced: see Recorder.ChatResync
 func (s *replaySink) ISDMeasurement(now float64, m estimator.Measurement) {
 	s.push(Rec{Type: RecISD, Now: now, M: m})
 }
