@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -168,33 +167,32 @@ type templateSpecEntry struct {
 
 var templateSpecCache sync.Map // templateSpecKey -> *templateSpecEntry
 
-// ChecksumFloats hashes a float slice's exact bit contents (FNV-1a); the
-// template caches here and in the estimator use it to verify tag matches.
+// FNV-1a's 64-bit offset basis and prime, applied here a word at a time.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// ChecksumFloats hashes a float slice's exact bit contents (FNV-1a over
+// 64-bit words: each step is a bijection, so slices that differ in one
+// value never collide); the template caches here and in the estimator use
+// it to verify tag matches. Every hub admission hashes the 48000-sample
+// marker, so it runs a word, not a byte, per step.
 func ChecksumFloats(x []float64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
+	h := uint64(fnvOffset64)
 	for _, v := range x {
-		bits := math.Float64bits(v)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
-		h.Write(b[:])
+		h = (h ^ math.Float64bits(v)) * fnvPrime64
 	}
-	return h.Sum64()
+	return h
 }
 
 func checksumComplex(x []complex128) uint64 {
-	h := fnv.New64a()
-	var b [16]byte
+	h := uint64(fnvOffset64)
 	for _, v := range x {
-		rb, ib := math.Float64bits(real(v)), math.Float64bits(imag(v))
-		for i := 0; i < 8; i++ {
-			b[i] = byte(rb >> (8 * i))
-			b[8+i] = byte(ib >> (8 * i))
-		}
-		h.Write(b[:])
+		h = (h ^ math.Float64bits(real(v))) * fnvPrime64
+		h = (h ^ math.Float64bits(imag(v))) * fnvPrime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // sharedSpectrum returns the cached spectrum for (tag, n) when its

@@ -241,6 +241,18 @@ func buildCoarseTemplate(seq *pn.Sequence) []complex128 {
 // decimatedLen is ⌈n/D⌉: the coarse-rate length of n full-rate samples.
 func decimatedLen(n int) int { return (n + coarseFactor - 1) / coarseFactor }
 
+// coarseSegmentLen picks the coarse correlator's FFT size for a decimated
+// template of mdec samples: the smallest power of two that still yields at
+// least mdec/4 lags per block. The segment sets the block cadence — how
+// often a session's detector can speak, so its first-measurement latency —
+// and the full-rate audio each session retains for the fine stage; a
+// shorter segment buys both at a few more transform flops per lag. The
+// mdec/4 floor keeps a template just under a power of two from paying one
+// FFT pair per handful of lags. For the 6000-sample decimated marker this
+// is 8192 points: 2193 lags (0.37 s) per block, against 1.73 s for the
+// 16384 that twice the template would give. DESIGN.md §12 has the table.
+func coarseSegmentLen(mdec int) int { return dsp.NextPow2(mdec + max(mdec/4, 1)) }
+
 // interpKernel tabulates a windowed-sinc interpolator for the D
 // fractional phases p/D, each row spanning offsets
 // [-interpHalfWidth+1, interpHalfWidth] and normalized to unit DC gain.
@@ -302,7 +314,7 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	d.fastA, d.fastB = fastFrontEnd()
 	// The conjugate template spectrum is shared across sessions, keyed by
 	// the PN seed.
-	d.corr = dsp.NewComplexCorrelatorShared(d.wdec, dsp.NextPow2(2*mdec), uint64(c.Seq.Seed))
+	d.corr = dsp.NewComplexCorrelatorShared(d.wdec, coarseSegmentLen(mdec), uint64(c.Seq.Seed))
 	// Size every buffer to the longest it gets when fed one frame at a time,
 	// so none regrows mid-stream: a regrown buffer leaves its outgrown
 	// storage behind as garbage in every session the hub admits. Larger
@@ -794,8 +806,10 @@ func (d *IncrementalDetector) trimCZ() {
 }
 
 // trimRec drops full-rate audio behind every possible future refinement
-// window. Each block moves the frontier by Step()·D ≈ 83k samples, so the
-// cut is one copy of the retained span (≈ 53k samples) per block.
+// window. Each block moves the frontier by Step()·D ≈ 17.5k samples, so
+// the cut is one copy per block of the retained span: the template-length
+// overlap not yet correlated plus the scan's lag behind the correlation
+// frontier, ≈ 53k samples whatever the segment length.
 func (d *IncrementalDetector) trimRec() {
 	cutoff := d.scan.peakNext*coarseFactor - refineRadius - 2*coarseFactor
 	drop := cutoff - d.recBase

@@ -93,18 +93,18 @@ func TestStreamerReset(t *testing.T) {
 func TestStreamerBoundsMemory(t *testing.T) {
 	marked, _ := makeMarked(t, 10, 0.5, 0)
 	s := NewStreamer(Config{Seq: testSeq})
+	// The incremental detector must never retain more audio or correlation
+	// history than its constructor sized it for: about one coarse segment
+	// of audio and one normalization window of squared lags.
+	d := s.det
+	maxRec, maxZ := cap(d.rec), cap(d.scan.z)
 	for i := 0; i+audio.FrameSamples <= marked.Len(); i += audio.FrameSamples {
 		s.AddChat(marked.Samples[i:i+audio.FrameSamples], float64(i)/audio.SampleRate)
-	}
-	// The incremental detector must not retain more than one coarse FFT
-	// window of audio or a few normalization windows of decimated
-	// correlation history.
-	d := s.det
-	const fac = coarseFactor
-	if maxRec := (d.corr.SegmentLen()+s.cfg.NormWindow/fac+2*s.cfg.Delta)*fac + 16384; len(d.rec) > maxRec {
-		t.Fatalf("recording buffer grew to %d > %d", len(d.rec), maxRec)
-	}
-	if len(d.scan.z) > 3*s.cfg.NormWindow/fac+2*testSeq.Len()/fac {
-		t.Fatalf("correlation buffer grew to %d", len(d.scan.z))
+		if len(d.rec) > maxRec {
+			t.Fatalf("recording buffer grew to %d > %d", len(d.rec), maxRec)
+		}
+		if len(d.scan.z) > maxZ {
+			t.Fatalf("correlation buffer grew to %d > %d", len(d.scan.z), maxZ)
+		}
 	}
 }

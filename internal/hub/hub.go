@@ -62,12 +62,15 @@ type Logf func(format string, args ...any)
 // attempts every packet and reports how many were sent plus the first
 // error. The hub itself sends one-off replies outside a shard's egress
 // queue (Busy rejects) through SendTo; Recv is the per-datagram read the
-// loopback clients sharing this interface use.
+// loopback clients sharing this interface use. Forget passes an ended
+// session to the wire decoder (transport.Decoder.Forget); the hub calls it
+// only from the goroutine that calls RecvBatch, which owns the decoder.
 type Conn interface {
 	RecvBatch(deadline time.Time, msgs []transport.Message) (int, error)
 	SendBatch(pkts []transport.Packet) (int, error)
 	Recv(deadline time.Time) (transport.Message, error)
 	SendTo(b []byte, to net.Addr) error
+	Forget(session uint32)
 	LocalAddr() net.Addr
 	Close() error
 }
@@ -166,6 +169,11 @@ type Hub struct {
 	// lastActive stamps and the reap cutoff read it, trading per-packet
 	// time.Now() calls for at most one reap-probe interval of slack.
 	coarse atomic.Int64
+
+	// ended holds the ids of sessions removed while Serve runs, until the
+	// receive loop, which owns the Conn's decoder, forgets their flows.
+	endedMu sync.Mutex
+	ended   []uint32
 
 	draining atomic.Bool
 	served   atomic.Bool
@@ -272,8 +280,25 @@ func (h *Hub) Serve() error {
 	err := h.recvLoopBatch()
 	h.Close()
 	h.wg.Wait()
+	h.forgetEnded()
 	h.flushSessions()
 	return err
+}
+
+// forgetEnded hands the sessions removed since the last call to the wire
+// decoder's Forget. Shard workers remove sessions, but the decoder is the
+// receive loop's, so the ids wait in h.ended until that goroutine (or
+// Serve, once every worker has stopped) calls this. An id a new session
+// reuses before the drain loses only its fresh stream's state, which the
+// next packet rebuilds at the same rollover count, zero.
+func (h *Hub) forgetEnded() {
+	h.endedMu.Lock()
+	ids := h.ended
+	h.ended = nil
+	h.endedMu.Unlock()
+	for _, id := range ids {
+		h.conn.Forget(id)
+	}
 }
 
 // recvLoopBatch drains the socket in batches until the hub closes: each
@@ -282,6 +307,7 @@ func (h *Hub) Serve() error {
 // are propagated.
 func (h *Hub) recvLoopBatch() error {
 	for {
+		h.forgetEnded()
 		a := h.takeArena()
 		if a == nil {
 			return nil // hub closed while all arenas were in flight

@@ -83,6 +83,9 @@ func (n *MemNet) Endpoint(name string) Conn {
 	return c
 }
 
+// Forget implements hub.Conn, passing the session to the endpoint's decoder.
+func (c *memConn) Forget(session uint32) { c.dec.Forget(session) }
+
 func (c *memConn) LocalAddr() net.Addr { return c.addr }
 
 func (c *memConn) Close() error {

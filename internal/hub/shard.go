@@ -219,6 +219,12 @@ func (h *Hub) remove(sh *shard, s *session, reaped bool) {
 	h.stats.active.Add(-1)
 	sh.cSessions.Add(-1)
 	h.stats.ended.Add(1)
+	if h.served.Load() {
+		// Without Serve no receive loop owns a decoder to forget in.
+		h.endedMu.Lock()
+		h.ended = append(h.ended, s.id)
+		h.endedMu.Unlock()
+	}
 	if reaped {
 		h.stats.reaped.Add(1)
 		h.logf("hub: session %d reaped after idle timeout", s.id)

@@ -196,9 +196,10 @@ func (c *Codec) stream(ssrc uint32, pt uint8) *AudioDepacketizer {
 	return d
 }
 
-// Forget drops the per-stream state for a session's flows (both payload
-// types); servers call it when a session ends so long-lived sockets do
-// not accumulate dead streams.
+// Forget implements transport.Decoder: it drops the per-stream state for a
+// session's flows (both payload types). The hub calls it, on its receive
+// loop, when a session ends, so long-lived sockets do not accumulate dead
+// streams until the stream cap.
 func (c *Codec) Forget(ssrc uint32) {
 	delete(c.streams, uint64(ssrc)<<8|uint64(PTMedia))
 	delete(c.streams, uint64(ssrc)<<8|uint64(PTChat))

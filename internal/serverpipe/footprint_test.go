@@ -14,9 +14,10 @@ import (
 // Per-session memory budget, as a hub hosting many sessions sees it.
 const (
 	// footprintLiveBytes bounds each session's live heap: the marker
-	// detector's retained audio (~1.1 MB, set by the estimator's segment
-	// length) plus everything else a pipeline owns.
-	footprintLiveBytes = 1800 << 10
+	// detector's retained audio (~0.57 MB, set by the estimator's 8192-point
+	// coarse segment) plus everything else a pipeline owns, ~0.82 MB in all.
+	// A 16384-point segment would retain 1.1 MB and fail it.
+	footprintLiveBytes = 1 << 20
 	// footprintAllocBytes bounds what each session allocates after
 	// admission over 30 s of streaming: buffers are sized at construction,
 	// so this is detections, measurements and first-use growth only.

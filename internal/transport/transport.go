@@ -180,9 +180,11 @@ func ParseWire(s string) (Wire, bool) {
 // Decoder instance belongs to exactly one receive loop. DecodeInto must
 // follow this package's arena contract: reuse the capacity of msg's
 // payload slices, never alias b, and park the retained capacity back in
-// msg on error.
+// msg on error. Forget drops whatever per-flow state the decoder keeps for
+// an ended session; like DecodeInto it runs on the owning receive loop.
 type Decoder interface {
 	DecodeInto(msg *Message, b []byte) error
+	Forget(session uint32)
 }
 
 // WireEncoder serializes outbound packets in one wire framing.
@@ -234,6 +236,9 @@ func (V2) AppendBusy(dst []byte, b Busy) []byte { return AppendBusy(dst, b) }
 
 // DecodeInto implements Decoder.
 func (V2) DecodeInto(msg *Message, b []byte) error { return DecodeInto(msg, b) }
+
+// Forget implements Decoder: v2 decoding keeps no per-flow state.
+func (V2) Forget(uint32) {}
 
 // appendHeader appends a v1 (8-byte) or v2 (12-byte, session-flagged)
 // header to dst.
@@ -612,6 +617,10 @@ func (c *Conn) SetDecoder(d Decoder) {
 		c.dec = d
 	}
 }
+
+// Forget drops the decoder's per-flow state for an ended session. Like
+// the decoder itself it is unlocked: call it from the receive loop.
+func (c *Conn) Forget(session uint32) { c.dec.Forget(session) }
 
 // LocalAddr returns the bound address.
 func (c *Conn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
