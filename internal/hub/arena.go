@@ -11,8 +11,8 @@ import (
 const batchSize = 64
 
 // numArenas bounds how many receive batches can be in flight at once
-// (being filled by the receive loop or processed by shard workers).
-// When every arena is out, the receive loop waits — by then the shard
+// (being filled by the pace loop or processed by shard workers).
+// When every arena is out, the pace loop waits — by then the shard
 // queues are the bottleneck and their shedding policy is in charge, so
 // the kernel socket buffer remains the only other drop point.
 const numArenas = 4
@@ -27,15 +27,15 @@ type packetWork struct {
 // recvArena is a reusable decode arena for one receive batch. Message
 // slots keep their payload capacity across batches (transport.DecodeInto),
 // and the per-shard staging slices are recycled the same way, so a
-// steady-state receive loop allocates nothing. An arena is handed back
-// to the hub's freelist once the receive loop and every shard worker
+// steady-state pace loop allocates nothing. An arena is handed back
+// to the hub's freelist once the pace loop and every shard worker
 // holding a sub-batch have released it.
 type recvArena struct {
 	h        *Hub
 	msgs     []transport.Message
 	perShard [][]packetWork
-	// pending counts outstanding holds: one for the dispatching receive
-	// loop plus one per enqueued shard sub-batch.
+	// pending counts outstanding holds: one for the dispatcher plus one
+	// per enqueued shard sub-batch.
 	pending atomic.Int32
 }
 

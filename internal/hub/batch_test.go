@@ -9,7 +9,7 @@ import (
 	"ekho/internal/transport"
 )
 
-// startWorkers launches a hub's shard workers without a receive loop, so
+// startWorkers launches a hub's shard workers without a pace loop, so
 // tests can drive DispatchBatch/Dispatch directly and own the packet
 // lifetimes. The returned stop function shuts the hub down and waits.
 func startWorkers(h *Hub) (stop func()) {
@@ -316,49 +316,31 @@ func benchIngestHub(b *testing.B, sessions int) (*Hub, [][]byte, func()) {
 	return h, raw, stop
 }
 
-// BenchmarkIngest compares the full decode→dispatch→worker ingest cost
-// per packet on the legacy per-packet path versus the batched path (the
-// acceptance metric for the batched wire path: ns/packet and
-// allocs/packet, 64 sessions across 8 shards).
+// BenchmarkIngest measures the full decode→dispatch→worker ingest cost
+// per packet on the batched path (ns/packet and allocs/packet, 64
+// sessions across 8 shards).
 func BenchmarkIngest(b *testing.B) {
 	const sessions = 64
-	b.Run("perpacket", func(b *testing.B) {
-		h, raw, stop := benchIngestHub(b, sessions)
-		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			msg, err := transport.Decode(raw[i%sessions])
-			if err != nil {
+	h, raw, stop := benchIngestHub(b, sessions)
+	defer stop()
+	msgs := make([]transport.Message, batchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batchSize {
+		n := batchSize
+		if rem := b.N - i; rem < n {
+			n = rem
+		}
+		for j := 0; j < n; j++ {
+			if err := transport.DecodeInto(&msgs[j], raw[(i+j)%sessions]); err != nil {
 				b.Fatal(err)
 			}
-			h.Dispatch(msg)
 		}
-		b.StopTimer()
-		waitQuiesce(b, h, sessions)
-	})
-	b.Run("batched", func(b *testing.B) {
-		h, raw, stop := benchIngestHub(b, sessions)
-		defer stop()
-		msgs := make([]transport.Message, batchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += batchSize {
-			n := batchSize
-			if rem := b.N - i; rem < n {
-				n = rem
-			}
-			for j := 0; j < n; j++ {
-				if err := transport.DecodeInto(&msgs[j], raw[(i+j)%sessions]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			h.DispatchBatch(msgs[:n])
-		}
-		waitArenasIdle(h)
-		b.StopTimer()
-		waitQuiesce(b, h, sessions)
-	})
+		h.DispatchBatch(msgs[:n])
+	}
+	waitArenasIdle(h)
+	b.StopTimer()
+	waitQuiesce(b, h, sessions)
 }
 
 // waitQuiesce waits for the shard queues to drain after a benchmark loop

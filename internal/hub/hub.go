@@ -5,15 +5,20 @@
 //
 // Architecture:
 //
-//   - the receive loop decodes datagrams (native v2 framing or RTP via
-//     a pluggable transport.Decoder — see internal/rtp) and
-//     demultiplexes them by session ID onto a sharded session registry:
-//     per-shard mutex + map, sessions pinned to shards by ID hash; each
-//     session replies in whatever framing its Hello arrived in;
+//   - one pace loop owns the socket and the 20 ms media ticks. While
+//     sessions stream it wakes once per tick: it ticks every session,
+//     then drains what the socket holds, decoding datagrams (native
+//     v2 framing or RTP via a pluggable transport.Decoder — see
+//     internal/rtp) and demultiplexing them by session ID onto a sharded
+//     session registry: per-shard mutex + map, sessions pinned to shards
+//     by ID hash; each session replies in whatever framing its Hello
+//     arrived in. During admission it waits on the socket instead, so a
+//     Hello is answered at once. It never waits on a shard worker: a
+//     shard whose queue is full misses ticks and sheds its own data;
 //   - each shard has one worker goroutine that executes all packet
 //     handling, DSP and compensation for its sessions, so different
 //     sessions never contend on one lock and per-session pipeline state
-//     needs no locking at all;
+//     needs no locking at all. It wakes about once per tick;
 //   - admission control caps concurrent sessions (rejecting extra
 //     hellos with TypeBusy), idle sessions are reaped after a timeout,
 //     and Drain stops admissions while in-flight sessions finish;
@@ -50,15 +55,17 @@ type Logf func(format string, args ...any)
 // Conn is the datagram endpoint a hub serves on — the batched wire seam:
 // it drains a burst of datagrams per wakeup and flushes a burst of sends
 // per call, so the whole receive→dispatch→process→send path runs batched
-// (packet arenas amortize decoding, shard workers wake once per batch, and
-// per-shard egress queues flush through SendBatch). *transport.Conn
-// implements it; tests and benchmarks substitute an in-process loopback
-// network (NewMemNet).
+// (packet arenas amortize decoding, shard workers wake about once per
+// tick, and per-shard egress queues flush through SendBatch).
+// *transport.Conn implements it; tests and benchmarks substitute an
+// in-process loopback network (NewMemNet).
 //
 // RecvBatch fills msgs with one blocking read (until deadline) followed
-// by greedy reads until the socket runs dry or the batch fills, reusing
-// each slot's payload capacity (transport.DecodeInto). From may be nil
-// for data-plane packets; it must be set for Hello and Bye. SendBatch
+// by short reads until the socket runs dry or the batch fills,
+// reusing each slot's payload capacity (transport.DecodeInto). A deadline
+// that has already passed polls: it returns only what is queued, possibly
+// nothing with a nil error. From may be nil for data-plane packets; it
+// must be set for Hello and Bye. SendBatch
 // attempts every packet and reports how many were sent plus the first
 // error. The hub itself sends one-off replies outside a shard's egress
 // queue (Busy rejects) through SendTo; Recv is the per-datagram read the
@@ -86,7 +93,7 @@ type Config struct {
 	// QueueDepth bounds each shard's work queue (default 256 entries;
 	// one entry is a whole receive sub-batch, not a packet). When a
 	// shard's queue is full, incoming data-plane packets for it are shed
-	// (counted in Snapshot.Shed) instead of blocking the receive loop.
+	// (counted in Snapshot.Shed) instead of blocking the pace loop.
 	QueueDepth int
 	// TickEvery paces media frames (default 20 ms, the wire frame
 	// duration). Negative disables the internal ticker: the caller
@@ -160,18 +167,12 @@ type Hub struct {
 	shards []*shard
 	stats  counters
 
-	// arenaFree recycles receive batch arenas between the receive loop
-	// and the shard workers.
+	// arenaFree recycles receive batch arenas between the pace loop and
+	// the shard workers.
 	arenaFree chan *recvArena
 
-	// coarse is the hub's coarse wall clock (UnixNano), refreshed once
-	// per receive batch, media tick and reap probe instead of per packet.
-	// lastActive stamps and the reap cutoff read it, trading per-packet
-	// time.Now() calls for at most one reap-probe interval of slack.
-	coarse atomic.Int64
-
 	// ended holds the ids of sessions removed while Serve runs, until the
-	// receive loop, which owns the Conn's decoder, forgets their flows.
+	// pace loop, which owns the Conn's decoder, forgets their flows.
 	endedMu sync.Mutex
 	ended   []uint32
 
@@ -201,7 +202,6 @@ func New(cfg Config, conn Conn) *Hub {
 		done:  make(chan struct{}),
 		clips: make(map[int]*audio.Buffer),
 	}
-	h.coarse.Store(time.Now().UnixNano())
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
 		h.shards[i] = &shard{
@@ -214,6 +214,8 @@ func New(cfg Config, conn Conn) *Hub {
 				"Data-plane packets shed per shard."),
 			cSessions: reg.Gauge(fmt.Sprintf(`ekho_shard_sessions{shard="%d"}`, i),
 				"Live sessions pinned per shard."),
+			cWakeups: reg.Counter(fmt.Sprintf(`ekho_shard_wakeups_total{shard="%d"}`, i),
+				"Shard worker wake-ups from an empty queue."),
 		}
 	}
 	reg.GaugeFunc("ekho_dispatch_p50_ms", "Median batched dispatch latency (power-of-two resolution).",
@@ -254,10 +256,11 @@ func (h *Hub) markerSeq() *ekho.MarkerSequence {
 	return h.seq
 }
 
-// Serve runs the hub until Close: it starts the shard workers, the media
-// ticker and the idle reaper, then demultiplexes inbound datagrams in
-// the calling goroutine. It returns nil after a clean Close and the
-// socket error otherwise. Serve may be called once.
+// Serve runs the hub until Close: it starts the shard workers and the
+// idle reaper, sizes the socket's receive buffer, then runs the pace loop
+// (socket reads and media ticks) in the calling goroutine. It returns nil
+// after a clean Close and the socket error otherwise. Serve may be called
+// once.
 func (h *Hub) Serve() error {
 	if !h.served.CompareAndSwap(false, true) {
 		return errors.New("hub: Serve called twice")
@@ -266,18 +269,15 @@ func (h *Hub) Serve() error {
 		h.wg.Add(1)
 		go h.worker(sh)
 	}
-	if h.cfg.TickEvery > 0 {
-		h.wg.Add(1)
-		go h.tickLoop()
-	}
 	if h.cfg.IdleTimeout > 0 {
 		h.wg.Add(1)
 		go h.reapLoop()
 	}
+	h.sizeReadBuffer()
 	h.logf("hub: serving on %s (capacity %d, %d shards)",
 		h.conn.LocalAddr(), h.cfg.Capacity, h.cfg.Shards)
 
-	err := h.recvLoopBatch()
+	err := h.paceLoop()
 	h.Close()
 	h.wg.Wait()
 	h.forgetEnded()
@@ -285,9 +285,46 @@ func (h *Hub) Serve() error {
 	return err
 }
 
+// chatRcvbufBytes is what the largest chat datagram, a 7,683-byte
+// lossless frame, costs in the kernel's receive buffer, overhead
+// included. rcvbufHeadroom is how many ticks of chat from every session
+// the buffer holds: the pace loop drains it once per tick.
+const (
+	chatRcvbufBytes = 8704
+	rcvbufHeadroom  = 4
+)
+
+// sizeReadBuffer grows the socket's receive buffer to what
+// Config.Capacity needs, when the Conn can (*transport.Conn can); it never
+// shrinks a larger buffer. It publishes the size in effect and warns when
+// the kernel granted less than needed.
+func (h *Hub) sizeReadBuffer() {
+	rb, ok := h.conn.(interface {
+		ReadBuffer() (int, error)
+		SetReadBuffer(int) (int, error)
+	})
+	if !ok {
+		return
+	}
+	want := rcvbufHeadroom * h.cfg.Capacity * chatRcvbufBytes
+	size, err := rb.ReadBuffer()
+	if err != nil || size < want {
+		size, err = rb.SetReadBuffer(want)
+	}
+	if err != nil {
+		h.logf("hub: %v", err)
+		return
+	}
+	h.stats.rcvbuf.Set(int64(size))
+	if size < want {
+		h.logf("hub: socket receive buffer is %d B, below the %d B that %d ticks of chat from %d sessions need; raise net.core.rmem_max",
+			size, want, rcvbufHeadroom, h.cfg.Capacity)
+	}
+}
+
 // forgetEnded hands the sessions removed since the last call to the wire
 // decoder's Forget. Shard workers remove sessions, but the decoder is the
-// receive loop's, so the ids wait in h.ended until that goroutine (or
+// pace loop's, so the ids wait in h.ended until that goroutine (or
 // Serve, once every worker has stopped) calls this. An id a new session
 // reuses before the drain loses only its fresh stream's state, which the
 // next packet rebuilds at the same rollover count, zero.
@@ -301,52 +338,140 @@ func (h *Hub) forgetEnded() {
 	}
 }
 
-// recvLoopBatch drains the socket in batches until the hub closes: each
-// wakeup fills a packet arena, then hands every shard its sub-batch in one
-// queue operation. Socket errors other than shutdown and deadline expiry
-// are propagated.
-func (h *Hub) recvLoopBatch() error {
+// paceLoop owns the socket and the media ticks until the hub closes. It
+// runs on a fixed grid of TickEvery ticks. While sessions stream it sleeps
+// to the next tick, ticks (so media leaves first), then drains what the
+// socket holds: chat waits at most one tick, which the estimator, fed in
+// 0.37 s blocks, never notices. It waits on the socket instead, until the
+// next tick, while the hub has no session or a Hello or Bye arrived in the
+// last tick, so admission stays prompt; and always when there is no
+// internal ticker (TickEvery < 0, the caller ticks). The loop never waits
+// on a shard worker: a shard whose queue is full misses the tick, so one
+// wedged shard cannot stop the socket being read for the others. A late
+// wake-up catches up at most one overdue tick and skips any older one.
+// Both kinds of miss are counted in Snapshot.TicksSkipped.
+func (h *Hub) paceLoop() error {
+	every := h.cfg.TickEvery
+	grid := tickGrid{origin: time.Now(), every: every}
+	sleep := time.NewTimer(time.Hour)
+	sleep.Stop()
+	defer sleep.Stop()
+	// ctrl: a Hello or Bye arrived since the last tick; hot: one arrived
+	// in the tick before.
+	var ctrl, hot bool
 	for {
 		h.forgetEnded()
-		a := h.takeArena()
-		if a == nil {
-			return nil // hub closed while all arenas were in flight
-		}
-		n, err := h.conn.RecvBatch(time.Now().Add(time.Second), a.msgs)
-		if err != nil && n == 0 {
-			h.arenaFree <- a
-			if h.isClosed() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if isTimeout(err) {
-				h.coarse.Store(time.Now().UnixNano())
-				continue
-			}
-			return fmt.Errorf("hub: receive: %w", err)
-		}
 		if h.isClosed() {
-			h.arenaFree <- a
 			return nil
 		}
-		h.dispatchArena(a, n)
+		now := time.Now()
+		if every > 0 && !now.Before(grid.next()) {
+			run, skipped := grid.advance(now)
+			h.stats.ticksSkipped.Add(skipped)
+			for ; run > 0; run-- {
+				if !h.tick(false) {
+					h.stats.ticksSkipped.Inc()
+				}
+			}
+			hot = ctrl
+			var err error
+			if ctrl, err = h.receive(now); err != nil {
+				return h.recvErr(err)
+			}
+			continue
+		}
+		if every > 0 && !hot && !ctrl && h.stats.active.Load() > 0 {
+			sleep.Reset(grid.next().Sub(now))
+			select {
+			case <-h.done:
+				return nil
+			case <-sleep.C:
+			}
+			h.stats.loopWakeups.Inc()
+			continue
+		}
+		deadline := now.Add(time.Second)
+		if every > 0 {
+			deadline = grid.next()
+		}
+		c, err := h.receive(deadline)
+		h.stats.loopWakeups.Inc()
+		ctrl = ctrl || c
+		if err != nil {
+			return h.recvErr(err)
+		}
 	}
 }
 
-// Dispatch routes one decoded datagram to its session's shard worker,
-// admitting the session first if the packet is a Hello. The receive loop
-// never calls it (it dispatches whole arenas); it is exported for
-// benchmarks and tests that drive the hub one packet at a time without a
-// socket.
-func (h *Hub) Dispatch(msg transport.Message) {
-	h.stats.packetsIn.Add(1)
-	sh := h.shards[shardIndex(msg.Session, len(h.shards))]
-	s := h.route(sh, &msg)
-	if s == nil {
-		return
+// receive reads the socket into arenas and dispatches them: the first
+// RecvBatch waits until deadline (a deadline already passed only polls),
+// and further polls follow while batches come back full. It reports
+// whether a Hello or Bye arrived. A deadline expiry is not an error.
+func (h *Hub) receive(deadline time.Time) (ctrl bool, err error) {
+	for {
+		a := h.takeArena()
+		if a == nil {
+			return ctrl, net.ErrClosed // hub closed while all arenas were in flight
+		}
+		n, err := h.conn.RecvBatch(deadline, a.msgs)
+		if n > 0 && !h.isClosed() {
+			ctrl = h.dispatchArena(a, n) || ctrl
+		} else {
+			h.arenaFree <- a
+		}
+		if err != nil && !isTimeout(err) {
+			return ctrl, err
+		}
+		if err != nil || n < len(a.msgs) {
+			return ctrl, nil
+		}
+		deadline = time.Now()
 	}
-	s.lastActive.Store(h.coarse.Load())
-	sh.cPackets.Inc()
-	h.enqueue(sh, work{kind: workPacket, msg: msg, s: s})
+}
+
+// recvErr maps a receive error to Serve's result: shutdown is clean.
+func (h *Hub) recvErr(err error) error {
+	if h.isClosed() || errors.Is(err, net.ErrClosed) {
+		return nil
+	}
+	return fmt.Errorf("hub: receive: %w", err)
+}
+
+// tickGrid is the pace loop's schedule: tick k is due at origin + k·every.
+// It is never re-phased, so a late wake-up cannot shift later ticks.
+type tickGrid struct {
+	origin time.Time
+	every  time.Duration
+	k      int64 // the next tick due
+}
+
+// next returns when the next tick is due.
+func (g *tickGrid) next() time.Time { return g.origin.Add(time.Duration(g.k) * g.every) }
+
+// advance consumes the ticks due at now (at least one). It returns how
+// many to run: the tick due now and at most one overdue tick before it.
+// Two frames back to back sit well inside a player's jitter buffer, so a
+// stall shorter than two ticks costs no frame; a tick never sent would
+// leave every player one frame short for good. Older overdue ticks are
+// skipped and returned as skipped.
+func (g *tickGrid) advance(now time.Time) (run int, skipped int64) {
+	due := int64(now.Sub(g.origin) / g.every)
+	run = 1
+	if due > g.k {
+		run = 2
+		skipped = due - g.k - 1
+	}
+	g.k = due + 1
+	return run, skipped
+}
+
+// Dispatch routes one decoded datagram to its session's shard worker,
+// admitting the session first if the packet is a Hello: a one-message
+// DispatchBatch, with the same lifetime rule. The pace loop never calls
+// it; it is exported for benchmarks and tests that drive the hub without
+// a socket.
+func (h *Hub) Dispatch(msg transport.Message) {
+	h.DispatchBatch([]transport.Message{msg})
 }
 
 // route resolves a packet to its session, admitting on Hello and
@@ -365,13 +490,13 @@ func (h *Hub) route(sh *shard, msg *transport.Message) *session {
 	return s
 }
 
-// DispatchBatch routes a batch of decoded datagrams with the batched
-// path's cost profile: one stats update, one coarse-clock read and one
+// DispatchBatch routes a batch of decoded datagrams exactly as the pace
+// loop routes a receive batch: one stats update, one clock read and one
 // queue operation per shard sub-batch. The messages' struct fields are
 // copied into an arena, but their backing arrays are shared with the
-// caller until the workers finish the batch — like Dispatch, this is
-// exported for benchmarks, tests and harnesses driving a hub without a
-// socket, which own that lifetime.
+// caller until the workers finish the batch — it is exported for
+// benchmarks, tests and harnesses driving a hub without a socket, which
+// own that lifetime.
 func (h *Hub) DispatchBatch(msgs []transport.Message) {
 	for len(msgs) > 0 {
 		a := h.takeArena()
@@ -388,11 +513,11 @@ func (h *Hub) DispatchBatch(msgs []transport.Message) {
 // packets are staged into per-shard sub-batches delivered with one
 // channel send each; control packets (Hello/Bye) travel on the shard's
 // control lane so they survive data-plane overload. When a shard's
-// queue is full its sub-batch is shed instead of blocking the receive
-// loop: one slow shard drops its own media, not everyone's.
-func (h *Hub) dispatchArena(a *recvArena, n int) {
+// queue is full its sub-batch is shed instead of blocking the pace loop:
+// one slow shard drops its own media, not everyone's. It reports whether
+// the arena held a Hello or Bye.
+func (h *Hub) dispatchArena(a *recvArena, n int) (ctrl bool) {
 	now := time.Now().UnixNano()
-	h.coarse.Store(now)
 	h.stats.packetsIn.Add(int64(n))
 	a.pending.Store(1) // dispatch hold
 	for i := range a.msgs[:n] {
@@ -400,12 +525,13 @@ func (h *Hub) dispatchArena(a *recvArena, n int) {
 		si := shardIndex(msg.Session, len(h.shards))
 		sh := h.shards[si]
 		s := h.route(sh, msg)
+		isCtrl := msg.Type == transport.TypeHello || msg.Type == transport.TypeBye
+		ctrl = ctrl || isCtrl
 		if s == nil {
 			continue
 		}
 		s.lastActive.Store(now)
-		switch msg.Type {
-		case transport.TypeHello, transport.TypeBye:
+		if isCtrl {
 			// Control lane: a struct copy (control packets carry no
 			// payload slices), so delivery never pins the arena.
 			select {
@@ -413,9 +539,9 @@ func (h *Hub) dispatchArena(a *recvArena, n int) {
 			default:
 				h.stats.ctrlDropped.Add(1)
 			}
-		default:
-			a.perShard[si] = append(a.perShard[si], packetWork{m: msg, s: s})
+			continue
 		}
+		a.perShard[si] = append(a.perShard[si], packetWork{m: msg, s: s})
 	}
 	for si, items := range a.perShard {
 		if len(items) == 0 {
@@ -435,6 +561,7 @@ func (h *Hub) dispatchArena(a *recvArena, n int) {
 		}
 	}
 	a.release() // drop the dispatch hold
+	return ctrl
 }
 
 // wireEncoder maps a session's latched wire framing onto the shared
@@ -479,30 +606,34 @@ func (h *Hub) admit(sh *shard, msg transport.Message) *session {
 	return s
 }
 
-// Tick advances every session by one 20 ms media frame. The internal
-// ticker calls it when TickEvery > 0; tests drive it directly to run
-// faster than real time. Enqueueing blocks when a shard worker is
-// saturated, so pacing degrades gracefully instead of queueing
-// unboundedly.
-func (h *Hub) Tick() {
-	h.coarse.Store(time.Now().UnixNano())
-	for _, sh := range h.shards {
-		h.enqueue(sh, work{kind: workTick})
-	}
-}
+// Tick advances every session by one 20 ms media frame. The pace loop
+// ticks on its grid when TickEvery > 0; tests call Tick directly to run
+// faster than real time. Shards without sessions are skipped. Tick blocks
+// while a shard's queue is full, so a caller ticking faster than the
+// workers keep up is held back instead of losing frames.
+func (h *Hub) Tick() { h.tick(true) }
 
-func (h *Hub) tickLoop() {
-	defer h.wg.Done()
-	t := time.NewTicker(h.cfg.TickEvery)
-	defer t.Stop()
-	for {
+// tick enqueues one media tick on every shard with sessions. With wait it
+// blocks while a shard's queue is full; without (the pace loop, which must
+// keep reading the socket for every shard) that shard misses the tick,
+// and tick reports false.
+func (h *Hub) tick(wait bool) (all bool) {
+	all = true
+	for _, sh := range h.shards {
+		if sh.cSessions.Load() == 0 {
+			continue
+		}
+		if wait {
+			h.enqueue(sh, work{kind: workTick})
+			continue
+		}
 		select {
-		case <-h.done:
-			return
-		case <-t.C:
-			h.Tick()
+		case sh.queue <- work{kind: workTick}:
+		default:
+			all = false
 		}
 	}
+	return all
 }
 
 // reapLoop periodically probes for idle sessions. Eviction happens on
@@ -522,13 +653,7 @@ func (h *Hub) reapLoop() {
 		case <-h.done:
 			return
 		case <-t.C:
-			// Refresh the coarse clock at the probe so lastActive stamps
-			// written from here on are at least probe-fresh; the stamp
-			// slack is therefore bounded by one probe interval, a
-			// quarter of the timeout being enforced.
-			now := time.Now().UnixNano()
-			h.coarse.Store(now)
-			cutoff := now - h.cfg.IdleTimeout.Nanoseconds()
+			cutoff := time.Now().UnixNano() - h.cfg.IdleTimeout.Nanoseconds()
 			for _, sh := range h.shards {
 				var stale []work
 				sh.mu.Lock()

@@ -129,19 +129,20 @@ func (c *memConn) Recv(deadline time.Time) (transport.Message, error) {
 	}
 }
 
-// RecvBatch implements hub.Conn: one blocking receive, then a
-// non-blocking drain of the endpoint queue until the batch fills. The
-// loopback fleet and equivalence tests therefore exercise exactly the
-// batched wire path the live UDP server runs.
+// RecvBatch implements hub.Conn: while deadline lies ahead, one blocking
+// receive; then a non-blocking drain of the endpoint queue until the
+// batch fills. A deadline already passed only drains. The loopback fleet
+// and equivalence tests therefore exercise exactly the batched wire path
+// the live UDP server runs.
 func (c *memConn) RecvBatch(deadline time.Time, msgs []transport.Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
 	n := 0
-	for n < len(msgs) {
-		if n == 0 {
+	if wait := time.Until(deadline); wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		for n == 0 {
 			select {
 			case <-c.done:
 				return 0, net.ErrClosed
@@ -154,9 +155,12 @@ func (c *memConn) RecvBatch(deadline time.Time, msgs []transport.Message) (int, 
 			case <-timer.C:
 				return 0, os.ErrDeadlineExceeded
 			}
-			continue
 		}
+	}
+	for n < len(msgs) {
 		select {
+		case <-c.done:
+			return n, net.ErrClosed
 		case d := <-c.ch:
 			if c.dec.DecodeInto(&msgs[n], d.b) != nil {
 				continue

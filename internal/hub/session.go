@@ -51,7 +51,7 @@ type SessionResult struct {
 // wire serialization for two endpoints and delegates everything else —
 // streams, markers, estimation, compensation — to a serverpipe.Pipeline.
 // All fields except lastActive are owned by the session's shard worker;
-// lastActive is touched by the receive loop and read by the reaper.
+// lastActive is touched by the pace loop and read by the reaper.
 type session struct {
 	id    uint32
 	hub   *Hub
@@ -104,7 +104,7 @@ type session struct {
 	lastPkt int // wire size of the most recently serialized frame
 
 	// lastActive is the wall clock (UnixNano) of the last packet seen
-	// for this session, maintained by the receive loop for the reaper.
+	// for this session, maintained by the pace loop for the reaper.
 	lastActive atomic.Int64
 }
 

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
@@ -40,6 +41,8 @@ type shard struct {
 	cPackets  *metrics.Counter
 	cShed     *metrics.Counter
 	cSessions *metrics.Gauge
+	// cWakeups counts the worker's returns from parking on an empty queue.
+	cWakeups *metrics.Counter
 }
 
 type workKind uint8
@@ -52,10 +55,9 @@ const (
 	workStats
 )
 
-// work is one unit handed to a shard worker: a batch of packets (the
-// batched receive path), a single packet (control lane and the
-// per-packet fallback), a media tick for every session in the shard, or
-// a reap probe.
+// work is one unit handed to a shard worker: a batch of data packets, a
+// single control packet (workPacket, on the control lane), a media tick
+// for every session in the shard, a reap probe or a stats request.
 type work struct {
 	kind workKind
 	msg  transport.Message
@@ -120,7 +122,11 @@ func (h *Hub) enqueue(sh *shard, w work) bool {
 
 // worker runs a shard's processing loop until the hub closes. Control
 // work is polled first each round so Hello/Bye overtake queued data
-// batches when both are pending.
+// batches when both are pending. Only when both queues are empty does the
+// worker park; each return from parking counts as a wake-up. After a tick
+// the worker yields once: the pace loop dispatches a tick's chat right
+// behind the tick, and on a single core the yield lets every shard send
+// its media before any shard spends the tick on chat.
 func (h *Hub) worker(sh *shard) {
 	defer h.wg.Done()
 	for {
@@ -130,13 +136,21 @@ func (h *Hub) worker(sh *shard) {
 			continue
 		default:
 		}
+		var w work
 		select {
-		case <-h.done:
-			return
-		case w := <-sh.ctrl:
-			h.process(sh, w)
-		case w := <-sh.queue:
-			h.process(sh, w)
+		case w = <-sh.queue:
+		default:
+			select {
+			case <-h.done:
+				return
+			case w = <-sh.ctrl:
+			case w = <-sh.queue:
+			}
+			sh.cWakeups.Inc()
+		}
+		h.process(sh, w)
+		if w.kind == workTick {
+			runtime.Gosched()
 		}
 	}
 }
@@ -220,7 +234,7 @@ func (h *Hub) remove(sh *shard, s *session, reaped bool) {
 	sh.cSessions.Add(-1)
 	h.stats.ended.Add(1)
 	if h.served.Load() {
-		// Without Serve no receive loop owns a decoder to forget in.
+		// Without Serve no pace loop owns a decoder to forget in.
 		h.endedMu.Lock()
 		h.ended = append(h.ended, s.id)
 		h.endedMu.Unlock()

@@ -47,6 +47,14 @@ type counters struct {
 	shed        *metrics.Counter
 	ctrlDropped *metrics.Counter
 
+	// Pace loop: ticksSkipped counts ticks that did not reach every shard
+	// (overdue ticks dropped from the grid, ticks a full queue refused),
+	// loopWakeups the loop's returns from a sleep or a blocking read, and
+	// rcvbuf the socket receive buffer the kernel granted.
+	ticksSkipped *metrics.Counter
+	loopWakeups  *metrics.Counter
+	rcvbuf       *metrics.Gauge
+
 	// Marker plane: injections/matches/expiries across all sessions.
 	injections *metrics.Counter
 	matches    *metrics.Counter
@@ -97,6 +105,10 @@ func newCounters(reg *metrics.Registry) counters {
 
 		shed:        reg.Counter("ekho_packets_shed_total", "Data-plane packets dropped by overload shedding."),
 		ctrlDropped: reg.Counter("ekho_ctrl_dropped_total", "Control packets dropped on a full control lane."),
+
+		ticksSkipped: reg.Counter("ekho_ticks_skipped_total", "Media ticks not run on every shard: overdue ticks skipped to keep the tick grid, or refused by a full shard queue."),
+		loopWakeups:  reg.Counter("ekho_loop_wakeups_total", "Pace loop wake-ups (a tick sleep or a blocking socket read returned)."),
+		rcvbuf:       reg.Gauge("ekho_socket_rcvbuf_bytes", "Socket receive buffer granted by the kernel."),
 
 		injections: reg.Counter("ekho_markers_injected_total", "PN markers injected into screen streams."),
 		matches:    reg.Counter("ekho_markers_matched_total", "PN markers matched in returned chat audio."),
@@ -196,9 +208,8 @@ func (l LatencyHist) Quantile(q float64) time.Duration {
 	return time.Duration(uint64(1) << (latBuckets - 1))
 }
 
-// DispatchLatency snapshots the batched path's receive-to-worker latency
-// histogram. Only batches carry latency stamps; the legacy per-packet
-// Dispatch path does not contribute.
+// DispatchLatency snapshots the receive-to-worker latency histogram of
+// data packets (control packets carry no stamp).
 func (h *Hub) DispatchLatency() LatencyHist {
 	var l LatencyHist
 	for i := range l {
@@ -238,6 +249,14 @@ type Snapshot struct {
 	// dropped because a shard's control lane overflowed.
 	Shed        int64
 	CtrlDropped int64
+	// TicksSkipped counts media ticks that did not reach every shard:
+	// the pace loop skipped them because it woke two or more ticks late,
+	// or a shard's full queue refused them. LoopWakeups and ShardWakeups
+	// count the pace loop's wake-ups and the shard workers' (summed over
+	// shards).
+	TicksSkipped int64
+	LoopWakeups  int64
+	ShardWakeups int64
 	// Measurements / Actions / Resamples aggregate the per-session
 	// estimator and compensator activity across all sessions ever hosted
 	// (Resamples counts drift-regime rate retunes).
@@ -264,10 +283,22 @@ func (h *Hub) Stats() Snapshot {
 		SendErrors:     c.sendErrs.Load(),
 		Shed:           c.shed.Load(),
 		CtrlDropped:    c.ctrlDropped.Load(),
+		TicksSkipped:   c.ticksSkipped.Load(),
+		LoopWakeups:    c.loopWakeups.Load(),
+		ShardWakeups:   h.shardWakeups(),
 		Measurements:   c.measurements.Load(),
 		Actions:        c.actions.Load(),
 		Resamples:      c.resamples.Load(),
 	}
+}
+
+// shardWakeups sums the shard workers' wake-up counters.
+func (h *Hub) shardWakeups() int64 {
+	var n int64
+	for _, sh := range h.shards {
+		n += sh.cWakeups.Load()
+	}
+	return n
 }
 
 // SessionInfo is the rich per-session snapshot served by the /sessions

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"os"
 	"time"
 )
 
@@ -592,7 +591,7 @@ func DecodeInto(msg *Message, b []byte) error {
 
 // Conn wraps a UDP socket with Ekho framing.
 type Conn struct {
-	pc  net.PacketConn
+	uc  *net.UDPConn
 	buf []byte
 	// dec decodes inbound datagrams (default: the native V2 codec).
 	// SetDecoder swaps in a sniffing mux (rtp.NewCodec) to accept
@@ -606,7 +605,7 @@ func Listen(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	return &Conn{pc: pc, buf: make([]byte, maxDatagram), dec: V2{}}, nil
+	return &Conn{uc: pc.(*net.UDPConn), buf: make([]byte, maxDatagram), dec: V2{}}, nil
 }
 
 // SetDecoder replaces the framing decoder for inbound datagrams. It must
@@ -623,14 +622,29 @@ func (c *Conn) SetDecoder(d Decoder) {
 func (c *Conn) Forget(session uint32) { c.dec.Forget(session) }
 
 // LocalAddr returns the bound address.
-func (c *Conn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
+func (c *Conn) LocalAddr() net.Addr { return c.uc.LocalAddr() }
 
 // Close releases the socket.
-func (c *Conn) Close() error { return c.pc.Close() }
+func (c *Conn) Close() error { return c.uc.Close() }
+
+// SetReadBuffer asks the kernel for a receive buffer of bytes and returns
+// the size in effect, read back from the socket where ReadBuffer can
+// (Linux doubles the request for its bookkeeping and caps it at
+// net.core.rmem_max) and the request elsewhere.
+func (c *Conn) SetReadBuffer(bytes int) (int, error) {
+	if err := c.uc.SetReadBuffer(bytes); err != nil {
+		return 0, fmt.Errorf("transport: read buffer: %w", err)
+	}
+	granted, err := c.ReadBuffer()
+	if errors.Is(err, errors.ErrUnsupported) {
+		return bytes, nil
+	}
+	return granted, err
+}
 
 // SendTo transmits an encoded datagram.
 func (c *Conn) SendTo(b []byte, to net.Addr) error {
-	_, err := c.pc.WriteTo(b, to)
+	_, err := c.uc.WriteTo(b, to)
 	if err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
@@ -639,11 +653,11 @@ func (c *Conn) SendTo(b []byte, to net.Addr) error {
 
 // Recv blocks (until deadline) for the next decodable datagram.
 func (c *Conn) Recv(deadline time.Time) (Message, error) {
-	if err := c.pc.SetReadDeadline(deadline); err != nil {
+	if err := c.uc.SetReadDeadline(deadline); err != nil {
 		return Message{}, fmt.Errorf("transport: deadline: %w", err)
 	}
 	for {
-		n, from, err := c.pc.ReadFrom(c.buf)
+		n, from, err := c.uc.ReadFrom(c.buf)
 		if err != nil {
 			return Message{}, err
 		}
@@ -663,90 +677,73 @@ type Packet struct {
 	To  net.Addr
 }
 
-// recvDrainWindow is how long RecvBatch keeps draining the socket after
-// its first datagram before handing back a partial batch. Reads inside
-// the window return immediately while datagrams are queued in the kernel
-// buffer, so under load the window never expires; when the socket runs
-// dry it bounds the extra latency a batch can add.
-const recvDrainWindow = 100 * time.Microsecond
+// drainFuse bounds each read of RecvBatch's drain. Only the read that
+// finds the socket empty waits it out, so a drain parks once however many
+// datagrams it takes.
+const drainFuse = 50 * time.Microsecond
 
-// RecvBatch reads a burst of datagrams: one blocking read (until
-// deadline), then greedy short-fuse reads until the batch fills or the
-// socket runs dry. It decodes each datagram into the corresponding msgs
-// slot with DecodeInto, so a caller that recycles its batch receives
+// RecvBatch reads a burst of datagrams. While deadline lies ahead it
+// blocks (until deadline) for the first datagram; a deadline that has
+// already passed returns only what is queued. Either way it then drains
+// the socket, each read bounded by drainFuse, until the batch fills or the
+// kernel buffer is empty. It decodes each datagram into the corresponding
+// msgs slot with DecodeInto, so a caller that recycles its batch receives
 // without allocating in steady state. It returns the number of slots
-// filled; undecodable datagrams are skipped.
+// filled (0 with a nil error when a poll finds nothing); undecodable
+// datagrams are skipped.
 //
 // From is materialized only for control packets (Hello, Bye): data-plane
 // packets arrive with From == nil, keeping the hot path allocation-free
 // (servers act on a data packet's session id, not its source address).
 func (c *Conn) RecvBatch(deadline time.Time, msgs []Message) (int, error) {
-	if len(msgs) == 0 {
-		return 0, nil
-	}
-	uc, _ := c.pc.(*net.UDPConn)
-	if err := c.pc.SetReadDeadline(deadline); err != nil {
-		return 0, fmt.Errorf("transport: deadline: %w", err)
-	}
+	block := time.Now().Before(deadline)
 	n := 0
 	for n < len(msgs) {
-		var (
-			nb   int
-			ap   netip.AddrPort
-			from net.Addr
-			err  error
-		)
-		if uc != nil {
-			nb, ap, err = uc.ReadFromUDPAddrPort(c.buf)
-		} else {
-			nb, from, err = c.pc.ReadFrom(c.buf)
+		draining := n > 0 || !block
+		if draining {
+			deadline = time.Now().Add(drainFuse)
 		}
+		if err := c.uc.SetReadDeadline(deadline); err != nil {
+			return n, fmt.Errorf("transport: deadline: %w", err)
+		}
+		nb, ap, err := c.uc.ReadFromUDPAddrPort(c.buf)
 		if err != nil {
-			if n > 0 && isDeadline(err) {
-				return n, nil // batch closed by an empty socket
+			var ne net.Error
+			if draining && errors.As(err, &ne) && ne.Timeout() {
+				return n, nil // the kernel buffer is empty
 			}
 			return n, err
 		}
-		if first := n == 0; first {
-			// Switch to drain mode: subsequent reads return right away
-			// once the kernel buffer is empty.
-			if err := c.pc.SetReadDeadline(time.Now().Add(recvDrainWindow)); err != nil {
-				return n, fmt.Errorf("transport: deadline: %w", err)
-			}
-		}
-		if derr := c.dec.DecodeInto(&msgs[n], c.buf[:nb]); derr != nil {
+		if c.dec.DecodeInto(&msgs[n], c.buf[:nb]) != nil {
 			continue // ignore stray datagrams
 		}
-		switch msgs[n].Type {
-		case TypeHello, TypeBye:
-			if uc != nil {
-				from = net.UDPAddrFromAddrPort(ap)
-			}
-			msgs[n].From = from
-		default:
-			msgs[n].From = from // nil on the UDP fast path
+		if isControl(msgs[n].Type) {
+			msgs[n].From = net.UDPAddrFromAddrPort(ap)
 		}
 		n++
 	}
 	return n, nil
 }
 
+// isControl reports whether a packet type carries its sender's address
+// on the batched receive path.
+func isControl(t PacketType) bool { return t == TypeHello || t == TypeBye }
+
 // SendBatch transmits a burst of encoded datagrams, attempting every
 // packet even after an error. It returns how many packets were sent and
-// the first error encountered. Destinations that are *net.UDPAddr on a
-// UDP socket take an allocation-free fast path.
+// the first error encountered. Destinations that are *net.UDPAddr take an
+// allocation-free fast path.
 func (c *Conn) SendBatch(pkts []Packet) (int, error) {
-	uc, _ := c.pc.(*net.UDPConn)
 	sent := 0
 	var firstErr error
 	for i := range pkts {
 		var err error
-		if ua, ok := pkts[i].To.(*net.UDPAddr); ok && uc != nil {
+		if ua, ok := pkts[i].To.(*net.UDPAddr); ok {
 			// Unmap 4-in-6 so an IPv4-bound socket accepts the address.
 			ap := ua.AddrPort()
-			_, err = uc.WriteToUDPAddrPort(pkts[i].Buf, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
+			_, err = c.uc.WriteToUDPAddrPort(pkts[i].Buf, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
 		} else {
-			_, err = c.pc.WriteTo(pkts[i].Buf, pkts[i].To)
+			_, err = c.uc.WriteTo(pkts[i].Buf, pkts[i].To)
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -757,15 +754,6 @@ func (c *Conn) SendBatch(pkts []Packet) (int, error) {
 		sent++
 	}
 	return sent, firstErr
-}
-
-// isDeadline reports whether err is a read-deadline expiry.
-func isDeadline(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // ResolveUDP parses an address for SendTo.
