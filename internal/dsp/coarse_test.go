@@ -11,7 +11,7 @@ import (
 
 // Tests for the band-decimation front-end primitives: the quadrature
 // oscillator, the polyphase decimator and the complex overlap-save
-// correlator with its shared template-spectrum cache.
+// correlators with their shared template-spectrum cache.
 
 func TestQuadOscExactPeriod(t *testing.T) {
 	o := NewQuadOsc(9000, 48000)
@@ -269,35 +269,37 @@ func TestComplexCorrelatorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// Correlators built for one template under one tag share every partition
+// spectrum; a different template under the same tag (a seed collision)
+// must not be served the cached spectrum of a partition it changed.
 func TestSharedSpectrumIdentity(t *testing.T) {
-	w := make([]complex128, 64)
+	w := make([]complex128, 150)
 	for i := range w {
 		w[i] = complex(float64(i), -float64(i))
 	}
 	const tag = 0xc0a12e<<32 | 101
-	a := NewComplexCorrelatorShared(w, 256, tag)
-	b := NewComplexCorrelatorShared(w, 256, tag)
-	if &a.wfft[0] != &b.wfft[0] {
-		t.Fatal("same template and tag should share one cached spectrum")
+	a := NewPartitionedCorrelator(w, 64, tag)
+	b := NewPartitionedCorrelator(w, 64, tag)
+	if a.Partitions() != 3 {
+		t.Fatalf("%d partitions, want 3", a.Partitions())
 	}
-	// A different template under the same tag (seed collision) must not
-	// be served the cached spectrum.
-	w2 := make([]complex128, 64)
-	copy(w2, w)
-	w2[3] += 1
-	c := NewComplexCorrelatorShared(w2, 256, tag)
-	if &c.wfft[0] == &a.wfft[0] {
-		t.Fatal("checksum mismatch must fall back to a private spectrum")
-	}
-	seg := make([]complex128, c.SegmentLen())
-	seg[0] = 1
-	got := c.CorrelateInto(nil, seg)
-	want := CrossCorrelateComplex(seg, w2)
-	for i := range want {
-		if e := cmplx.Abs(got[i] - want[i]); e > 1e-9 {
-			t.Fatalf("collision fallback correlates wrong template (lag %d)", i)
+	for k := range a.parts {
+		if &a.parts[k][0] != &b.parts[k][0] {
+			t.Fatalf("partition %d: same template and tag should share one cached spectrum", k)
 		}
 	}
+	w2 := append([]complex128(nil), w...)
+	w2[70] += 1 // partition 1
+	c := NewPartitionedCorrelator(w2, 64, tag)
+	if &c.parts[1][0] == &a.parts[1][0] {
+		t.Fatal("checksum mismatch must fall back to a private spectrum")
+	}
+	if &c.parts[0][0] != &a.parts[0][0] || &c.parts[2][0] != &a.parts[2][0] {
+		t.Fatal("partitions whose contents match should still be shared")
+	}
+	x := make([]complex128, 600)
+	x[100] = 1
+	assertStreamMatches(t, c, x, CrossCorrelateComplex(x, w2), "collision fallback")
 }
 
 func TestSharedSpectrumConcurrent(t *testing.T) {
@@ -307,25 +309,132 @@ func TestSharedSpectrumConcurrent(t *testing.T) {
 	}
 	const tag = 0xface<<32 | 7
 	var wg sync.WaitGroup
-	cs := make([]*ComplexCorrelator, 16)
+	cs := make([]*PartitionedCorrelator, 16)
 	for i := range cs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cs[i] = NewComplexCorrelatorShared(w, 512, tag)
+			cs[i] = NewPartitionedCorrelator(w, 32, tag)
 		}(i)
 	}
 	wg.Wait()
-	seg := make([]complex128, cs[0].SegmentLen())
-	seg[1] = complex(0, 1)
-	want := CrossCorrelateComplex(seg, w)
+	x := make([]complex128, 400)
+	x[1] = complex(0, 1)
+	x[250] = 2
+	want := CrossCorrelateComplex(x, w)
 	for i, c := range cs {
-		got := c.CorrelateInto(nil, seg)
-		for k := range want {
-			if e := cmplx.Abs(got[k] - want[k]); e > 1e-9 {
-				t.Fatalf("correlator %d lag %d off by %g", i, k, e)
+		for k := range c.parts {
+			if &c.parts[k][0] != &cs[0].parts[k][0] {
+				t.Fatalf("correlator %d partition %d not shared", i, k)
 			}
 		}
+		assertStreamMatches(t, c, x, want, fmt.Sprintf("correlator %d", i))
+	}
+}
+
+// streamPartitioned pushes x through c segment by segment, as a stream
+// does — Lead() zeros of history, then x — and returns every lag it
+// completes.
+func streamPartitioned(c *PartitionedCorrelator, x []complex128) []complex128 {
+	xp := append(make([]complex128, c.Lead()), x...)
+	var out []complex128
+	for s := 0; s+c.SegmentLen() <= len(xp); s += c.Block() {
+		out = c.Push(out, xp[s:s+c.SegmentLen()])
+	}
+	return out
+}
+
+// assertStreamMatches streams x through c and checks every completed lag
+// against want, the direct correlation; the lags cover want up to the
+// last whole block.
+func assertStreamMatches(t *testing.T, c *PartitionedCorrelator, x, want []complex128, what string) {
+	t.Helper()
+	got := streamPartitioned(c, x)
+	if len(got) == 0 {
+		t.Fatalf("%s: no lags completed", what)
+	}
+	if len(got) > len(want) {
+		got = got[:len(want)]
+	}
+	scale := 0.0
+	for _, v := range want {
+		scale = max(scale, cmplx.Abs(v))
+	}
+	for i := range got {
+		if e := cmplx.Abs(got[i] - want[i]); e > 1e-9*(scale+1) {
+			t.Fatalf("%s lag %d: partitioned %v direct %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// Property: for P ∈ {1, 2, 3, 4} partitions, templates that fill their last
+// partition or not, the partitioned stream reproduces the direct
+// correlation from lag 0 (the zero-history head: nothing is emitted until
+// P segments are in, and then lag 0 first), and Reset starts a stream that
+// is indistinguishable from a fresh correlator's.
+func TestPartitionedCorrelatorMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const block = 64
+	for p := 1; p <= 4; p++ {
+		for _, m := range []int{(p-1)*block + 1, p*block - 17, p * block} {
+			what := fmt.Sprintf("P=%d m=%d", p, m)
+			w := make([]complex128, m)
+			for i := range w {
+				w[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			x := make([]complex128, 12*block+rng.Intn(block))
+			for i := range x {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			c := NewPartitionedCorrelator(w, block, uint64(1000+m))
+			if c.Partitions() != p {
+				t.Fatalf("%s: %d partitions", what, c.Partitions())
+			}
+			if c.Lead() != p*block-m {
+				t.Fatalf("%s: lead %d", what, c.Lead())
+			}
+			// Head: the first P−1 segments emit nothing.
+			xp := append(make([]complex128, c.Lead()), x...)
+			var head []complex128
+			for j := 0; j < p-1; j++ {
+				if head = c.Push(head, xp[j*block:j*block+2*block]); len(head) != 0 {
+					t.Fatalf("%s: segment %d emitted before the delay line filled", what, j)
+				}
+			}
+			c.Reset()
+			want := CrossCorrelateComplex(x, w)
+			assertStreamMatches(t, c, x, want, what)
+			// A block is out as soon as its last lag's window is: every
+			// whole block of lags in x.
+			if got := len(streamPartitioned(NewPartitionedCorrelator(w, block, uint64(1000+m)), x)); got != len(want)/block*block {
+				t.Fatalf("%s: %d lags from %d samples, want %d", what, got, len(x), len(want)/block*block)
+			}
+			// Reset mid-stream, then a different stream.
+			streamPartitioned(c, x[:5*block])
+			c.Reset()
+			y := x[block/2:]
+			assertStreamMatches(t, c, y, CrossCorrelateComplex(y, w), what+" after Reset")
+		}
+	}
+}
+
+// Push borrows the newest spectrum and rotates the delay line through the
+// free list: once the line is full the stream allocates nothing.
+func TestPartitionedCorrelatorSteadyStateAllocs(t *testing.T) {
+	w := make([]complex128, 300)
+	for i := range w {
+		w[i] = complex(1, -1)
+	}
+	c := NewPartitionedCorrelator(w, 128, 0xa110c)
+	seg := make([]complex128, c.SegmentLen())
+	dst := make([]complex128, 0, 2*c.SegmentLen())
+	for i := 0; i < c.Partitions(); i++ {
+		dst = c.Push(dst[:0], seg)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		dst = c.Push(dst[:0], seg)
+	}); allocs > 0 {
+		t.Fatalf("Push allocates %v times per block", allocs)
 	}
 }
 
@@ -344,5 +453,34 @@ func BenchmarkComplexCorrelator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = c.CorrelateInto(dst[:0], seg)
+	}
+}
+
+// The detector's coarse correlation: the 6000-tap decimated marker on
+// 2B-point transforms, at the detector's block (B = 2048, P = 3) and the
+// powers of two either side.
+func BenchmarkPartitionedCorrelator(b *testing.B) {
+	w := make([]complex128, 6000)
+	for i := range w {
+		w[i] = complex(float64(i%7)-3, float64(i%5)-2)
+	}
+	for _, block := range []int{1024, 2048, 4096} {
+		b.Run(fmt.Sprintf("B=%d", block), func(b *testing.B) {
+			c := NewPartitionedCorrelator(w, block, 0xbe7c4)
+			seg := make([]complex128, c.SegmentLen())
+			for i := range seg {
+				seg[i] = complex(float64(i%11), float64(i%13))
+			}
+			dst := make([]complex128, 0, c.SegmentLen())
+			for i := 0; i < c.Partitions(); i++ {
+				dst = c.Push(dst[:0], seg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = c.Push(dst[:0], seg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Block()), "ns/lag")
+		})
 	}
 }

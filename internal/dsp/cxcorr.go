@@ -6,28 +6,146 @@ import (
 	"sync"
 )
 
-// ComplexCorrelator performs streaming cross-correlation against a fixed
-// complex template using overlap-save with a cached conjugate template
-// spectrum,
+// PartitionedCorrelator streams the cross-correlation of a complex signal
+// against a fixed template,
+//
+//	C[t] = Σ_i x[t+i] · conj(w[i]),
+//
+// by uniformly partitioned overlap-save. The template, front-padded with
+// Lead() = P·B − len(w) zeros to P = ⌈len(w)/B⌉ whole partitions of B taps,
+// is split into w_0 … w_{P−1}, and the signal arrives as segments of 2B
+// samples that hop by B. Partition k's correlation over segment j is an
+// ordinary 2B-point overlap-save block whose first B lags are exact, and C
+// over lags [mB, (m+1)B) is the sum of partition k's block over segment
+// m+k. Summing in the frequency domain makes one block cost one 2B-point
+// forward transform (the newest segment) and one 2B-point inverse whose
+// gather sums the P spectrum products (Plan4.InverseFromProducts) — against
+// a single-partition correlator, whose transform must exceed the whole
+// template, for the same B lags.
+//
+// The padding sits in front so that a block is complete the moment the
+// window of its last lag is: the stream is read as if Lead() zeros preceded
+// sample 0 (its zero history), which shifts the segments, not the lags.
+//
+// The partition spectra are immutable and shared by every correlator built
+// for the same (tag, B) (see the template-spectrum cache below). What a
+// stream owns is its delay line: the spectra of its last P−1 segments,
+// allocated with the correlator. The newest segment's spectrum is borrowed
+// from the package free list (see scratch.go) for the call and then takes
+// the oldest one's place, whose buffer goes back to the list. A correlator
+// serves one stream at a time.
+type PartitionedCorrelator struct {
+	b     int            // block: lags per block, and the segment hop
+	lead  int            // zeros in front of the template (and the stream)
+	p     *Plan4         // 2B-point plan
+	parts [][]complex128 // parts[k] = conj(FFT(w_k))/2B, shared and immutable
+	// specs holds the delay line oldest first, paired with parts: specs[k]
+	// is the spectrum of the segment P−1−k hops before the newest. Slot
+	// P−1 holds a spectrum only inside Push. filled counts the slots that
+	// hold segments of the current stream; blocks wait until all P−1 do.
+	specs  [][]complex128
+	filled int
+}
+
+// NewPartitionedCorrelator prepares a correlator for the template in blocks
+// of block lags; block must be a power of two. The partition spectra come
+// from the shared cache under tag, which must identify the template (Ekho
+// uses the PN sequence seed); a template that does not match what the tag
+// cached gets private spectra.
+func NewPartitionedCorrelator(template []complex128, block int, tag uint64) *PartitionedCorrelator {
+	if block < 1 || !isPow2(block) {
+		panic("dsp: partitioned correlator block must be a power of two")
+	}
+	if len(template) == 0 {
+		panic("dsp: partitioned correlator needs a template")
+	}
+	n := 2 * block
+	np := (len(template) + block - 1) / block
+	c := &PartitionedCorrelator{
+		b:     block,
+		lead:  np*block - len(template),
+		p:     Plan4For(n),
+		parts: make([][]complex128, np),
+		specs: make([][]complex128, np),
+	}
+	for k := range c.specs[:np-1] {
+		c.specs[k] = make([]complex128, n)
+	}
+	for k := range c.parts {
+		// Partition k holds padded taps [kB, (k+1)B): template taps from
+		// kB − lead, the first partition starting lead taps in.
+		at := max(c.lead-k*block, 0)
+		taps := template[k*block+at-c.lead : (k+1)*block-c.lead]
+		key := templateSpecKey{tag: tag, n: n, lead: c.lead, part: k}
+		c.parts[k] = sharedSpectrum(key, checksumComplex(taps), func() []complex128 {
+			return conjSpectrumComplex(taps, at, n)
+		})
+	}
+	return c
+}
+
+// Block returns the lags per block, which is also how far each segment
+// starts past the one before it.
+func (c *PartitionedCorrelator) Block() int { return c.b }
+
+// Partitions returns P, the number of B-tap template partitions.
+func (c *PartitionedCorrelator) Partitions() int { return len(c.parts) }
+
+// Lead returns the zeros that precede the stream in its first segment:
+// P·B − len(template).
+func (c *PartitionedCorrelator) Lead() int { return c.lead }
+
+// SegmentLen returns the samples per Push: 2B.
+func (c *PartitionedCorrelator) SegmentLen() int { return 2 * c.b }
+
+// Push takes the stream's next segment — exactly SegmentLen() samples,
+// starting Block() samples after the previous segment's start, the first at
+// stream sample −Lead() (samples before 0 are zero) — and, once P segments
+// are in, appends one block of Block() lags to dst: the j-th push (from 0)
+// completes lags [(j−P+1)·B, (j−P+2)·B), the last of which reads through
+// stream sample (j+2)·B − Lead() − 1, the segment's end. Earlier pushes
+// only fill the delay line and return dst unchanged. Like
+// ComplexCorrelator.AppendCorrelate, the inverse runs in dst's spare
+// capacity, grown to SegmentLen() past len(dst) if short.
+func (c *PartitionedCorrelator) Push(dst, seg []complex128) []complex128 {
+	CheckLen("partitioned segment", len(seg), 2*c.b)
+	last := len(c.specs) - 1
+	c.specs[last] = BorrowComplex(2 * c.b)
+	c.p.ForwardFrom(c.specs[last], seg)
+	if c.filled == last {
+		at := len(dst)
+		dst = slices.Grow(dst, 2*c.b)
+		c.p.InverseFromProducts(dst[at:at+2*c.b], c.specs, c.parts)
+		dst = dst[:at+c.b]
+	}
+	// The newest spectrum joins the line; the oldest one's buffer (the
+	// newest itself when P = 1) goes back to the free list.
+	old := c.specs[0]
+	copy(c.specs, c.specs[1:])
+	c.specs[last] = nil
+	ReturnComplex(old)
+	c.filled = min(c.filled+1, last)
+	return dst
+}
+
+// Reset starts a new stream: the next Push is its first segment.
+func (c *PartitionedCorrelator) Reset() { c.filled = 0 }
+
+// ComplexCorrelator is the single-partition form: overlap-save with one
+// cached conjugate template spectrum, its transform longer than the
+// template,
 //
 //	C[t] = Σ_i seg[t+i] · conj(w[i])   for t = 0 .. Step()-1.
 //
-// Compared to calling a one-shot correlation per chunk — which pays a
-// forward FFT of the template every time and re-transforms the
-// template-length overlap — a correlator amortizes to roughly two FFTs per
-// Step() lags. The marker detector uses it on the heterodyned, decimated
-// mic stream, whose template is ~D× shorter than the full-rate marker.
-//
-// A correlator holds no scratch of its own: the forward spectrum is
-// borrowed from the package free list for one call (see scratch.go) and
-// the inverse runs in the caller's output buffer, so a hub's per-session
-// correlators cost only their shared plan and template spectrum, and one
-// correlator is safe for concurrent calls.
+// The detector correlates with PartitionedCorrelator; this form remains for
+// timing a whole-template transform against it. A ComplexCorrelator holds
+// no scratch of its own (the forward spectrum is borrowed from the free
+// list for one call), so one correlator is safe for concurrent calls.
 type ComplexCorrelator struct {
 	n    int          // FFT size
 	m    int          // template length
 	p    *Plan4       // shared transform plan (radix-4: see Plan4)
-	wfft []complex128 // conj(FFT(template))/n, cached (possibly shared)
+	wfft []complex128 // conj(FFT(template))/n, cached
 }
 
 // NewComplexCorrelator prepares a correlator for the template with a
@@ -44,37 +162,15 @@ func NewComplexCorrelator(template []complex128, fftSize int) *ComplexCorrelator
 		n:    fftSize,
 		m:    len(template),
 		p:    Plan4For(fftSize),
-		wfft: conjSpectrumComplex(template, fftSize),
+		wfft: conjSpectrumComplex(template, 0, fftSize),
 	}
 }
 
-// NewComplexCorrelatorShared is NewComplexCorrelator with the conjugate
-// template spectrum served from the package-level template-spectrum cache:
-// every correlator built for the same (tag, FFT size) shares one immutable
-// spectrum instead of each storing its own. The tag must identify the
-// template (Ekho uses the PN sequence seed); a content checksum detects
-// tag collisions and falls back to a private spectrum.
-func NewComplexCorrelatorShared(template []complex128, fftSize int, tag uint64) *ComplexCorrelator {
-	if fftSize < NextPow2(len(template)+1) {
-		fftSize = NextPow2(2 * len(template))
-	}
-	if fftSize < 2 {
-		fftSize = 2
-	}
-	n := fftSize
-	return &ComplexCorrelator{
-		n: n,
-		m: len(template),
-		p: Plan4For(n),
-		wfft: sharedSpectrum(tag, n, checksumComplex(template), func() []complex128 {
-			return conjSpectrumComplex(template, n)
-		}),
-	}
-}
-
-func conjSpectrumComplex(template []complex128, fftSize int) []complex128 {
+// conjSpectrumComplex returns conj(FFT(t))/fftSize for the fftSize-point
+// sequence t holding taps at offset at and zeros elsewhere.
+func conjSpectrumComplex(taps []complex128, at, fftSize int) []complex128 {
 	w := make([]complex128, fftSize)
-	copy(w, template)
+	copy(w[at:], taps)
 	Plan4For(fftSize).Forward(w)
 	// The overlap-save round trip needs a 1/n scale; folding it into the
 	// cached spectrum makes the per-block inverse output directly usable.
@@ -114,50 +210,30 @@ func (c *ComplexCorrelator) AppendCorrelate(dst, seg []complex128) []complex128 
 	dst = slices.Grow(dst, c.n)
 	x := BorrowComplex(c.n)
 	c.p.ForwardFrom(x, seg)
-	c.p.InverseFromProduct(dst[at:at+c.n], x, c.wfft)
+	c.p.InverseFromProducts(dst[at:at+c.n], [][]complex128{x}, [][]complex128{c.wfft})
 	ReturnComplex(x)
 	return dst[:at+c.Step()]
-}
-
-// CrossCorrelateComplex computes C[t] = Σ_i x[t+i]·conj(w[i]) for
-// t = 0..len(x)-len(w) directly. The streaming detector only uses it for
-// the Flush tail (lags short of one overlap-save block); sized work goes
-// through ComplexCorrelator.
-func CrossCorrelateComplex(x, w []complex128) []complex128 {
-	n := len(x) - len(w) + 1
-	if n <= 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	for t := 0; t < n; t++ {
-		var sr, si float64
-		seg := x[t : t+len(w)]
-		for i, wv := range w {
-			v := seg[i]
-			// v · conj(wv)
-			sr += real(v)*real(wv) + imag(v)*imag(wv)
-			si += imag(v)*real(wv) - real(v)*imag(wv)
-		}
-		out[t] = complex(sr, si)
-	}
-	return out
 }
 
 // Shared template-spectrum cache.
 //
 // Every hub session correlates against the same marker sequence. The
-// conjugate template spectra depend only on (template, FFT size), so they
-// are cached at package level like the transform plans and shared across
-// sessions instead of each session transforming and storing its own.
+// conjugate partition spectra depend only on (template, FFT size,
+// partition), so they are cached at package level like the transform plans
+// and shared across sessions instead of each session transforming and
+// storing its own.
 //
 // The cache key is a caller-supplied tag (Ekho uses the PN sequence seed)
-// plus the FFT size; a checksum of the template contents guards against
-// tag collisions — on mismatch the caller silently gets a private
-// spectrum, so a colliding tag costs memory, never correctness.
+// plus the FFT size, front padding and partition index; a checksum of the
+// partition's taps guards against tag collisions — on mismatch the caller silently
+// gets a private spectrum, so a colliding tag costs memory, never
+// correctness.
 
 type templateSpecKey struct {
-	tag uint64
-	n   int // FFT size
+	tag  uint64
+	n    int // FFT size
+	lead int // zeros in front of the template
+	part int // partition index
 }
 
 type templateSpecEntry struct {
@@ -195,12 +271,11 @@ func checksumComplex(x []complex128) uint64 {
 	return h
 }
 
-// sharedSpectrum returns the cached spectrum for (tag, n) when its
-// checksum matches sum, computing and publishing it on first use. A
-// checksum mismatch (two different templates under one tag) falls back to
-// a private computation.
-func sharedSpectrum(tag uint64, n int, sum uint64, compute func() []complex128) []complex128 {
-	key := templateSpecKey{tag: tag, n: n}
+// sharedSpectrum returns the cached spectrum for key when its checksum
+// matches sum, computing and publishing it on first use. A checksum
+// mismatch (two different templates under one tag) falls back to a private
+// computation.
+func sharedSpectrum(key templateSpecKey, sum uint64, compute func() []complex128) []complex128 {
 	if e, ok := templateSpecCache.Load(key); ok {
 		ent := e.(*templateSpecEntry)
 		if ent.sum == sum {

@@ -19,11 +19,12 @@ import (
 // entry points that fuse the input traversal into the first butterfly
 // stage: ForwardFrom gathers directly from a read-only source (absorbing
 // both the caller's staging copy and the permutation pass), and
-// InverseFromProduct additionally folds an elementwise spectrum product
-// into the gather — together they cut an overlap-save convolution from
-// five full-size passes per transform pair down to three.
+// InverseFromProducts additionally folds a sum of elementwise spectrum
+// products into the gather — together they cut an overlap-save convolution
+// from five full-size passes per transform pair down to three, and let a
+// partitioned convolution sum its partitions in the same pass.
 //
-// The band-decimated detector's complex correlator (cxcorr.go), the
+// The band-decimated detector's partitioned correlator (cxcorr.go), the
 // power-of-two FFT/IFFT and RealPlan's half-size transform all run here;
 // other lengths run the mixed-radix plan (fftmixed.go). A Plan4 is
 // immutable after construction, cached per size, and safe for concurrent
@@ -37,8 +38,11 @@ type Plan4 struct {
 	// bit-reversal the pairs here must be applied in order:
 	// swapping (i0,i1),(i1,i2),… along each cycle realizes x[i] ← x[perm[i]].
 	pairs []int32
-	w     []complex128 // w[k] = exp(-2πik/n), full table for 3k indexing
-	wi    []complex128 // conj(w), the inverse-transform table
+	// w[k] = exp(-2πik/n) for k < 3n/4, the highest index the radix-4
+	// butterflies reach (3·stride·(quarter−1)). The inverse conjugates
+	// each twiddle as it loads it: negating the imaginary part is exact,
+	// so its products are bit-identical to those of a stored conj table.
+	w []complex128
 }
 
 var plan4Cache sync.Map // int -> *Plan4
@@ -61,12 +65,10 @@ func newPlan4(n int) *Plan4 {
 	if n < 2 {
 		return p
 	}
-	p.w = make([]complex128, n)
-	p.wi = make([]complex128, n)
+	p.w = make([]complex128, 3*n/4)
 	for k := range p.w {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		p.w[k] = complex(c, s)
-		p.wi[k] = complex(c, -s)
 	}
 	// Digit-reversal for the stage order transform uses: radix-4 stages
 	// from size 1 up, then one radix-2 stage when log2(n) is odd. Peeling
@@ -181,18 +183,26 @@ func (p *Plan4) ForwardFrom(dst, src []complex128) {
 	p.tail(dst, false)
 }
 
-// InverseFromProduct computes the unscaled inverse DFT of the elementwise
-// product u·v into dst, leaving u and v untouched: the product, the
-// digit-reversal gather and the first butterfly stage run as one pass.
-// Divide by Size() for the true inverse. dst must alias neither input.
-func (p *Plan4) InverseFromProduct(dst, u, v []complex128) {
-	CheckLen("plan4 product input", len(u), p.n)
-	CheckLen("plan4 product input", len(v), p.n)
+// InverseFromProducts computes the unscaled inverse DFT of the sum of
+// elementwise products Σ_k u[k]·v[k] into dst, leaving the inputs
+// untouched: the products, their sum, the digit-reversal gather and the
+// first butterfly stage run as one pass. A single pair is the plain
+// overlap-save inverse; several pairs are a partitioned convolution's
+// spectrum sum. Divide by Size() for the true inverse. dst must alias no
+// input.
+func (p *Plan4) InverseFromProducts(dst []complex128, u, v [][]complex128) {
+	if len(u) != len(v) || len(u) == 0 {
+		panic("dsp: InverseFromProducts needs matching, non-empty factor lists")
+	}
+	for k := range u {
+		CheckLen("plan4 product input", len(u[k]), p.n)
+		CheckLen("plan4 product input", len(v[k]), p.n)
+	}
 	CheckLen("plan4 transform output", len(dst), p.n)
 	n := p.n
 	if n < 4 {
 		for i := range dst {
-			dst[i] = u[i] * v[i]
+			dst[i] = sumProducts(u, v, int32(i))
 		}
 		if n == 2 {
 			a, b := dst[0], dst[1]
@@ -202,17 +212,25 @@ func (p *Plan4) InverseFromProduct(dst, u, v []complex128) {
 	}
 	pm := p.perm
 	for s := 0; s < n; s += 4 {
-		i0, i1, i2, i3 := pm[s], pm[s+1], pm[s+2], pm[s+3]
-		a := u[i0] * v[i0]
-		b := u[i1] * v[i1]
-		c := u[i2] * v[i2]
-		d := u[i3] * v[i3]
+		a := sumProducts(u, v, pm[s])
+		b := sumProducts(u, v, pm[s+1])
+		c := sumProducts(u, v, pm[s+2])
+		d := sumProducts(u, v, pm[s+3])
 		t0, t1 := a+c, a-c
 		t2, t3 := b+d, b-d
 		jt3 := complex(imag(t3), -real(t3))
 		dst[s], dst[s+1], dst[s+2], dst[s+3] = t0+t2, t1-jt3, t0-t2, t1+jt3
 	}
 	p.tail(dst, true)
+}
+
+// sumProducts returns Σ_k u[k][i]·v[k][i], accumulated in k order.
+func sumProducts(u, v [][]complex128, i int32) complex128 {
+	s := u[0][i] * v[0][i]
+	for k := 1; k < len(u); k++ {
+		s += u[k][i] * v[k][i]
+	}
+	return s
 }
 
 // plan4Leaf is the largest sub-block (complex128 elements) the recursion
@@ -239,17 +257,23 @@ func (p *Plan4) tail(x []complex128, inverse bool) {
 	}
 	if n4 < n {
 		// Odd log2(n): one radix-2 stage over the full block closes out.
-		wt := p.w
-		if inverse {
-			wt = p.wi
-		}
+		wt := p.w[:n/2]
 		half := n / 2
 		a, b := x[0], x[half]
 		x[0], x[half] = a+b, a-b
-		for k := 1; k < half; k++ {
-			b := x[k+half] * wt[k]
-			a := x[k]
-			x[k], x[k+half] = a+b, a-b
+		if inverse {
+			for k := 1; k < half; k++ {
+				w := wt[k]
+				b := x[k+half] * complex(real(w), -imag(w))
+				a := x[k]
+				x[k], x[k+half] = a+b, a-b
+			}
+		} else {
+			for k := 1; k < half; k++ {
+				b := x[k+half] * wt[k]
+				a := x[k]
+				x[k], x[k+half] = a+b, a-b
+			}
 		}
 	}
 }
@@ -284,14 +308,11 @@ func (p *Plan4) fourStep(x []complex128, inverse bool) {
 // stagesFrom runs the radix-4 stages from size minSize up over the block x
 // (twiddle strides come from the plan size, so x may be any aligned
 // sub-block). The loops are duplicated per direction: the inverse
-// conjugates the twiddles (the wi table) and flips the ±j rotation, and
+// conjugates the twiddles as it loads them and flips the ±j rotation, and
 // folding either into the forward loop costs measurably in the hot path.
 func (p *Plan4) stagesFrom(x []complex128, inverse bool, minSize int) {
 	n := len(x)
 	wt := p.w
-	if inverse {
-		wt = p.wi
-	}
 	size := minSize
 	for ; size<<2 <= n; size <<= 2 {
 		quarter := size
@@ -316,6 +337,9 @@ func (p *Plan4) stagesFrom(x []complex128, inverse bool, minSize int) {
 			if inverse {
 				for k := start + 1; k < start+quarter; k++ {
 					w1, w2, w3 := wt[w1i], wt[w2i], wt[w3i]
+					w1 = complex(real(w1), -imag(w1))
+					w2 = complex(real(w2), -imag(w2))
+					w3 = complex(real(w3), -imag(w3))
 					a := x[k]
 					b := x[k+quarter] * w1
 					c := x[k+2*quarter] * w2

@@ -94,23 +94,37 @@ func TestPlan4FusedEntryPointsMatchInPlace(t *testing.T) {
 			}
 		}
 
-		wantInv := make([]complex128, n)
-		for i := range wantInv {
-			wantInv[i] = src[i] * spec[i]
-		}
-		p.Inverse(wantInv)
-		gotInv := make([]complex128, n)
-		p.InverseFromProduct(gotInv, src, spec)
-		var maxAbs float64
-		for _, v := range wantInv {
-			if a := cmplx.Abs(v); a > maxAbs {
-				maxAbs = a
+		// One product, then the three-partition sum the detector runs.
+		src2 := planRandComplex(n, int64(n)+1)
+		spec2 := planRandComplex(n, int64(n)+2)
+		src3 := planRandComplex(n, int64(n)+3)
+		spec3 := planRandComplex(n, int64(n)+4)
+		for _, pairs := range [][2][][]complex128{
+			{{src}, {spec}},
+			{{src, src2, src3}, {spec, spec2, spec3}},
+		} {
+			u, v := pairs[0], pairs[1]
+			wantInv := make([]complex128, n)
+			for k := range u {
+				for i := range wantInv {
+					wantInv[i] += u[k][i] * v[k][i]
+				}
 			}
-		}
-		tol := 1e-12 * (maxAbs + 1)
-		for i := range wantInv {
-			if e := cmplx.Abs(gotInv[i] - wantInv[i]); e > tol {
-				t.Fatalf("n=%d InverseFromProduct bin %d: %v want %v (off %g)", n, i, gotInv[i], wantInv[i], e)
+			p.Inverse(wantInv)
+			gotInv := make([]complex128, n)
+			p.InverseFromProducts(gotInv, u, v)
+			var maxAbs float64
+			for _, x := range wantInv {
+				if a := cmplx.Abs(x); a > maxAbs {
+					maxAbs = a
+				}
+			}
+			tol := 1e-12 * (maxAbs + 1)
+			for i := range wantInv {
+				if e := cmplx.Abs(gotInv[i] - wantInv[i]); e > tol {
+					t.Fatalf("n=%d InverseFromProducts (%d pairs) bin %d: %v want %v (off %g)",
+						n, len(u), i, gotInv[i], wantInv[i], e)
+				}
 			}
 		}
 	}
@@ -143,5 +157,33 @@ func BenchmarkPlan4Forward16384(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
+	}
+}
+
+// The inverse conjugates each forward twiddle as it loads it rather than
+// reading a second table. Conjugation commutes exactly with IEEE complex
+// adds and products, so the inverse is bit for bit the conjugate of the
+// forward transform of the conjugated input — the identity the dropped
+// conj(w) table also satisfied. The kept table stops at 3n/4, the highest
+// index a butterfly reads.
+func TestPlan4InverseIsConjugateForwardBitwise(t *testing.T) {
+	for n := 2; n <= 1<<13; n <<= 1 {
+		p := Plan4For(n)
+		if len(p.w) != 3*n/4 {
+			t.Fatalf("n=%d: twiddle table %d entries, want %d", n, len(p.w), 3*n/4)
+		}
+		x := planRandComplex(n, int64(n))
+		inv := append([]complex128(nil), x...)
+		p.Inverse(inv)
+		fwd := make([]complex128, n)
+		for i, v := range x {
+			fwd[i] = cmplx.Conj(v)
+		}
+		p.Forward(fwd)
+		for i := range inv {
+			if inv[i] != cmplx.Conj(fwd[i]) {
+				t.Fatalf("n=%d bin %d: inverse %v, conj(forward(conj)) %v", n, i, inv[i], cmplx.Conj(fwd[i]))
+			}
+		}
 	}
 }

@@ -127,3 +127,26 @@ func (c *Decimator) Process(dst []complex128, x []complex128) []complex128 {
 	}
 	return dst
 }
+
+// CrossCorrelateComplex computes C[t] = Σ_i x[t+i]·conj(w[i]) for
+// t = 0..len(x)-len(w) directly: the reference the correlator tests hold
+// the FFT correlators to.
+func CrossCorrelateComplex(x, w []complex128) []complex128 {
+	n := len(x) - len(w) + 1
+	if n <= 0 {
+		return nil
+	}
+	out := make([]complex128, n)
+	for t := 0; t < n; t++ {
+		var sr, si float64
+		seg := x[t : t+len(w)]
+		for i, wv := range w {
+			v := seg[i]
+			// v · conj(wv)
+			sr += real(v)*real(wv) + imag(v)*imag(wv)
+			si += imag(v)*real(wv) - real(v)*imag(wv)
+		}
+		out[t] = complex(sr, si)
+	}
+	return out
+}

@@ -92,8 +92,12 @@ func TestDetectorBuffersNeverRegrow(t *testing.T) {
 		}
 	}
 	czTail, zTail, envTail := d.tailLens()
-	n, step := d.corr.SegmentLen(), d.corr.Step()
-	t.Logf("%-13s %7s          %9d bytes per session", "total", "", total)
+	n, step := d.corr.SegmentLen(), d.corr.Block()
+	// The correlator's delay line: P−1 segment spectra, allocated with it
+	// and rotated through dsp's free list one block at a time.
+	line := 16 * (d.corr.Partitions() - 1) * n
+	t.Logf("%-13s %7d elements %9d bytes", "delay line", line/16, line)
+	t.Logf("%-13s %7s          %9d bytes per session", "total", "", total+line)
 	t.Logf("borrowed per block in flight (dsp free list, not per session): %d bytes",
 		16*(n+czTail+n)+8*(zTail+step+zTail+1+step+envTail+step))
 }

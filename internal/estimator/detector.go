@@ -30,10 +30,10 @@ import (
 // 9 kHz band center — exact, the oscillator period is 16 samples), which
 // translates the marker band to complex baseband ±3 kHz. A fused
 // heterodyne/decimate front-end brings the rate down by D = coarseFactor
-// (to 6 kHz), and an overlap-save ComplexCorrelator correlates against the
-// identically-processed template — D× fewer lags against a D× shorter
-// template. Writing the full-rate analytic correlation as C(t), the
-// correlation of the mixed signals satisfies
+// (to 6 kHz), and a partitioned overlap-save correlator (see coarseBlock)
+// correlates against the identically-processed template — D× fewer lags
+// against a D× shorter template. Writing the full-rate analytic
+// correlation as C(t), the correlation of the mixed signals satisfies
 //
 //	C_dec[τ] = e^{-jω0·D·τ} · A(τ),   A(τ) ≈ C(τ·D)/D (filter-shaped),
 //
@@ -121,9 +121,9 @@ type IncrementalDetector struct {
 	// Decimated baseband; bb[0] is absolute decimated index bbBase.
 	bb     []complex128
 	bbBase int
+	sNext  int // absolute decimated index of the next segment to transform
 	cNext  int // next absolute decimated lag to correlate
-	corr   *dsp.ComplexCorrelator
-	wdec   []complex128 // decimated template (shared, immutable)
+	corr   *dsp.PartitionedCorrelator
 
 	// De-rotated correlation A[τ] retained around the peak-scan frontier
 	// for the fine stage's interpolation; cz[0] is absolute lag czBase.
@@ -152,6 +152,16 @@ type IncrementalDetector struct {
 	// accumulated at phase-0 lags only (where Z̃ carries no interpolation
 	// error): gEx/gRec estimates the constant A-unit → Z-unit power ratio.
 	gEx, gRec float64
+
+	work detectorWork
+}
+
+// detectorWork counts the detector's two costly kernels since construction,
+// so tests can bound its work in operations rather than host time.
+type detectorWork struct {
+	coarsePoints int // coarse transform points, forward and inverse
+	refined      int // candidates whose exact dots were computed
+	passes       int // template traversals by the refiner's dot kernels
 }
 
 // coarseKey identifies a decimated template: sequence seed and length. A
@@ -241,17 +251,19 @@ func buildCoarseTemplate(seq *pn.Sequence) []complex128 {
 // decimatedLen is ⌈n/D⌉: the coarse-rate length of n full-rate samples.
 func decimatedLen(n int) int { return (n + coarseFactor - 1) / coarseFactor }
 
-// coarseSegmentLen picks the coarse correlator's FFT size for a decimated
-// template of mdec samples: the smallest power of two that still yields at
-// least mdec/4 lags per block. The segment sets the block cadence — how
-// often a session's detector can speak, so its first-measurement latency —
-// and the full-rate audio each session retains for the fine stage; a
-// shorter segment buys both at a few more transform flops per lag. The
-// mdec/4 floor keeps a template just under a power of two from paying one
-// FFT pair per handful of lags. For the 6000-sample decimated marker this
-// is 8192 points: 2193 lags (0.37 s) per block, against 1.73 s for the
-// 16384 that twice the template would give. DESIGN.md §12 has the table.
-func coarseSegmentLen(mdec int) int { return dsp.NextPow2(mdec + max(mdec/4, 1)) }
+// coarseBlock picks the coarse correlator's block B for a decimated
+// template of mdec samples: a quarter of the power of two at or above it,
+// so the template splits into P = ⌈mdec/B⌉ ∈ (2, 4] partitions. Each block
+// of B lags costs one 2B-point forward transform of the newest segment and
+// one inverse summing the P partition products, so transform work per lag
+// is four points whatever the template; a single-partition segment must
+// exceed the template and pays more per lag the shorter its block. B sets
+// the block cadence — how often a session's detector can speak, so its
+// first-measurement latency — and the full-rate audio each session keeps
+// for the fine stage. For the 6000-sample
+// decimated marker B = 2048 (0.34 s) and P = 3. DESIGN.md §12 has the
+// table.
+func coarseBlock(mdec int) int { return max(dsp.NextPow2(mdec)/4, 1) }
 
 // interpKernel tabulates a windowed-sinc interpolator for the D
 // fractional phases p/D, each row spanning offsets
@@ -301,7 +313,6 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 		cfg:  c,
 		mdec: mdec,
 		osc:  dsp.NewQuadOsc(bandCenterHz(), audio.SampleRate),
-		wdec: coarseTemplateFor(c.Seq),
 		kern: interpKernel(),
 		scan: coarseScan{
 			normWindow: sDec,
@@ -312,22 +323,26 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 		conf: peakConfirm{interval: c.IntervalSamples, delta: c.Delta},
 	}
 	d.fastA, d.fastB = fastFrontEnd()
-	// The conjugate template spectrum is shared across sessions, keyed by
+	// The conjugate partition spectra are shared across sessions, keyed by
 	// the PN seed.
-	d.corr = dsp.NewComplexCorrelatorShared(d.wdec, coarseSegmentLen(mdec), uint64(c.Seq.Seed))
+	d.corr = dsp.NewPartitionedCorrelator(coarseTemplateFor(c.Seq), coarseBlock(mdec), uint64(c.Seq.Seed))
 	// Size every buffer to the longest it gets when fed one frame at a time,
 	// so none regrows mid-stream: a regrown buffer leaves its outgrown
 	// storage behind as garbage in every session the hub admits. Larger
 	// feeds still work; their buffers grow once. The block-sized arrays are
 	// sized to their tails here and borrowed whole per block (lend).
 	// DESIGN.md §12 tabulates the budget.
-	n := d.corr.SegmentLen()
 	czTail, zTail, envTail := d.tailLens()
-	// rec peaks on the feed that completes a block: n decimated samples
-	// past the correlation frontier, which leads the peak-scan frontier by
-	// sDec+dDec lags, which trimRec trails by 2·refineRadius samples.
-	d.rec = make([]float64, 0, (n+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
-	d.bb = make([]complex128, 0, n+feedChunk/coarseFactor)
+	// rec peaks on the feed that completes a block: the segment that
+	// completes lags from the correlation frontier ends (P+1)·B − Lead
+	// decimated samples past it, the frontier leads the peak-scan frontier by
+	// sDec+dDec lags, and trimRec trails that by 2·refineRadius samples.
+	ahead := (d.corr.Partitions()+1)*d.corr.Block() - d.corr.Lead()
+	d.rec = make([]float64, 0, (ahead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
+	// bb holds the next segment and at most one feed more; it starts with
+	// the correlator's zero history (startBB).
+	d.bb = make([]complex128, 0, d.corr.SegmentLen()+feedChunk/coarseFactor)
+	d.startBB()
 	d.mixBuf = make([]complex128, 0, feedChunk/(coarseFactor/2)+1)
 	d.cz = make([]complex128, 0, czTail)
 	d.scan.z = make([]float64, 0, zTail)
@@ -360,6 +375,8 @@ func (d *IncrementalDetector) Feed(samples []float64) []Detection {
 
 // Flush processes everything buffered regardless of batch thresholds and
 // returns any final detections (peaks whose companions were already seen).
+// It completes the last blocks by zero-padding the stream, so it ends the
+// stream: Reset before feeding the detector again.
 func (d *IncrementalDetector) Flush() []Detection {
 	d.correlate(true)
 	d.advance()
@@ -373,7 +390,9 @@ func (d *IncrementalDetector) Reset() {
 	d.fastA.Reset()
 	d.fastB.Reset()
 	d.rec, d.recBase = d.rec[:0], 0
-	d.bb, d.bbBase, d.cNext = d.bb[:0], 0, 0
+	d.startBB()
+	d.cNext = 0
+	d.corr.Reset()
 	d.cz, d.czBase = d.cz[:0], 0
 	s := &d.scan
 	*s = coarseScan{
@@ -384,30 +403,54 @@ func (d *IncrementalDetector) Reset() {
 	d.gEx, d.gRec = 0, 0
 }
 
+// startBB empties the baseband but for the correlator's zero history: the
+// first segment starts Lead() samples before the stream (see
+// dsp.PartitionedCorrelator), so lag τ stays full-rate sample τ·D.
+func (d *IncrementalDetector) startBB() {
+	lead := d.corr.Lead()
+	d.bb = d.bb[:lead]
+	clear(d.bb)
+	d.bbBase, d.sNext = -lead, -lead
+}
+
 // correlate extends the coarse correlation as far as the decimated stream
-// allows; Flush computes the sub-block tail directly. The lags are
-// appended to cz, borrowing the block arrays first (lend).
+// allows, one segment per B new samples. With force (Flush) it pads the
+// stream with zeros until every lag whose template window lies inside the
+// stream is out, and keeps only those.
 func (d *IncrementalDetector) correlate(force bool) {
 	n := d.corr.SegmentLen()
-	for d.bbBase+len(d.bb)-d.cNext >= n {
-		d.lend()
-		off := d.cNext - d.bbBase
-		at := len(d.cz)
-		d.cz = d.corr.AppendCorrelate(d.cz, d.bb[off:off+n])
-		d.integrate(at)
-		d.dropCoveredBB()
+	for d.bbBase+len(d.bb)-d.sNext >= n {
+		d.pushSegment(math.MaxInt)
 	}
 	if !force {
 		return
 	}
-	bbEnd := d.bbBase + len(d.bb)
-	if avail := bbEnd - d.mdec + 1 - d.cNext; avail > 0 {
-		d.lend()
-		at := len(d.cz)
-		d.cz = append(d.cz, dsp.CrossCorrelateComplex(d.bb[d.cNext-d.bbBase:], d.wdec)...)
-		d.integrate(at)
-		d.dropCoveredBB()
+	end := d.bbBase + len(d.bb) - d.mdec + 1
+	for d.cNext < end {
+		for len(d.bb) < d.sNext-d.bbBase+n {
+			d.bb = append(d.bb, 0)
+		}
+		d.pushSegment(end)
 	}
+}
+
+// pushSegment hands the segment at sNext to the correlator and integrates
+// the lags it completes below limit, borrowing the block arrays first
+// (lend); the lags land in cz.
+func (d *IncrementalDetector) pushSegment(limit int) {
+	d.lend()
+	n := d.corr.SegmentLen()
+	off := d.sNext - d.bbBase
+	at := len(d.cz)
+	d.cz = d.corr.Push(d.cz, d.bb[off:off+n])
+	d.work.coarsePoints += n
+	if len(d.cz) > at {
+		d.work.coarsePoints += n
+		d.cz = d.cz[:at+min(len(d.cz)-at, limit-d.cNext)]
+		d.integrate(at)
+	}
+	d.sNext += d.corr.Block()
+	d.dropCoveredBB()
 }
 
 // integrate takes in the raw coarse lags appended to cz past index at: the
@@ -453,7 +496,7 @@ func (d *IncrementalDetector) lend() {
 		return
 	}
 	czTail, zTail, envTail := d.tailLens()
-	n, step := d.corr.SegmentLen(), d.corr.Step()
+	n, step := d.corr.SegmentLen(), d.corr.Block()
 	s := &d.scan
 	d.lent = blockBufs{
 		cz:      dsp.BorrowComplex(czTail + n),
@@ -486,10 +529,10 @@ func (d *IncrementalDetector) settle() {
 	d.home, d.lent = blockBufs{}, blockBufs{}
 }
 
-// dropCoveredBB discards decimated samples already consumed by the coarse
-// frontier (the next block still needs the template-length overlap).
+// dropCoveredBB discards decimated samples before the next segment: the
+// spectra of earlier segments are in the correlator's delay line.
 func (d *IncrementalDetector) dropCoveredBB() {
-	if drop := d.cNext - d.bbBase; drop > 0 {
+	if drop := d.sNext - d.bbBase; drop > 0 {
 		if drop > len(d.bb) {
 			drop = len(d.bb)
 		}
@@ -636,6 +679,7 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	}
 	// Exact dot cache across the window; entries computed on demand as the
 	// span grows.
+	d.work.refined++
 	w := d.cfg.Seq.Samples
 	win := hi - lo + 1
 	d.refEx = d.refEx[:0]
@@ -644,35 +688,11 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 		d.refEx = append(d.refEx, 0)
 		d.refExOk = append(d.refExOk, false)
 	}
-	exact := func(t int) float64 {
-		i := t - lo
-		if !d.refExOk[i] {
-			// Four independent accumulators keep the 48000-MAC dot at the
-			// load-port limit instead of the FP-add latency limit.
-			seg := d.rec[t-d.recBase : t-d.recBase+L]
-			ww := w[:len(seg)]
-			var s0, s1, s2, s3 float64
-			k := 0
-			for ; k+3 < len(ww); k += 4 {
-				s0 += seg[k] * ww[k]
-				s1 += seg[k+1] * ww[k+1]
-				s2 += seg[k+2] * ww[k+2]
-				s3 += seg[k+3] * ww[k+3]
-			}
-			for ; k < len(ww); k++ {
-				s0 += seg[k] * ww[k]
-			}
-			d.refEx[i] = (s0 + s1) + (s2 + s3)
-			d.refExOk[i] = true
-		}
-		return d.refEx[i]
-	}
 	// exactRun fills the dot cache over [a, b]. A lone dot streams the
 	// 48000-sample template and window through the cache and is memory-
-	// bound, so runs of uncached adjacent lags are computed four at a time
-	// in a single traversal — the four accumulators read a sliding
-	// four-sample window of rec, amortizing the streaming cost that
-	// dominates the single-lag form.
+	// bound, so runs of uncached adjacent lags are computed eight, then
+	// four, at a time in a single traversal each (dots8, dots4), amortizing
+	// the streaming cost that dominates the single-lag form (dot1).
 	exactRun := func(a, b int) {
 		for t := a; t <= b; t++ {
 			if d.refExOk[t-lo] {
@@ -683,22 +703,20 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 				r++
 			}
 			base := t
+			for ; base+7 <= r; base += 8 {
+				dots8(d.refEx[base-lo:], w, d.rec[base-d.recBase:])
+				d.work.passes++
+			}
 			for ; base+3 <= r; base += 4 {
-				seg := d.rec[base-d.recBase : base-d.recBase+L+3]
-				var a0, a1, a2, a3 float64
-				for k := 0; k < len(w); k++ {
-					v := w[k]
-					a0 += v * seg[k]
-					a1 += v * seg[k+1]
-					a2 += v * seg[k+2]
-					a3 += v * seg[k+3]
-				}
-				i := base - lo
-				d.refEx[i], d.refEx[i+1], d.refEx[i+2], d.refEx[i+3] = a0, a1, a2, a3
-				d.refExOk[i], d.refExOk[i+1], d.refExOk[i+2], d.refExOk[i+3] = true, true, true, true
+				dots4(d.refEx[base-lo:], w, d.rec[base-d.recBase:])
+				d.work.passes++
 			}
 			for ; base <= r; base++ {
-				exact(base)
+				d.refEx[base-lo] = dot1(w, d.rec[base-d.recBase:base-d.recBase+L])
+				d.work.passes++
+			}
+			for i := t - lo; i <= r-lo; i++ {
+				d.refExOk[i] = true
 			}
 			t = r
 		}
@@ -791,6 +809,63 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 		return Detection{Sample: t0, Strength: p.val}, p.val >= d.cfg.Theta
 	}
 	return Detection{Sample: best, Strength: bestScore}, bestScore >= d.cfg.Theta
+}
+
+// dots8 sets out[j] = Σ_k w[k]·x[k+j] for the eight lags j < 8 in one pass
+// over w. Each lag keeps a single accumulator summed in k order, so every
+// dot is bit-identical to dots4's for the same lag: the eight-lag pass only
+// halves how often the 48000-sample template streams through the cache.
+func dots8(out, w, x []float64) {
+	out = out[:8]
+	x = x[:len(w)+7]
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	for k, v := range w {
+		s := x[k : k+8 : k+8]
+		a0 += v * s[0]
+		a1 += v * s[1]
+		a2 += v * s[2]
+		a3 += v * s[3]
+		a4 += v * s[4]
+		a5 += v * s[5]
+		a6 += v * s[6]
+		a7 += v * s[7]
+	}
+	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+	out[4], out[5], out[6], out[7] = a4, a5, a6, a7
+}
+
+// dots4 is dots8 for four lags.
+func dots4(out, w, x []float64) {
+	out = out[:4]
+	x = x[:len(w)+3]
+	var a0, a1, a2, a3 float64
+	for k, v := range w {
+		s := x[k : k+4 : k+4]
+		a0 += v * s[0]
+		a1 += v * s[1]
+		a2 += v * s[2]
+		a3 += v * s[3]
+	}
+	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+}
+
+// dot1 returns Σ_k w[k]·x[k] for one lag. Four independent accumulators
+// keep the 48000-MAC dot at the load-port limit instead of the FP-add
+// latency limit.
+func dot1(w, x []float64) float64 {
+	w = w[:len(x)]
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k+3 < len(w); k += 4 {
+		s0 += x[k] * w[k]
+		s1 += x[k+1] * w[k+1]
+		s2 += x[k+2] * w[k+2]
+		s3 += x[k+3] * w[k+3]
+	}
+	for ; k < len(w); k++ {
+		s0 += x[k] * w[k]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // trimCZ drops de-rotated correlation history the fine stage can no

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ekho/internal/acoustic"
@@ -177,7 +178,8 @@ func TestIncrementalStateBounded(t *testing.T) {
 	t.Run("two-stage", func(t *testing.T) {
 		marked, _ := makeMarked(t, 12, 0.5, 7)
 		d := NewIncrementalDetector(Config{Seq: testSeq})
-		n, sDec, dDec := d.corr.SegmentLen(), d.scan.normWindow, d.scan.delta
+		p, blk, lead := d.corr.Partitions(), d.corr.Block(), d.corr.Lead()
+		sDec, dDec := d.scan.normWindow, d.scan.delta
 		czTail, zTail, envTail := d.tailLens()
 		bounds := []struct {
 			name     string
@@ -185,12 +187,15 @@ func TestIncrementalStateBounded(t *testing.T) {
 			max      int
 			peak, at int
 		}{
-			// Full-rate audio retained for refinement: one segment past the
-			// correlation frontier, the scan's lag behind it, the refine
-			// radius behind the scan and one feed.
+			// Full-rate audio retained for refinement: (P+1)·B − Lead
+			// decimated samples past the correlation frontier (the segment
+			// that completes the frontier's block ends there), the scan's
+			// lag behind it, the refine radius behind the scan and one feed.
 			{name: "rec", len: func() int { return len(d.rec) },
-				max: (n+sDec+dDec)*coarseFactor + 2*refineRadius + feedChunk},
-			{name: "bb", len: func() int { return len(d.bb) }, max: n + feedChunk/coarseFactor},
+				max: ((p+1)*blk-lead+sDec+dDec)*coarseFactor + 2*refineRadius + feedChunk},
+			// The next 2B-sample segment and one feed: the earlier
+			// segments live on as spectra in the correlator's delay line.
+			{name: "bb", len: func() int { return len(d.bb) }, max: 2*blk + feedChunk/coarseFactor},
 			{name: "cz", len: func() int { return len(d.cz) }, max: czTail},
 			{name: "scan.z", len: func() int { return len(d.scan.z) }, max: zTail},
 			{name: "scan.zPrefix", len: func() int { return len(d.scan.zPrefix) }, max: zTail + 1},
@@ -251,6 +256,84 @@ func BenchmarkIncrementalDetector1s(b *testing.B) {
 			}
 			d.Feed(marked.Samples[pos : pos+audio.FrameSamples])
 			pos += audio.FrameSamples
+		}
+	}
+}
+
+// Work, counted rather than timed: 10 s of marked audio through a room
+// channel in 20 ms frames. The coarse stage may spend at most 25 k
+// transform points per second of audio (four per lag in 2048-lag blocks:
+// 24 k at steady state; a single 8192-point segment spent 44.8 k), and
+// the refiner at most 1.3 passes over the 48000-sample template per
+// candidate it refines (the initial eight-lag span is one pass; split into
+// fours it was two, ≈ 2.1 per candidate with the extensions).
+func TestDetectorWorkCounts(t *testing.T) {
+	marked, _ := makeMarked(t, 10, 0.5, 2)
+	sig := acoustic.DefaultChannel().Transmit(marked).Samples
+	d := NewIncrementalDetector(Config{Seq: testSeq})
+	dets := 0
+	fed := 0
+	for pos := 0; pos+audio.FrameSamples <= len(sig); pos += audio.FrameSamples {
+		dets += len(d.Feed(sig[pos : pos+audio.FrameSamples]))
+		fed += audio.FrameSamples
+	}
+	w := d.work
+	seconds := float64(fed) / audio.SampleRate
+	pointsPerSec := float64(w.coarsePoints) / seconds
+	passesPer := float64(w.passes) / float64(max(w.refined, 1))
+	t.Logf("%.1f s: %d detections, %.0f coarse transform points/s, %d candidates refined in %d template passes (%.2f each)",
+		seconds, dets, pointsPerSec, w.refined, w.passes, passesPer)
+	if dets < 5 || w.refined < dets {
+		t.Fatalf("%d detections from %d refined candidates: the stages were not exercised", dets, w.refined)
+	}
+	if pointsPerSec > 25000 {
+		t.Errorf("coarse stage: %.0f transform points per second of audio, limit 25000", pointsPerSec)
+	}
+	if passesPer > 1.3 {
+		t.Errorf("refiner: %.2f template passes per refined candidate, limit 1.3", passesPer)
+	}
+}
+
+// The eight-lag dot kernel keeps one sequential accumulator per lag, so it
+// is bit-identical to two four-lag passes, at every alignment.
+func TestDots8MatchesDots4Bitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	w := make([]float64, 4801)
+	x := make([]float64, len(w)+64)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	for i := range x {
+		x[i] = rng.NormFloat64() * 1e3
+	}
+	for off := 0; off < 16; off++ {
+		var got [8]float64
+		var want [8]float64
+		dots8(got[:], w, x[off:])
+		dots4(want[:4], w, x[off:])
+		dots4(want[4:], w, x[off+4:])
+		if got != want {
+			t.Fatalf("offset %d: dots8 %v, dots4 %v", off, got, want)
+		}
+	}
+}
+
+// Every detector for one marker sequence correlates against the same
+// cached partition spectra: a tag collision would silently give each
+// session its own P × 64 KB.
+func TestDetectorsSharePartitionSpectra(t *testing.T) {
+	a := NewIncrementalDetector(Config{Seq: testSeq})
+	b := NewIncrementalDetector(Config{Seq: testSeq})
+	if p := a.corr.Partitions(); p != 3 {
+		t.Fatalf("%d partitions for the %d-sample decimated marker, want 3", p, a.mdec)
+	}
+	// The spectra are the correlator's own business; read their addresses
+	// through reflection rather than export them.
+	pa := reflect.ValueOf(a.corr).Elem().FieldByName("parts")
+	pb := reflect.ValueOf(b.corr).Elem().FieldByName("parts")
+	for k := 0; k < pa.Len(); k++ {
+		if pa.Index(k).Pointer() != pb.Index(k).Pointer() {
+			t.Fatalf("partition %d: detectors hold separate spectra", k)
 		}
 	}
 }

@@ -136,9 +136,13 @@ func (st *Stream) Next(dst []float64) FrameInfo {
 		}
 		st.pos = int(st.posF + 0.5)
 	} else {
-		for i := off; i < audio.FrameSamples; i++ {
-			dst[i] = st.game.Samples[st.pos%st.game.Len()]
-			st.pos++
+		// Copy whole runs of the looped clip: one copy, or two across the
+		// clip's wrap point (more only for a clip shorter than a frame).
+		clip := st.game.Samples
+		for i := off; i < audio.FrameSamples; {
+			k := copy(dst[i:], clip[st.pos%len(clip):])
+			i += k
+			st.pos += k
 		}
 	}
 	if st.interp != nil {

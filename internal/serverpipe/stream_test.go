@@ -1,6 +1,7 @@
 package serverpipe
 
 import (
+	"math/rand"
 	"testing"
 
 	"ekho/internal/audio"
@@ -78,5 +79,66 @@ func TestStreamSubFrame(t *testing.T) {
 	// Position advanced by only 860 content samples.
 	if st.NextContent() != 860 {
 		t.Fatalf("pos %d want 860", st.NextContent())
+	}
+}
+
+// Next copies runs of the looped clip instead of indexing it per sample.
+// Against the per-sample reference game[pos mod len], frame after frame
+// lands its wrap point at every offset in the frame — clips that are not a
+// multiple of a frame, one shorter than a frame, sub-frame inserts and
+// skips shifting the content start — and every sample and position agrees.
+func TestStreamNextWrapsLikePerSampleReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, clipLen := range []int{audio.FrameSamples, 2*audio.FrameSamples + 1, 4801, 313} {
+		game := audio.FromSamples(audio.SampleRate, make([]float64, clipLen))
+		for i := range game.Samples {
+			game.Samples[i] = rng.NormFloat64()
+		}
+		st := NewStream(game)
+		pos := 0 // the reference's content position
+		f := make([]float64, audio.FrameSamples)
+		for frame := 0; frame < 400; frame++ {
+			var a compensator.Action
+			switch rng.Intn(6) {
+			case 0:
+				a.InsertSamples = rng.Intn(audio.FrameSamples)
+			case 1:
+				a.SkipSamples = rng.Intn(2 * audio.FrameSamples)
+			}
+			st.Apply(a)
+			fi := st.Next(f)
+			if fi.ContentStart < 0 {
+				continue
+			}
+			if fi.ContentStart < int64(pos) {
+				t.Fatalf("clip %d frame %d: content went back from %d to %d", clipLen, frame, pos, fi.ContentStart)
+			}
+			pos = int(fi.ContentStart)
+			for i := fi.ContentOff; i < audio.FrameSamples; i++ {
+				if want := game.Samples[pos%clipLen]; f[i] != want {
+					t.Fatalf("clip %d frame %d sample %d (content %d): %g, want %g", clipLen, frame, i, pos, f[i], want)
+				}
+				pos++
+			}
+			if got := st.NextContent(); got != int64(pos) {
+				t.Fatalf("clip %d frame %d: next content %d, want %d", clipLen, frame, got, pos)
+			}
+		}
+	}
+}
+
+// A downlink frame from a 10 s clip, as the hub's tick produces one per
+// session and stream every 20 ms.
+func BenchmarkStreamNext(b *testing.B) {
+	game := audio.FromSamples(audio.SampleRate, make([]float64, 10*audio.SampleRate+7))
+	for i := range game.Samples {
+		game.Samples[i] = float64(i%2000) / 2000
+	}
+	st := NewStream(game)
+	f := make([]float64, audio.FrameSamples)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Next(f)
 	}
 }

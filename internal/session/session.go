@@ -195,10 +195,13 @@ type ActionRecord struct {
 	Action  compensator.Action
 }
 
-// MeasurementRecord logs one Ekho ISD measurement at the server.
+// MeasurementRecord logs one Ekho ISD measurement at the server. TimeSec
+// is when the server made it; the marker it measures was heard at HeardSec
+// (true time), a detection latency earlier.
 type MeasurementRecord struct {
 	TimeSec    float64
 	ISDSeconds float64
+	HeardSec   float64
 }
 
 // ResampleRecord logs one micro-resampling rate retune (drift regime).
@@ -636,7 +639,8 @@ func (s *sim) ChatResync(uint32, int) {}
 
 // ISDMeasurement implements serverpipe.EventSink.
 func (s *sim) ISDMeasurement(now float64, m estimator.Measurement) {
-	s.measurements = append(s.measurements, MeasurementRecord{TimeSec: now, ISDSeconds: m.ISDSeconds})
+	heard := float64(s.accessClk.TrueTime(vclock.Time(m.DetectionTime)))
+	s.measurements = append(s.measurements, MeasurementRecord{TimeSec: now, ISDSeconds: m.ISDSeconds, HeardSec: heard})
 	if s.rec != nil {
 		s.rec.ISDMeasurement(now, m)
 	}
