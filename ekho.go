@@ -135,12 +135,10 @@ func NewEstimator(seq *MarkerSequence) *Estimator {
 type (
 	// Compensator turns measurements into corrective actions.
 	Compensator = compensator.Compensator
-	// CompensatorConfig tunes hysteresis/settling/sub-frame behaviour.
+	// CompensatorConfig tunes hysteresis and settling.
 	CompensatorConfig = compensator.Config
 	// Action is a frame insert/skip command for one stream.
 	Action = compensator.Action
-	// FrameEditor applies actions to a live frame stream.
-	FrameEditor = compensator.FrameEditor
 	// Resample is the drift regime's continuous rate-retune action.
 	Resample = compensator.Resample
 	// DriftCompensatorConfig tunes the micro-resampling regime.

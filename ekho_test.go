@@ -118,18 +118,6 @@ func TestPublicHapticsSession(t *testing.T) {
 	}
 }
 
-func TestPublicFrameEditorWithModes(t *testing.T) {
-	e := &ekho.FrameEditor{}
-	e.Apply(ekho.Action{InsertFrames: 1})
-	out := e.NextFrame(make([]float64, ekho.FrameSamples))
-	if len(out) != ekho.FrameSamples {
-		t.Fatalf("frame len %d", len(out))
-	}
-	if e.Buffered() != ekho.FrameSamples {
-		t.Fatalf("buffered %d", e.Buffered())
-	}
-}
-
 func TestPublicDetectNoMarkers(t *testing.T) {
 	seq := ekho.NewMarkerSequence(9)
 	noise := ekho.NewBuffer(ekho.SampleRate, 2*ekho.SampleRate)

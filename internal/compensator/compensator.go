@@ -10,9 +10,10 @@
 //   - once a correction starts, several seconds pass before it reflects in
 //     measurements, so new ISD measurements are ignored during a settling
 //     window;
-//   - corrections are quantized to whole 20 ms frames in the baseline
-//     implementation (matching §6.1: "we can have errors up to 10 ms"),
-//     with an optional sub-frame mode that trims fractions of a frame.
+//   - corrections are quantized to whole samples, so a correction can
+//     add a fraction of a 20 ms frame (§6.1: "a more involved
+//     implementation could add or skip fractions of frames, and
+//     synchronize below the 10 ms bound").
 package compensator
 
 import (
@@ -46,8 +47,7 @@ type Action struct {
 	// stream); SkipFrames > 0 drops that many frames (advancing it).
 	InsertFrames int
 	SkipFrames   int
-	// InsertSamples/SkipSamples carry the sub-frame remainder when
-	// sub-frame mode is enabled.
+	// InsertSamples/SkipSamples carry the sub-frame remainder.
 	InsertSamples int
 	SkipSamples   int
 }
@@ -68,10 +68,6 @@ type Config struct {
 	// correction is issued (default 6 s: the estimator's sliding window
 	// plus uplink delay; the paper observes a 4-6 s response time).
 	SettleSec float64
-	// SubFrame enables fractional-frame corrections ("a more involved
-	// implementation could add or skip fractions of frames, and
-	// synchronize below the 10 ms bound", §6.1).
-	SubFrame bool
 }
 
 func (c Config) withDefaults() Config {
@@ -84,16 +80,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Compensator turns ISD measurements into frame insert/skip actions.
+// Compensator turns ISD measurements into insert actions.
 type Compensator struct {
 	cfg Config
 	// settleUntil is the local time before which measurements are ignored.
 	settleUntil float64
-	// appliedScreenDelay tracks cumulative extra delay added to the screen
-	// stream (negative = screen advanced), for introspection/tests.
-	appliedScreenDelay float64
-	actions            int
-	ignored            int
 }
 
 // New returns a compensator with the given configuration.
@@ -107,214 +98,24 @@ func New(cfg Config) *Compensator {
 // *after* the accessory audio (screen lags), so the accessory stream is
 // delayed by inserting silence; negative ISD delays the screen stream.
 func (c *Compensator) Offer(now, isdSeconds float64) *Action {
-	if now < c.settleUntil {
-		c.ignored++
+	if now < c.settleUntil || math.Abs(isdSeconds) < c.cfg.MinCorrectionSec {
 		return nil
 	}
-	if math.Abs(isdSeconds) < c.cfg.MinCorrectionSec {
-		return nil
+	// Screen lags: delay the accessory stream. Screen leads (rare, §5.1):
+	// delay the screen stream.
+	s := AccessoryStream
+	if isdSeconds <= 0 {
+		s = ScreenStream
 	}
-	act := c.quantize(isdSeconds)
-	if act == nil {
-		return nil
-	}
-	c.actions++
+	act := Insert(s, math.Abs(isdSeconds))
 	c.settleUntil = now + c.cfg.SettleSec
-	c.appliedScreenDelay += screenDelayOf(*act)
-	return act
+	return &act
 }
 
-// quantize converts an ISD into a frame-granular action.
-func (c *Compensator) quantize(isd float64) *Action {
-	mag := math.Abs(isd)
-	frames := int(mag*audio.SampleRate) / audio.FrameSamples
-	rem := int(math.Round(mag*audio.SampleRate)) - frames*audio.FrameSamples
-	if !c.cfg.SubFrame {
-		// Round to the nearest whole frame.
-		if rem >= audio.FrameSamples/2 {
-			frames++
-		}
-		rem = 0
-		if frames == 0 {
-			return nil
-		}
-	}
-	a := &Action{}
-	if isd > 0 {
-		// Screen lags: delay the accessory stream.
-		a.Stream = AccessoryStream
-		a.InsertFrames = frames
-		a.InsertSamples = rem
-	} else {
-		// Screen leads (rare, §5.1): delay the screen stream.
-		a.Stream = ScreenStream
-		a.InsertFrames = frames
-		a.InsertSamples = rem
-	}
-	return a
-}
-
-func screenDelayOf(a Action) float64 {
-	d := a.TotalDelaySeconds()
-	if a.Stream == ScreenStream {
-		return d
-	}
-	return -d
-}
-
-// Settling reports whether the compensator is inside its settling window.
-func (c *Compensator) Settling(now float64) bool { return now < c.settleUntil }
-
-// AppliedScreenDelay returns the cumulative delay added to the screen
-// stream relative to the accessory stream (negative values mean the
-// accessory stream has been delayed more).
-func (c *Compensator) AppliedScreenDelay() float64 { return c.appliedScreenDelay }
-
-// Stats reports loop counters.
-type Stats struct {
-	Actions, IgnoredMeasurements int
-}
-
-// Stats returns cumulative counters.
-func (c *Compensator) Stats() Stats {
-	return Stats{Actions: c.actions, IgnoredMeasurements: c.ignored}
-}
-
-// FrameEditor applies actions to a live frame stream. Each downlink stream
-// owns one editor; the session scheduler calls NextFrame with the next
-// game-audio frame and receives the frame to actually transmit (possibly a
-// silence frame, with the input deferred, or a skip).
-type FrameEditor struct {
-	pendingInsert int // silence frames still to emit
-	pendingSkip   int // input frames still to drop
-	pendingTrim   int // samples to trim from queued audio (sub-frame skip)
-	queue         [][]float64
-	insertMode    InsertMode    // silence (default) or interpolated
-	interp        *Interpolator // PLC-style gap synthesis state
-	blendNext     bool          // cross-fade the next content frame after a gap
-}
-
-// Apply registers an action with the editor (insert and skip may both be
-// present for sub-frame corrections; sub-frame remainders are rounded into
-// the sample-level trim below).
-func (e *FrameEditor) Apply(a Action) {
-	e.pendingInsert += a.InsertFrames
-	e.pendingSkip += a.SkipFrames
-	// Sub-frame remainders are applied as partial silence prepend/trim on
-	// the next frame.
-	if a.InsertSamples > 0 {
-		e.queue = append(e.queue, make([]float64, a.InsertSamples))
-	}
-	if a.SkipSamples > 0 {
-		e.pendingTrim += a.SkipSamples
-	}
-}
-
-// NextFrame feeds one 20 ms input frame through the editor and returns the
-// frame to transmit. The returned slice is always FrameSamples long.
-//
-// Skips preferentially drain previously inserted delay (queued samples) so
-// that reverting an earlier correction is artifact-free; if no delay is
-// queued, the input frame's content is dropped and a silence frame fills
-// the tick — the audible equivalent of the paper's "skipping frames (or
-// temporarily faster playback) at the streaming device".
-func (e *FrameEditor) NextFrame(in []float64) []float64 {
-	for e.pendingSkip > 0 {
-		e.pendingSkip--
-		if e.Buffered() >= audio.FrameSamples {
-			e.pendingTrim += audio.FrameSamples
-			continue
-		}
-		// Nothing queued: drop this input's content.
-		return make([]float64, audio.FrameSamples)
-	}
-	if e.pendingInsert > 0 {
-		e.pendingInsert--
-		e.stash(in)
-		if e.insertMode == InsertInterpolated {
-			e.blendNext = true
-		}
-		return e.gapFrame()
-	}
-	out := e.dequeue(in)
-	if e.interp != nil {
-		if e.blendNext {
-			// Copy-on-write: out may alias the caller's frame.
-			blended := make([]float64, len(out))
-			copy(blended, out)
-			e.interp.BlendIn(blended)
-			out = blended
-			e.blendNext = false
-		}
-		// History tracks the TRANSMITTED stream (what the listener
-		// hears), so a later gap continues seamlessly from it.
-		e.interp.Observe(out)
-	}
-	return out
-}
-
-// gapFrame produces one frame of inserted delay: silence in the baseline
-// mode, or PLC-style synthesized audio in interpolated mode (§4.4's
-// future-work enhancement).
-func (e *FrameEditor) gapFrame() []float64 {
-	if e.insertMode == InsertInterpolated && e.interp != nil {
-		return e.interp.Synthesize(audio.FrameSamples)
-	}
-	return make([]float64, audio.FrameSamples)
-}
-
-// stash queues an input frame displaced by an inserted silence frame.
-func (e *FrameEditor) stash(in []float64) {
-	cp := make([]float64, len(in))
-	copy(cp, in)
-	e.queue = append(e.queue, cp)
-}
-
-// dequeue returns queued samples ahead of the current input, maintaining
-// FIFO order and frame alignment.
-func (e *FrameEditor) dequeue(in []float64) []float64 {
-	if len(e.queue) == 0 && e.pendingTrim == 0 {
-		return in
-	}
-	// Append the new input to the queue and emit exactly one frame from
-	// the front, applying any pending sample trim.
-	e.stash(in)
-	out := make([]float64, 0, audio.FrameSamples)
-	for len(out) < audio.FrameSamples {
-		if len(e.queue) == 0 {
-			out = append(out, make([]float64, audio.FrameSamples-len(out))...)
-			break
-		}
-		head := e.queue[0]
-		if e.pendingTrim > 0 {
-			n := e.pendingTrim
-			if n > len(head) {
-				n = len(head)
-			}
-			head = head[n:]
-			e.pendingTrim -= n
-			if len(head) == 0 {
-				e.queue = e.queue[1:]
-				continue
-			}
-		}
-		need := audio.FrameSamples - len(out)
-		if len(head) <= need {
-			out = append(out, head...)
-			e.queue = e.queue[1:]
-		} else {
-			out = append(out, head[:need]...)
-			e.queue[0] = head[need:]
-		}
-	}
-	return out
-}
-
-// Buffered returns the number of samples currently queued in the editor.
-func (e *FrameEditor) Buffered() int {
-	n := 0
-	for _, q := range e.queue {
-		n += len(q)
-	}
-	return n
+// Insert returns the action that delays stream s by sec seconds (sec ≥ 0):
+// the delay is rounded once to whole samples, then split into 20 ms
+// frames and a sample remainder.
+func Insert(s Stream, sec float64) Action {
+	n := int(math.Round(sec * audio.SampleRate))
+	return Action{Stream: s, InsertFrames: n / audio.FrameSamples, InsertSamples: n % audio.FrameSamples}
 }

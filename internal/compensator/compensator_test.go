@@ -2,9 +2,7 @@ package compensator
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ekho/internal/audio"
 )
@@ -16,9 +14,6 @@ func TestHysteresisBelowThreshold(t *testing.T) {
 	}
 	if a := c.Offer(0, -0.004); a != nil {
 		t.Fatal("negative small ISD should not act")
-	}
-	if c.Stats().Actions != 0 {
-		t.Fatal("no actions expected")
 	}
 }
 
@@ -48,37 +43,49 @@ func TestNegativeISDDelaysScreen(t *testing.T) {
 	if a.Stream != ScreenStream {
 		t.Fatalf("stream %v want screen", a.Stream)
 	}
-	// 436 ms / 20 ms = 21.8 → 22 frames, matching the paper's "Ekho adds
-	// 22 frames of 20 ms length".
-	if a.InsertFrames != 22 {
-		t.Fatalf("frames %d want 22", a.InsertFrames)
+	// 436 ms = 20,928 samples: 21 frames and 768 samples, which rounds
+	// to the paper's "Ekho adds 22 frames of 20 ms length".
+	if a.InsertFrames != 21 || a.InsertSamples != 768 {
+		t.Fatalf("action %+v want 21 frames and 768 samples", a)
+	}
+	if frames := math.Round(a.TotalDelaySeconds() / 0.020); frames != 22 {
+		t.Fatalf("rounds to %g frames, want 22", frames)
 	}
 }
 
+// A correction is rounded once, to whole samples, and then split into
+// frames and a sample remainder, so the remainder is never a whole frame.
 func TestFrameQuantizationRounding(t *testing.T) {
-	c := New(Config{})
-	a := c.Offer(0, 0.024) // 24 ms → nearest frame is 1 (20 ms)
-	if a == nil || a.InsertFrames != 1 {
-		t.Fatalf("24 ms: %+v", a)
-	}
-	c2 := New(Config{})
-	a2 := c2.Offer(0, 0.031) // 31 ms → 2 frames (40 ms) is nearest
-	if a2 == nil || a2.InsertFrames != 2 {
-		t.Fatalf("31 ms: %+v", a2)
-	}
-	// 7 ms: above hysteresis but rounds to 0 frames → no action in
-	// whole-frame mode.
-	c3 := New(Config{})
-	if a3 := c3.Offer(0, 0.007); a3 != nil {
-		t.Fatalf("7 ms whole-frame: %+v", a3)
+	const fs = audio.FrameSamples
+	for _, tc := range []struct {
+		isdSamples  float64
+		frames, rem int
+	}{
+		{336, 0, 336}, // 7 ms: corrected, though below one frame
+		{959.4, 0, 959},
+		{959.6, 1, 0}, // rounds up onto the frame boundary
+		{959.99, 1, 0},
+		{960, 1, 0},
+		{960.4, 1, 0},
+		{1152, 1, 192}, // 24 ms
+		{1488, 1, 528}, // 31 ms
+		{2*fs - 0.6, 1, fs - 1},
+		{2*fs - 0.4, 2, 0},
+	} {
+		for _, sign := range []float64{1, -1} {
+			a := New(Config{}).Offer(0, sign*tc.isdSamples/audio.SampleRate)
+			if a == nil || a.InsertFrames != tc.frames || a.InsertSamples != tc.rem {
+				t.Errorf("ISD %+g samples: %+v, want %d frames %d samples", sign*tc.isdSamples, a, tc.frames, tc.rem)
+			}
+		}
 	}
 }
 
 func TestSubFrameMode(t *testing.T) {
-	c := New(Config{SubFrame: true})
+	c := New(Config{})
 	a := c.Offer(0, 0.0075) // 7.5 ms = 360 samples
 	if a == nil {
-		t.Fatal("sub-frame mode should act on 7.5 ms")
+		t.Fatal("a 7.5 ms ISD should be corrected")
 	}
 	if a.InsertFrames != 0 || a.InsertSamples != 360 {
 		t.Fatalf("action %+v want 360 samples", a)
@@ -93,163 +100,11 @@ func TestSettlingWindowIgnoresMeasurements(t *testing.T) {
 	if c.Offer(10, 0.1) == nil {
 		t.Fatal("first measurement should act")
 	}
-	if !c.Settling(11) {
-		t.Fatal("should be settling")
-	}
 	if a := c.Offer(12, 0.5); a != nil {
 		t.Fatalf("measurement during settling should be ignored: %+v", a)
 	}
-	if c.Stats().IgnoredMeasurements != 1 {
-		t.Fatalf("ignored %d", c.Stats().IgnoredMeasurements)
-	}
 	if c.Offer(14.5, 0.1) == nil {
 		t.Fatal("after settling should act again")
-	}
-}
-
-func TestAppliedScreenDelayBookkeeping(t *testing.T) {
-	c := New(Config{})
-	c.Offer(0, -0.1) // delay screen by 100 ms
-	if math.Abs(c.AppliedScreenDelay()-0.1) > 1e-9 {
-		t.Fatalf("applied %g want 0.1", c.AppliedScreenDelay())
-	}
-	c.Offer(100, 0.04) // delay accessory by 40 ms → screen relatively -40
-	if math.Abs(c.AppliedScreenDelay()-0.06) > 1e-9 {
-		t.Fatalf("applied %g want 0.06", c.AppliedScreenDelay())
-	}
-}
-
-func TestFrameEditorInsertDelaysContent(t *testing.T) {
-	e := &FrameEditor{}
-	e.Apply(Action{Stream: AccessoryStream, InsertFrames: 2})
-	frames := make([][]float64, 6)
-	for i := range frames {
-		frames[i] = constFrame(float64(i + 1))
-	}
-	var outs [][]float64
-	for _, f := range frames {
-		outs = append(outs, e.NextFrame(f))
-	}
-	// First two outputs are silence; then content resumes from frame 1.
-	for i := 0; i < 2; i++ {
-		if rms(outs[i]) != 0 {
-			t.Fatalf("output %d should be silence", i)
-		}
-	}
-	for i := 2; i < 6; i++ {
-		want := float64(i - 1)
-		if outs[i][0] != want {
-			t.Fatalf("output %d starts with %g want %g", i, outs[i][0], want)
-		}
-	}
-	if e.Buffered() != 2*audio.FrameSamples {
-		t.Fatalf("buffered %d", e.Buffered())
-	}
-}
-
-func TestFrameEditorSkipDrainsInsertedDelay(t *testing.T) {
-	e := &FrameEditor{}
-	e.Apply(Action{InsertFrames: 2})
-	for i := 0; i < 4; i++ {
-		e.NextFrame(constFrame(float64(i + 1)))
-	}
-	// Two frames queued. Skip one: the next output should jump ahead.
-	e.Apply(Action{SkipFrames: 1})
-	out := e.NextFrame(constFrame(5))
-	// Queue was [3,4]; skip removes 3; output should be 4.
-	if out[0] != 4 {
-		t.Fatalf("after skip, output starts with %g want 4", out[0])
-	}
-	if e.Buffered() != audio.FrameSamples {
-		t.Fatalf("buffered %d want one frame", e.Buffered())
-	}
-}
-
-func TestFrameEditorSkipWithoutQueueDropsContent(t *testing.T) {
-	e := &FrameEditor{}
-	e.Apply(Action{SkipFrames: 1})
-	out := e.NextFrame(constFrame(1))
-	if rms(out) != 0 {
-		t.Fatal("skip without queue should emit silence")
-	}
-	out = e.NextFrame(constFrame(2))
-	if out[0] != 2 {
-		t.Fatalf("content should resume at next frame, got %g", out[0])
-	}
-}
-
-func TestFrameEditorSubFrameInsert(t *testing.T) {
-	e := &FrameEditor{}
-	e.Apply(Action{InsertSamples: 100})
-	out := e.NextFrame(constFrame(7))
-	// First 100 samples silence, then content.
-	for i := 0; i < 100; i++ {
-		if out[i] != 0 {
-			t.Fatalf("sample %d should be silence", i)
-		}
-	}
-	if out[100] != 7 {
-		t.Fatalf("content should start at 100, got %g", out[100])
-	}
-	if e.Buffered() != 100 {
-		t.Fatalf("buffered %d want 100", e.Buffered())
-	}
-}
-
-func TestFrameEditorSubFrameTrim(t *testing.T) {
-	e := &FrameEditor{}
-	e.Apply(Action{InsertSamples: 300})
-	e.NextFrame(constFrame(1))
-	e.Apply(Action{SkipSamples: 200})
-	out := e.NextFrame(constFrame(2))
-	// Queue held the last 300 samples of frame 1; trimming 200 leaves
-	// 100 samples of frame 1 then frame 2 content.
-	if out[0] != 1 || out[99] != 1 {
-		t.Fatal("remaining frame-1 samples should lead")
-	}
-	if out[100] != 2 {
-		t.Fatalf("frame-2 content should follow, got %g", out[100])
-	}
-}
-
-func TestFrameEditorIdentityWhenIdle(t *testing.T) {
-	e := &FrameEditor{}
-	in := constFrame(3)
-	out := e.NextFrame(in)
-	if &out[0] != &in[0] {
-		t.Fatal("idle editor should pass frames through without copying")
-	}
-}
-
-func TestEditorConservationProperty(t *testing.T) {
-	// Property: content samples out = content samples in + silence
-	// inserted - content dropped. We track totals over random actions.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := &FrameEditor{}
-		contentIn := 0
-		var outFrames int
-		for step := 0; step < 200; step++ {
-			switch rng.Intn(10) {
-			case 0:
-				e.Apply(Action{InsertFrames: 1 + rng.Intn(3)})
-			case 1:
-				e.Apply(Action{SkipFrames: 1 + rng.Intn(2)})
-			default:
-				out := e.NextFrame(constFrame(1))
-				if len(out) != audio.FrameSamples {
-					return false
-				}
-				contentIn++
-				outFrames++
-			}
-		}
-		// Frames out must equal frames in (rate preserved), regardless of
-		// edits.
-		return outFrames == contentIn
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -257,14 +112,6 @@ func TestStreamString(t *testing.T) {
 	if ScreenStream.String() != "screen" || AccessoryStream.String() != "accessory" {
 		t.Fatal("stream names")
 	}
-}
-
-func constFrame(v float64) []float64 {
-	f := make([]float64, audio.FrameSamples)
-	for i := range f {
-		f[i] = v
-	}
-	return f
 }
 
 func rms(x []float64) float64 {

@@ -10,12 +10,12 @@ import (
 //
 // Discrete silence/skip corrections assume ISD is a level: fix it once
 // and it stays fixed. Under a sample-rate offset the ISD is a ramp, and a
-// whole-frame loop can only chase it with a ±10 ms sawtooth (corrections
-// below half a frame round to nothing, so the ramp must reach ~10 ms
-// before each step). The drift regime cancels the ramp at its source:
-// a continuous micro-resampling action retunes the accessory stream's
-// content rate by the fitted drift in ppm, leaving only a level for the
-// discrete loop to correct. Hysteresis keeps the two regimes from
+// level loop can only chase it with a sawtooth (the ramp must clear the
+// 5 ms hysteresis, and each step waits out the settling window). The
+// drift regime cancels the ramp at its source: a continuous
+// micro-resampling action retunes the accessory stream's content rate by
+// the fitted drift in ppm, leaving only a level for the discrete loop to
+// correct. Hysteresis keeps the two regimes from
 // fighting: micro-resampling engages only when the fitted slope is both
 // large and statistically significant, and releases (holding its last
 // rate) once the residual slope is small.

@@ -12,27 +12,8 @@ import (
 // instead of silence periods." This file implements that enhancement: a
 // waveform-similarity overlap-add (WSOLA-style) stretcher that synthesizes
 // the inserted delay from the surrounding game audio, so corrections are
-// far less audible than hard silence gaps.
-
-// InsertMode selects how inserted delay is synthesized.
-type InsertMode int
-
-// Insertion strategies.
-const (
-	// InsertSilence inserts zero samples (the paper's baseline).
-	InsertSilence InsertMode = iota
-	// InsertInterpolated synthesizes the gap by overlap-adding repeated
-	// pitch-length segments of the preceding audio (PLC-style).
-	InsertInterpolated
-)
-
-// String implements fmt.Stringer.
-func (m InsertMode) String() string {
-	if m == InsertInterpolated {
-		return "interpolated"
-	}
-	return "silence"
-}
+// far less audible than hard silence gaps. serverpipe.Stream runs it when
+// interpolation is enabled.
 
 // Interpolator synthesizes gap audio from recent history. Synthesis is
 // stateful: consecutive Synthesize calls continue the same waveform
@@ -171,16 +152,3 @@ func (ip *Interpolator) BlendIn(dst []float64) {
 		dst[i] = dst[i]*w + syn[i]*(1-w)
 	}
 }
-
-// SetInsertMode switches the editor's insertion strategy. The interpolated
-// mode requires the editor to see the real stream content via NextFrame,
-// which it already does.
-func (e *FrameEditor) SetInsertMode(m InsertMode) {
-	e.insertMode = m
-	if m == InsertInterpolated && e.interp == nil {
-		e.interp = NewInterpolator()
-	}
-}
-
-// InsertMode reports the current insertion strategy.
-func (e *FrameEditor) InsertMode() InsertMode { return e.insertMode }

@@ -20,12 +20,6 @@ func toneFrames(freq float64, frames int) [][]float64 {
 	return out
 }
 
-func TestInsertModeString(t *testing.T) {
-	if InsertSilence.String() != "silence" || InsertInterpolated.String() != "interpolated" {
-		t.Fatal("mode names")
-	}
-}
-
 func TestInterpolatorContinuesPeriodicSignal(t *testing.T) {
 	ip := NewInterpolator()
 	for _, fr := range toneFrames(200, 4) { // 200 Hz → 240-sample period
@@ -76,65 +70,6 @@ func TestInterpolatorDecays(t *testing.T) {
 	last := rms(long[3*audio.FrameSamples:])
 	if last >= first {
 		t.Fatalf("sustained synthesis should decay: %g then %g", first, last)
-	}
-}
-
-func TestEditorInterpolatedInsertionQuieterDiscontinuity(t *testing.T) {
-	// Compare the worst sample-to-sample jump at insertion boundaries for
-	// silence vs interpolated modes on a tonal stream.
-	run := func(mode InsertMode) float64 {
-		e := &FrameEditor{}
-		e.SetInsertMode(mode)
-		frames := toneFrames(250, 12)
-		var out []float64
-		for i, fr := range frames {
-			if i == 6 {
-				e.Apply(Action{InsertFrames: 2})
-			}
-			out = append(out, e.NextFrame(fr)...)
-		}
-		var maxJump float64
-		for i := 1; i < len(out); i++ {
-			if d := math.Abs(out[i] - out[i-1]); d > maxJump {
-				maxJump = d
-			}
-		}
-		return maxJump
-	}
-	silence := run(InsertSilence)
-	interp := run(InsertInterpolated)
-	if interp > silence {
-		t.Fatalf("interpolated insertion jump %g should not exceed silence %g", interp, silence)
-	}
-}
-
-func TestEditorModeDefaultsToSilence(t *testing.T) {
-	e := &FrameEditor{}
-	if e.InsertMode() != InsertSilence {
-		t.Fatal("default mode")
-	}
-	e.Apply(Action{InsertFrames: 1})
-	out := e.NextFrame(toneFrames(200, 1)[0])
-	if rms(out) != 0 {
-		t.Fatal("default insertion should be silence")
-	}
-}
-
-func TestEditorInterpolatedPreservesFrameAccounting(t *testing.T) {
-	e := &FrameEditor{}
-	e.SetInsertMode(InsertInterpolated)
-	frames := toneFrames(200, 8)
-	e.Apply(Action{InsertFrames: 2})
-	n := 0
-	for _, fr := range frames {
-		out := e.NextFrame(fr)
-		if len(out) != audio.FrameSamples {
-			t.Fatalf("frame %d length %d", n, len(out))
-		}
-		n++
-	}
-	if e.Buffered() != 2*audio.FrameSamples {
-		t.Fatalf("buffered %d want 2 frames", e.Buffered())
 	}
 }
 

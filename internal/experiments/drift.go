@@ -123,7 +123,7 @@ func fitSlope(x, y []float64) float64 {
 // runDrift sweeps controller sample-rate offsets (clock-drift scenarios)
 // and compares the micro-resampling drift regime against the discrete
 // level-only loop. Under an SRO the ISD is a ramp: the level-only loop
-// can only chase it with a whole-frame sawtooth, while the drift regime
+// can only chase it with a sawtooth, while the drift regime
 // fits the slope and cancels it at the source by retuning the accessory
 // stream's content rate.
 //

@@ -6,6 +6,7 @@ import (
 	"ekho/internal/analysis"
 	"ekho/internal/audio"
 	"ekho/internal/compensator"
+	"ekho/internal/serverpipe"
 	"ekho/internal/session"
 )
 
@@ -69,22 +70,26 @@ func runExtensions(s Scale) *Report {
 		len(mres.Traces), mres.Actions, minIn*100)
 	r.set("multi_insync_min_pct", minIn*100)
 
-	// --- PLC insertion quality: worst sample-to-sample jump at insertion
-	// boundaries, silence vs interpolated, on tonal content. ---
-	jump := func(mode compensator.InsertMode) float64 {
-		e := &compensator.FrameEditor{}
-		e.SetInsertMode(mode)
+	// --- PLC insertion quality: worst sample-to-sample jump over a
+	// 220 Hz tone through the server's downlink stream, which takes a
+	// two-frame insert and then a sub-frame one, silence vs interpolated
+	// gaps. ---
+	jump := func(interpolate bool) float64 {
+		st := serverpipe.NewStream(audio.Tone(audio.SampleRate, 220, 1, 0.5))
+		if interpolate {
+			st.EnableInterpolation()
+		}
+		frame := make([]float64, audio.FrameSamples)
 		var out []float64
-		for f := 0; f < 16; f++ {
-			frame := make([]float64, audio.FrameSamples)
-			for i := range frame {
-				t := float64(f*audio.FrameSamples+i) / audio.SampleRate
-				frame[i] = 0.5 * math.Sin(2*math.Pi*220*t)
+		for f := 0; f < 24; f++ {
+			switch f {
+			case 8:
+				st.Apply(compensator.Insert(compensator.AccessoryStream, 0.040))
+			case 16:
+				st.Apply(compensator.Insert(compensator.AccessoryStream, 0.0075))
 			}
-			if f == 8 {
-				e.Apply(compensator.Action{InsertFrames: 2})
-			}
-			out = append(out, e.NextFrame(frame)...)
+			st.Next(frame)
+			out = append(out, frame...)
 		}
 		var worst float64
 		for i := 1; i < len(out); i++ {
@@ -94,8 +99,8 @@ func runExtensions(s Scale) *Report {
 		}
 		return worst
 	}
-	silence := jump(compensator.InsertSilence)
-	interp := jump(compensator.InsertInterpolated)
+	silence := jump(false)
+	interp := jump(true)
 	ratio := interp / silence
 	r.addf("PLC insertion: worst waveform jump %.3f (silence) vs %.3f (interpolated) — ratio %.2f",
 		silence, interp, ratio)

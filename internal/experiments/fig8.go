@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ekho/internal/analysis"
+	"ekho/internal/audio"
 	"ekho/internal/session"
 )
 
@@ -147,9 +148,10 @@ func runFig9(s Scale) *Report {
 	r.addf("initial ISD: %.0f ms (paper: 436 ms gap at start)", initial)
 	if len(res.Actions) > 0 {
 		a := res.Actions[0]
-		r.addf("first correction at t=%.1fs: insert %d frames into %v stream (paper: 22 frames)",
-			a.TimeSec, a.Action.InsertFrames, a.Action.Stream)
-		r.set("first_action_frames", float64(a.Action.InsertFrames))
+		frames := math.Round(a.Action.TotalDelaySeconds() * audio.SampleRate / audio.FrameSamples)
+		r.addf("first correction at t=%.1fs: insert %.0f frames into %v stream (paper: 22 frames)",
+			a.TimeSec, frames, a.Action.Stream)
+		r.set("first_action_frames", frames)
 	}
 	r.addf("loss@%.1fs (accessory, 1 frame): ISD %.1f -> %.1f ms (jump %.1f; paper: +20 ms)",
 		loss1, preL1, postL1, postL1-preL1)

@@ -179,7 +179,7 @@ func TestExtensionsShape(t *testing.T) {
 	if r.Values["multi_insync_min_pct"] < 70 {
 		t.Fatalf("multi-screen worst in-sync %g%%", r.Values["multi_insync_min_pct"])
 	}
-	if r.Values["plc_jump_ratio"] > 1.0 {
-		t.Fatalf("interpolated insertion jump ratio %g should be <= 1", r.Values["plc_jump_ratio"])
+	if r.Values["plc_jump_ratio"] > 0.1 {
+		t.Fatalf("interpolated insertion jump ratio %g should be <= 0.1", r.Values["plc_jump_ratio"])
 	}
 }

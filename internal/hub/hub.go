@@ -40,11 +40,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ekho"
 	"ekho/internal/audio"
 	"ekho/internal/codec"
+	"ekho/internal/compensator"
 	"ekho/internal/gamesynth"
 	"ekho/internal/metrics"
+	"ekho/internal/pn"
 	"ekho/internal/rtp"
 	"ekho/internal/transport"
 )
@@ -112,7 +113,7 @@ type Config struct {
 	// Codec is the chat uplink profile (zero value = SWB32).
 	Codec codec.Profile
 	// Compensator tunes the per-session feedback loop.
-	Compensator ekho.CompensatorConfig
+	Compensator compensator.Config
 	// RecordDir, when non-empty, captures every session's full timeline
 	// to <RecordDir>/session-<id>.ektrace for deterministic replay with
 	// cmd/ekho-replay (see internal/trace).
@@ -149,7 +150,7 @@ func (c Config) withDefaults() Config {
 		c.IdleTimeout = 30 * time.Second
 	}
 	if c.MarkerC == 0 {
-		c.MarkerC = ekho.DefaultMarkerVolume
+		c.MarkerC = pn.DefaultC
 	}
 	if c.Seed == 0 {
 		c.Seed = 4242
@@ -185,7 +186,7 @@ type Hub struct {
 	clipMu sync.Mutex
 	clips  map[int]*audio.Buffer
 	seqOne sync.Once
-	seq    *ekho.MarkerSequence
+	seq    *pn.Sequence
 }
 
 // New returns a hub serving on conn. Call Serve to start it.
@@ -251,8 +252,8 @@ func (h *Hub) clip(idx int) *audio.Buffer {
 }
 
 // markerSeq returns the shared, read-only PN marker template.
-func (h *Hub) markerSeq() *ekho.MarkerSequence {
-	h.seqOne.Do(func() { h.seq = ekho.NewMarkerSequence(h.cfg.Seed) })
+func (h *Hub) markerSeq() *pn.Sequence {
+	h.seqOne.Do(func() { h.seq = pn.NewSequence(h.cfg.Seed, pn.DefaultLength) })
 	return h.seq
 }
 

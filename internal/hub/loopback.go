@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ekho"
 	"ekho/internal/audio"
 	"ekho/internal/codec"
+	"ekho/internal/compensator"
 	"ekho/internal/rtp"
 	"ekho/internal/transport"
 )
@@ -226,7 +226,7 @@ type LoopbackScenario struct {
 	Wire transport.Wire
 	// Compensator tunes the per-session loop (default: 3 s settling,
 	// which suits accelerated runs).
-	Compensator ekho.CompensatorConfig
+	Compensator compensator.Config
 	// RecordDir, when non-empty, records every admitted session's
 	// timeline to trace logs for deterministic replay.
 	RecordDir string
@@ -469,7 +469,7 @@ func (c *loopbackClient) ctrlLoop(rejCh chan<- uint32) {
 			if md.ContentStart < 0 {
 				continue
 			}
-			at := c.offset + float64(md.Seq)*frameSec + float64(md.ContentOff)/ekho.SampleRate
+			at := c.offset + float64(md.Seq)*frameSec + float64(md.ContentOff)/audio.SampleRate
 			c.mu.Lock()
 			c.pending = append(c.pending, transport.PlaybackRecord{
 				ContentStart: md.ContentStart,

@@ -8,8 +8,9 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
-	"ekho"
 	"ekho/internal/audio"
+	"ekho/internal/compensator"
+	"ekho/internal/estimator"
 	"ekho/internal/jitterbuf"
 	"ekho/internal/serverpipe"
 	"ekho/internal/trace"
@@ -17,7 +18,7 @@ import (
 )
 
 // frameSec is the content-time advance of one media tick (20 ms).
-const frameSec = float64(ekho.FrameSamples) / ekho.SampleRate
+const frameSec = float64(audio.FrameSamples) / audio.SampleRate
 
 // chatReorderWindow is how many out-of-order chat uplink packets a
 // session parks before abandoning a gap to the sequencer's concealment.
@@ -39,7 +40,8 @@ type SessionResult struct {
 	// PostActionMeasurements counts measurements taken after the first
 	// correction was applied (a convergence proof needs at least one).
 	PostActionMeasurements int
-	// FirstActionFrames is the insert size of the first compensation.
+	// FirstActionFrames is the insert size of the first compensation,
+	// rounded to whole frames.
 	FirstActionFrames int
 	// ISDs holds every measured ISD in seconds, in order.
 	ISDs []float64
@@ -128,8 +130,8 @@ func (h *Hub) newSession(sh *shard, id uint32, wire transport.Wire) *session {
 		res:     SessionResult{ID: id},
 		reorder: jitterbuf.NewReorder(chatReorderWindow),
 		hold:    make([]heldChat, chatReorderWindow),
-		frame:   make([]float64, ekho.FrameSamples),
-		pcm:     make([]int16, ekho.FrameSamples),
+		frame:   make([]float64, audio.FrameSamples),
+		pcm:     make([]int16, audio.FrameSamples),
 	}
 	cfg := serverpipe.Config{
 		Game:        h.clip(h.cfg.Clip),
@@ -421,7 +423,7 @@ func (s *session) ChatGapConcealed(seq uint32, startLocal float64) {
 func (s *session) ChatResync(uint32, int) { s.hub.stats.chatResyncs.Inc() }
 
 // ISDMeasurement implements serverpipe.EventSink.
-func (s *session) ISDMeasurement(now float64, m ekho.Measurement) {
+func (s *session) ISDMeasurement(now float64, m estimator.Measurement) {
 	if s.rec != nil {
 		s.rec.ISDMeasurement(now, m)
 	}
@@ -440,21 +442,21 @@ func (s *session) ISDMeasurement(now float64, m ekho.Measurement) {
 }
 
 // CompensationAction implements serverpipe.EventSink.
-func (s *session) CompensationAction(now float64, a ekho.Action) {
+func (s *session) CompensationAction(now float64, a compensator.Action) {
 	if s.rec != nil {
 		s.rec.CompensationAction(now, a)
 	}
 	s.res.Actions++
 	s.hub.stats.actions.Add(1)
 	if s.res.Actions == 1 {
-		s.res.FirstActionFrames = a.InsertFrames
+		s.res.FirstActionFrames = int(math.Round(a.TotalDelaySeconds() / frameSec))
 	}
-	s.hub.logf("hub: session %d: compensation %v stream insert=%d skip=%d frames",
-		s.id, a.Stream, a.InsertFrames, a.SkipFrames)
+	s.hub.logf("hub: session %d: compensation %v stream insert=%d frames %d samples",
+		s.id, a.Stream, a.InsertFrames, a.InsertSamples)
 }
 
 // ResampleApplied implements serverpipe.EventSink.
-func (s *session) ResampleApplied(now float64, r ekho.Resample) {
+func (s *session) ResampleApplied(now float64, r compensator.Resample) {
 	if s.rec != nil {
 		s.rec.ResampleApplied(now, r)
 	}

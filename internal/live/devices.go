@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"ekho"
 	"ekho/internal/audio"
 	"ekho/internal/codec"
 	"ekho/internal/jitterbuf"
@@ -155,7 +154,7 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 			_, ev := buf.Pop()
 			var out transport.Media
 			if ev == jitterbuf.Waiting {
-				out = transport.Media{ContentStart: -1, Samples: make([]int16, ekho.FrameSamples)}
+				out = transport.Media{ContentStart: -1, Samples: make([]int16, audio.FrameSamples)}
 			} else {
 				seq := buf.NextSeq() - 1
 				if m, ok := metaBySeq[seq]; ok {
@@ -163,7 +162,7 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 					out = m
 					stats.Played++
 				} else {
-					out = transport.Media{ContentStart: -1, Samples: make([]int16, ekho.FrameSamples)}
+					out = transport.Media{ContentStart: -1, Samples: make([]int16, audio.FrameSamples)}
 				}
 			}
 			queue.PushBack(delayed{at: now.Add(cfg.ExtraDelay), media: out})
@@ -239,7 +238,7 @@ func (m *mic) write(at time.Time, samples []int16, gain float64) {
 	for _, v := range samples {
 		m.buf = append(m.buf, audio.Int16ToFloat(v)*gain)
 	}
-	const maxBacklog = 4 * ekho.SampleRate / 10
+	const maxBacklog = 4 * audio.SampleRate / 10
 	if len(m.buf) > maxBacklog {
 		drop := len(m.buf) - maxBacklog/2
 		m.buf = m.buf[drop:]
@@ -256,7 +255,7 @@ func (m *mic) capture(n int) ([]float64, time.Time, bool) {
 	out := make([]float64, n)
 	copy(out, m.buf[:n])
 	m.buf = m.buf[n:]
-	ts := m.anchor.Add(time.Duration(m.consumed) * time.Second / ekho.SampleRate)
+	ts := m.anchor.Add(time.Duration(m.consumed) * time.Second / audio.SampleRate)
 	m.consumed += n
 	return out, ts, true
 }
@@ -392,7 +391,7 @@ func RunClient(cfg ClientConfig) (ClientStats, error) {
 			}
 		}
 		for burst := 0; burst < 2; burst++ {
-			captured, capturedAt, ok := m.capture(ekho.FrameSamples)
+			captured, capturedAt, ok := m.capture(audio.FrameSamples)
 			if !ok {
 				break
 			}

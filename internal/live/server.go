@@ -49,7 +49,8 @@ type ServerStats struct {
 	Actions      int
 	// ISDs holds every measured ISD in seconds, in order.
 	ISDs []float64
-	// FirstActionFrames is the insert size of the first compensation.
+	// FirstActionFrames is the insert size of the first compensation,
+	// rounded to whole frames.
 	FirstActionFrames int
 }
 

@@ -30,7 +30,7 @@ import (
 	"errors"
 	"fmt"
 
-	"ekho"
+	"ekho/internal/audio"
 )
 
 // Version is the only RTP version in existence.
@@ -139,7 +139,7 @@ func ParseHeader(b []byte) (Header, []byte, error) {
 
 // mediaTimestamp maps an Ekho sequence number onto the RTP media clock:
 // packets are one 20 ms frame apart, 960 samples at 48 kHz.
-func mediaTimestamp(seq uint32) uint32 { return seq * uint32(ekho.FrameSamples) }
+func mediaTimestamp(seq uint32) uint32 { return seq * uint32(audio.FrameSamples) }
 
 // DepacketizerStats counts what one stream's depacketizer observed.
 type DepacketizerStats struct {

@@ -29,6 +29,9 @@ type Stream struct {
 	// audio (PLC-style) instead of hard silence — the §4.4 future-work
 	// enhancement.
 	interp *compensator.Interpolator
+	// gapEnded marks that the last frame ended in a synthesized gap, so
+	// the next content is cross-faded in.
+	gapEnded bool
 	// Micro-resampling state (the drift regime's continuous action). The
 	// fractional path engages on the first non-zero SetResamplePPM and
 	// stays engaged; zero-drift sessions never touch it, so the integer
@@ -91,7 +94,8 @@ func (st *Stream) ResamplePPM() float64 { return st.stepPPM }
 // Next fills dst (FrameSamples long; callers reuse one buffer to keep
 // the path off the heap) with the next 20 ms frame and returns its frame
 // info. Gap audio is silence by default, or synthesized continuation when
-// interpolation is enabled.
+// interpolation is enabled; then the content that resumes after a gap is
+// cross-faded in from that continuation.
 func (st *Stream) Next(dst []float64) FrameInfo {
 	if len(dst) != audio.FrameSamples {
 		panic("serverpipe: Stream.Next requires 20 ms frames")
@@ -102,6 +106,7 @@ func (st *Stream) Next(dst []float64) FrameInfo {
 		st.silenceDebt -= audio.FrameSamples
 		if st.interp != nil {
 			copy(dst, st.interp.Synthesize(audio.FrameSamples))
+			st.gapEnded = true
 		} else {
 			for i := range dst {
 				dst[i] = 0
@@ -146,6 +151,12 @@ func (st *Stream) Next(dst []float64) FrameInfo {
 		}
 	}
 	if st.interp != nil {
+		// Cross-fade the content that follows a gap (one ending this
+		// frame's head, or a whole-frame one) from the gap's continuation.
+		if off > 0 || st.gapEnded {
+			st.interp.BlendIn(dst[off:])
+			st.gapEnded = false
+		}
 		st.interp.Observe(dst[off:])
 	}
 	return fi

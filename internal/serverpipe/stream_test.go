@@ -80,6 +80,12 @@ func TestStreamSubFrame(t *testing.T) {
 	if st.NextContent() != 860 {
 		t.Fatalf("pos %d want 860", st.NextContent())
 	}
+	// A sample skip drains inserted samples before it drops content.
+	st.Apply(compensator.Action{InsertSamples: 300})
+	st.Apply(compensator.Action{SkipSamples: 200})
+	if fi = st.Next(f); fi.ContentOff != 100 || fi.ContentStart != 860 {
+		t.Fatalf("after trim: off=%d c=%d, want 100 and 860", fi.ContentOff, fi.ContentStart)
+	}
 }
 
 // Next copies runs of the looped clip instead of indexing it per sample.

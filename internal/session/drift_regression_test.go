@@ -10,10 +10,9 @@ import (
 	"testing"
 )
 
-// zeroDriftScenarios are the eight simulator configurations whose
+// zeroDriftScenarios are the seven simulator configurations whose
 // measurement/action timelines are pinned by the golden file. They cover
-// every compensation mode (whole-frame, sub-frame, interpolated insert,
-// muted screen), the three provider network shapes and a scripted
+// every compensation mode (silent and interpolated insert, muted screen), the three provider network shapes and a scripted
 // loss/throttle/walk session — all with zero sample-rate offset, so the
 // drift subsystem must leave them untouched down to the last bit.
 func zeroDriftScenarios() map[string]Scenario {
@@ -25,10 +24,6 @@ func zeroDriftScenarios() map[string]Scenario {
 	scs := map[string]Scenario{}
 
 	scs["default"] = base()
-
-	sub := base()
-	sub.SubFrame = true
-	scs["subframe"] = sub
 
 	interp := base()
 	interp.InterpolatedInsert = true

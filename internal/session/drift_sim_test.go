@@ -80,7 +80,7 @@ func TestDriftCompensationNegativeSRO(t *testing.T) {
 
 // TestLevelOnlySawtoothUnderDrift documents what the drift regime fixes:
 // the same +100 ppm SRO under the discrete level-only loop produces a
-// sawtooth — the ramp must build to a whole-frame correction threshold
+// sawtooth — the ramp must build to the correction threshold
 // before each step, so |ISD| repeatedly exceeds the 10 ms bound and the
 // compensator keeps issuing corrections forever.
 func TestLevelOnlySawtoothUnderDrift(t *testing.T) {

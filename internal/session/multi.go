@@ -98,11 +98,6 @@ func debugf(format string, args ...any) {
 	}
 }
 
-// nearestFrames quantizes a delay to whole 20 ms frames (nearest).
-func nearestFrames(sec float64) int {
-	return int(math.Round(sec * audio.SampleRate / audio.FrameSamples))
-}
-
 // RunMulti executes the multi-screen scenario.
 func RunMulti(sc MultiScenario) *MultiResult {
 	if sc.MarkerC == 0 {
@@ -420,32 +415,26 @@ func (m *multiSim) maybeCompensate(now float64) {
 	}
 	target := math.Max(worst, 0)
 	// Quantize the joint plan first; act only when it does something.
-	accessFrames := 0
-	if target >= 0.005 {
-		accessFrames = nearestFrames(target)
+	var access compensator.Action
+	any := target >= 0.005
+	if any {
+		access = compensator.Insert(compensator.AccessoryStream, target)
 	}
-	screenFrames := make([]int, len(m.screens))
-	any := accessFrames > 0
+	screens := make([]compensator.Action, len(m.screens))
 	for i, s := range m.screens {
 		if d := target - s.lastISD; d >= 0.005 {
-			screenFrames[i] = nearestFrames(d)
-		}
-		if screenFrames[i] > 0 {
+			screens[i] = compensator.Insert(compensator.ScreenStream, d)
 			any = true
 		}
 	}
 	if !any {
 		return
 	}
-	debugf("action at %.2fs: target %.1f ms, accessory insert %d", now, target*1000, accessFrames)
-	if accessFrames > 0 {
-		m.accessStream.Apply(compensator.Action{InsertFrames: accessFrames})
-	}
+	debugf("action at %.2fs: target %.1f ms, accessory insert %+v", now, target*1000, access)
+	m.accessStream.Apply(access)
 	for i, s := range m.screens {
-		if screenFrames[i] > 0 {
-			s.stream.Apply(compensator.Action{InsertFrames: screenFrames[i]})
-			debugf("  screen %d insert %d (lastISD %.1f ms)", i, screenFrames[i], s.lastISD*1000)
-		}
+		s.stream.Apply(screens[i])
+		debugf("  screen %d insert %+v (lastISD %.1f ms)", i, screens[i], s.lastISD*1000)
 		s.nISD = 0
 	}
 	m.actions++

@@ -111,8 +111,6 @@ type Scenario struct {
 	ScriptedThrottles []ScriptedThrottle
 	// ClipIndex selects the looping game clip from the corpus.
 	ClipIndex int
-	// SubFrame enables fractional-frame compensation.
-	SubFrame bool
 	// InterpolatedInsert synthesizes inserted delay from the surrounding
 	// audio (PLC-style, §4.4 future work) instead of hard silence.
 	InterpolatedInsert bool
@@ -341,7 +339,6 @@ func (s *sim) setup() {
 		Seq:                s.pnSeq,
 		MarkerC:            sc.MarkerC,
 		Codec:              sc.ChatProfile,
-		Compensator:        compensator.Config{SubFrame: sc.SubFrame},
 		Drift:              compensator.DriftConfig{Enabled: sc.DriftCompensation},
 		Now:                func() float64 { return float64(s.sched.Now()) },
 		Sink:               s,

@@ -27,7 +27,7 @@ func TestSessionConvergesWithEkho(t *testing.T) {
 		t.Fatal("no compensation actions — streams start hundreds of ms apart")
 	}
 	// After convergence (last 10 s) the ISD should be inside the
-	// whole-frame bound (±10 ms) most of the time.
+	// ±10 ms echo threshold most of the time.
 	var tail []float64
 	for _, p := range res.Trace {
 		if p.TimeSec > 30 {
@@ -186,29 +186,19 @@ func TestInitialCorrectionMagnitude(t *testing.T) {
 	}
 }
 
+// Sub-frame corrections land well inside the ±10 ms that whole frames
+// would leave.
 func TestSubFrameModeTightensSync(t *testing.T) {
-	coarse := shortScenario()
-	fine := shortScenario()
-	fine.SubFrame = true
-	rc := Run(coarse)
-	rf := Run(fine)
-	tailErr := func(r *Result) float64 {
-		var s float64
-		n := 0
-		for _, p := range r.Trace {
-			if p.TimeSec > 25 {
-				s += math.Abs(p.ISDSeconds)
-				n++
-			}
+	var s float64
+	n := 0
+	for _, p := range Run(shortScenario()).Trace {
+		if p.TimeSec > 25 {
+			s += math.Abs(p.ISDSeconds)
+			n++
 		}
-		return s / float64(n)
 	}
-	ce, fe := tailErr(rc), tailErr(rf)
-	if fe > ce+0.002 {
-		t.Fatalf("sub-frame mode should not be worse: %g vs %g", fe, ce)
-	}
-	if fe > 0.005 {
-		t.Fatalf("sub-frame steady error %g want < 5 ms", fe)
+	if fe := s / float64(n); fe > 0.005 {
+		t.Fatalf("steady error %g want < 5 ms", fe)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // TestSessionWithHeavyClockDrift verifies the paper's core claim — no
 // clock synchronization required — under an aggressive ±200 ppm controller
 // clock drift (4x a bad consumer crystal). Ekho's measurements and
-// corrections must still hold the streams inside the whole-frame bound.
+// corrections must still hold the streams inside the ±10 ms echo threshold.
 func TestSessionWithHeavyClockDrift(t *testing.T) {
 	for _, drift := range []float64{-200, 200} {
 		sc := shortScenario()

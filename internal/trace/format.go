@@ -114,6 +114,12 @@ type Header struct {
 	Codec codec.Profile
 	// Compensator is the correction-loop tuning.
 	Compensator compensator.Config
+	// Quantizer is the raw byte naming how the compensator quantized its
+	// corrections: QuantizerSamples (1) is the only rule this code has —
+	// HeaderFor always records it — and QuantizerFrames (0) marks a trace
+	// from the removed whole-frame rule. Replay refuses anything but
+	// QuantizerSamples (ErrUnsupportedQuantizer).
+	Quantizer uint8
 	// InjectorLogLimit is the configured injection-log bound (negative =
 	// unlimited); replay must apply the same limit so the injector's
 	// ledger state — and therefore its memory behavior — is identical.
@@ -149,6 +155,17 @@ const (
 	DetectorLegacy     uint8 = 1
 )
 
+// Header.Quantizer values; any other byte is a corrupt header.
+const (
+	QuantizerFrames  uint8 = 0
+	QuantizerSamples uint8 = 1
+)
+
+// ErrUnsupportedQuantizer reports a well-formed trace whose compensator
+// rounded corrections to whole frames, which this build no longer does,
+// so it cannot be replayed faithfully.
+var ErrUnsupportedQuantizer = errors.New("trace: recorded with whole-frame compensation, which this build cannot replay")
+
 // ErrUnsupportedDetector reports a well-formed trace recorded under a
 // marker detector this build no longer has, so it cannot be replayed
 // faithfully.
@@ -168,6 +185,7 @@ func HeaderFor(sessionID uint32, clipIndex int, seed int64, cfg serverpipe.Confi
 		MarkerC:            cfg.MarkerC,
 		Codec:              cfg.Codec,
 		Compensator:        cfg.Compensator,
+		Quantizer:          QuantizerSamples,
 		InjectorLogLimit:   cfg.InjectorLogLimit,
 		DisableMarkers:     cfg.DisableMarkers,
 		InterpolatedInsert: cfg.InterpolatedInsert,
@@ -328,7 +346,7 @@ func appendHeader(b []byte, h Header) []byte {
 	b = appendBool(b, h.Codec.LowDelay)
 	b = appendF64(b, h.Compensator.MinCorrectionSec)
 	b = appendF64(b, h.Compensator.SettleSec)
-	b = appendBool(b, h.Compensator.SubFrame)
+	b = append(b, h.Quantizer)
 	b = appendU32(b, uint32(int32(h.InjectorLogLimit)))
 	b = appendBool(b, h.DisableMarkers)
 	b = appendBool(b, h.InterpolatedInsert)
@@ -420,15 +438,17 @@ func (d *decoder) i32() int     { return int(int32(d.u32())) }
 func (d *decoder) i64() int64   { return int64(d.u64()) }
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
-func (d *decoder) boolean() bool { // named to avoid shadowing the builtin type
+func (d *decoder) u8() uint8 {
 	if d.err != nil || d.off+1 > len(d.b) {
 		d.fail()
-		return false
+		return 0
 	}
-	v := d.b[d.off] != 0
+	v := d.b[d.off]
 	d.off++
 	return v
 }
+
+func (d *decoder) boolean() bool { return d.u8() != 0 } // named to avoid shadowing the builtin type
 
 func (d *decoder) str() string {
 	n := int(d.u16())
@@ -469,7 +489,10 @@ func decodeHeader(payload []byte) (Header, error) {
 	h.Codec.LowDelay = d.boolean()
 	h.Compensator.MinCorrectionSec = d.f64()
 	h.Compensator.SettleSec = d.f64()
-	h.Compensator.SubFrame = d.boolean()
+	h.Quantizer = d.u8()
+	if d.err == nil && h.Quantizer > QuantizerSamples {
+		d.err = fmt.Errorf("%w: unknown quantizer byte %d in header", ErrCorrupt, h.Quantizer)
+	}
 	h.InjectorLogLimit = d.i32()
 	h.DisableMarkers = d.boolean()
 	h.InterpolatedInsert = d.boolean()

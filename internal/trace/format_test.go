@@ -29,7 +29,8 @@ func testHeader() Header {
 			Name: "custom-wb", Lossless: false, BitrateKbps: 24,
 			BandwidthHz: 8000, Complexity: 5, LowDelay: true,
 		},
-		Compensator:        compensator.Config{MinCorrectionSec: 0.012, SettleSec: 4.5, SubFrame: true},
+		Compensator:        compensator.Config{MinCorrectionSec: 0.012, SettleSec: 4.5},
+		Quantizer:          QuantizerSamples,
 		InjectorLogLimit:   -1,
 		DisableMarkers:     false,
 		InterpolatedInsert: true,
@@ -65,6 +66,25 @@ func TestHeaderDetectorTailAbsent(t *testing.T) {
 	b[len(b)-1] = 2
 	if _, err := decodeHeader(b); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("detector byte 2: got %v, want ErrCorrupt", err)
+	}
+}
+
+// The quantizer byte sits where the whole-frame/sub-frame flag always
+// was, so old traces still decode; a byte naming no quantizer is
+// corruption.
+func TestHeaderQuantizerByte(t *testing.T) {
+	for _, q := range []uint8{QuantizerFrames, QuantizerSamples} {
+		h := testHeader()
+		h.Quantizer = q
+		got, err := decodeHeader(appendHeader(nil, h))
+		if err != nil || got.Quantizer != q {
+			t.Fatalf("quantizer %d decoded as %d (%v)", q, got.Quantizer, err)
+		}
+	}
+	h := testHeader()
+	h.Quantizer = 2
+	if _, err := decodeHeader(appendHeader(nil, h)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("quantizer byte 2: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -179,3 +179,20 @@ func TestReplayRefusesLegacyDetector(t *testing.T) {
 		t.Fatalf("replay of a legacy-detector trace: got %v, want ErrUnsupportedDetector", err)
 	}
 }
+
+// A trace whose compensator rounded corrections to whole frames cannot be
+// reproduced by this build's sample quantizer: Replay refuses it by name.
+func TestReplayRefusesWholeFrameQuantizer(t *testing.T) {
+	var buf bytes.Buffer
+	rec, err := trace.NewRecorder(&buf, trace.Header{SeqLen: 640, Quantizer: trace.QuantizerFrames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Tick(0.02)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Replay(&buf); !errors.Is(err, trace.ErrUnsupportedQuantizer) {
+		t.Fatalf("replay of a whole-frame trace: got %v, want ErrUnsupportedQuantizer", err)
+	}
+}

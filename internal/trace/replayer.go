@@ -140,8 +140,8 @@ func sameEvent(want, got Rec) bool {
 // measurements, compensation actions, and the outbound frames' content
 // bookkeeping — is reproduced exactly. It returns a report rather than an
 // error for divergences; an error means the log itself was unreadable, or
-// (ErrUnsupportedDetector) was recorded under a detector this build no
-// longer has.
+// was recorded under a detector (ErrUnsupportedDetector) or a quantizer
+// (ErrUnsupportedQuantizer) this build no longer has.
 func Replay(r io.Reader) (*ReplayReport, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -161,6 +161,9 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 	hdr, _ := rd.Header()
 	if hdr.Detector != DetectorCoarseFine {
 		return nil, ErrUnsupportedDetector
+	}
+	if hdr.Quantizer != QuantizerSamples {
+		return nil, ErrUnsupportedQuantizer
 	}
 	rep.Header = hdr
 
