@@ -24,10 +24,12 @@
 // packed indices); the *configured* bitrate drives distortion rather than
 // the literal packet size. See DESIGN.md for the substitution rationale.
 //
-// Encoder and Decoder own MDCT plans and scratch buffers, so the
-// steady-state EncodeTo/DecodeTo path — one call per 20 ms frame per hub
-// session — allocates nothing once the caller reuses its packet and sample
-// buffers.
+// Encoders and decoders share the MDCT plan and sine window of their block
+// length. A decoder — one per hub session — keeps only what must survive
+// between frames (the overlap tail and the concealment magnitudes) and
+// borrows its transform scratch per call, so the steady-state
+// EncodeTo/DecodeTo path allocates nothing once the caller reuses its
+// packet and sample buffers.
 package codec
 
 import (
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ekho/internal/audio"
 	"ekho/internal/dsp"
@@ -98,36 +101,40 @@ func (p Profile) blockLen() int {
 // hop returns the analysis hop (always half the block).
 func (p Profile) hop() int { return p.blockLen() / 2 }
 
+// sineWindows holds the shared, read-only sine window of each block length
+// a profile can use: one frame (low delay) and two.
+var sineWindows = [2][]float64{sineWindow(FrameSamples), sineWindow(2 * FrameSamples)}
+
+// window returns the profile's shared synthesis/analysis window.
+func (p Profile) window() []float64 { return sineWindows[p.blockLen()/FrameSamples-1] }
+
 // Encoder compresses a 48 kHz mono stream frame by frame.
 type Encoder struct {
 	prof    Profile
-	window  []float64
+	window  []float64 // shared, read-only
 	history []float64 // last hop samples, prepended to each block
-	nBins   int       // MDCT bins per block (= hop)
 	bands   []bandDef
 
-	mdct  *dsp.MDCTPlan
-	block []float64 // windowed analysis block scratch
-	spec  []float64 // MDCT spectrum scratch
-	bits  []int     // per-band bit allocation scratch
-	logE  []float64 // per-band log-energy scratch
+	mdct  *dsp.MDCTPlan // shared
+	block []float64     // windowed analysis block scratch
+	spec  []float64     // MDCT spectrum scratch
+	bits  []int         // per-band bit allocation scratch
+	logE  []float64     // per-band log-energy scratch
 }
 
-// Decoder reconstructs the stream, maintaining overlap-add state.
+// Decoder reconstructs the stream, maintaining overlap-add state. It
+// retains only the overlap tail and the concealment magnitudes; the
+// spectrum and time-domain scratch of a block live inside one call,
+// borrowed from dsp's free list, so their count follows concurrency, not
+// decoders. A lossless decoder has no transform state at all.
 type Decoder struct {
 	prof    Profile
-	window  []float64
-	overlap []float64 // tail of the previous block awaiting summation
-	nBins   int
+	window  []float64     // shared, read-only; nil when lossless
+	mdct    *dsp.MDCTPlan // shared; nil when lossless
+	overlap []float64     // tail of the previous block awaiting summation
 	bands   []bandDef
 	top     int       // end of the last band: bins from here up are never coded and stay zero
-	last    []float64 // last decoded spectrum magnitudes for concealment
-	lastOK  bool
-
-	mdct  *dsp.MDCTPlan
-	spec  []float64 // dequantized spectrum scratch
-	td    []float64 // IMDCT time-domain scratch
-	cspec []float64 // concealment spectrum scratch
+	last    []float64 // |spectrum| of bins [0, top) of the last block, for concealment; nil until one is decoded
 }
 
 type bandDef struct{ lo, hi int } // bin range [lo, hi)
@@ -138,11 +145,10 @@ func NewEncoder(p Profile) *Encoder {
 	bands := makeBands(p.hop(), p.BandwidthHz)
 	return &Encoder{
 		prof:    p,
-		window:  sineWindow(bl),
+		window:  p.window(),
 		history: make([]float64, p.hop()),
-		nBins:   p.hop(),
 		bands:   bands,
-		mdct:    dsp.NewMDCTPlan(p.hop()),
+		mdct:    dsp.MDCTPlanFor(p.hop()),
 		block:   make([]float64, bl),
 		spec:    make([]float64, p.hop()),
 		bits:    make([]int, len(bands)),
@@ -150,18 +156,20 @@ func NewEncoder(p Profile) *Encoder {
 	}
 }
 
-// NewDecoder returns a decoder for the profile.
+// NewDecoder returns a decoder for the profile. A lossless decoder decodes
+// only lossless frames.
 func NewDecoder(p Profile) *Decoder {
+	if p.Lossless {
+		return &Decoder{prof: p}
+	}
 	bands := makeBands(p.hop(), p.BandwidthHz)
 	return &Decoder{
 		prof:    p,
-		window:  sineWindow(p.blockLen()),
+		window:  p.window(),
+		mdct:    dsp.MDCTPlanFor(p.hop()),
 		overlap: make([]float64, p.hop()),
-		nBins:   p.hop(),
 		bands:   bands,
 		top:     bands[len(bands)-1].hi, // makeBands returns at least one band
-		mdct:    dsp.NewMDCTPlan(p.hop()),
-		spec:    make([]float64, p.hop()),
 	}
 }
 
@@ -412,6 +420,9 @@ func (d *Decoder) DecodeTo(dst []float64, pkt []byte) ([]float64, error) {
 	if len(pkt) >= 3 && pkt[0] == magic && pkt[1] == 0xFF {
 		return d.appendLossless(dst, pkt)
 	}
+	if d.mdct == nil {
+		return dst, fmt.Errorf("%w: transform block for a lossless decoder", ErrBadPacket)
+	}
 	if d.prof.LowDelay {
 		// Two sub-packets with length prefixes.
 		start := len(dst)
@@ -453,7 +464,6 @@ func (d *Decoder) appendLossless(dst []float64, pkt []byte) ([]float64, error) {
 		}
 		dst = append(dst, v)
 	}
-	d.lastOK = true
 	return dst, nil
 }
 
@@ -466,8 +476,11 @@ func (d *Decoder) appendBlock(dst []float64, pkt []byte) ([]float64, error) {
 	if nb != len(d.bands) {
 		return dst, fmt.Errorf("%w: band count %d want %d", ErrBadPacket, nb, len(d.bands))
 	}
-	spec := d.spec
-	clear(spec[:d.top])
+	hop := len(d.overlap)
+	scr := dsp.BorrowFloats(3 * hop)
+	defer dsp.ReturnFloats(scr)
+	spec := scr[:hop]
+	clear(spec) // bins from top up are never coded
 	pos := 3
 	for _, bd := range d.bands {
 		if pos+5 > len(pkt) {
@@ -488,32 +501,35 @@ func (d *Decoder) appendBlock(dst []float64, pkt []byte) ([]float64, error) {
 			pos += 2
 		}
 	}
-	return d.appendSynthesis(dst, spec), nil
+	return d.appendSynthesis(dst, spec, scr[hop:]), nil
 }
 
-// appendSynthesis inverts the spectrum (IMDCT), windows and overlap-adds,
-// appending the completed hop of output samples to dst.
-func (d *Decoder) appendSynthesis(dst []float64, spec []float64) []float64 {
+// appendSynthesis inverts the hop-bin spectrum (IMDCT) into td, 2·hop of
+// scratch, windows and overlap-adds, appending the completed hop of output
+// samples to dst.
+func (d *Decoder) appendSynthesis(dst, spec, td []float64) []float64 {
 	d.rememberSpectrum(spec)
-	d.td = d.mdct.Inverse(d.td, spec)
-	hop := d.prof.hop()
-	for i := 0; i < hop; i++ {
-		dst = append(dst, d.overlap[i]+d.td[i]*d.window[i])
+	td = d.mdct.Inverse(td, spec)
+	hop := len(d.overlap)
+	n := len(dst)
+	dst = slices.Grow(dst, hop)[:n+hop]
+	out := dst[n:]
+	for i, o := range d.overlap {
+		out[i] = o + td[i]*d.window[i]
 	}
-	for i := 0; i < hop; i++ {
-		d.overlap[i] = d.td[hop+i] * d.window[hop+i]
+	for i := range d.overlap {
+		d.overlap[i] = td[hop+i] * d.window[hop+i]
 	}
 	return dst
 }
 
 func (d *Decoder) rememberSpectrum(spec []float64) {
 	if d.last == nil {
-		d.last = make([]float64, len(spec))
+		d.last = make([]float64, d.top)
 	}
 	for i, c := range spec[:d.top] {
 		d.last[i] = math.Abs(c)
 	}
-	d.lastOK = true
 }
 
 // Conceal produces a packet-loss-concealment frame: the previous block's
@@ -526,25 +542,28 @@ func (d *Decoder) Conceal() []float64 {
 // ConcealTo is Conceal appending the concealment frame to dst and returning
 // the extended slice.
 func (d *Decoder) ConcealTo(dst []float64) []float64 {
-	hop := d.prof.hop()
-	framesPerPacket := FrameSamples / hop
-	for f := 0; f < framesPerPacket; f++ {
-		if !d.lastOK || d.last == nil {
-			for i := 0; i < hop; i++ {
-				dst = append(dst, d.overlap[i])
-				d.overlap[i] = 0
-			}
+	if d.mdct == nil { // lossless: no spectrum to repeat
+		n := len(dst)
+		dst = slices.Grow(dst, FrameSamples)[:n+FrameSamples]
+		clear(dst[n:])
+		return dst
+	}
+	hop := len(d.overlap)
+	scr := dsp.BorrowFloats(3 * hop)
+	defer dsp.ReturnFloats(scr)
+	spec, td := scr[:hop], scr[hop:]
+	for f := 0; f < FrameSamples/hop; f++ {
+		if d.last == nil {
+			dst = append(dst, d.overlap...)
+			clear(d.overlap)
 			continue
 		}
-		if cap(d.cspec) < len(d.last) {
-			d.cspec = make([]float64, len(d.last))
-		}
-		spec := d.cspec[:len(d.last)]
-		for i, m := range d.last[:d.top] {
+		for i, m := range d.last {
 			spec[i] = m * 0.5 // decayed, sign-flattened repeat
 		}
-		dst = d.appendSynthesis(dst, spec)
-		for i := range d.last[:d.top] {
+		clear(spec[d.top:])
+		dst = d.appendSynthesis(dst, spec, td)
+		for i := range d.last {
 			d.last[i] *= 0.5
 		}
 	}

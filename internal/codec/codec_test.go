@@ -191,6 +191,16 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := dec.Decode(pkt[:len(pkt)/2]); err == nil {
 		t.Fatal("truncated packet should error")
 	}
+	// A lossless decoder has no transform, so it refuses a block even when
+	// the block's band layout is its profile's.
+	full := Profile{Name: "full-band lossy", BitrateKbps: 32, BandwidthHz: Lossless.BandwidthHz, Complexity: 4}
+	blk, err := NewEncoder(full).Encode(make([]float64, FrameSamples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDecoder(Lossless).Decode(blk); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("lossless decoder on a transform block: err %v, want ErrBadPacket", err)
+	}
 }
 
 func TestStreamingDelayIsOneHop(t *testing.T) {

@@ -140,7 +140,7 @@ func (p *mixedPlan) forward(dst, src []complex128) {
 	for i, j := range p.t.perm {
 		dst[i] = src[j]
 	}
-	p.butterflies(dst)
+	p.t.butterflies(dst, p.col)
 }
 
 // inverse computes the unscaled conjugate (inverse) DFT of src into dst —
@@ -151,19 +151,20 @@ func (p *mixedPlan) inverse(dst, src []complex128) {
 	for i, j := range p.t.perm {
 		dst[i] = complex(real(src[j]), -imag(src[j]))
 	}
-	p.butterflies(dst)
+	p.t.butterflies(dst, p.col)
 	for i, v := range dst {
 		dst[i] = complex(real(v), -imag(v))
 	}
 }
 
 // butterflies runs every stage in place over x, which must already be in
-// the plan's permuted order (x[i] = input[perm[i]]). Callers that build
-// their input element by element gather through perm themselves and skip
-// a pass.
-func (p *mixedPlan) butterflies(x []complex128) {
-	for i := range p.t.stages {
-		s := &p.t.stages[i]
+// the permuted order (x[i] = input[perm[i]]). Callers that build their
+// input element by element gather through perm themselves and skip a
+// pass. col is the generic-radix column scratch, maxGeneric long (nil
+// when there is no generic stage).
+func (t *mixedTables) butterflies(x, col []complex128) {
+	for i := range t.stages {
+		s := &t.stages[i]
 		switch s.p {
 		case 2:
 			bfly2(x, s.m, s.tw)
@@ -174,7 +175,7 @@ func (p *mixedPlan) butterflies(x []complex128) {
 		case 5:
 			bfly5(x, s.m, s.tw)
 		default:
-			bflyGeneric(x, s, p.col)
+			bflyGeneric(x, s, col)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func TestMDCTMatchesNaive(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		want := naiveMDCT(x)
-		got := NewMDCTPlan(n).Forward(nil, x)
+		got := MDCTPlanFor(n).Forward(nil, x)
 		for k := range want {
 			if math.Abs(got[k]-want[k]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d bin %d: got %g want %g", n, k, got[k], want[k])
@@ -60,7 +60,7 @@ func TestIMDCTMatchesNaive(t *testing.T) {
 			spec[i] = rng.NormFloat64()
 		}
 		want := naiveIMDCT(spec)
-		got := NewMDCTPlan(n).Inverse(nil, spec)
+		got := MDCTPlanFor(n).Inverse(nil, spec)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d sample %d: got %g want %g", n, i, got[i], want[i])
@@ -90,7 +90,7 @@ func TestTDACPerfectReconstruction(t *testing.T) {
 		sig[i] = rng.NormFloat64()
 	}
 	w := sineWindow(2 * n)
-	p := NewMDCTPlan(n)
+	p := MDCTPlanFor(n)
 	recon := make([]float64, len(sig))
 	for start := 0; start+2*n <= len(sig); start += n {
 		block := make([]float64, 2*n)
@@ -117,7 +117,7 @@ func TestTDACPerfectReconstruction(t *testing.T) {
 
 func TestTDACReconstructionProperty(t *testing.T) {
 	w := sineWindow(2 * 128)
-	p := NewMDCTPlan(128)
+	p := MDCTPlanFor(128)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 128
@@ -154,10 +154,10 @@ func TestMDCTPanicsOnOddLength(t *testing.T) {
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "even nBins") || !strings.Contains(msg, "7") {
-			t.Fatalf("NewMDCTPlan(7) panic = %q, want the even-nBins constraint and the value", msg)
+			t.Fatalf("MDCTPlanFor(7) panic = %q, want the even-nBins constraint and the value", msg)
 		}
 	}()
-	NewMDCTPlan(7)
+	MDCTPlanFor(7)
 }
 
 func TestMDCTEnergyCompaction(t *testing.T) {
@@ -169,7 +169,7 @@ func TestMDCTEnergyCompaction(t *testing.T) {
 	for i := range block {
 		block[i] = math.Sin(2*math.Pi*3000*float64(i)/48000) * w[i]
 	}
-	spec := NewMDCTPlan(n).Forward(nil, block)
+	spec := MDCTPlanFor(n).Forward(nil, block)
 	var total float64
 	for _, v := range spec {
 		total += v * v
@@ -201,7 +201,7 @@ func BenchmarkMDCT960(b *testing.B) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	p := NewMDCTPlan(960)
+	p := MDCTPlanFor(960)
 	spec := make([]float64, 960)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -102,7 +102,8 @@ func TestRealPlanRoundTrip(t *testing.T) {
 
 // TestPlanCacheConcurrency hammers the package-level caches from many
 // goroutines (run with -race): plan lookup, real transforms, pooled helpers,
-// correlators, MDCT twiddles and mixed-radix tables all shared.
+// correlators, MDCT plans (scratch borrowed per call) and mixed-radix tables
+// all shared.
 func TestPlanCacheConcurrency(t *testing.T) {
 	template := planRandComplex(512, 9)
 	var wg sync.WaitGroup
@@ -119,8 +120,10 @@ func TestPlanCacheConcurrency(t *testing.T) {
 				_ = BandPower(x, 48000, 6000, 12000)
 				dst = c.CorrelateInto(dst, seg)
 				// 420 bins run a 210 = 2·3·5·7-point FFT, a size no
-				// other test warms: the first lookups race here.
-				_ = NewMDCTPlan(420).Forward(nil, benchSignal(840, seed+int64(i)))
+				// other test warms: the first lookups race here, and its
+				// generic radix-7 stage borrows column scratch.
+				mp := MDCTPlanFor(420)
+				_ = mp.Inverse(nil, mp.Forward(nil, benchSignal(840, seed+int64(i))))
 				p := Plan4For(256)
 				buf := planRandComplex(256, seed)
 				p.Forward(buf)
@@ -176,7 +179,7 @@ func TestApplyInPlaceMatchesApply(t *testing.T) {
 func TestMDCTPlanZeroAlloc(t *testing.T) {
 	for _, nBins := range []int{64, 480, 960} {
 		x := benchSignal(2*nBins, int64(nBins))
-		p := NewMDCTPlan(nBins)
+		p := MDCTPlanFor(nBins)
 		spec := make([]float64, nBins)
 		td := make([]float64, 2*nBins)
 		allocs := testing.AllocsPerRun(20, func() {

@@ -2,22 +2,23 @@ package dsp
 
 import "sync"
 
-// Block-sized scratch shared across the process.
+// Call-sized scratch shared across the process.
 //
 // A buffer that is live only inside one call — a correlator's forward
-// spectrum, a detector's per-block scan arrays — need not be owned by the
-// instance that uses it: a hub hosts one detector per session but only
-// runs as many blocks at once as it has goroutines doing the work. Such
-// buffers are borrowed from a process-wide free list for the call and
-// returned at its end, so their count follows concurrency, not sessions.
+// spectrum, a detector's per-block scan arrays and refinement window, an
+// MDCT's FFT buffer, a chat decoder's spectrum — need not be owned by the
+// instance that uses it: a hub hosts one detector and one decoder per
+// session but only runs as many calls at once as it has goroutines doing
+// the work. Such buffers are borrowed from a process-wide free list for
+// the call and returned at its end, so their count follows concurrency,
+// not sessions.
 //
 // The list is a plain mutex-guarded stack per exact capacity rather than a
 // sync.Pool: a pool drops whatever sat idle through two GC cycles, and a
-// detector borrows only once per 1.7 s block — far less often than the hub
-// collects — so a pool would hand out freshly allocated buffers nearly
-// every time. Borrow
-// and Return are allocation-free once the list holds a buffer of the
-// requested size.
+// detector borrows only once per 0.34 s block or refinement — less often
+// than the hub collects — so a pool would hand out freshly allocated
+// buffers nearly every time. Borrow and Return are allocation-free once
+// the list holds a buffer of the requested size.
 
 type freeList[T any] struct {
 	mu   sync.Mutex

@@ -46,31 +46,41 @@ type detectorBuffer struct {
 	cap, size int // elements, bytes per element
 }
 
+// bufferOf describes s, taking the element size from its type.
+func bufferOf[T any](name string, s []T) detectorBuffer {
+	var e T
+	return detectorBuffer{name, cap(s), int(unsafe.Sizeof(e))}
+}
+
 func detectorBuffers(d *IncrementalDetector) []detectorBuffer {
-	const f, c = 8, 16
 	return []detectorBuffer{
-		{"rec", cap(d.rec), f},
-		{"bb", cap(d.bb), c},
-		{"mixBuf", cap(d.mixBuf), c},
-		{"cz", cap(d.cz), c},
-		{"scan.z", cap(d.scan.z), f},
-		{"scan.zPrefix", cap(d.scan.zPrefix), f},
-		{"scan.env", cap(d.scan.env), f},
-		{"scan.cands", cap(d.scan.cands), int(unsafe.Sizeof(scanPeak{}))},
-		{"conf.pending", cap(d.conf.pending), int(unsafe.Sizeof(pendingPeak{}))},
-		{"refZt", cap(d.refZt), f},
-		{"refPz", cap(d.refPz), f},
-		{"refBp", cap(d.refBp), f},
-		{"refEx", cap(d.refEx), f},
-		{"refExOk", cap(d.refExOk), 1},
+		bufferOf("rec", d.rec),
+		bufferOf("bb", d.bb),
+		bufferOf("mixBuf", d.mixBuf),
+		bufferOf("cz", d.cz),
+		bufferOf("scan.z", d.scan.z),
+		bufferOf("scan.zPrefix", d.scan.zPrefix),
+		bufferOf("scan.env", d.scan.env),
+		bufferOf("scan.cands", d.scan.cands),
+		bufferOf("conf.pending", d.conf.pending),
+		bufferOf("refZt", d.refZt),
+		bufferOf("refPz", d.refPz),
+		bufferOf("refBp", d.refBp),
+		bufferOf("refEx", d.refEx),
+		bufferOf("refExOk", d.refExOk),
 	}
 }
+
+// detectorBudget bounds one detector's own storage, delay line included
+// (~0.52 MB); a float64 rec would hold 0.80 MB.
+const detectorBudget = 560 << 10
 
 // Every buffer is sized at construction to its peak under frame-sized
 // feeds, so none regrows mid-stream: a regrown buffer leaves its outgrown
 // storage behind as garbage, once per hub session. A minute of marked
 // audio through a room channel runs ~35 correlation blocks and refines
-// every marker. The log is the detector's per-session memory budget.
+// every marker. The log is the detector's per-session memory budget, held
+// to detectorBudget.
 func TestDetectorBuffersNeverRegrow(t *testing.T) {
 	marked, _ := makeMarked(t, 60, 0.5, 1)
 	sig := acoustic.DefaultChannel().Transmit(marked).Samples
@@ -97,9 +107,13 @@ func TestDetectorBuffersNeverRegrow(t *testing.T) {
 	// and rotated through dsp's free list one block at a time.
 	line := 16 * (d.corr.Partitions() - 1) * n
 	t.Logf("%-13s %7d elements %9d bytes", "delay line", line/16, line)
-	t.Logf("%-13s %7s          %9d bytes per session", "total", "", total+line)
+	t.Logf("%-13s %7s          %9d bytes per session (budget %d)", "total", "", total+line, detectorBudget)
 	t.Logf("borrowed per block in flight (dsp free list, not per session): %d bytes",
 		16*(n+czTail+n)+8*(zTail+step+zTail+1+step+envTail+step))
+	t.Logf("borrowed per refinement in flight: %d bytes", 8*(testSeq.Len()+2*refineRadius))
+	if total+line > detectorBudget {
+		t.Errorf("detector holds %d bytes per session, budget %d", total+line, detectorBudget)
+	}
 }
 
 // Reset must be indistinguishable from a fresh detector, mid-stream or not.

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"ekho/internal/audio"
@@ -104,8 +105,11 @@ type IncrementalDetector struct {
 	mdec int // decimated template length
 
 	// Full-rate audio retained for the fine stage; rec[0] is absolute
-	// sample recBase.
-	rec     []float64
+	// sample recBase. Float32 is enough: the samples only feed 48000-term
+	// dots that pick an integer lag, the decoder bounds them to ±16, and
+	// the codec's own noise sits orders of magnitude above float32's 2⁻²⁴
+	// relative rounding. refine widens the window it scores to float64.
+	rec     []float32
 	recBase int
 
 	// osc is the band-center carrier e^{-jω0·t} the fine stage puts back
@@ -338,7 +342,7 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	// decimated samples past it, the frontier leads the peak-scan frontier by
 	// sDec+dDec lags, and trimRec trails that by 2·refineRadius samples.
 	ahead := (d.corr.Partitions()+1)*d.corr.Block() - d.corr.Lead()
-	d.rec = make([]float64, 0, (ahead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
+	d.rec = make([]float32, 0, (ahead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
 	// bb holds the next segment and at most one feed more; it starts with
 	// the correlator's zero history (startBB).
 	d.bb = make([]complex128, 0, d.corr.SegmentLen()+feedChunk/coarseFactor)
@@ -361,16 +365,26 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 // Feed appends recording samples and returns newly confirmed detections.
 // Detection.Sample is the absolute sample index since the first Feed.
 func (d *IncrementalDetector) Feed(samples []float64) []Detection {
-	d.rec = append(d.rec, samples...)
+	d.ingest(samples)
+	d.correlate(false)
+	d.advance()
+	return d.conf.take()
+}
+
+// ingest appends samples to the retained audio, grown once and converted
+// by index, and to the decimated baseband.
+func (d *IncrementalDetector) ingest(samples []float64) {
+	n := len(d.rec)
+	d.rec = slices.Grow(d.rec, len(samples))[:n+len(samples)]
+	for i, v := range samples {
+		d.rec[n+i] = float32(v)
+	}
 	// Heterodyne and decimate the new audio down to complex baseband: the
 	// modulated ÷(D/2) stage reads the real samples directly, so no
 	// full-rate complex stream is ever materialized.
 	mid := d.fastA.Process(d.mixBuf[:0], samples)
 	d.mixBuf = mid[:0]
 	d.bb = d.fastB.Process(d.bb, mid)
-	d.correlate(false)
-	d.advance()
-	return d.conf.take()
 }
 
 // Flush processes everything buffered regardless of batch thresholds and
@@ -681,6 +695,18 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	// span grows.
 	d.work.refined++
 	w := d.cfg.Seq.Samples
+	// The dots read the retained audio widened to float64 once per call:
+	// x[i] is sample lo+i. Lag t's template window is [t, t+L), and dots8
+	// reads L+7 past its base, whose highest value is hi−7, so the window
+	// ends at hi+L (inside rec: hi ≤ recEnd−L). It is borrowed at its
+	// largest length, L + 2·refineRadius, so one buffer per refining
+	// goroutine serves every session.
+	xBuf := dsp.BorrowFloats(L + 2*refineRadius)
+	defer dsp.ReturnFloats(xBuf)
+	x := xBuf[: hi-lo+L : hi-lo+L]
+	for i, v := range d.rec[lo-d.recBase : hi+L-d.recBase] {
+		x[i] = float64(v)
+	}
 	win := hi - lo + 1
 	d.refEx = d.refEx[:0]
 	d.refExOk = d.refExOk[:0]
@@ -704,15 +730,15 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 			}
 			base := t
 			for ; base+7 <= r; base += 8 {
-				dots8(d.refEx[base-lo:], w, d.rec[base-d.recBase:])
+				dots8(d.refEx[base-lo:], w, x[base-lo:])
 				d.work.passes++
 			}
 			for ; base+3 <= r; base += 4 {
-				dots4(d.refEx[base-lo:], w, d.rec[base-d.recBase:])
+				dots4(d.refEx[base-lo:], w, x[base-lo:])
 				d.work.passes++
 			}
 			for ; base <= r; base++ {
-				d.refEx[base-lo] = dot1(w, d.rec[base-d.recBase:base-d.recBase+L])
+				d.refEx[base-lo] = dot1(w, x[base-lo:base-lo+L])
 				d.work.passes++
 			}
 			for i := t - lo; i <= r-lo; i++ {
@@ -881,10 +907,10 @@ func (d *IncrementalDetector) trimCZ() {
 }
 
 // trimRec drops full-rate audio behind every possible future refinement
-// window. Each block moves the frontier by Step()·D ≈ 17.5k samples, so
+// window. Each block moves the frontier by Block()·D ≈ 16.4k samples, so
 // the cut is one copy per block of the retained span: the template-length
 // overlap not yet correlated plus the scan's lag behind the correlation
-// frontier, ≈ 53k samples whatever the segment length.
+// frontier, ≈ 53k float32 samples.
 func (d *IncrementalDetector) trimRec() {
 	cutoff := d.scan.peakNext*coarseFactor - refineRadius - 2*coarseFactor
 	drop := cutoff - d.recBase

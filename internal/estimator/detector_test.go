@@ -337,3 +337,80 @@ func TestDetectorsSharePartitionSpectra(t *testing.T) {
 		}
 	}
 }
+
+// TestRefineWindowEdges checks the fine stage where its window is clipped
+// against the retained audio, against the batch oracle. lo is clipped at
+// recBase when a marker starts within refineRadius of the stream start. hi
+// is clipped at recEnd−L when a candidate's template window ends on the
+// newest fed sample. Feed never produces that: a coarse candidate needs the
+// scan's normalization lookahead, a tenth of a second past its window. So
+// the test refines every candidate a second time with rec cut to end
+// where the batch winner's window ends, keeping the detector's state as is.
+func TestRefineWindowEdges(t *testing.T) {
+	marked, _ := makeMarked(t, 6, 0.5, 2)
+	rec := acoustic.DefaultChannel().Transmit(marked).Samples
+	cfg := Config{Seq: testSeq}
+	L := testSeq.Len()
+
+	t.Run("lo at stream start", func(t *testing.T) {
+		// Start the stream 5 samples before a marker.
+		at := DetectMarkers(rec, cfg)[1].Sample - 5
+		cut := rec[at:]
+		ref := DetectMarkers(cut, cfg)
+		two := feedInChunks(cut, cfg, 4)
+		if len(ref) == 0 || ref[0].Sample >= refineRadius {
+			t.Fatalf("batch detections %v: no marker within refineRadius of the start", samplesOf(ref))
+		}
+		if len(two) != len(ref) {
+			t.Fatalf("streaming %v vs batch %v", samplesOf(two), samplesOf(ref))
+		}
+		for i := range ref {
+			if d := absInt(two[i].Sample - ref[i].Sample); d > parityTol {
+				t.Errorf("detection %d: streaming %d vs batch %d", i, two[i].Sample, ref[i].Sample)
+			}
+		}
+	})
+
+	t.Run("hi at newest sample", func(t *testing.T) {
+		ref := DetectMarkers(rec, cfg)
+		d := NewIncrementalDetector(cfg)
+		checked := 0
+		for pos := 0; pos+audio.FrameSamples <= len(rec); pos += audio.FrameSamples {
+			d.ingest(rec[pos : pos+audio.FrameSamples])
+			d.correlate(false)
+			d.scan.advance()
+			for _, p := range d.scan.cands {
+				t0 := p.pos * coarseFactor
+				var want Detection
+				found := false
+				for _, r := range ref {
+					if absInt(r.Sample-t0) <= refineRadius {
+						want, found = r, true
+					}
+				}
+				end := want.Sample + L
+				if !found || end-d.recBase > len(d.rec) {
+					continue
+				}
+				// Refine with the newest sample at end−1, then restore the
+				// stream and the calibration sums the call accumulated.
+				full, gEx, gRec := d.rec, d.gEx, d.gRec
+				d.rec = d.rec[:end-d.recBase]
+				got, _ := d.refine(p)
+				d.rec, d.gEx, d.gRec = full, gEx, gRec
+				if t0+refineRadius <= want.Sample {
+					t.Fatalf("candidate %d: hi not clipped at %d", t0, want.Sample)
+				}
+				if dd := absInt(got.Sample - want.Sample); dd > parityTol {
+					t.Errorf("candidate %d clipped at %d: refined to %d, batch %d", t0, want.Sample, got.Sample, want.Sample)
+				}
+				checked++
+			}
+			d.advance()
+		}
+		t.Logf("%d clipped candidates checked against %d batch detections", checked, len(ref))
+		if checked < len(ref)-1 {
+			t.Fatalf("checked %d clipped candidates of %d batch detections", checked, len(ref))
+		}
+	})
+}

@@ -209,6 +209,8 @@ func New(cfg Config, conn Conn) *Hub {
 			sessions: make(map[uint32]*session),
 			queue:    make(chan work, cfg.QueueDepth),
 			ctrl:     make(chan work, ctrlDepth),
+			frame:    make([]float64, audio.FrameSamples),
+			pcm:      make([]int16, audio.FrameSamples),
 			cPackets: reg.Counter(fmt.Sprintf(`ekho_shard_packets_total{shard="%d"}`, i),
 				"Data-plane packets enqueued per shard."),
 			cShed: reg.Counter(fmt.Sprintf(`ekho_shard_shed_total{shard="%d"}`, i),

@@ -94,13 +94,12 @@ type session struct {
 	rec     *trace.Recorder
 	recFile *os.File
 
-	// Per-tick scratch: one frame is generated, marked, converted and
-	// serialized at a time. The two packet buffers (one per stream) stay
+	// Per-tick packet buffers, one per stream. The frame and its PCM
+	// conversion are shard scratch (the worker ticks one session at a
+	// time and serializes before the next runs), but the packets stay
 	// queued on the shard's egress until the worker flushes it at the
 	// end of the tick, so each needs its own storage; they are free for
 	// reuse by the next tick, which runs strictly after the flush.
-	frame   []float64
-	pcm     []int16
 	pktScr  []byte
 	pktAcc  []byte
 	lastPkt int // wire size of the most recently serialized frame
@@ -130,8 +129,6 @@ func (h *Hub) newSession(sh *shard, id uint32, wire transport.Wire) *session {
 		res:     SessionResult{ID: id},
 		reorder: jitterbuf.NewReorder(chatReorderWindow),
 		hold:    make([]heldChat, chatReorderWindow),
-		frame:   make([]float64, audio.FrameSamples),
-		pcm:     make([]int16, audio.FrameSamples),
 	}
 	cfg := serverpipe.Config{
 		Game:        h.clip(h.cfg.Clip),
@@ -232,13 +229,13 @@ func (s *session) tick() {
 	if s.rec != nil {
 		s.rec.Tick(s.pipe.Now())
 	}
-	fi := s.pipe.NextScreenFrame(s.frame)
+	fi := s.pipe.NextScreenFrame(s.shard.frame)
 	s.pktScr = s.sendMedia(s.pktScr, s.screenAddr, transport.Media{
 		Seq: fi.Seq, Session: s.id, ContentStart: fi.ContentStart, ContentOff: uint16(fi.ContentOff)})
 	if s.rec != nil {
 		s.rec.MediaOut(trace.StreamScreen, fi, s.lastPkt)
 	}
-	fi = s.pipe.NextAccessoryFrame(s.frame)
+	fi = s.pipe.NextAccessoryFrame(s.shard.frame)
 	s.pktAcc = s.sendMedia(s.pktAcc, s.controllerAddr, transport.Media{
 		Seq: fi.Seq, Session: s.id, ContentStart: fi.ContentStart, ContentOff: uint16(fi.ContentOff)})
 	if s.rec != nil {
@@ -328,15 +325,16 @@ func (s *session) chat(chat transport.Chat) {
 // worker's serialization (remove path or post-shutdown).
 func (s *session) result() SessionResult { return s.res }
 
-// sendMedia serializes the session's scratch frame as the media payload
+// sendMedia serializes the shard's scratch frame as the media payload
 // into buf (reusing its capacity) and queues it on the shard's egress;
 // the worker's end-of-item flush transmits it. It returns the grown
 // buffer for the caller to retain; s.lastPkt records the wire size.
 func (s *session) sendMedia(buf []byte, to net.Addr, m transport.Media) []byte {
-	for i, v := range s.frame {
-		s.pcm[i] = audio.FloatToInt16(v)
+	sh := s.shard
+	for i, v := range sh.frame {
+		sh.pcm[i] = audio.FloatToInt16(v)
 	}
-	m.Samples = s.pcm
+	m.Samples = sh.pcm
 	out, err := s.enc.AppendMedia(buf[:0], m)
 	if err != nil {
 		s.hub.stats.sendErrs.Add(1)

@@ -32,6 +32,11 @@ type shard struct {
 	ctrl chan work
 	// scratch is the worker-owned reusable slice for tick fan-out.
 	scratch []*session
+	// frame and pcm are the worker's tick scratch: one session's frame is
+	// generated, marked, converted and serialized into that session's
+	// packet buffer before the next session ticks.
+	frame []float64
+	pcm   []int16
 	// egress queues this shard's outbound datagrams during a work item;
 	// the worker flushes it through SendBatch once per batch/tick.
 	egress []transport.Packet

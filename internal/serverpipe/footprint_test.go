@@ -14,10 +14,11 @@ import (
 // Per-session memory budget, as a hub hosting many sessions sees it.
 const (
 	// footprintLiveBytes bounds each session's live heap: the marker
-	// detector's retained audio (~0.57 MB, set by the estimator's 8192-point
-	// coarse segment) plus everything else a pipeline owns, ~0.82 MB in all.
-	// A 16384-point segment would retain 1.1 MB and fail it.
-	footprintLiveBytes = 1 << 20
+	// detector (~0.52 MB, of which 0.28 MB is its float32 retained chat
+	// audio, set by the estimator's 4096-point coarse segment) plus
+	// everything else a pipeline owns, ~0.56 MB in all. Retaining that
+	// audio as float64 would add 0.27 MB and fail it.
+	footprintLiveBytes = 7 * (1 << 20) / 10
 	// footprintAllocBytes bounds what each session allocates after
 	// admission over 30 s of streaming: buffers are sized at construction,
 	// so this is detections, measurements and first-use growth only.
