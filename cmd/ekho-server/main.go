@@ -62,7 +62,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9000", "UDP address to listen on")
 	capacity := flag.Int("capacity", 64, "maximum concurrent sessions")
-	shards := flag.Int("shards", 8, "session registry shards (worker goroutines)")
 	duration := flag.Duration("duration", 0, "stop after this long (0 = run until signalled)")
 	idle := flag.Duration("idle-timeout", 30*time.Second, "evict sessions with no traffic for this long")
 	grace := flag.Duration("grace", 5*time.Second, "drain grace period on SIGINT/SIGTERM")
@@ -75,10 +74,6 @@ func main() {
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	if *capacity < 1 {
 		fmt.Fprintln(os.Stderr, "ekho-server: -capacity must be at least 1")
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "ekho-server: -shards must be at least 1")
 		os.Exit(2)
 	}
 
@@ -107,7 +102,6 @@ func main() {
 
 	h := hub.New(hub.Config{
 		Capacity:    *capacity,
-		Shards:      *shards,
 		IdleTimeout: *idle,
 		MarkerC:     *markerC,
 		Clip:        *clip,

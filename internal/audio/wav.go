@@ -109,15 +109,15 @@ func ReadWAV(r io.Reader) (*Buffer, error) {
 // FloatToInt16 converts a [-1, 1] sample to int16 with clamping. The scale
 // is symmetric with Int16ToFloat (32768) so round trips are exact to within
 // half an LSB everywhere except at positive full scale, which clamps.
+//
+// It rounds half away from zero, like math.Round, without a branch: it
+// clamps first, then adds the largest double below ½ with the sample's
+// sign and truncates. That constant, not ½, keeps 0.49999999999999994
+// rounding down; at every half-integer the sum rounds up to the next
+// integer, so the result is bit-identical to rounding then clamping.
 func FloatToInt16(v float64) int16 {
-	s := math.Round(v * 32768)
-	if s > 32767 {
-		s = 32767
-	}
-	if s < -32768 {
-		s = -32768
-	}
-	return int16(s)
+	s := min(max(v*32768, -32768), 32767)
+	return int16(int64(s + math.Copysign(0.49999999999999994, s)))
 }
 
 // Int16ToFloat converts an int16 sample to [-1, 1).

@@ -101,3 +101,48 @@ func TestInt16Conversions(t *testing.T) {
 		t.Fatalf("ToInt16: %v", round)
 	}
 }
+
+// floatToInt16Round is the rounding-then-clamping conversion FloatToInt16
+// must reproduce bit for bit.
+func floatToInt16Round(v float64) int16 {
+	s := math.Round(v * 32768)
+	if s > 32767 {
+		s = 32767
+	}
+	if s < -32768 {
+		s = -32768
+	}
+	return int16(s)
+}
+
+// TestFloatToInt16MatchesRound checks the branchless FloatToInt16 against
+// math.Round where they could part: at every half-integer sample value
+// in [-70000, 70000] and the four doubles on each side of it, at the
+// special values, and at random values across the whole double range.
+func TestFloatToInt16MatchesRound(t *testing.T) {
+	check := func(v float64) {
+		if got, want := FloatToInt16(v), floatToInt16Round(v); got != want {
+			t.Fatalf("FloatToInt16(%v) = %d, want %d (bits %#x)", v, got, want, math.Float64bits(v))
+		}
+	}
+	for k := -70000; k <= 70000; k++ {
+		h := float64(k) + 0.5
+		lo, hi := h, h
+		check(h / 32768)
+		for i := 0; i < 4; i++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			check(lo / 32768)
+			check(hi / 32768)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, 0.49999999999999994 / 32768, -0.49999999999999994 / 32768} {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Float64()*4 - 2)                // around full scale
+		check(rng.NormFloat64() * 0.1)            // typical audio
+		check(math.Float64frombits(rng.Uint64())) // any double
+	}
+}

@@ -13,8 +13,8 @@ import (
 //	               sorted by session ID.
 //
 // Both are cheap enough to scrape continuously: /metrics reads each
-// metric with one atomic load; /sessions snapshots on the shard workers
-// and so waits briefly behind in-flight packet work.
+// metric with one atomic load; /sessions takes the hub's mutex and so
+// waits behind the loop's current pass.
 //
 // cmd/ekho-server mounts these on the -pprof mux; embedders can mount
 // them anywhere (the handlers hold only the *Hub).

@@ -23,7 +23,7 @@ func TestAdminEndpoints(t *testing.T) {
 	mem := NewMemNet()
 	conn := mem.Endpoint("hub")
 	reg := metrics.NewRegistry()
-	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4, Shards: 2, Metrics: reg}, conn)
+	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4, Metrics: reg}, conn)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- h.Serve() }()
 	defer h.Close()
@@ -55,7 +55,7 @@ func TestAdminEndpoints(t *testing.T) {
 		"# TYPE ekho_sessions_active gauge",
 		"ekho_sessions_active 1",
 		"ekho_sessions_admitted_total 1",
-		`ekho_shard_packets_total{shard="0"}`,
+		"ekho_tick_overrun_total 0",
 		"ekho_dispatch_p99_ms",
 	} {
 		if !strings.Contains(body, line) {
@@ -115,7 +115,7 @@ func metricValue(body, name string) (float64, bool) {
 // must rise between scrapes taken during the load.
 func TestAdminMetricsUnderLoad(t *testing.T) {
 	mem := NewMemNet()
-	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4, Shards: 2}, mem.Endpoint("hub"))
+	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4}, mem.Endpoint("hub"))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- h.Serve() }()
 	defer h.Close()

@@ -9,49 +9,19 @@ import (
 	"ekho/internal/transport"
 )
 
-// startWorkers launches a hub's shard workers without a pace loop, so
-// tests can drive DispatchBatch/Dispatch directly and own the packet
-// lifetimes. The returned stop function shuts the hub down and waits.
-func startWorkers(h *Hub) (stop func()) {
-	for _, sh := range h.shards {
-		h.wg.Add(1)
-		go h.worker(sh)
-	}
-	return func() {
-		h.Close()
-		h.wg.Wait()
-	}
-}
-
-// waitArenasIdle blocks until every receive arena is back on the
-// freelist — i.e. all dispatched batches have been fully processed —
-// then returns them. Channel operations only, so it is allocation-free.
-func waitArenasIdle(h *Hub) {
-	var held [numArenas]*recvArena
-	for i := range held {
-		held[i] = <-h.arenaFree
-	}
-	for _, a := range held {
-		h.arenaFree <- a
-	}
-}
-
-// admitDirect admits a session via the dispatch path and waits until its
-// hello has been processed.
+// admitDirect admits a session via the dispatch path, which handles its
+// hello before it returns.
 func admitDirect(t testing.TB, h *Hub, id uint32, from net.Addr) {
 	t.Helper()
+	before := h.Stats().Admitted
 	h.Dispatch(transport.Message{
 		Type:    transport.TypeHello,
 		Session: id,
 		Hello:   transport.Hello{Session: id, Role: transport.RoleScreen},
 		From:    from,
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for h.Stats().Admitted < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never admitted")
-		}
-		time.Sleep(time.Millisecond)
+	if h.Stats().Admitted != before+1 {
+		t.Fatalf("session %d not admitted", id)
 	}
 }
 
@@ -68,77 +38,6 @@ func mediaDatagram(t testing.TB, id uint32, seq uint32) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestShardOverloadShedsMediaKeepsControl saturates a one-shard hub —
-// the worker is wedged and the work queue filled — and asserts the
-// overload policy: data-plane packets are shed and counted while
-// Hello/Bye control packets ride the control lane and still take effect
-// once the worker resumes.
-func TestShardOverloadShedsMediaKeepsControl(t *testing.T) {
-	mem := NewMemNet()
-	conn := mem.Endpoint("hub")
-	ended := make(chan uint32, 4)
-	h := New(Config{
-		TickEvery: -1, IdleTimeout: -1,
-		Shards: 1, QueueDepth: 2, Capacity: 8,
-		OnSessionEnd: func(id uint32, r SessionResult) { ended <- id },
-	}, conn)
-	stop := startWorkers(h)
-	defer stop()
-	from := mem.Endpoint("client").LocalAddr()
-
-	admitDirect(t, h, 1, from)
-
-	// Wedge the worker: a stats probe whose result nobody reads yet.
-	block := make(chan []SessionInfo)
-	sh := h.shards[0]
-	if !h.enqueue(sh, work{kind: workStats, stats: block}) {
-		t.Fatal("enqueue stats probe")
-	}
-
-	// Flood media for the admitted session until the queue overflows and
-	// shedding kicks in.
-	msgs := make([]transport.Message, 8)
-	for i := range msgs {
-		if err := transport.DecodeInto(&msgs[i], mediaDatagram(t, 1, uint32(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.Stats().Shed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no shedding after sustained overload: %v", h.Stats())
-		}
-		h.DispatchBatch(msgs)
-	}
-	shed := h.Stats().Shed
-
-	// Control packets must still get through: a new session's hello and
-	// the old session's bye both land on the control lane.
-	h.DispatchBatch([]transport.Message{
-		{Type: transport.TypeHello, Session: 2, Hello: transport.Hello{Session: 2, Role: transport.RoleScreen}, From: from},
-		{Type: transport.TypeBye, Session: 1, Bye: transport.Bye{Session: 1}, From: from},
-	})
-	if got := h.Stats().Admitted; got != 2 {
-		t.Fatalf("admitted %d sessions under overload, want 2", got)
-	}
-	if dropped := h.Stats().CtrlDropped; dropped != 0 {
-		t.Fatalf("%d control packets dropped, want 0", dropped)
-	}
-
-	<-block // un-wedge the worker
-	select {
-	case id := <-ended:
-		if id != 1 {
-			t.Fatalf("session %d ended, want 1 (bye)", id)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("bye never took effect after overload: %v", h.Stats())
-	}
-	if s := h.Stats(); s.Shed < shed || s.ActiveSessions != 1 {
-		t.Errorf("post-overload stats = %v, want shed >= %d and 1 active", s, shed)
-	}
 }
 
 // TestDrainUnderLoad drains a hub while a media flood is in flight: the
@@ -220,21 +119,23 @@ func TestDrainUnderLoad(t *testing.T) {
 }
 
 // TestBatchedDispatchAllocFree locks in the zero-allocation steady
-// state of the batched dispatch path: decoding a full batch into a
-// recycled arena, routing it to shard workers and processing it
-// performs no heap allocations once warm.
+// state of the batched dispatch path: decoding a full batch into reused
+// message slots, routing it to its stripes and handling it performs no
+// heap allocations once warm, with every stripe helper in use.
 func TestBatchedDispatchAllocFree(t *testing.T) {
 	mem := NewMemNet()
 	conn := mem.Endpoint("hub")
 	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4}, conn)
-	stop := startWorkers(h)
-	defer stop()
+	defer h.Close()
 	from := mem.Endpoint("client").LocalAddr()
-	admitDirect(t, h, 1, from)
+	const sessions = 4 // spread over the stripes
+	for id := uint32(1); id <= sessions; id++ {
+		admitDirect(t, h, id, from)
+	}
 
 	raw := make([][]byte, batchSize)
 	for i := range raw {
-		raw[i] = mediaDatagram(t, 1, uint32(i))
+		raw[i] = mediaDatagram(t, uint32(i%sessions)+1, uint32(i))
 	}
 	msgs := make([]transport.Message, batchSize)
 	cycle := func() {
@@ -244,17 +145,13 @@ func TestBatchedDispatchAllocFree(t *testing.T) {
 			}
 		}
 		h.DispatchBatch(msgs)
-		waitArenasIdle(h)
 	}
 	for i := 0; i < 4; i++ {
-		cycle() // warm arenas, staging slices and decode capacity
+		cycle() // warm staging slices, helpers and decode capacity
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Errorf("batched decode+dispatch of %d packets allocates %.1f times per batch, want 0",
 			batchSize, allocs)
-	}
-	if shed := h.Stats().Shed; shed != 0 {
-		t.Fatalf("alloc test shed %d packets; queue sizing broken", shed)
 	}
 }
 
@@ -286,14 +183,13 @@ func TestDispatchLatencyHistogram(t *testing.T) {
 	}
 }
 
-// benchIngestHub builds a worker-only hub with `sessions` admitted
-// sessions and one encoded media datagram per session.
-func benchIngestHub(b *testing.B, sessions int) (*Hub, [][]byte, func()) {
+// benchIngestHub builds a hub without a pace loop with `sessions`
+// admitted sessions and one encoded media datagram per session.
+func benchIngestHub(b *testing.B, sessions int) (*Hub, [][]byte) {
 	b.Helper()
 	mem := NewMemNet()
 	conn := mem.Endpoint("hub")
 	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: sessions}, conn)
-	stop := startWorkers(h)
 	from := mem.Endpoint("bench-client").LocalAddr()
 	raw := make([][]byte, sessions)
 	for i := range raw {
@@ -306,23 +202,19 @@ func benchIngestHub(b *testing.B, sessions int) (*Hub, [][]byte, func()) {
 		})
 		raw[i] = mediaDatagram(b, id, uint32(i))
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for h.Stats().Admitted < int64(sessions) {
-		if time.Now().After(deadline) {
-			b.Fatal("sessions never admitted")
-		}
-		time.Sleep(time.Millisecond)
+	if h.Stats().Admitted < int64(sessions) {
+		b.Fatal("sessions not admitted")
 	}
-	return h, raw, stop
+	return h, raw
 }
 
-// BenchmarkIngest measures the full decode→dispatch→worker ingest cost
+// BenchmarkIngest measures the full decode→dispatch→handle ingest cost
 // per packet on the batched path (ns/packet and allocs/packet, 64
-// sessions across 8 shards).
+// sessions).
 func BenchmarkIngest(b *testing.B) {
 	const sessions = 64
-	h, raw, stop := benchIngestHub(b, sessions)
-	defer stop()
+	h, raw := benchIngestHub(b, sessions)
+	defer h.Close()
 	msgs := make([]transport.Message, batchSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -337,28 +229,5 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 		h.DispatchBatch(msgs[:n])
-	}
-	waitArenasIdle(h)
-	b.StopTimer()
-	waitQuiesce(b, h, sessions)
-}
-
-// waitQuiesce waits for the shard queues to drain after a benchmark loop
-// so timers stop before teardown races the workers.
-func waitQuiesce(b *testing.B, h *Hub, sessions int) {
-	b.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		idle := true
-		for _, sh := range h.shards {
-			if len(sh.queue) > 0 || len(sh.ctrl) > 0 {
-				idle = false
-				break
-			}
-		}
-		if idle || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

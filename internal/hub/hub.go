@@ -5,37 +5,45 @@
 //
 // Architecture:
 //
-//   - one pace loop owns the socket and the 20 ms media ticks. While
-//     sessions stream it wakes once per tick: it ticks every session,
-//     then drains what the socket holds, decoding datagrams (native
-//     v2 framing or RTP via a pluggable transport.Decoder — see
-//     internal/rtp) and demultiplexing them by session ID onto a sharded
-//     session registry: per-shard mutex + map, sessions pinned to shards
-//     by ID hash; each session replies in whatever framing its Hello
-//     arrived in. During admission it waits on the socket instead, so a
-//     Hello is answered at once. It never waits on a shard worker: a
-//     shard whose queue is full misses ticks and sheds its own data;
-//   - each shard has one worker goroutine that executes all packet
-//     handling, DSP and compensation for its sessions, so different
-//     sessions never contend on one lock and per-session pipeline state
-//     needs no locking at all. It wakes about once per tick;
+//   - one pace loop owns the socket and the 20 ms media ticks, and runs
+//     all session work to completion itself. While sessions stream it
+//     wakes once per tick: it ticks every session, then drains what the
+//     socket holds, decoding datagrams (native v2 framing or RTP via a
+//     pluggable transport.Decoder — see internal/rtp) into one reused
+//     batch and handling each before it reads the next. The drain stops
+//     when the next tick is due; what it leaves waits in the kernel's
+//     receive buffer. During admission it waits on the socket instead, so
+//     a Hello is answered at once;
+//   - sessions live in registry stripes, pinned by ID hash. A stripe is a
+//     partition, not a goroutine: with one core the loop runs every
+//     stripe itself, and with more it runs one stripe per goroutine and
+//     joins them before it goes on. One hub mutex serializes the loop
+//     with callers on other goroutines (Tick, DispatchBatch,
+//     SessionInfos), so per-session pipeline state needs no locking;
 //   - admission control caps concurrent sessions (rejecting extra
-//     hellos with TypeBusy), idle sessions are reaped after a timeout,
-//     and Drain stops admissions while in-flight sessions finish;
+//     hellos with TypeBusy), idle sessions are reaped by the loop after a
+//     timeout, and Drain stops admissions while in-flight sessions finish;
 //   - every counter lives in a metrics.Registry (see internal/metrics),
 //     so the lock-free stats Snapshot, the /metrics Prometheus endpoint
 //     and the /sessions JSON endpoint (RegisterAdmin) all read the same
 //     numbers.
+//
+// Running to completion has one cost: a session whose handling never
+// returns stalls every session, not a shard of them. A slow one is
+// counted (Snapshot.TickOverruns) and the tick grid keeps its phase.
 //
 // The single-session demo server (internal/live.RunServer) is a
 // capacity-1 hub; cmd/ekho-server runs an unrestricted one.
 package hub
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,10 +64,9 @@ type Logf func(format string, args ...any)
 // Conn is the datagram endpoint a hub serves on — the batched wire seam:
 // it drains a burst of datagrams per wakeup and flushes a burst of sends
 // per call, so the whole receive→dispatch→process→send path runs batched
-// (packet arenas amortize decoding, shard workers wake about once per
-// tick, and per-shard egress queues flush through SendBatch).
-// *transport.Conn implements it; tests and benchmarks substitute an
-// in-process loopback network (NewMemNet).
+// (one reused batch of decoded messages per poll, one SendBatch per
+// stripe per tick). *transport.Conn implements it; tests and benchmarks
+// substitute an in-process loopback network (NewMemNet).
 //
 // RecvBatch fills msgs with one blocking read (until deadline) followed
 // by short reads until the socket runs dry or the batch fills,
@@ -68,11 +75,11 @@ type Logf func(format string, args ...any)
 // nothing with a nil error. From may be nil for data-plane packets; it
 // must be set for Hello and Bye. SendBatch
 // attempts every packet and reports how many were sent plus the first
-// error. The hub itself sends one-off replies outside a shard's egress
-// queue (Busy rejects) through SendTo; Recv is the per-datagram read the
-// loopback clients sharing this interface use. Forget passes an ended
-// session to the wire decoder (transport.Decoder.Forget); the hub calls it
-// only from the goroutine that calls RecvBatch, which owns the decoder.
+// error. The hub sends one-off replies (Busy rejects) through SendTo;
+// Recv is the per-datagram read the loopback clients sharing this
+// interface use. Forget passes an ended session to the wire decoder
+// (transport.Decoder.Forget); the hub calls it only from the goroutine
+// that calls RecvBatch, which owns the decoder.
 type Conn interface {
 	RecvBatch(deadline time.Time, msgs []transport.Message) (int, error)
 	SendBatch(pkts []transport.Packet) (int, error)
@@ -83,19 +90,11 @@ type Conn interface {
 	Close() error
 }
 
-// Config tunes a hub. The zero value serves 64 sessions on 8 shards
-// with the paper's session parameters.
+// Config tunes a hub. The zero value serves 64 sessions with the paper's
+// session parameters.
 type Config struct {
 	// Capacity caps concurrently admitted sessions (default 64).
 	Capacity int
-	// Shards sets the registry stripe / worker goroutine count
-	// (default 8).
-	Shards int
-	// QueueDepth bounds each shard's work queue (default 256 entries;
-	// one entry is a whole receive sub-batch, not a packet). When a
-	// shard's queue is full, incoming data-plane packets for it are shed
-	// (counted in Snapshot.Shed) instead of blocking the pace loop.
-	QueueDepth int
 	// TickEvery paces media frames (default 20 ms, the wire frame
 	// duration). Negative disables the internal ticker: the caller
 	// drives pacing via Tick, which is how tests run faster than
@@ -125,23 +124,19 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Logf receives progress lines (nil silences them).
 	Logf Logf
-	// OnSessionReady fires (from a shard worker) when a session's
-	// screen and controller have both joined and streaming starts.
+	// OnSessionReady fires when a session's screen and controller have
+	// both joined and streaming starts. It runs inside the hub's loop, so
+	// every session waits while it runs.
 	OnSessionReady func(id uint32)
 	// OnSessionEnd fires when a session is removed (bye, reap or hub
-	// shutdown) with its final result.
+	// shutdown) with its final result. It runs inside the loop, or in
+	// Serve once the loop has stopped.
 	OnSessionEnd func(id uint32, r SessionResult)
 }
 
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 64
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	if c.TickEvery == 0 {
 		c.TickEvery = 20 * time.Millisecond
@@ -163,25 +158,28 @@ func (c Config) withDefaults() Config {
 
 // Hub is a multi-tenant Ekho session server.
 type Hub struct {
-	cfg    Config
-	conn   Conn
-	shards []*shard
-	stats  counters
+	cfg   Config
+	conn  Conn
+	stats counters
 
-	// arenaFree recycles receive batch arenas between the pace loop and
-	// the shard workers.
-	arenaFree chan *recvArena
-
-	// ended holds the ids of sessions removed while Serve runs, until the
-	// pace loop, which owns the Conn's decoder, forgets their flows.
-	endedMu sync.Mutex
-	ended   []uint32
+	// mu serializes all session work: the pace loop holds it while it runs
+	// ticks, received batches and reaps, never while it sleeps or waits on
+	// the socket; Tick, DispatchBatch and SessionInfos take it too. It
+	// guards the stripes and everything they hold.
+	mu      sync.Mutex
+	stripes []*stripe
+	// batch is the pace loop's receive batch, reused every poll: its
+	// slots keep their payload capacity (transport.DecodeInto).
+	batch []transport.Message
+	// helpers starts the stripe helper goroutines on first use; join is
+	// runStripes' barrier.
+	helpers sync.Once
+	join    sync.WaitGroup
 
 	draining atomic.Bool
 	served   atomic.Bool
 	done     chan struct{}
 	closing  sync.Once
-	wg       sync.WaitGroup
 
 	clipMu sync.Mutex
 	clips  map[int]*audio.Buffer
@@ -189,7 +187,8 @@ type Hub struct {
 	seq    *pn.Sequence
 }
 
-// New returns a hub serving on conn. Call Serve to start it.
+// New returns a hub serving on conn. Call Serve to start it. The hub has
+// one registry stripe per runtime.GOMAXPROCS(0) at the time of the call.
 func New(cfg Config, conn Conn) *Hub {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
@@ -200,35 +199,25 @@ func New(cfg Config, conn Conn) *Hub {
 		cfg:   cfg,
 		conn:  conn,
 		stats: newCounters(reg),
+		batch: make([]transport.Message, batchSize),
 		done:  make(chan struct{}),
 		clips: make(map[int]*audio.Buffer),
 	}
-	h.shards = make([]*shard, cfg.Shards)
-	for i := range h.shards {
-		h.shards[i] = &shard{
+	h.stripes = make([]*stripe, runtime.GOMAXPROCS(0))
+	for i := range h.stripes {
+		h.stripes[i] = &stripe{
 			sessions: make(map[uint32]*session),
-			queue:    make(chan work, cfg.QueueDepth),
-			ctrl:     make(chan work, ctrlDepth),
 			frame:    make([]float64, audio.FrameSamples),
 			pcm:      make([]int16, audio.FrameSamples),
-			cPackets: reg.Counter(fmt.Sprintf(`ekho_shard_packets_total{shard="%d"}`, i),
-				"Data-plane packets enqueued per shard."),
-			cShed: reg.Counter(fmt.Sprintf(`ekho_shard_shed_total{shard="%d"}`, i),
-				"Data-plane packets shed per shard."),
-			cSessions: reg.Gauge(fmt.Sprintf(`ekho_shard_sessions{shard="%d"}`, i),
-				"Live sessions pinned per shard."),
-			cWakeups: reg.Counter(fmt.Sprintf(`ekho_shard_wakeups_total{shard="%d"}`, i),
-				"Shard worker wake-ups from an empty queue."),
+		}
+		if i > 0 {
+			h.stripes[i].run = make(chan struct{})
 		}
 	}
 	reg.GaugeFunc("ekho_dispatch_p50_ms", "Median batched dispatch latency (power-of-two resolution).",
 		func() float64 { return float64(h.DispatchLatency().Quantile(0.50)) / 1e6 })
 	reg.GaugeFunc("ekho_dispatch_p99_ms", "99th percentile batched dispatch latency (power-of-two resolution).",
 		func() float64 { return float64(h.DispatchLatency().Quantile(0.99)) / 1e6 })
-	h.arenaFree = make(chan *recvArena, numArenas)
-	for i := 0; i < numArenas; i++ {
-		h.arenaFree <- newRecvArena(h)
-	}
 	return h
 }
 
@@ -259,39 +248,32 @@ func (h *Hub) markerSeq() *pn.Sequence {
 	return h.seq
 }
 
-// Serve runs the hub until Close: it starts the shard workers and the
-// idle reaper, sizes the socket's receive buffer, then runs the pace loop
-// (socket reads and media ticks) in the calling goroutine. It returns nil
-// after a clean Close and the socket error otherwise. Serve may be called
-// once.
+// Serve runs the hub until Close: it sizes the socket's receive buffer,
+// then runs the pace loop (socket reads, media ticks, idle reaping) in the
+// calling goroutine. It returns nil after a clean Close and the socket
+// error otherwise. Serve may be called once.
 func (h *Hub) Serve() error {
 	if !h.served.CompareAndSwap(false, true) {
 		return errors.New("hub: Serve called twice")
 	}
-	for _, sh := range h.shards {
-		h.wg.Add(1)
-		go h.worker(sh)
-	}
-	if h.cfg.IdleTimeout > 0 {
-		h.wg.Add(1)
-		go h.reapLoop()
-	}
 	h.sizeReadBuffer()
-	h.logf("hub: serving on %s (capacity %d, %d shards)",
-		h.conn.LocalAddr(), h.cfg.Capacity, h.cfg.Shards)
+	h.logf("hub: serving on %s (capacity %d, %d stripes)",
+		h.conn.LocalAddr(), h.cfg.Capacity, len(h.stripes))
 
 	err := h.paceLoop()
 	h.Close()
-	h.wg.Wait()
-	h.forgetEnded()
+	h.mu.Lock()
 	h.flushSessions()
+	h.forgetEnded()
+	h.mu.Unlock()
 	return err
 }
 
 // chatRcvbufBytes is what the largest chat datagram, a 7,683-byte
 // lossless frame, costs in the kernel's receive buffer, overhead
 // included. rcvbufHeadroom is how many ticks of chat from every session
-// the buffer holds: the pace loop drains it once per tick.
+// the buffer holds: the pace loop drains it once per tick, and what a
+// drain leaves when the next tick falls due waits there.
 const (
 	chatRcvbufBytes = 8704
 	rcvbufHeadroom  = 4
@@ -326,36 +308,40 @@ func (h *Hub) sizeReadBuffer() {
 }
 
 // forgetEnded hands the sessions removed since the last call to the wire
-// decoder's Forget. Shard workers remove sessions, but the decoder is the
-// pace loop's, so the ids wait in h.ended until that goroutine (or
-// Serve, once every worker has stopped) calls this. An id a new session
-// reuses before the drain loses only its fresh stream's state, which the
-// next packet rebuilds at the same rollover count, zero.
+// decoder's Forget. The decoder is the pace loop's, so only that
+// goroutine (or Serve, once the loop has stopped) calls this, holding
+// h.mu. An id a new session reuses before the call loses only its fresh
+// stream's state, which the next packet rebuilds at the same rollover
+// count, zero.
 func (h *Hub) forgetEnded() {
-	h.endedMu.Lock()
-	ids := h.ended
-	h.ended = nil
-	h.endedMu.Unlock()
-	for _, id := range ids {
-		h.conn.Forget(id)
+	for _, st := range h.stripes {
+		for _, id := range st.ended {
+			h.conn.Forget(id)
+		}
+		st.ended = st.ended[:0]
 	}
 }
 
-// paceLoop owns the socket and the media ticks until the hub closes. It
-// runs on a fixed grid of TickEvery ticks. While sessions stream it sleeps
-// to the next tick, ticks (so media leaves first), then drains what the
-// socket holds: chat waits at most one tick, which the estimator, fed in
-// 0.37 s blocks, never notices. It waits on the socket instead, until the
-// next tick, while the hub has no session or a Hello or Bye arrived in the
-// last tick, so admission stays prompt; and always when there is no
-// internal ticker (TickEvery < 0, the caller ticks). The loop never waits
-// on a shard worker: a shard whose queue is full misses the tick, so one
-// wedged shard cannot stop the socket being read for the others. A late
-// wake-up catches up at most one overdue tick and skips any older one.
-// Both kinds of miss are counted in Snapshot.TicksSkipped.
+// paceLoop owns the socket, the media ticks and idle reaping until the hub
+// closes, and runs all of their work to completion itself. It runs on a
+// fixed grid of TickEvery ticks. While sessions stream it sleeps to the
+// next tick, ticks (so media leaves first), then drains what the socket
+// holds: chat waits at most one tick, which the estimator, fed in 0.37 s
+// blocks, never notices. The drain stops reading once the next tick is
+// due, so the work between two ticks is bounded by the tick, not by the
+// offered load. It waits on the socket instead, until the next tick,
+// while the hub has no session or a Hello or Bye arrived in the last
+// tick, so admission stays prompt; and always when there is no internal
+// ticker (TickEvery < 0, the caller ticks). A late wake-up catches up at
+// most one overdue tick and skips any older one (Snapshot.TicksSkipped);
+// work that runs past the next tick's due time is counted in
+// Snapshot.TickOverruns.
 func (h *Hub) paceLoop() error {
 	every := h.cfg.TickEvery
 	grid := tickGrid{origin: time.Now(), every: every}
+	var due time.Time // when the drain's budget ends; zero without a ticker
+	reapEvery := h.reapEvery()
+	nextReap := grid.origin.Add(reapEvery)
 	sleep := time.NewTimer(time.Hour)
 	sleep.Stop()
 	defer sleep.Stop()
@@ -363,28 +349,45 @@ func (h *Hub) paceLoop() error {
 	// in the tick before.
 	var ctrl, hot bool
 	for {
-		h.forgetEnded()
 		if h.isClosed() {
 			return nil
 		}
+		h.mu.Lock()
+		h.forgetEnded()
+		h.mu.Unlock()
 		now := time.Now()
-		if every > 0 && !now.Before(grid.next()) {
+		if reapEvery > 0 && !now.Before(nextReap) {
+			h.reapIdle(now)
+			nextReap = now.Add(reapEvery)
+		}
+		if every > 0 {
+			due = grid.next()
+		}
+		if every > 0 && !now.Before(due) {
 			run, skipped := grid.advance(now)
 			h.stats.ticksSkipped.Add(skipped)
-			for ; run > 0; run-- {
-				if !h.tick(false) {
-					h.stats.ticksSkipped.Inc()
-				}
-			}
+			h.mu.Lock()
+			h.runTicks(run)
+			h.mu.Unlock()
 			hot = ctrl
 			var err error
-			if ctrl, err = h.receive(now); err != nil {
+			if ctrl, _, err = h.receive(now, grid.next()); err != nil {
 				return h.recvErr(err)
+			}
+			if !time.Now().Before(grid.next()) {
+				h.stats.tickOverruns.Inc()
 			}
 			continue
 		}
+		wake := now.Add(time.Second)
+		if every > 0 {
+			wake = due
+		}
+		if reapEvery > 0 && nextReap.Before(wake) {
+			wake = nextReap
+		}
 		if every > 0 && !hot && !ctrl && h.stats.active.Load() > 0 {
-			sleep.Reset(grid.next().Sub(now))
+			sleep.Reset(wake.Sub(now))
 			select {
 			case <-h.done:
 				return nil
@@ -393,40 +396,41 @@ func (h *Hub) paceLoop() error {
 			h.stats.loopWakeups.Inc()
 			continue
 		}
-		deadline := now.Add(time.Second)
-		if every > 0 {
-			deadline = grid.next()
-		}
-		c, err := h.receive(deadline)
+		c, n, err := h.receive(wake, due)
 		h.stats.loopWakeups.Inc()
 		ctrl = ctrl || c
 		if err != nil {
 			return h.recvErr(err)
 		}
+		if n > 0 && every > 0 && !time.Now().Before(due) {
+			h.stats.tickOverruns.Inc()
+		}
 	}
 }
 
-// receive reads the socket into arenas and dispatches them: the first
-// RecvBatch waits until deadline (a deadline already passed only polls),
-// and further polls follow while batches come back full. It reports
-// whether a Hello or Bye arrived. A deadline expiry is not an error.
-func (h *Hub) receive(deadline time.Time) (ctrl bool, err error) {
+// receive reads the socket into the loop's batch and runs each batch to
+// completion before the next read: the first RecvBatch waits until
+// deadline (a deadline already passed only polls), and further polls
+// follow while batches come back full and due (zero: no limit) has not
+// passed. It reports whether a Hello or Bye arrived and how many
+// datagrams it handled. A deadline expiry is not an error.
+func (h *Hub) receive(deadline, due time.Time) (ctrl bool, n int, err error) {
 	for {
-		a := h.takeArena()
-		if a == nil {
-			return ctrl, net.ErrClosed // hub closed while all arenas were in flight
-		}
-		n, err := h.conn.RecvBatch(deadline, a.msgs)
-		if n > 0 && !h.isClosed() {
-			ctrl = h.dispatchArena(a, n) || ctrl
-		} else {
-			h.arenaFree <- a
+		got, err := h.conn.RecvBatch(deadline, h.batch)
+		if got > 0 && !h.isClosed() {
+			h.mu.Lock()
+			ctrl = h.dispatch(h.batch[:got]) || ctrl
+			h.mu.Unlock()
+			n += got
 		}
 		if err != nil && !isTimeout(err) {
-			return ctrl, err
+			return ctrl, n, err
 		}
-		if err != nil || n < len(a.msgs) {
-			return ctrl, nil
+		if err != nil || got < len(h.batch) {
+			return ctrl, n, nil
+		}
+		if !due.IsZero() && !time.Now().Before(due) {
+			return ctrl, n, nil // the rest waits in the kernel for the next tick
 		}
 		deadline = time.Now()
 	}
@@ -468,102 +472,53 @@ func (g *tickGrid) advance(now time.Time) (run int, skipped int64) {
 	return run, skipped
 }
 
-// Dispatch routes one decoded datagram to its session's shard worker,
+// Dispatch routes one decoded datagram to its session and handles it,
 // admitting the session first if the packet is a Hello: a one-message
-// DispatchBatch, with the same lifetime rule. The pace loop never calls
-// it; it is exported for benchmarks and tests that drive the hub without
-// a socket.
+// DispatchBatch. The pace loop never calls it; it is exported for
+// benchmarks and tests that drive the hub without a socket.
 func (h *Hub) Dispatch(msg transport.Message) {
 	h.DispatchBatch([]transport.Message{msg})
 }
 
-// route resolves a packet to its session, admitting on Hello and
-// counting strays. It returns nil when the packet needs no worker.
-func (h *Hub) route(sh *shard, msg *transport.Message) *session {
-	s := sh.lookup(msg.Session)
-	if s == nil {
-		if msg.Type != transport.TypeHello {
-			h.stats.strays.Add(1)
-			return nil
-		}
-		if s = h.admit(sh, *msg); s == nil {
-			return nil
-		}
-	}
-	return s
-}
-
-// DispatchBatch routes a batch of decoded datagrams exactly as the pace
-// loop routes a receive batch: one stats update, one clock read and one
-// queue operation per shard sub-batch. The messages' struct fields are
-// copied into an arena, but their backing arrays are shared with the
-// caller until the workers finish the batch — it is exported for
-// benchmarks, tests and harnesses driving a hub without a socket, which
-// own that lifetime.
+// DispatchBatch routes and handles a batch of decoded datagrams exactly as
+// the pace loop handles a receive batch: one stats update and one clock
+// read per batch. It returns once every message has been handled, and
+// keeps no reference to msgs. It is exported for benchmarks, tests and
+// harnesses driving a hub without a socket; it does nothing after Close.
 func (h *Hub) DispatchBatch(msgs []transport.Message) {
-	for len(msgs) > 0 {
-		a := h.takeArena()
-		if a == nil {
-			return
-		}
-		n := copy(a.msgs, msgs)
-		msgs = msgs[n:]
-		h.dispatchArena(a, n)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.isClosed() {
+		return
 	}
+	h.dispatch(msgs)
 }
 
-// dispatchArena routes the first n decoded messages of an arena: data
-// packets are staged into per-shard sub-batches delivered with one
-// channel send each; control packets (Hello/Bye) travel on the shard's
-// control lane so they survive data-plane overload. When a shard's
-// queue is full its sub-batch is shed instead of blocking the pace loop:
-// one slow shard drops its own media, not everyone's. It reports whether
-// the arena held a Hello or Bye.
-func (h *Hub) dispatchArena(a *recvArena, n int) (ctrl bool) {
+// dispatch routes msgs to their sessions' stripes, admitting on Hello and
+// counting strays, then runs the stripes to completion. It reports
+// whether msgs held a Hello or Bye. The caller holds h.mu.
+func (h *Hub) dispatch(msgs []transport.Message) (ctrl bool) {
 	now := time.Now().UnixNano()
-	h.stats.packetsIn.Add(int64(n))
-	a.pending.Store(1) // dispatch hold
-	for i := range a.msgs[:n] {
-		msg := &a.msgs[i]
-		si := shardIndex(msg.Session, len(h.shards))
-		sh := h.shards[si]
-		s := h.route(sh, msg)
-		isCtrl := msg.Type == transport.TypeHello || msg.Type == transport.TypeBye
-		ctrl = ctrl || isCtrl
+	h.stats.packetsIn.Add(int64(len(msgs)))
+	for i := range msgs {
+		msg := &msgs[i]
+		ctrl = ctrl || msg.Type == transport.TypeHello || msg.Type == transport.TypeBye
+		st := h.stripeFor(msg.Session)
+		s := st.sessions[msg.Session]
 		if s == nil {
-			continue
-		}
-		s.lastActive.Store(now)
-		if isCtrl {
-			// Control lane: a struct copy (control packets carry no
-			// payload slices), so delivery never pins the arena.
-			select {
-			case sh.ctrl <- work{kind: workPacket, msg: *msg, s: s}:
-			default:
-				h.stats.ctrlDropped.Add(1)
+			if msg.Type != transport.TypeHello {
+				h.stats.strays.Add(1)
+				continue
 			}
-			continue
+			if s = h.admit(st, msg); s == nil {
+				continue
+			}
 		}
-		a.perShard[si] = append(a.perShard[si], packetWork{m: msg, s: s})
+		s.lastActive = now
+		st.items = append(st.items, packetWork{m: msg, s: s})
 	}
-	for si, items := range a.perShard {
-		if len(items) == 0 {
-			continue
-		}
-		sh := h.shards[si]
-		a.pending.Add(1)
-		select {
-		case sh.queue <- work{kind: workBatch, items: items, arena: a, stamp: now}:
-			sh.cPackets.Add(int64(len(items)))
-		default:
-			// Overload: shed this shard's data sub-batch.
-			h.stats.shed.Add(int64(len(items)))
-			sh.cShed.Add(int64(len(items)))
-			a.perShard[si] = items[:0]
-			a.pending.Add(-1)
-		}
-	}
-	a.release() // drop the dispatch hold
+	h.runStripes()
+	h.stats.observeDispatch(time.Now().UnixNano()-now, len(msgs))
 	return ctrl
 }
 
@@ -578,10 +533,10 @@ func wireEncoder(w transport.Wire) transport.WireEncoder {
 }
 
 // admit applies admission control for a first Hello. It returns the new
-// session, or nil after sending a TypeBusy reject. The session's wire
-// codec is latched from the Hello's framing: every packet the hub sends
-// to this session uses the framing the client helloed in.
-func (h *Hub) admit(sh *shard, msg transport.Message) *session {
+// session, registered on st, or nil after sending a TypeBusy reject. The
+// session's wire codec is latched from the Hello's framing: every packet
+// the hub sends to this session uses the framing the client helloed in.
+func (h *Hub) admit(st *stripe, msg *transport.Message) *session {
 	active := h.stats.active.Load()
 	if h.draining.Load() || active >= int64(h.cfg.Capacity) {
 		h.stats.rejected.Add(1)
@@ -595,80 +550,57 @@ func (h *Hub) admit(sh *shard, msg transport.Message) *session {
 			msg.Session, active, h.cfg.Capacity, h.draining.Load())
 		return nil
 	}
-	s := h.newSession(sh, msg.Session, msg.Wire)
-	if !sh.insert(s) {
-		// Lost a (benchmark-only) race with another dispatcher; use the
-		// session that won.
-		return sh.lookup(msg.Session)
-	}
+	s := h.newSession(st, msg.Session, msg.Wire)
+	st.sessions[s.id] = s
 	cur := h.stats.active.Add(1)
-	sh.cSessions.Add(1)
 	h.stats.peak.BumpMax(cur)
 	h.stats.admitted.Add(1)
 	h.logf("hub: session %d admitted (%d active, wire %v)", msg.Session, cur, msg.Wire)
 	return s
 }
 
-// Tick advances every session by one 20 ms media frame. The pace loop
-// ticks on its grid when TickEvery > 0; tests call Tick directly to run
-// faster than real time. Shards without sessions are skipped. Tick blocks
-// while a shard's queue is full, so a caller ticking faster than the
-// workers keep up is held back instead of losing frames.
-func (h *Hub) Tick() { h.tick(true) }
-
-// tick enqueues one media tick on every shard with sessions. With wait it
-// blocks while a shard's queue is full; without (the pace loop, which must
-// keep reading the socket for every shard) that shard misses the tick,
-// and tick reports false.
-func (h *Hub) tick(wait bool) (all bool) {
-	all = true
-	for _, sh := range h.shards {
-		if sh.cSessions.Load() == 0 {
-			continue
-		}
-		if wait {
-			h.enqueue(sh, work{kind: workTick})
-			continue
-		}
-		select {
-		case sh.queue <- work{kind: workTick}:
-		default:
-			all = false
-		}
+// Tick advances every session by one 20 ms media frame and returns once
+// every frame is sent. The pace loop ticks on its grid when TickEvery > 0;
+// tests call Tick directly to run faster than real time. It does nothing
+// after Close.
+func (h *Hub) Tick() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.isClosed() {
+		return
 	}
-	return all
+	h.runTicks(1)
 }
 
-// reapLoop periodically probes for idle sessions. Eviction happens on
-// the shard worker (a reap work item) so session state stays
-// single-threaded; the probe carries the observed lastActive and the
-// worker aborts the eviction if traffic arrived in between.
-func (h *Hub) reapLoop() {
-	defer h.wg.Done()
-	every := h.cfg.IdleTimeout / 4
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
+// runTicks runs n media ticks on every stripe with sessions. The caller
+// holds h.mu.
+func (h *Hub) runTicks(n int) {
+	for _, st := range h.stripes {
+		if len(st.sessions) > 0 {
+			st.ticks = n
+		}
 	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-h.done:
-			return
-		case <-t.C:
-			cutoff := time.Now().UnixNano() - h.cfg.IdleTimeout.Nanoseconds()
-			for _, sh := range h.shards {
-				var stale []work
-				sh.mu.Lock()
-				for id, s := range sh.sessions {
-					if last := s.lastActive.Load(); last < cutoff {
-						stale = append(stale, work{kind: workReap, id: id, seen: last})
-					}
-				}
-				sh.mu.Unlock()
-				for _, w := range stale {
-					h.enqueue(sh, w)
-				}
+	h.runStripes()
+}
+
+// reapEvery is how often the pace loop looks for idle sessions: a quarter
+// of IdleTimeout, at least 10 ms; 0 when reaping is off.
+func (h *Hub) reapEvery() time.Duration {
+	if h.cfg.IdleTimeout <= 0 {
+		return 0
+	}
+	return max(h.cfg.IdleTimeout/4, 10*time.Millisecond)
+}
+
+// reapIdle removes every session with no inbound packet for IdleTimeout.
+func (h *Hub) reapIdle(now time.Time) {
+	cutoff := now.UnixNano() - h.cfg.IdleTimeout.Nanoseconds()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, st := range h.stripes {
+		for _, s := range st.sessions {
+			if s.lastActive < cutoff {
+				h.remove(st, s, true)
 			}
 		}
 	}
@@ -693,9 +625,9 @@ func (h *Hub) Shutdown(grace time.Duration) {
 	h.Close()
 }
 
-// Close stops the hub: workers, ticker and reaper exit, the socket is
-// closed, and Serve returns after emitting OnSessionEnd for every
-// session still registered.
+// Close stops the hub: the pace loop and the stripe helpers exit, the
+// socket is closed, and Serve returns after emitting OnSessionEnd for
+// every session still registered.
 func (h *Hub) Close() {
 	h.closing.Do(func() {
 		close(h.done)
@@ -713,26 +645,18 @@ func (h *Hub) isClosed() bool {
 }
 
 // flushSessions emits results for sessions still registered at
-// shutdown. Workers have already stopped, so session state is
-// quiescent.
+// shutdown, in session ID order. The caller holds h.mu, so session state
+// is quiescent.
 func (h *Hub) flushSessions() {
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		ss := make([]*session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			ss = append(ss, s)
+	var all []*session
+	for _, st := range h.stripes {
+		for _, s := range st.sessions {
+			all = append(all, s)
 		}
-		sh.sessions = make(map[uint32]*session)
-		sh.mu.Unlock()
-		for _, s := range ss {
-			h.stats.active.Add(-1)
-			sh.cSessions.Add(-1)
-			h.stats.ended.Add(1)
-			s.closeRecorder()
-			if h.cfg.OnSessionEnd != nil {
-				h.cfg.OnSessionEnd(s.id, s.result())
-			}
-		}
+	}
+	slices.SortFunc(all, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
+	for _, s := range all {
+		h.remove(s.stripe, s, false)
 	}
 }
 

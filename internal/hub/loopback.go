@@ -206,8 +206,6 @@ type LoopbackScenario struct {
 	ContentSeconds float64
 	// Capacity caps hub admissions (default: Sessions).
 	Capacity int
-	// Shards sets the hub's shard/worker count (default 8).
-	Shards int
 	// AirDelayFrames gives a session's screen-to-mic delay in 20 ms
 	// frames (default: 4 + id%9, i.e. 80-240 ms).
 	AirDelayFrames func(id uint32) int
@@ -248,9 +246,6 @@ func (sc LoopbackScenario) withDefaults() LoopbackScenario {
 	if sc.Capacity == 0 {
 		sc.Capacity = sc.Sessions
 	}
-	if sc.Shards == 0 {
-		sc.Shards = 8
-	}
 	if sc.AirDelayFrames == nil {
 		sc.AirDelayFrames = func(id uint32) int { return 4 + int(id%9) }
 	}
@@ -286,7 +281,6 @@ func RunLoopback(sc LoopbackScenario) (*LoopbackReport, error) {
 	ready := make(chan uint32, sc.Sessions)
 	h := New(Config{
 		Capacity:       sc.Capacity,
-		Shards:         sc.Shards,
 		TickEvery:      -1, // driven below, flat out
 		IdleTimeout:    -1,
 		Codec:          sc.Codec,

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"ekho/internal/audio"
 	"ekho/internal/compensator"
@@ -52,12 +51,12 @@ type SessionResult struct {
 // session hosts one Ekho pipeline on the hub: it owns the socket I/O and
 // wire serialization for two endpoints and delegates everything else —
 // streams, markers, estimation, compensation — to a serverpipe.Pipeline.
-// All fields except lastActive are owned by the session's shard worker;
-// lastActive is touched by the pace loop and read by the reaper.
+// Its state is touched only by whoever runs its stripe, under the hub's
+// mutex, so it needs no locking of its own.
 type session struct {
-	id    uint32
-	hub   *Hub
-	shard *shard // the shard this session is pinned to (egress queue)
+	id     uint32
+	hub    *Hub
+	stripe *stripe // the stripe this session is pinned to (scratch, egress)
 
 	// wire is the framing the session helloed in; enc is the matching
 	// stateless encoder, used for every packet sent to this session.
@@ -89,28 +88,27 @@ type session struct {
 	isdPeakMS float64 // peak |ISD|
 
 	// rec captures the session's timeline when the hub records; recFile
-	// is the backing log file. Both are touched only on the shard worker
-	// (and at shutdown, after workers stopped).
+	// is the backing log file.
 	rec     *trace.Recorder
 	recFile *os.File
 
 	// Per-tick packet buffers, one per stream. The frame and its PCM
-	// conversion are shard scratch (the worker ticks one session at a
+	// conversion are stripe scratch (a stripe ticks one session at a
 	// time and serializes before the next runs), but the packets stay
-	// queued on the shard's egress until the worker flushes it at the
-	// end of the tick, so each needs its own storage; they are free for
-	// reuse by the next tick, which runs strictly after the flush.
+	// queued on the stripe's egress until it is flushed at the end of
+	// the tick, so each needs its own storage; they are free for reuse by
+	// the next tick, which runs strictly after the flush.
 	pktScr  []byte
 	pktAcc  []byte
 	lastPkt int // wire size of the most recently serialized frame
 
 	// lastActive is the wall clock (UnixNano) of the last packet seen
-	// for this session, maintained by the pace loop for the reaper.
-	lastActive atomic.Int64
+	// for this session, read by the idle reaper.
+	lastActive int64
 }
 
 // heldChat is the payload of one parked out-of-order chat packet: a deep
-// copy (the arena slices a Message decodes into are recycled after the
+// copy (the slices a Message decodes into are reused by the next
 // batch), with capacity reused across the session's lifetime so only the
 // first few anomalies allocate.
 type heldChat struct {
@@ -119,11 +117,11 @@ type heldChat struct {
 	encoded   []byte
 }
 
-func (h *Hub) newSession(sh *shard, id uint32, wire transport.Wire) *session {
+func (h *Hub) newSession(st *stripe, id uint32, wire transport.Wire) *session {
 	s := &session{
 		id:      id,
 		hub:     h,
-		shard:   sh,
+		stripe:  st,
 		wire:    wire,
 		enc:     wireEncoder(wire),
 		res:     SessionResult{ID: id},
@@ -181,11 +179,11 @@ func (s *session) closeRecorder() {
 	s.rec, s.recFile = nil, nil
 }
 
-// handle processes one packet on the shard worker. It reports true when
-// the session ended (Bye) and should be removed. Batch items pass a
-// pointer into the receive arena; nothing in msg may be retained past
-// the call except From (control packets only), which the dispatcher
-// materialized as a stable value.
+// handle processes one packet. It reports true when the session ended
+// (Bye) and should be removed. msg points into a receive batch that the
+// next poll overwrites; nothing in it may be retained past the call except
+// From (control packets only), which the decoder materialized as a stable
+// value.
 func (s *session) handle(msg *transport.Message) (done bool) {
 	switch msg.Type {
 	case transport.TypeHello:
@@ -221,7 +219,7 @@ func (s *session) hello(msg *transport.Message) {
 
 // tick emits one 20 ms frame pair: marked screen audio to the screen
 // endpoint and accessory audio to the controller endpoint. Both packets
-// are queued on the shard's egress and leave in one batched flush.
+// are queued on the stripe's egress and leave in one batched flush.
 func (s *session) tick() {
 	if !s.ready {
 		return
@@ -229,13 +227,13 @@ func (s *session) tick() {
 	if s.rec != nil {
 		s.rec.Tick(s.pipe.Now())
 	}
-	fi := s.pipe.NextScreenFrame(s.shard.frame)
+	fi := s.pipe.NextScreenFrame(s.stripe.frame)
 	s.pktScr = s.sendMedia(s.pktScr, s.screenAddr, transport.Media{
 		Seq: fi.Seq, Session: s.id, ContentStart: fi.ContentStart, ContentOff: uint16(fi.ContentOff)})
 	if s.rec != nil {
 		s.rec.MediaOut(trace.StreamScreen, fi, s.lastPkt)
 	}
-	fi = s.pipe.NextAccessoryFrame(s.shard.frame)
+	fi = s.pipe.NextAccessoryFrame(s.stripe.frame)
 	s.pktAcc = s.sendMedia(s.pktAcc, s.controllerAddr, transport.Media{
 		Seq: fi.Seq, Session: s.id, ContentStart: fi.ContentStart, ContentOff: uint16(fi.ContentOff)})
 	if s.rec != nil {
@@ -247,7 +245,7 @@ func (s *session) tick() {
 // chatIn runs one uplink packet through the reorder stage and delivers
 // whatever comes out in sequence. The in-order case — no gap open, the
 // packet is the expected sequence — costs two compares on top of the
-// old direct path and delivers the arena-backed payload zero-copy;
+// old direct path and delivers the batch-backed payload zero-copy;
 // out-of-order packets are deep-copied into a hold slot until the gap
 // fills or the window flushes.
 func (s *session) chatIn(c *transport.Chat) {
@@ -321,20 +319,20 @@ func (s *session) chat(chat transport.Chat) {
 	s.pipe.OfferChat(chat.Seq, adc, chat.Encoded)
 }
 
-// result snapshots the session's outcome; callers must hold the shard
-// worker's serialization (remove path or post-shutdown).
+// result snapshots the session's outcome; callers must run the session's
+// stripe or hold the hub's mutex.
 func (s *session) result() SessionResult { return s.res }
 
-// sendMedia serializes the shard's scratch frame as the media payload
-// into buf (reusing its capacity) and queues it on the shard's egress;
-// the worker's end-of-item flush transmits it. It returns the grown
-// buffer for the caller to retain; s.lastPkt records the wire size.
+// sendMedia serializes the stripe's scratch frame as the media payload
+// into buf (reusing its capacity) and queues it on the stripe's egress;
+// the end-of-tick flush transmits it. It returns the grown buffer for
+// the caller to retain; s.lastPkt records the wire size.
 func (s *session) sendMedia(buf []byte, to net.Addr, m transport.Media) []byte {
-	sh := s.shard
-	for i, v := range sh.frame {
-		sh.pcm[i] = audio.FloatToInt16(v)
+	st := s.stripe
+	for i, v := range st.frame {
+		st.pcm[i] = audio.FloatToInt16(v)
 	}
-	m.Samples = sh.pcm
+	m.Samples = st.pcm
 	out, err := s.enc.AppendMedia(buf[:0], m)
 	if err != nil {
 		s.hub.stats.sendErrs.Add(1)
@@ -343,13 +341,13 @@ func (s *session) sendMedia(buf []byte, to net.Addr, m transport.Media) []byte {
 	}
 	s.lastPkt = len(out)
 	if to != nil {
-		s.shard.egress = append(s.shard.egress, transport.Packet{Buf: out, To: to})
+		st.egress = append(st.egress, transport.Packet{Buf: out, To: to})
 	}
 	return out
 }
 
-// info snapshots the session for the admin plane; shard workers call it
-// for the hub's SessionInfos collection (trace.SessionStat lines are
+// info snapshots the session for the admin plane; SessionInfos calls it
+// under the hub's mutex (trace.SessionStat lines are
 // derived from it, so the two views can never drift).
 func (s *session) info() SessionInfo {
 	rs := s.reorder.Stats()

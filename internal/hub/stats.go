@@ -13,7 +13,7 @@ import (
 )
 
 // latBuckets sizes the dispatch-latency histogram: bucket i counts
-// packets whose receive-to-worker latency was in [2^(i-1), 2^i) ns, so
+// packets whose receive-to-handled latency was in [2^(i-1), 2^i) ns, so
 // the range spans 1 ns to ~9 s in powers of two.
 const latBuckets = 34
 
@@ -41,17 +41,12 @@ type counters struct {
 	actions      *metrics.Counter
 	resamples    *metrics.Counter
 
-	// shed counts data-plane packets dropped because their shard's queue
-	// was full (overload shedding); ctrlDropped counts control packets
-	// dropped because a shard's control lane overflowed (pathological).
-	shed        *metrics.Counter
-	ctrlDropped *metrics.Counter
-
-	// Pace loop: ticksSkipped counts ticks that did not reach every shard
-	// (overdue ticks dropped from the grid, ticks a full queue refused),
+	// Pace loop: ticksSkipped counts overdue ticks dropped from the grid,
+	// tickOverruns the loop's work that ran past the next tick's due time,
 	// loopWakeups the loop's returns from a sleep or a blocking read, and
 	// rcvbuf the socket receive buffer the kernel granted.
 	ticksSkipped *metrics.Counter
+	tickOverruns *metrics.Counter
 	loopWakeups  *metrics.Counter
 	rcvbuf       *metrics.Gauge
 
@@ -75,7 +70,7 @@ type counters struct {
 	isdPeakMS *metrics.FloatMax
 
 	// latency is the packet-weighted dispatch-latency histogram, updated
-	// once per processed batch by the shard workers. It stays a plain
+	// once per handled batch. It stays a plain
 	// atomic array (34 buckets would be 34 registry entries); /metrics
 	// exports its quantiles through gauge functions instead. Held by
 	// pointer so counters stays a plain copyable bag of handles.
@@ -103,10 +98,8 @@ func newCounters(reg *metrics.Registry) counters {
 		actions:      reg.Counter("ekho_compensation_actions_total", "Compensation actions across all sessions."),
 		resamples:    reg.Counter("ekho_resamples_total", "Drift-regime resample retunes across all sessions."),
 
-		shed:        reg.Counter("ekho_packets_shed_total", "Data-plane packets dropped by overload shedding."),
-		ctrlDropped: reg.Counter("ekho_ctrl_dropped_total", "Control packets dropped on a full control lane."),
-
-		ticksSkipped: reg.Counter("ekho_ticks_skipped_total", "Media ticks not run on every shard: overdue ticks skipped to keep the tick grid, or refused by a full shard queue."),
+		ticksSkipped: reg.Counter("ekho_ticks_skipped_total", "Overdue media ticks skipped to keep the tick grid."),
+		tickOverruns: reg.Counter("ekho_tick_overrun_total", "Pace loop passes whose work ran past the next tick's due time."),
 		loopWakeups:  reg.Counter("ekho_loop_wakeups_total", "Pace loop wake-ups (a tick sleep or a blocking socket read returned)."),
 		rcvbuf:       reg.Gauge("ekho_socket_rcvbuf_bytes", "Socket receive buffer granted by the kernel."),
 
@@ -152,7 +145,7 @@ func heapBytes() float64 {
 	return float64(s[0].Value.Uint64())
 }
 
-// observeDispatch records one batch's receive-to-worker latency for all
+// observeDispatch records one batch's receive-to-handled latency for all
 // of its packets (one histogram update per batch, not per packet).
 func (c *counters) observeDispatch(ns int64, packets int) {
 	if ns < 1 {
@@ -208,8 +201,8 @@ func (l LatencyHist) Quantile(q float64) time.Duration {
 	return time.Duration(uint64(1) << (latBuckets - 1))
 }
 
-// DispatchLatency snapshots the receive-to-worker latency histogram of
-// data packets (control packets carry no stamp).
+// DispatchLatency snapshots the histogram of the time from reading a
+// batch of packets to having handled all of them.
 func (h *Hub) DispatchLatency() LatencyHist {
 	var l LatencyHist
 	for i := range l {
@@ -244,19 +237,17 @@ type Snapshot struct {
 	PacketsOut int64
 	Strays     int64
 	SendErrors int64
-	// Shed counts data-plane packets dropped by overload shedding
-	// (their shard's queue was full); CtrlDropped counts control packets
-	// dropped because a shard's control lane overflowed.
-	Shed        int64
-	CtrlDropped int64
-	// TicksSkipped counts media ticks that did not reach every shard:
-	// the pace loop skipped them because it woke two or more ticks late,
-	// or a shard's full queue refused them. LoopWakeups and ShardWakeups
-	// count the pace loop's wake-ups and the shard workers' (summed over
-	// shards).
+	// Shed is always 0: the hub drops no packet in user space. What it
+	// cannot read by the next tick waits in the kernel's receive buffer.
+	// The field stays because benchmark/ reads it.
+	Shed int64
+	// TicksSkipped counts media ticks the pace loop skipped because it
+	// woke two or more ticks late. TickOverruns counts loop passes whose
+	// work ran past the next tick's due time. LoopWakeups counts the pace
+	// loop's wake-ups.
 	TicksSkipped int64
+	TickOverruns int64
 	LoopWakeups  int64
-	ShardWakeups int64
 	// Measurements / Actions / Resamples aggregate the per-session
 	// estimator and compensator activity across all sessions ever hosted
 	// (Resamples counts drift-regime rate retunes).
@@ -281,24 +272,13 @@ func (h *Hub) Stats() Snapshot {
 		PacketsOut:     c.packetsOut.Load(),
 		Strays:         c.strays.Load(),
 		SendErrors:     c.sendErrs.Load(),
-		Shed:           c.shed.Load(),
-		CtrlDropped:    c.ctrlDropped.Load(),
 		TicksSkipped:   c.ticksSkipped.Load(),
+		TickOverruns:   c.tickOverruns.Load(),
 		LoopWakeups:    c.loopWakeups.Load(),
-		ShardWakeups:   h.shardWakeups(),
 		Measurements:   c.measurements.Load(),
 		Actions:        c.actions.Load(),
 		Resamples:      c.resamples.Load(),
 	}
-}
-
-// shardWakeups sums the shard workers' wake-up counters.
-func (h *Hub) shardWakeups() int64 {
-	var n int64
-	for _, sh := range h.shards {
-		n += sh.cWakeups.Load()
-	}
-	return n
 }
 
 // SessionInfo is the rich per-session snapshot served by the /sessions
@@ -326,28 +306,23 @@ type SessionInfo struct {
 	GapsFlushed  uint64  `json:"chat_reorder_flushed"`
 }
 
-// SessionInfos snapshots every live session. Snapshots are taken on the
-// shard workers — the owners of session state — so the result is
-// race-free; the call therefore waits briefly behind in-flight work. It
-// returns nil after the hub has closed. Results are sorted by session
-// ID.
+// SessionInfos snapshots every live session. It takes the hub's mutex,
+// so the result is race-free and the call waits behind the loop's
+// current pass. It returns nil after the hub has closed. Results are
+// sorted by session ID.
 func (h *Hub) SessionInfos() []SessionInfo {
-	ch := make(chan []SessionInfo, len(h.shards))
-	asked := 0
-	for _, sh := range h.shards {
-		if h.enqueue(sh, work{kind: workStats, stats: ch}) {
-			asked++
-		}
+	h.mu.Lock()
+	if h.isClosed() {
+		h.mu.Unlock()
+		return nil
 	}
 	var all []SessionInfo
-	for i := 0; i < asked; i++ {
-		select {
-		case infos := <-ch:
-			all = append(all, infos...)
-		case <-h.done:
-			return nil
+	for _, st := range h.stripes {
+		for _, s := range st.sessions {
+			all = append(all, s.info())
 		}
 	}
+	h.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	return all
 }
@@ -375,7 +350,8 @@ func (h *Hub) SessionStats() []trace.SessionStat {
 // String formats the snapshot as a one-line status report.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"sessions active=%d peak=%d admitted=%d rejected=%d reaped=%d ended=%d | packets in=%d out=%d strays=%d senderrs=%d shed=%d | measurements=%d actions=%d resamples=%d",
+		"sessions active=%d peak=%d admitted=%d rejected=%d reaped=%d ended=%d | packets in=%d out=%d strays=%d senderrs=%d | ticks skipped=%d overruns=%d | measurements=%d actions=%d resamples=%d",
 		s.ActiveSessions, s.PeakSessions, s.Admitted, s.Rejected, s.Reaped, s.Ended,
-		s.PacketsIn, s.PacketsOut, s.Strays, s.SendErrors, s.Shed, s.Measurements, s.Actions, s.Resamples)
+		s.PacketsIn, s.PacketsOut, s.Strays, s.SendErrors, s.TicksSkipped, s.TickOverruns,
+		s.Measurements, s.Actions, s.Resamples)
 }

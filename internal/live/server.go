@@ -82,7 +82,6 @@ func RunServer(cfg ServerConfig) (ServerStats, error) {
 	)
 	h := hub.New(hub.Config{
 		Capacity: 1,
-		Shards:   1,
 		MarkerC:  cfg.MarkerC,
 		Clip:     cfg.Clip,
 		Logf:     hub.Logf(logf),

@@ -188,12 +188,13 @@ func (in *Injector) ProcessFrame(frame []float64) {
 	kept := in.active[:0]
 	for _, m := range in.active {
 		offset := in.pos - m.start // marker sample index at frame start
-		for i := 0; i < len(frame); i++ {
-			mi := offset + i
-			if mi < 0 || mi >= len(w) {
-				continue
+		// Mix over the frame samples the marker covers: [lo, hi).
+		lo, hi := max(0, -offset), min(len(frame), len(w)-offset)
+		if lo < hi {
+			dst := frame[lo:hi]
+			for i, x := range w[offset+lo : offset+hi] {
+				dst[i] += scaled * x
 			}
-			frame[i] += scaled * w[mi]
 		}
 		if offset+len(frame) < len(w) {
 			kept = append(kept, m)

@@ -273,6 +273,75 @@ func min(a, b int) int {
 	return b
 }
 
+// refProcessFrame is ProcessFrame with the per-sample range test it had
+// before it mixed each marker over its covered slice; the two must agree
+// bit for bit.
+func refProcessFrame(in *Injector, frame []float64) {
+	amp := in.tracker.Update(frame)
+	if amp < MinAmplitude {
+		amp = MinAmplitude
+	}
+	scaled := in.C * amp
+	if in.pos >= in.nextMarker {
+		in.active = append(in.active, activeMarker{start: in.pos})
+		in.nextMarker = in.pos + in.Interval
+	}
+	w := in.Seq.Samples
+	kept := in.active[:0]
+	for _, m := range in.active {
+		offset := in.pos - m.start
+		for i := 0; i < len(frame); i++ {
+			mi := offset + i
+			if mi < 0 || mi >= len(w) {
+				continue
+			}
+			frame[i] += scaled * w[mi]
+		}
+		if offset+len(frame) < len(w) {
+			kept = append(kept, m)
+		}
+	}
+	in.active = kept
+	in.pos += len(frame)
+}
+
+// TestProcessFrameMatchesReference drives ProcessFrame and the reference
+// loop over the same game audio with markers that start on a frame,
+// straddle one or two frame boundaries, end mid-frame and overlap each
+// other, and requires identical output bits in every frame.
+func TestProcessFrameMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct{ length, interval int }{
+		{1500, 700},  // ends 540 samples into its second frame; two overlap
+		{2500, 2000}, // covers three frames
+		{960, 960},   // exactly one frame
+		{DefaultLength, audio.SampleRate},
+	} {
+		seq := NewSequence(7, c.length)
+		got, want := NewInjector(seq, 0.5), NewInjector(seq, 0.5)
+		got.Interval, want.Interval = c.interval, c.interval
+		a := make([]float64, TrackerWindow)
+		b := make([]float64, TrackerWindow)
+		for f := 0; f < 200; f++ {
+			for i := range a {
+				a[i] = rng.NormFloat64() * 0.2
+			}
+			copy(b, a)
+			got.ProcessFrame(a)
+			refProcessFrame(want, b)
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("length %d interval %d frame %d sample %d: %v, reference %v",
+						c.length, c.interval, f, i, a[i], b[i])
+				}
+			}
+		}
+		if got.InjectionCount() < 2 {
+			t.Fatalf("length %d interval %d: only %d markers injected", c.length, c.interval, got.InjectionCount())
+		}
+	}
+}
+
 func BenchmarkProcessFrame(b *testing.B) {
 	seq := NewSequence(10, DefaultLength)
 	inj := NewInjector(seq, 0.5)
