@@ -47,23 +47,62 @@ func TestTickGridAdvance(t *testing.T) {
 	}
 }
 
-// TestSlowSessionKeepsGrid stalls the pace loop inside one session's
-// handling for about fifteen ticks: the OnSessionReady callback, which
-// runs on the loop, sleeps. Every session waits for it, which is what
-// running to completion costs, but the loop counts the overrun and the
-// skipped ticks and keeps its grid: media after the stall arrives at the
-// phase it had before, not at the phase of the release. The socket is
-// read as soon as the stall ends: a Hello sent during the stall is
-// admitted within one tick after it, and that session's Bye ends it.
-func TestSlowSessionKeepsGrid(t *testing.T) {
+// TestStalledShardSkipsTicksOnGrid stalls the pace loop inside one
+// shard's session handling for about fifteen ticks: the OnSessionReady
+// callback, which runs on the loop, sleeps. Every session waits for it,
+// which is what running to completion costs, but the loop counts the
+// overrun and the skipped ticks and keeps its grid: media after the stall
+// arrives at the phase it had before, not at the phase of the release.
+func TestStalledShardSkipsTicksOnGrid(t *testing.T) {
+	const every = 20 * time.Millisecond
+	r := stallLoop(t, every, false)
+	if skipped := r.s1.TicksSkipped - r.s0.TicksSkipped; skipped < 5 {
+		t.Errorf("stall of ~15 ticks skipped %d ticks, want >= 5", skipped)
+	}
+	if r.s1.TickOverruns == r.s0.TickOverruns {
+		t.Errorf("stall of ~15 ticks counted no tick overrun: %v", r.s1)
+	}
+	if d := wrap(r.after-r.before, every); d < -every/4 || d > every/4 {
+		t.Errorf("media phase moved by %v across the stall (before %v, after %v), want within ±%v",
+			d, r.before, r.after, every/4)
+	}
+}
+
+// TestWedgedShardKeepsServing stalls the pace loop the same way and sends
+// a Hello for another session during the stall. The socket is read as
+// soon as the stall ends: that Hello is admitted within one tick after
+// it, and the session's Bye ends it.
+func TestWedgedShardKeepsServing(t *testing.T) {
+	const every = 20 * time.Millisecond
+	r := stallLoop(t, every, true)
+	if d := r.admitted.Sub(r.released); d > every {
+		t.Errorf("Hello sent during the stall admitted %v after it ended, want within %v", d, every)
+	}
+}
+
+// stallRun is what stallLoop measured: the hub's stats and session 1's
+// media phase before and after the stall, and when the stall ended and
+// (with a late Hello) when that session was admitted.
+type stallRun struct {
+	s0, s1             Snapshot
+	before, after      time.Duration
+	released, admitted time.Time
+}
+
+// stallLoop runs a hub on a MemNet with one streaming session, then
+// admits a second session whose OnSessionReady callback stalls the loop
+// for about fifteen ticks and releases it half a period off the grid.
+// With lateHello, a third session says Hello during the stall and Bye
+// after it; stallLoop fails the test if that Bye does not end it.
+func stallLoop(t *testing.T, every time.Duration, lateHello bool) stallRun {
+	t.Helper()
 	const (
-		every = 20 * time.Millisecond
-		slow  = uint32(2) // the session whose handling stalls
-		late  = uint32(3) // the session that says Hello during the stall
+		slow = uint32(2) // the session whose handling stalls
+		late = uint32(3) // the session that says Hello during the stall
 	)
 	var (
-		ref    time.Time     // the grid reference for media phases
-		before time.Duration // session 1's media phase before the stall
+		r   stallRun
+		ref time.Time // the grid reference for media phases
 	)
 	stalled := make(chan struct{})
 	released := make(chan time.Time, 1)
@@ -78,7 +117,7 @@ func TestSlowSessionKeepsGrid(t *testing.T) {
 				admitted <- time.Now()
 			}
 		},
-		// ref and before are set before the slow session's Hellos are
+		// ref and r.before are set before the slow session's Hellos are
 		// sent, which orders them before this callback reads them.
 		OnSessionReady: func(id uint32) {
 			if id != slow {
@@ -88,12 +127,12 @@ func TestSlowSessionKeepsGrid(t *testing.T) {
 			time.Sleep(15 * every)
 			// Release half a period off the grid, where a loop that
 			// re-phased to the release would put every later tick.
-			for wrap(phaseOf(time.Now(), ref, every)-before, every) < every/2-every/10 {
+			for wrap(phaseOf(time.Now(), ref, every)-r.before, every) < every/2-every/10 {
 				time.Sleep(every / 20)
 			}
 			released <- time.Now()
 		},
-		OnSessionEnd: func(id uint32, r SessionResult) { ended <- id },
+		OnSessionEnd: func(id uint32, _ SessionResult) { ended <- id },
 	}, server)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- h.Serve() }()
@@ -151,8 +190,8 @@ func TestSlowSessionKeepsGrid(t *testing.T) {
 	join(1)
 	pre := collect(30)[5:]
 	ref = pre[0]
-	before = medianPhase(pre, ref, every)
-	s0 := h.Stats()
+	r.before = medianPhase(pre, ref, every)
+	r.s0 = h.Stats()
 
 	join(slow)
 	select {
@@ -161,37 +200,30 @@ func TestSlowSessionKeepsGrid(t *testing.T) {
 		t.Fatalf("slow session never became ready: %v", h.Stats())
 	}
 	lateEP := mem.Endpoint("late")
-	send(lateEP, transport.EncodeHello(transport.Hello{Session: late, Role: transport.RoleScreen}))
-	release := wait("stall never ended", released)
-	if d := wait("Hello sent during the stall never admitted", admitted).Sub(release); d > every {
-		t.Errorf("Hello sent during the stall admitted %v after it ended, want within %v", d, every)
+	if lateHello {
+		send(lateEP, transport.EncodeHello(transport.Hello{Session: late, Role: transport.RoleScreen}))
 	}
-	send(lateEP, transport.EncodeBye(transport.Bye{Session: late}))
-	select {
-	case id := <-ended:
-		if id != late {
-			t.Fatalf("session %d ended, want %d", id, late)
+	r.released = wait("stall never ended", released)
+	if lateHello {
+		r.admitted = wait("Hello sent during the stall never admitted", admitted)
+		send(lateEP, transport.EncodeBye(transport.Bye{Session: late}))
+		select {
+		case id := <-ended:
+			if id != late {
+				t.Fatalf("session %d ended, want %d", id, late)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Bye after the stall not handled: %v", h.Stats())
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("Bye after the stall not handled: %v", h.Stats())
 	}
 
 	for len(arrivals) > 0 { // frames from before the stall
 		<-arrivals
 	}
 	post := collect(25)[5:] // past the catch-up tick at the release
-	after := medianPhase(post, ref, every)
-	s1 := h.Stats()
-	if skipped := s1.TicksSkipped - s0.TicksSkipped; skipped < 5 {
-		t.Errorf("stall of ~15 ticks skipped %d ticks, want >= 5", skipped)
-	}
-	if s1.TickOverruns == s0.TickOverruns {
-		t.Errorf("stall of ~15 ticks counted no tick overrun: %v", s1)
-	}
-	if d := wrap(after-before, every); d < -every/4 || d > every/4 {
-		t.Errorf("media phase moved by %v across the stall (before %v, after %v), want within ±%v",
-			d, before, after, every/4)
-	}
+	r.after = medianPhase(post, ref, every)
+	r.s1 = h.Stats()
+	return r
 }
 
 // phaseOf returns t's offset on the grid through ref, in [0, every).
