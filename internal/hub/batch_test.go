@@ -1,10 +1,16 @@
 package hub
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
+	"ekho/internal/audio"
+	"ekho/internal/codec"
 	"ekho/internal/metrics"
 	"ekho/internal/transport"
 )
@@ -229,5 +235,75 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 		h.DispatchBatch(msgs[:n])
+	}
+}
+
+// BenchmarkTickPass measures one pace-loop pass over real traffic, run
+// as the loop runs a tick's pass: every session ticks (marked screen and
+// accessory frames encoded and sent) and handles one SWB32 chat datagram
+// (decode, resequence, estimator) in the same stripe run. It runs with one
+// stripe and, when GOMAXPROCS > 1, with one stripe per core, so on a
+// multi-core runner it shows what the stripe helpers and their barrier
+// buy. It reports ns per session per tick and fails if the media frames
+// did not all leave.
+func BenchmarkTickPass(b *testing.B) {
+	const sessions = 32
+	stripes := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		stripes = append(stripes, p)
+	}
+	// One second of a tone under noise, encoded once; every session's
+	// uplink cycles through it.
+	enc := codec.NewEncoder(codec.SWB32)
+	rng := rand.New(rand.NewPCG(1, 2))
+	frame := make([]float64, audio.FrameSamples)
+	payloads := make([][]byte, 50)
+	for i := range payloads {
+		for j := range frame {
+			n := i*len(frame) + j
+			frame[j] = 0.2*math.Sin(2*math.Pi*440*float64(n)/audio.SampleRate) + 0.01*rng.NormFloat64()
+		}
+		p, err := enc.EncodeTo(nil, frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads[i] = p
+	}
+	for _, k := range stripes {
+		b.Run(fmt.Sprintf("stripes=%d", k), func(b *testing.B) {
+			mem := NewMemNet()
+			h := newStriped(k, Config{TickEvery: -1, IdleTimeout: -1, Capacity: sessions}, mem.Endpoint("hub"))
+			defer h.Close()
+			screen, ctl := mem.Endpoint("screen").LocalAddr(), mem.Endpoint("controller").LocalAddr()
+			msgs := make([]transport.Message, sessions)
+			for i := range msgs {
+				id := uint32(i + 1)
+				for _, hello := range []struct {
+					role transport.Role
+					from net.Addr
+				}{{transport.RoleScreen, screen}, {transport.RoleController, ctl}} {
+					h.Dispatch(transport.Message{Type: transport.TypeHello, Session: id,
+						Hello: transport.Hello{Session: id, Role: hello.role}, From: hello.from})
+				}
+				msgs[i] = transport.Message{Type: transport.TypeChat, Session: id, From: ctl}
+			}
+			out := h.Stats().PacketsOut
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := range msgs {
+					msgs[i].Chat = transport.Chat{Seq: uint32(n), Session: msgs[i].Session,
+						ADCMicros: int64(n) * 20000, Encoded: payloads[n%len(payloads)]}
+				}
+				h.mu.Lock()
+				h.stageTicks(1)
+				h.dispatch(msgs)
+				h.mu.Unlock()
+			}
+			b.StopTimer()
+			if sent := h.Stats().PacketsOut - out; sent != int64(2*sessions*b.N) {
+				b.Fatalf("%d media packets left, want %d", sent, 2*sessions*b.N)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sessions), "ns/session-tick")
+		})
 	}
 }

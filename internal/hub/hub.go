@@ -125,12 +125,16 @@ type Config struct {
 	// Logf receives progress lines (nil silences them).
 	Logf Logf
 	// OnSessionReady fires when a session's screen and controller have
-	// both joined and streaming starts. It runs inside the hub's loop, so
-	// every session waits while it runs.
+	// both joined and streaming starts. It runs inside the hub's loop
+	// (or inside the Dispatch call that handled the Hello) holding the
+	// hub's lock, so every session waits while it runs, and it must not
+	// call Tick, Dispatch, DispatchBatch, SessionInfos or SessionStats,
+	// which take that lock; Stats and DispatchLatency are safe.
 	OnSessionReady func(id uint32)
 	// OnSessionEnd fires when a session is removed (bye, reap or hub
 	// shutdown) with its final result. It runs inside the loop, or in
-	// Serve once the loop has stopped.
+	// Serve once the loop has stopped, holding the hub's lock: the same
+	// rules as OnSessionReady apply.
 	OnSessionEnd func(id uint32, r SessionResult)
 }
 
@@ -334,8 +338,8 @@ func (h *Hub) forgetEnded() {
 // tick, so admission stays prompt; and always when there is no internal
 // ticker (TickEvery < 0, the caller ticks). A late wake-up catches up at
 // most one overdue tick and skips any older one (Snapshot.TicksSkipped);
-// work that runs past the next tick's due time is counted in
-// Snapshot.TickOverruns.
+// a pass whose work began before the next tick's due time and ended
+// after it is counted in Snapshot.TickOverruns.
 func (h *Hub) paceLoop() error {
 	every := h.cfg.TickEvery
 	grid := tickGrid{origin: time.Now(), every: every}
@@ -363,47 +367,57 @@ func (h *Hub) paceLoop() error {
 		if every > 0 {
 			due = grid.next()
 		}
+		// start is when this pass's work began; zero if it did none.
+		var start time.Time
 		if every > 0 && !now.Before(due) {
 			run, skipped := grid.advance(now)
 			h.stats.ticksSkipped.Add(skipped)
 			h.mu.Lock()
-			h.runTicks(run)
+			h.stageTicks(run)
 			h.mu.Unlock()
 			hot = ctrl
-			var err error
-			if ctrl, _, err = h.receive(now, grid.next()); err != nil {
+			// The ticks run with the drain's first batch, ahead of its
+			// packets, so a stripe helper wakes once for both; when
+			// nothing arrived they run here on their own.
+			c, _, err := h.receive(now, grid.next())
+			h.mu.Lock()
+			h.runStripes()
+			h.mu.Unlock()
+			if err != nil {
 				return h.recvErr(err)
 			}
-			if !time.Now().Before(grid.next()) {
+			ctrl, start = c, now
+		} else {
+			wake := now.Add(time.Second)
+			if every > 0 {
+				wake = due
+			}
+			if reapEvery > 0 && nextReap.Before(wake) {
+				wake = nextReap
+			}
+			if every > 0 && !hot && !ctrl && h.stats.active.Load() > 0 {
+				sleep.Reset(wake.Sub(now))
+				select {
+				case <-h.done:
+					return nil
+				case <-sleep.C:
+				}
+				h.stats.loopWakeups.Inc()
+				continue
+			}
+			c, first, err := h.receive(wake, due)
+			h.stats.loopWakeups.Inc()
+			ctrl = ctrl || c
+			if err != nil {
+				return h.recvErr(err)
+			}
+			start = first
+		}
+		// Work that began before the next tick was due and ended after it delayed it.
+		if every > 0 && !start.IsZero() {
+			if next := grid.next(); start.Before(next) && !time.Now().Before(next) {
 				h.stats.tickOverruns.Inc()
 			}
-			continue
-		}
-		wake := now.Add(time.Second)
-		if every > 0 {
-			wake = due
-		}
-		if reapEvery > 0 && nextReap.Before(wake) {
-			wake = nextReap
-		}
-		if every > 0 && !hot && !ctrl && h.stats.active.Load() > 0 {
-			sleep.Reset(wake.Sub(now))
-			select {
-			case <-h.done:
-				return nil
-			case <-sleep.C:
-			}
-			h.stats.loopWakeups.Inc()
-			continue
-		}
-		c, n, err := h.receive(wake, due)
-		h.stats.loopWakeups.Inc()
-		ctrl = ctrl || c
-		if err != nil {
-			return h.recvErr(err)
-		}
-		if n > 0 && every > 0 && !time.Now().Before(due) {
-			h.stats.tickOverruns.Inc()
 		}
 	}
 }
@@ -412,25 +426,28 @@ func (h *Hub) paceLoop() error {
 // completion before the next read: the first RecvBatch waits until
 // deadline (a deadline already passed only polls), and further polls
 // follow while batches come back full and due (zero: no limit) has not
-// passed. It reports whether a Hello or Bye arrived and how many
-// datagrams it handled. A deadline expiry is not an error.
-func (h *Hub) receive(deadline, due time.Time) (ctrl bool, n int, err error) {
+// passed. It reports whether a Hello or Bye arrived and when it began
+// handling the first batch (zero if nothing arrived). A deadline expiry
+// is not an error.
+func (h *Hub) receive(deadline, due time.Time) (ctrl bool, first time.Time, err error) {
 	for {
 		got, err := h.conn.RecvBatch(deadline, h.batch)
 		if got > 0 && !h.isClosed() {
+			if first.IsZero() {
+				first = time.Now()
+			}
 			h.mu.Lock()
 			ctrl = h.dispatch(h.batch[:got]) || ctrl
 			h.mu.Unlock()
-			n += got
 		}
 		if err != nil && !isTimeout(err) {
-			return ctrl, n, err
+			return ctrl, first, err
 		}
 		if err != nil || got < len(h.batch) {
-			return ctrl, n, nil
+			return ctrl, first, nil
 		}
 		if !due.IsZero() && !time.Now().Before(due) {
-			return ctrl, n, nil // the rest waits in the kernel for the next tick
+			return ctrl, first, nil // the rest waits in the kernel for the next tick
 		}
 		deadline = time.Now()
 	}
@@ -569,18 +586,19 @@ func (h *Hub) Tick() {
 	if h.isClosed() {
 		return
 	}
-	h.runTicks(1)
+	h.stageTicks(1)
+	h.runStripes()
 }
 
-// runTicks runs n media ticks on every stripe with sessions. The caller
+// stageTicks stages n media ticks on every stripe with sessions; the next
+// runStripes runs them ahead of any packet routed with them. The caller
 // holds h.mu.
-func (h *Hub) runTicks(n int) {
+func (h *Hub) stageTicks(n int) {
 	for _, st := range h.stripes {
 		if len(st.sessions) > 0 {
-			st.ticks = n
+			st.ticks += n
 		}
 	}
-	h.runStripes()
 }
 
 // reapEvery is how often the pace loop looks for idle sessions: a quarter

@@ -87,6 +87,7 @@ func (h *Hub) startHelpers() {
 			for {
 				select {
 				case <-st.run:
+					h.stats.helperWakeups.Inc()
 					h.runStripe(st)
 					h.join.Done()
 				case <-h.done:
