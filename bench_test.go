@@ -247,29 +247,3 @@ func BenchmarkHubDemux(b *testing.B) {
 		b.Fatalf("admitted %d sessions, want %d", got, sessions)
 	}
 }
-
-// BenchmarkHubSessions measures a full 64-session hub: every iteration
-// runs the complete loopback fleet (estimation, compensation and all)
-// over a short stretch of content and reports the per-session frame
-// throughput.
-func BenchmarkHubSessions(b *testing.B) {
-	const sessions = 64
-	const content = 4.0
-	for i := 0; i < b.N; i++ {
-		rep, err := hub.RunLoopback(hub.LoopbackScenario{
-			Sessions:       sessions,
-			ContentSeconds: content,
-		})
-		if err != nil {
-			b.Fatalf("RunLoopback: %v", err)
-		}
-		if len(rep.Results) != sessions {
-			b.Fatalf("got %d session results, want %d", len(rep.Results), sessions)
-		}
-		frames := 0
-		for _, r := range rep.Results {
-			frames += r.Frames
-		}
-		b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
-	}
-}

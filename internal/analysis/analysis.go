@@ -98,17 +98,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// Histogram bins values into the ranges defined by edges (len(edges)+1
-// bins: (-inf, e0), [e0, e1), ..., [eLast, +inf)).
-func Histogram(xs []float64, edges []float64) []int {
-	out := make([]int, len(edges)+1)
-	for _, x := range xs {
-		i := sort.SearchFloat64s(edges, math.Nextafter(x, math.Inf(1)))
-		out[i]++
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean (NaN for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -133,13 +122,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// AbsAll returns |x| element-wise.
-func AbsAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = math.Abs(x)
-	}
-	return out
 }

@@ -132,25 +132,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0.5, 1.5, 2.5, 99}
-	h := Histogram(xs, []float64{0, 1, 2})
-	// bins: (-inf,0) [0,1) [1,2) [2,inf)
-	want := []int{1, 1, 1, 2}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("hist %v want %v", h, want)
-		}
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatal("histogram must conserve count")
-	}
-}
-
 func TestMeanMaxAbs(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean")
@@ -160,9 +141,5 @@ func TestMeanMaxAbs(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Max(nil)) {
 		t.Fatal("empty mean/max")
-	}
-	a := AbsAll([]float64{-1, 2})
-	if a[0] != 1 || a[1] != 2 {
-		t.Fatal("absall")
 	}
 }

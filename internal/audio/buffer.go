@@ -1,6 +1,6 @@
 // Package audio provides the PCM audio primitives shared by all of Ekho:
 // mono float64 sample buffers, 20 ms framing at 48 kHz, WAV import/export,
-// level measurement (dBFS and A-weighted dBA), chirp generation and mixing.
+// level measurement (dBFS and A-weighted dBA), tone generation and mixing.
 //
 // Conventions: samples are float64 in [-1, 1]; the canonical sample rate is
 // 48 kHz; the canonical frame is 20 ms (960 samples), matching the OPUS
@@ -14,15 +14,10 @@ import (
 
 // Canonical stream constants (paper §4.2: 48 kHz, 20 ms packets, 1 s markers).
 const (
-	SampleRate      = 48000            // samples per second
-	FrameSamples    = 960              // 20 ms at 48 kHz (T in Eq. 2)
-	FrameDuration   = 20 * Millisecond // duration of one frame
-	MarkerLength    = 48000            // L: 1 s PN marker
-	MarkerIntervalS = 1.0              // markers are injected every second
+	SampleRate   = 48000 // samples per second
+	FrameSamples = 960   // 20 ms at 48 kHz (T in Eq. 2)
+	MarkerLength = 48000 // L: 1 s PN marker
 )
-
-// Millisecond is a convenience duration unit in seconds.
-const Millisecond = 1e-3
 
 // Buffer is a mono PCM signal at a fixed sample rate.
 type Buffer struct {
@@ -110,22 +105,6 @@ func (b *Buffer) Gain(g float64) *Buffer {
 	return b
 }
 
-// Clip hard-limits samples to [-1, 1] in place, returning the count of
-// clipped samples (useful for detecting marker volumes that would distort).
-func (b *Buffer) Clip() int {
-	n := 0
-	for i, v := range b.Samples {
-		if v > 1 {
-			b.Samples[i] = 1
-			n++
-		} else if v < -1 {
-			b.Samples[i] = -1
-			n++
-		}
-	}
-	return n
-}
-
 // MixInto adds src (scaled by gain) into b starting at the given sample
 // offset. Out-of-range parts of src are ignored; negative offsets shift src
 // earlier (dropping its head).
@@ -175,14 +154,6 @@ func (b *Buffer) DBFS() float64 {
 	return 20 * math.Log10(r)
 }
 
-// SamplesToSeconds converts a sample count at the buffer's rate to seconds.
-func (b *Buffer) SamplesToSeconds(n int) float64 { return float64(n) / float64(b.Rate) }
-
-// SecondsToSamples converts seconds to a sample count at the buffer's rate.
-func (b *Buffer) SecondsToSamples(sec float64) int {
-	return int(math.Round(sec * float64(b.Rate)))
-}
-
 // String summarizes the buffer for debugging.
 func (b *Buffer) String() string {
 	return fmt.Sprintf("audio.Buffer{%d Hz, %d samples, %.2fs, %.1f dBFS}",
@@ -212,11 +183,6 @@ func Mix(bufs ...*Buffer) *Buffer {
 		}
 	}
 	return out
-}
-
-// Silence returns a zeroed buffer lasting the given number of seconds.
-func Silence(rate int, seconds float64) *Buffer {
-	return NewBuffer(rate, int(math.Round(seconds*float64(rate))))
 }
 
 // Normalize scales the buffer so its peak is the given absolute level

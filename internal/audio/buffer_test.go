@@ -15,12 +15,6 @@ func TestBufferBasics(t *testing.T) {
 	if b.Len() != 48000 {
 		t.Fatalf("len %d", b.Len())
 	}
-	if b.SecondsToSamples(0.02) != FrameSamples {
-		t.Fatalf("20 ms should be %d samples", FrameSamples)
-	}
-	if b.SamplesToSeconds(FrameSamples) != 0.02 {
-		t.Fatal("960 samples should be 20 ms")
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -129,11 +123,8 @@ func TestMixLengthsAndPanic(t *testing.T) {
 func TestGainClipNormalize(t *testing.T) {
 	b := FromSamples(SampleRate, []float64{0.5, -0.5})
 	b.Gain(4)
-	if n := b.Clip(); n != 2 {
-		t.Fatalf("clipped %d want 2", n)
-	}
-	if b.Samples[0] != 1 || b.Samples[1] != -1 {
-		t.Fatalf("clip values: %v", b.Samples)
+	if b.Samples[0] != 2 || b.Samples[1] != -2 {
+		t.Fatalf("gain values: %v", b.Samples)
 	}
 	c := FromSamples(SampleRate, []float64{0.2, -0.1})
 	c.Normalize(0.9)
@@ -161,7 +152,7 @@ func TestRMSAndDBFS(t *testing.T) {
 }
 
 func TestSilence(t *testing.T) {
-	s := Silence(SampleRate, 0.1)
+	s := NewBuffer(SampleRate, SampleRate/10)
 	if s.Len() != 4800 {
 		t.Fatalf("len %d", s.Len())
 	}

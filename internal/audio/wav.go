@@ -122,21 +122,3 @@ func FloatToInt16(v float64) int16 {
 
 // Int16ToFloat converts an int16 sample to [-1, 1).
 func Int16ToFloat(v int16) float64 { return float64(v) / 32768 }
-
-// ToInt16 converts the whole buffer to int16 PCM.
-func (b *Buffer) ToInt16() []int16 {
-	out := make([]int16, len(b.Samples))
-	for i, v := range b.Samples {
-		out[i] = FloatToInt16(v)
-	}
-	return out
-}
-
-// FromInt16 builds a buffer from int16 PCM.
-func FromInt16(rate int, s []int16) *Buffer {
-	out := NewBuffer(rate, len(s))
-	for i, v := range s {
-		out.Samples[i] = Int16ToFloat(v)
-	}
-	return out
-}

@@ -55,11 +55,10 @@ type Profile struct {
 
 // The operating points used in the paper's evaluation (§6.3, Appendix C).
 var (
-	Lossless  = Profile{Name: "No compression", Lossless: true, BandwidthHz: 24000}
-	SWB32     = Profile{Name: "OPUS-like SWB 32kbps", BitrateKbps: 32, BandwidthHz: 12000, Complexity: 4}
-	SWB24     = Profile{Name: "OPUS-like SWB 24kbps", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 4}
-	SWB24ULL  = Profile{Name: "OPUS-like SWB 24kbps ULL", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 4, LowDelay: true}
-	SWB24Low0 = Profile{Name: "OPUS-like SWB 24kbps c0", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 0}
+	Lossless = Profile{Name: "No compression", Lossless: true, BandwidthHz: 24000}
+	SWB32    = Profile{Name: "OPUS-like SWB 32kbps", BitrateKbps: 32, BandwidthHz: 12000, Complexity: 4}
+	SWB24    = Profile{Name: "OPUS-like SWB 24kbps", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 4}
+	SWB24ULL = Profile{Name: "OPUS-like SWB 24kbps ULL", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 4, LowDelay: true}
 )
 
 // FrameSamples is the codec frame size: 20 ms at 48 kHz.
@@ -532,15 +531,10 @@ func (d *Decoder) rememberSpectrum(spec []float64) {
 	}
 }
 
-// Conceal produces a packet-loss-concealment frame: the previous block's
-// spectrum magnitudes with decayed energy (a standard PLC approximation).
-// Returns silence if no frame was ever decoded.
-func (d *Decoder) Conceal() []float64 {
-	return d.ConcealTo(nil)
-}
-
-// ConcealTo is Conceal appending the concealment frame to dst and returning
-// the extended slice.
+// ConcealTo appends a packet-loss-concealment frame to dst and returns the
+// extended slice: the previous block's spectrum magnitudes with decayed
+// energy (a standard PLC approximation), or silence if no frame was ever
+// decoded.
 func (d *Decoder) ConcealTo(dst []float64) []float64 {
 	if d.mdct == nil { // lossless: no spectrum to repeat
 		n := len(dst)

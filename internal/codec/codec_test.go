@@ -13,6 +13,9 @@ import (
 	"ekho/internal/gamesynth"
 )
 
+// swb24Low0 is SWB24 at complexity 0, the cheapest encoder search.
+var swb24Low0 = Profile{Name: "OPUS-like SWB 24kbps c0", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 0}
+
 func snr(clean, coded []float64) float64 {
 	n := len(clean)
 	if len(coded) < n {
@@ -160,7 +163,7 @@ func TestLowComplexityWorse(t *testing.T) {
 	}
 	// And at the paper's 24 kbps the two must at least be comparable.
 	rt24Hi, _ := RoundTripAligned(b, SWB24)
-	rt24Lo, _ := RoundTripAligned(b, SWB24Low0)
+	rt24Lo, _ := RoundTripAligned(b, swb24Low0)
 	s24Hi := snr(b.Samples[960:b.Len()-960], rt24Hi.Samples[960:b.Len()-960])
 	s24Lo := snr(b.Samples[960:b.Len()-960], rt24Lo.Samples[960:b.Len()-960])
 	if s24Lo > s24Hi+0.5 {
@@ -223,7 +226,7 @@ func TestStreamingDelayIsOneHop(t *testing.T) {
 		}
 		out.AppendFrame(d)
 	}
-	peak := dsp.ArgMaxAbs(out.Samples)
+	peak := argMaxAbs(out.Samples)
 	want := 1000 + p.Delay()
 	if abs(peak-want) > 2 {
 		t.Fatalf("impulse at %d, want ~%d", peak, want)
@@ -241,13 +244,13 @@ func TestConcealProducesDecayingOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c1 := dec.Conceal()
-	c2 := dec.Conceal()
+	c1 := dec.ConcealTo(nil)
+	c2 := dec.ConcealTo(nil)
 	if len(c1) != FrameSamples || len(c2) != FrameSamples {
 		t.Fatalf("conceal lengths %d %d", len(c1), len(c2))
 	}
-	p1 := dsp.MeanPower(c1)
-	p2 := dsp.MeanPower(c2)
+	p1 := dsp.RMS(c1)
+	p2 := dsp.RMS(c2)
 	if p1 == 0 {
 		t.Fatal("first concealment should carry energy")
 	}
@@ -258,7 +261,7 @@ func TestConcealProducesDecayingOutput(t *testing.T) {
 
 func TestConcealBeforeAnyDecode(t *testing.T) {
 	dec := NewDecoder(SWB32)
-	c := dec.Conceal()
+	c := dec.ConcealTo(nil)
 	if len(c) != FrameSamples {
 		t.Fatalf("len %d", len(c))
 	}
@@ -388,10 +391,22 @@ func TestDecodeRejectsNonFiniteAndHugeValues(t *testing.T) {
 		if _, err := dec.Decode(pkt); !errors.Is(err, ErrBadPacket) {
 			t.Fatalf("lossy scale %g: err %v", bad, err)
 		}
-		for _, v := range dec.Conceal() {
+		for _, v := range dec.ConcealTo(nil) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("lossy scale %g poisoned the decoder state", bad)
 			}
 		}
 	}
+}
+
+// argMaxAbs returns the index of the element with the largest absolute
+// value, or -1 for an empty slice.
+func argMaxAbs(x []float64) int {
+	idx := -1
+	for i, v := range x {
+		if idx < 0 || math.Abs(v) > math.Abs(x[idx]) {
+			idx = i
+		}
+	}
+	return idx
 }

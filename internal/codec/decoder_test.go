@@ -47,7 +47,7 @@ func TestDecoderOutputPinned(t *testing.T) {
 		{SWB32, 0x1e243ea7fa6164e1},
 		{SWB24, 0x2df7d55218e94025},
 		{SWB24ULL, 0x0d6e61de6ec558f2},
-		{SWB24Low0, 0x92a82d7fc3c4342f},
+		{swb24Low0, 0x92a82d7fc3c4342f},
 	} {
 		if got := decodeLossy(t, c.p); got != c.want {
 			t.Errorf("%s: output hash %#016x, pinned %#016x", c.p.Name, got, c.want)

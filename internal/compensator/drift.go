@@ -30,10 +30,6 @@ type Resample struct {
 	PPM    float64
 }
 
-// RateScale returns the content-samples-per-output-sample step the action
-// commands: 1 + PPM·1e-6.
-func (r Resample) RateScale() float64 { return 1 + r.PPM*1e-6 }
-
 // DriftConfig tunes the micro-resampling regime. The zero value of
 // Enabled keeps the compensator byte-identical to the level-only loop.
 type DriftConfig struct {
@@ -116,7 +112,6 @@ type DriftLoop struct {
 	engaged    bool
 	// rateSettleUntil blocks retunes until the tracker has re-observed.
 	rateSettleUntil float64
-	resamples       int
 }
 
 // NewDriftLoop wraps the discrete compensator. With cfg.Enabled false the
@@ -189,27 +184,8 @@ func (l *DriftLoop) maybeRetune(now float64, fit estimator.DriftFit) *Resample {
 	l.appliedPPM = next
 	l.engaged = true
 	l.rateSettleUntil = now + l.cfg.SettleSec
-	l.resamples++
 	return &Resample{Stream: AccessoryStream, PPM: next}
 }
 
-// AppliedPPM returns the currently commanded accessory rate offset.
-func (l *DriftLoop) AppliedPPM() float64 { return l.appliedPPM }
-
 // BlankSec returns the resolved post-correction tracker blanking period.
 func (l *DriftLoop) BlankSec() float64 { return l.cfg.BlankSec }
-
-// Engaged reports whether micro-resampling has taken over slope control.
-func (l *DriftLoop) Engaged() bool { return l.engaged }
-
-// Level exposes the wrapped discrete compensator (stats, settling state).
-func (l *DriftLoop) Level() *Compensator { return l.level }
-
-// DriftStats reports drift-regime counters.
-type DriftStats struct {
-	// Resamples counts rate retunes issued.
-	Resamples int
-}
-
-// DriftStats returns cumulative drift-regime counters.
-func (l *DriftLoop) DriftStats() DriftStats { return DriftStats{Resamples: l.resamples} }

@@ -73,12 +73,12 @@ func TestDriftLoopConvergesOnSRO(t *testing.T) {
 		if resamples == 0 {
 			t.Fatalf("sro=%v: never engaged", sro)
 		}
-		residual := sro + loop.AppliedPPM()
+		residual := sro + loop.appliedPPM
 		if math.Abs(residual) > loop.cfg.ReleasePPM {
 			t.Errorf("sro=%v ppm: applied %.1f ppm leaves residual %.1f ppm (> release band %v)",
-				sro, loop.AppliedPPM(), residual, loop.cfg.ReleasePPM)
+				sro, loop.appliedPPM, residual, loop.cfg.ReleasePPM)
 		}
-		if !loop.Engaged() {
+		if !loop.engaged {
 			t.Errorf("sro=%v: loop not engaged after convergence", sro)
 		}
 	}
@@ -94,7 +94,7 @@ func TestDriftLoopNoFalseEngage(t *testing.T) {
 	if resamples != 0 {
 		t.Fatalf("engaged %d times on a drift-free noisy stream", resamples)
 	}
-	if loop.AppliedPPM() != 0 || loop.Engaged() {
+	if loop.appliedPPM != 0 || loop.engaged {
 		t.Fatal("rate commanded without drift")
 	}
 }
@@ -154,11 +154,11 @@ func TestDriftLoopHysteresis(t *testing.T) {
 	// Below the release band it holds the rate.
 	small := mk()
 	small.SlopeSecPerSec = 5e-6
-	before := engaged.AppliedPPM()
+	before := engaged.appliedPPM
 	if _, rs := engaged.Offer(200, 0, small); rs != nil {
 		t.Fatal("slope inside release band still retuned")
 	}
-	if engaged.AppliedPPM() != before {
+	if engaged.appliedPPM != before {
 		t.Fatal("released loop changed its rate")
 	}
 }
@@ -196,8 +196,8 @@ func TestDriftLoopClampsRate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		loop.Offer(200+float64(i)*100, 0, fit(loop.cfg.MaxPPM-10))
 	}
-	if math.Abs(loop.AppliedPPM()) != loop.cfg.MaxPPM {
-		t.Fatalf("rate %v not clamped to ±%v", loop.AppliedPPM(), loop.cfg.MaxPPM)
+	if math.Abs(loop.appliedPPM) != loop.cfg.MaxPPM {
+		t.Fatalf("rate %v not clamped to ±%v", loop.appliedPPM, loop.cfg.MaxPPM)
 	}
 }
 
@@ -211,13 +211,5 @@ func TestDriftLoopRejectsImplausibleSlope(t *testing.T) {
 	}
 	if _, rs := loop.Offer(0, 0, junk); rs != nil {
 		t.Fatalf("implausible %.0f ppm slope engaged the loop (%+.1f ppm)", 5000.0, rs.PPM)
-	}
-}
-
-// RateScale converts ppm to the content step used by the stream reader.
-func TestResampleRateScale(t *testing.T) {
-	r := Resample{Stream: AccessoryStream, PPM: 100}
-	if got := r.RateScale(); math.Abs(got-1.0001) > 1e-12 {
-		t.Fatalf("RateScale = %v, want 1.0001", got)
 	}
 }

@@ -236,9 +236,6 @@ func NewHalfBandDecimator(taps []float64) *HalfBandDecimator {
 	return h
 }
 
-// Factor returns the decimation factor, always 2.
-func (h *HalfBandDecimator) Factor() int { return 2 }
-
 // Reset restarts the stream at input index 0, keeping the window's storage.
 func (h *HalfBandDecimator) Reset() { h.buf, h.base, h.next = h.buf[:0], 0, 0 }
 

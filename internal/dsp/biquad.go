@@ -19,28 +19,6 @@ func (q *Biquad) Process(x float64) float64 {
 	return y
 }
 
-// Reset clears the filter state.
-func (q *Biquad) Reset() { q.z1, q.z2 = 0, 0 }
-
-// Apply filters the whole slice, returning a new slice. State carries across
-// the call, so Reset between independent signals.
-func (q *Biquad) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = q.Process(v)
-	}
-	return out
-}
-
-// ApplyInPlace filters the slice in place (no allocation), for callers
-// that own the buffer — the per-frame injector/acoustic paths. State
-// carries across the call like Apply.
-func (q *Biquad) ApplyInPlace(x []float64) {
-	for i, v := range x {
-		x[i] = q.Process(v)
-	}
-}
-
 // NewLowPassBiquad designs a Butterworth-style low-pass biquad (RBJ cookbook
 // formulation) with the given cutoff and Q.
 func NewLowPassBiquad(cutoff, sampleRate, qFactor float64) *Biquad {
@@ -112,12 +90,5 @@ func (c Chain) Apply(x []float64) []float64 {
 func (c Chain) ApplyInPlace(x []float64) {
 	for i, v := range x {
 		x[i] = c.Process(v)
-	}
-}
-
-// Reset clears all section states.
-func (c Chain) Reset() {
-	for _, q := range c {
-		q.Reset()
 	}
 }

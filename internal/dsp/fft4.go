@@ -108,9 +108,6 @@ func newPlan4(n int) *Plan4 {
 	return p
 }
 
-// Size returns the transform length the plan was built for.
-func (p *Plan4) Size() int { return p.n }
-
 // Forward computes the in-place unscaled DFT of x. len(x) must equal the
 // plan size.
 func (p *Plan4) Forward(x []complex128) { p.transform(x, false) }

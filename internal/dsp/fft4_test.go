@@ -132,7 +132,7 @@ func TestPlan4FusedEntryPointsMatchInPlace(t *testing.T) {
 
 func TestPlan4TransformAllocs(t *testing.T) {
 	p := Plan4For(16384)
-	x := make([]complex128, p.Size())
+	x := make([]complex128, 16384)
 	allocs := testing.AllocsPerRun(20, func() {
 		p.Forward(x)
 		p.Inverse(x)

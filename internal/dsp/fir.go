@@ -7,7 +7,7 @@ import (
 
 // FIR is a finite impulse response filter described by its tap coefficients.
 // The zero value is an identity-less (empty) filter; construct one with the
-// design helpers (LowPass, HighPass, BandPass) or directly from taps.
+// design helpers (LowPass, BandPass) or directly from taps.
 type FIR struct {
 	Taps []float64
 }
@@ -42,18 +42,6 @@ func LowPass(cutoff, sampleRate float64, taps int) *FIR {
 	for i := range h {
 		h[i] /= sum
 	}
-	return &FIR{Taps: h}
-}
-
-// HighPass designs a windowed-sinc high-pass FIR by spectral inversion of
-// the corresponding low-pass design.
-func HighPass(cutoff, sampleRate float64, taps int) *FIR {
-	lp := LowPass(cutoff, sampleRate, taps)
-	h := lp.Taps
-	for i := range h {
-		h[i] = -h[i]
-	}
-	h[len(h)/2] += 1
 	return &FIR{Taps: h}
 }
 
@@ -138,22 +126,6 @@ func fftConvolve(a, b []float64, outLen int) []float64 {
 	}
 	rp.Inverse(buf, fa)
 	return buf[:outLen]
-}
-
-// Response returns the filter's magnitude response (in dB) at the given
-// frequency, evaluated directly from the taps.
-func (f *FIR) Response(freq, sampleRate float64) float64 {
-	omega := 2 * math.Pi * freq / sampleRate
-	var re, im float64
-	for i, t := range f.Taps {
-		re += t * math.Cos(omega*float64(i))
-		im -= t * math.Sin(omega*float64(i))
-	}
-	mag := math.Hypot(re, im)
-	if mag <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(mag)
 }
 
 func oddify(n int) int {

@@ -20,8 +20,8 @@ func TestLowPassAttenuatesStopBand(t *testing.T) {
 	f := LowPass(6000, sr, 255)
 	pass := f.Apply(sine(1000, sr, 9600))
 	stop := f.Apply(sine(15000, sr, 9600))
-	pp := MeanPower(pass[1000 : len(pass)-1000])
-	sp := MeanPower(stop[1000 : len(stop)-1000])
+	pp := meanPower(pass[1000 : len(pass)-1000])
+	sp := meanPower(stop[1000 : len(stop)-1000])
 	if pp < 0.3 {
 		t.Fatalf("passband power %g too low", pp)
 	}
@@ -32,11 +32,10 @@ func TestLowPassAttenuatesStopBand(t *testing.T) {
 
 func TestHighPassAttenuatesLowBand(t *testing.T) {
 	const sr = 48000.0
-	f := HighPass(6000, sr, 255)
-	low := f.Apply(sine(1000, sr, 9600))
-	high := f.Apply(sine(10000, sr, 9600))
-	lp := MeanPower(low[1000 : len(low)-1000])
-	hp := MeanPower(high[1000 : len(high)-1000])
+	low := Chain{NewHighPassBiquad(2000, sr, 0.707)}.Apply(sine(100, sr, 9600))
+	high := Chain{NewHighPassBiquad(2000, sr, 0.707)}.Apply(sine(10000, sr, 9600))
+	lp := meanPower(low[1000 : len(low)-1000])
+	hp := meanPower(high[1000 : len(high)-1000])
 	if hp < 0.3 {
 		t.Fatalf("passband power %g too low", hp)
 	}
@@ -51,9 +50,9 @@ func TestBandPassSelectsMarkerBand(t *testing.T) {
 	in := f.Apply(sine(9000, sr, 9600))
 	below := f.Apply(sine(3000, sr, 9600))
 	above := f.Apply(sine(18000, sr, 9600))
-	ip := MeanPower(in[1000 : len(in)-1000])
-	bp := MeanPower(below[1000 : len(below)-1000])
-	ap := MeanPower(above[1000 : len(above)-1000])
+	ip := meanPower(in[1000 : len(in)-1000])
+	bp := meanPower(below[1000 : len(below)-1000])
+	ap := meanPower(above[1000 : len(above)-1000])
 	if ip < 0.3 {
 		t.Fatalf("in-band power %g too low", ip)
 	}
@@ -139,19 +138,61 @@ func TestApplyPreservesAlignment(t *testing.T) {
 	x := make([]float64, 1000)
 	x[500] = 1
 	y := fir.Apply(x)
-	peak := ArgMaxAbs(y)
+	peak := argMaxAbs(y)
 	if peak != 500 {
 		t.Fatalf("impulse moved to %d, want 500", peak)
 	}
 }
 
+// TestResponsePassStop evaluates the marker band-pass's magnitude
+// response directly from its taps.
 func TestResponsePassStop(t *testing.T) {
 	fir := BandPass(6000, 12000, 48000, 511)
-	if r := fir.Response(9000, 48000); r < -1 {
+	responseDB := func(freq float64) float64 {
+		omega := 2 * math.Pi * freq / 48000
+		var re, im float64
+		for i, tap := range fir.Taps {
+			re += tap * math.Cos(omega*float64(i))
+			im -= tap * math.Sin(omega*float64(i))
+		}
+		return 20 * math.Log10(math.Hypot(re, im))
+	}
+	if r := responseDB(9000); r < -1 {
 		t.Fatalf("passband response %f dB, want ~0", r)
 	}
-	if r := fir.Response(1000, 48000); r > -40 {
+	if r := responseDB(1000); r > -40 {
 		t.Fatalf("stopband response %f dB, want < -40", r)
+	}
+}
+
+// TestWindowShapes: the Hamming taper of the FIR designs is symmetric,
+// non-negative and peaks at its center.
+func TestWindowShapes(t *testing.T) {
+	win := hammingWindow(65)
+	if len(win) != 65 {
+		t.Fatalf("len %d", len(win))
+	}
+	for i := 0; i < len(win)/2; i++ {
+		if math.Abs(win[i]-win[len(win)-1-i]) > 1e-12 {
+			t.Fatalf("not symmetric at %d", i)
+		}
+	}
+	for i, v := range win {
+		if v < -1e-12 {
+			t.Fatalf("negative at %d: %g", i, v)
+		}
+	}
+	if win[32] < win[0] {
+		t.Fatalf("center %g below edge %g", win[32], win[0])
+	}
+}
+
+func TestWindowDegenerateSizes(t *testing.T) {
+	if len(hammingWindow(0)) != 0 {
+		t.Error("hammingWindow(0) should be empty")
+	}
+	if w := hammingWindow(1); len(w) != 1 || w[0] != 1 {
+		t.Error("hammingWindow(1) should be [1]")
 	}
 }
 

@@ -69,9 +69,6 @@ func MDCTPlanFor(nBins int) *MDCTPlan {
 	return actual.(*MDCTPlan)
 }
 
-// Bins returns the spectral bin count N (block length is 2N).
-func (p *MDCTPlan) Bins() int { return p.n }
-
 // Forward computes the N-point MDCT of the 2N-sample block x into dst,
 // which is grown (reusing capacity) to N and returned. dst must not
 // overlap x.

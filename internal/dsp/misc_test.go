@@ -5,63 +5,31 @@ import (
 	"testing"
 )
 
-func TestWindowShapes(t *testing.T) {
-	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
-		win := w.Make(65)
-		if len(win) != 65 {
-			t.Fatalf("%v: len %d", w, len(win))
-		}
-		// Symmetry.
-		for i := 0; i < len(win)/2; i++ {
-			if math.Abs(win[i]-win[len(win)-1-i]) > 1e-12 {
-				t.Fatalf("%v not symmetric at %d", w, i)
-			}
-		}
-		// Peak at center, nonnegative.
-		for i, v := range win {
-			if v < -1e-12 {
-				t.Fatalf("%v negative at %d: %g", w, i, v)
-			}
-		}
-		if w != Rectangular && win[32] < win[0] {
-			t.Fatalf("%v: center %g below edge %g", w, win[32], win[0])
-		}
-	}
-	if (Hann).String() != "hann" || (Rectangular).String() != "rectangular" {
-		t.Error("Window.String broken")
-	}
-}
-
-func TestWindowDegenerateSizes(t *testing.T) {
-	if len(Hann.Make(0)) != 0 {
-		t.Error("Make(0) should be empty")
-	}
-	if w := Hamming.Make(1); len(w) != 1 || w[0] != 1 {
-		t.Error("Make(1) should be [1]")
-	}
+// meanPower is the mean of x squared, the tests' band-energy measure.
+func meanPower(x []float64) float64 {
+	r := RMS(x)
+	return r * r
 }
 
 func TestRMSAndMeanPower(t *testing.T) {
-	if RMS(nil) != 0 || MeanPower(nil) != 0 {
+	if RMS(nil) != 0 || meanPower(nil) != 0 {
 		t.Error("empty inputs should be 0")
 	}
 	x := []float64{3, -3, 3, -3}
 	if RMS(x) != 3 {
 		t.Errorf("RMS=%g want 3", RMS(x))
 	}
-	if MeanPower(x) != 9 {
-		t.Errorf("MeanPower=%g want 9", MeanPower(x))
+	if meanPower(x) != 9 {
+		t.Errorf("meanPower=%g want 9", meanPower(x))
 	}
 }
 
 func TestBiquadLowPass(t *testing.T) {
 	const sr = 48000.0
-	q := NewLowPassBiquad(1000, sr, 0.707)
-	low := q.Apply(sine(100, sr, 9600))
-	q.Reset()
-	high := q.Apply(sine(10000, sr, 9600))
-	lp := MeanPower(low[2000:])
-	hp := MeanPower(high[2000:])
+	low := Chain{NewLowPassBiquad(1000, sr, 0.707)}.Apply(sine(100, sr, 9600))
+	high := Chain{NewLowPassBiquad(1000, sr, 0.707)}.Apply(sine(10000, sr, 9600))
+	lp := meanPower(low[2000:])
+	hp := meanPower(high[2000:])
 	if lp < 0.3 {
 		t.Fatalf("passband power %g", lp)
 	}
@@ -72,9 +40,8 @@ func TestBiquadLowPass(t *testing.T) {
 
 func TestBiquadPeakingBoost(t *testing.T) {
 	const sr = 48000.0
-	q := NewPeakingBiquad(3000, sr, 1.0, 12)
-	boosted := q.Apply(sine(3000, sr, 9600))
-	bp := MeanPower(boosted[2000:])
+	boosted := Chain{NewPeakingBiquad(3000, sr, 1.0, 12)}.Apply(sine(3000, sr, 9600))
+	bp := meanPower(boosted[2000:])
 	// +12 dB power gain is ~15.8x over the input's 0.5.
 	if bp < 4 || bp > 10 {
 		t.Fatalf("boosted power %g, want ~7.9", bp)
@@ -83,12 +50,11 @@ func TestBiquadPeakingBoost(t *testing.T) {
 
 func TestChain(t *testing.T) {
 	const sr = 48000.0
-	c := Chain{NewHighPassBiquad(500, sr, 0.707), NewLowPassBiquad(8000, sr, 0.707)}
-	mid := c.Apply(sine(2000, sr, 9600))
-	c.Reset()
-	lo := c.Apply(sine(50, sr, 9600))
-	mp := MeanPower(mid[2000:])
-	lp := MeanPower(lo[2000:])
+	chain := func() Chain { return Chain{NewHighPassBiquad(500, sr, 0.707), NewLowPassBiquad(8000, sr, 0.707)} }
+	mid := chain().Apply(sine(2000, sr, 9600))
+	lo := chain().Apply(sine(50, sr, 9600))
+	mp := meanPower(mid[2000:])
+	lp := meanPower(lo[2000:])
 	if mp < 0.3 {
 		t.Fatalf("mid power %g", mp)
 	}
@@ -133,8 +99,8 @@ func TestFractionalDelayInteger(t *testing.T) {
 	x := make([]float64, 100)
 	x[10] = 1
 	y := FractionalDelay(x, 5)
-	if ArgMaxAbs(y) != 15 {
-		t.Fatalf("peak at %d want 15", ArgMaxAbs(y))
+	if argMaxAbs(y) != 15 {
+		t.Fatalf("peak at %d want 15", argMaxAbs(y))
 	}
 }
 

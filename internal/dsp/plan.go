@@ -47,9 +47,6 @@ func RealPlanFor(n int) *RealPlan {
 	return actual.(*RealPlan)
 }
 
-// Size returns the real input length n.
-func (p *RealPlan) Size() int { return p.n }
-
 // HalfLen returns the half-spectrum length n/2 + 1 (bins 0..n/2; the
 // remaining bins of the full spectrum are the conjugate mirror).
 func (p *RealPlan) HalfLen() int { return p.n/2 + 1 }

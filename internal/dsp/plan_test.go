@@ -147,25 +147,14 @@ func TestBandPowerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestApplyInPlaceMatchesApply checks the allocation-free biquad variants
-// against the allocating ones.
+// TestApplyInPlaceMatchesApply checks the allocation-free biquad cascade
+// against the allocating one.
 func TestApplyInPlaceMatchesApply(t *testing.T) {
 	x := benchSignal(480, 7)
-	q1 := NewLowPassBiquad(8000, 48000, 0.707)
-	q2 := NewLowPassBiquad(8000, 48000, 0.707)
-	want := q1.Apply(x)
-	got := append([]float64(nil), x...)
-	q2.ApplyInPlace(got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("biquad sample %d: got %g want %g", i, got[i], want[i])
-		}
-	}
-
 	c1 := Chain{NewHighPassBiquad(200, 48000, 0.707), NewPeakingBiquad(3000, 48000, 1.2, 4)}
 	c2 := Chain{NewHighPassBiquad(200, 48000, 0.707), NewPeakingBiquad(3000, 48000, 1.2, 4)}
-	want = c1.Apply(x)
-	got = append([]float64(nil), x...)
+	want := c1.Apply(x)
+	got := append([]float64(nil), x...)
 	c2.ApplyInPlace(got)
 	for i := range want {
 		if got[i] != want[i] {

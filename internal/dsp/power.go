@@ -13,15 +13,3 @@ func RMS(x []float64) float64 {
 	}
 	return math.Sqrt(sum / float64(len(x)))
 }
-
-// MeanPower returns the mean of x squared.
-func MeanPower(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return sum / float64(len(x))
-}

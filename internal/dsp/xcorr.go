@@ -1,7 +1,5 @@
 package dsp
 
-import "math"
-
 // CrossCorrelate computes the sliding-window cross-correlation used by the
 // Ekho estimator (paper Eq. 3):
 //
@@ -36,56 +34,4 @@ func CrossCorrelate(x, w []float64) []float64 {
 	out := make([]float64, outLen)
 	copy(out, full[m-1:])
 	return out
-}
-
-// NormalizedPeakLag returns the lag of the maximum absolute normalized
-// cross-correlation of x against template w, along with that peak value.
-// Normalization divides each lag's correlation by the L2 norms of the
-// overlapping windows, so the result lies in [-1, 1]. Used by tests and the
-// ground-truth chirp alignment.
-func NormalizedPeakLag(x, w []float64) (lag int, peak float64) {
-	z := CrossCorrelate(x, w)
-	if len(z) == 0 {
-		return 0, 0
-	}
-	var wNorm float64
-	for _, v := range w {
-		wNorm += v * v
-	}
-	wNorm = math.Sqrt(wNorm)
-	// Prefix sums of x^2 for O(1) window norms.
-	prefix := make([]float64, len(x)+1)
-	for i, v := range x {
-		prefix[i+1] = prefix[i] + v*v
-	}
-	best := math.Inf(-1)
-	bestLag := 0
-	m := len(w)
-	for t, v := range z {
-		xNorm := math.Sqrt(prefix[t+m] - prefix[t])
-		if xNorm == 0 || wNorm == 0 {
-			continue
-		}
-		nv := math.Abs(v) / (xNorm * wNorm)
-		if nv > best {
-			best = nv
-			bestLag = t
-		}
-	}
-	return bestLag, best
-}
-
-// ArgMaxAbs returns the index of the element with the largest absolute
-// value, or -1 for an empty slice.
-func ArgMaxAbs(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, idx := math.Abs(x[0]), 0
-	for i := 1; i < len(x); i++ {
-		if a := math.Abs(x[i]); a > best {
-			best, idx = a, i
-		}
-	}
-	return idx
 }

@@ -387,16 +387,6 @@ func (d *IncrementalDetector) ingest(samples []float64) {
 	d.bb = d.fastB.Process(d.bb, mid)
 }
 
-// Flush processes everything buffered regardless of batch thresholds and
-// returns any final detections (peaks whose companions were already seen).
-// It completes the last blocks by zero-padding the stream, so it ends the
-// stream: Reset before feeding the detector again.
-func (d *IncrementalDetector) Flush() []Detection {
-	d.correlate(true)
-	d.advance()
-	return d.conf.take()
-}
-
 // Reset returns the detector to its just-constructed state, an empty
 // stream starting at sample 0, keeping every buffer's storage: a resync
 // allocates nothing.

@@ -9,6 +9,16 @@ import (
 	"ekho/internal/audio"
 )
 
+// Flush processes everything buffered regardless of batch thresholds and
+// returns any final detections (peaks whose companions were already seen).
+// It completes the last blocks by zero-padding the stream, so it ends the
+// stream: Reset before feeding the detector again.
+func (d *IncrementalDetector) Flush() []Detection {
+	d.correlate(true)
+	d.advance()
+	return d.conf.take()
+}
+
 // feedInChunks pushes a recording through the incremental detector in
 // random chunk sizes and returns all detections.
 func feedInChunks(rec []float64, cfg Config, seed int64) []Detection {

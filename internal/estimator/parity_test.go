@@ -87,7 +87,7 @@ func parityScenarios() []parityScenario {
 	}})
 
 	// 5. Codec bitrate sweep: the chat uplink's compression artifacts.
-	for _, p := range []codec.Profile{codec.SWB32, codec.SWB24, codec.SWB24Low0} {
+	for _, p := range []codec.Profile{codec.SWB32, codec.SWB24, codec.Profile{Name: "OPUS-like SWB 24kbps c0", BitrateKbps: 24, BandwidthHz: 12000, Complexity: 0}} {
 		p := p
 		scs = append(scs, parityScenario{"codec-" + p.Name, func(t *testing.T) []float64 {
 			marked, _ := makeMarked(t, 8, 0.5, 5)

@@ -46,9 +46,6 @@ type ClipSpec struct {
 // ID returns a short stable identifier such as "halo-infinite#1".
 func (c ClipSpec) ID() string { return fmt.Sprintf("%s#%d", slug(c.Game), c.Index) }
 
-// Primary returns the clip's primary (first-listed) category.
-func (c ClipSpec) Primary() Category { return c.Categories[0] }
-
 func slug(s string) string {
 	out := make([]rune, 0, len(s))
 	for _, r := range s {
@@ -129,13 +126,4 @@ func Generate(spec ClipSpec, seconds float64) *audio.Buffer {
 		parts = append(parts, b.Gain(gain))
 	}
 	return audio.Mix(parts...).Normalize(0.75)
-}
-
-// GenerateAll renders the full corpus at the canonical clip length.
-func GenerateAll() map[string]*audio.Buffer {
-	out := make(map[string]*audio.Buffer)
-	for _, spec := range Catalog() {
-		out[spec.ID()] = Generate(spec, ClipSeconds)
-	}
-	return out
 }

@@ -149,7 +149,7 @@ func TestCatalogMatchesTable2(t *testing.T) {
 	// All three categories must be represented as primaries.
 	prim := map[Category]int{}
 	for _, c := range cat {
-		prim[c.Primary()]++
+		prim[c.Categories[0]]++
 	}
 	for _, want := range []Category{Speech_, Music_, SFX_} {
 		if prim[want] == 0 {

@@ -10,9 +10,9 @@
 // and compression noise corrupt the phase and detections collapse (the
 // effect Figure 12 quantifies).
 //
-// As in the paper, the implementation always produces an estimate; callers
-// apply the 300 ms plausibility rule via EstimateWithRejection, treating
-// larger values as missed detections.
+// As in the paper, the implementation always produces an estimate and
+// flags it with the 300 ms plausibility rule (Measurement.Plausible);
+// callers treat implausible estimates as missed detections.
 package gccphat
 
 import (
@@ -27,55 +27,6 @@ import (
 // 300 ms are flagged as erroneous and treated as missed detections.
 const MaxPlausibleISDSeconds = 0.3
 
-// Estimate returns the delay (in seconds, positive = rec lags ref) that
-// maximizes the PHAT-weighted cross-correlation between the reference
-// stream and the recording. Both buffers must share a sample rate; the
-// search considers circular lags up to ±len/2.
-func Estimate(ref, rec *audio.Buffer) float64 {
-	n := max(ref.Len(), rec.Len())
-	if n == 0 {
-		return 0
-	}
-	size := dsp.NextPow2(2 * n)
-	fa := make([]complex128, size)
-	fb := make([]complex128, size)
-	for i, v := range ref.Samples {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range rec.Samples {
-		fb[i] = complex(v, 0)
-	}
-	dsp.FFT(fa)
-	dsp.FFT(fb)
-	// Whitened cross-spectrum.
-	for i := range fa {
-		c := fb[i] * cmplx.Conj(fa[i])
-		mag := cmplx.Abs(c)
-		if mag > 1e-12 {
-			fa[i] = c / complex(mag, 0)
-		} else {
-			fa[i] = 0
-		}
-	}
-	r := dsp.IFFT(fa)
-	// Peak over lags in (-size/2, size/2]; positive lags first half.
-	bestVal := math.Inf(-1)
-	bestLag := 0
-	half := size / 2
-	for i := 0; i < size; i++ {
-		v := real(r[i])
-		if v > bestVal {
-			lag := i
-			if i > half {
-				lag = i - size
-			}
-			bestVal = v
-			bestLag = lag
-		}
-	}
-	return float64(bestLag) / float64(ref.Rate)
-}
-
 // Measurement is one windowed GCC-PHAT estimate.
 type Measurement struct {
 	// ISDSeconds is the estimated delay for this window.
@@ -84,53 +35,6 @@ type Measurement struct {
 	WindowStart float64
 	// Plausible reports whether the estimate passed the 300 ms rule.
 	Plausible bool
-}
-
-// EstimateWindowed runs GCC-PHAT over consecutive windows of the streams
-// (the way a live system would produce periodic measurements) and applies
-// the plausibility rejection. windowSeconds of 1 matches Ekho's one
-// measurement opportunity per second.
-func EstimateWindowed(ref, rec *audio.Buffer, windowSeconds float64) []Measurement {
-	win := int(windowSeconds * float64(ref.Rate))
-	if win <= 0 {
-		return nil
-	}
-	n := min(ref.Len(), rec.Len())
-	var out []Measurement
-	for start := 0; start+win <= n; start += win {
-		r := Estimate(ref.Slice(start, start+win), rec.Slice(start, start+win))
-		out = append(out, Measurement{
-			ISDSeconds:  r,
-			WindowStart: float64(start) / float64(ref.Rate),
-			Plausible:   math.Abs(r) <= MaxPlausibleISDSeconds,
-		})
-	}
-	return out
-}
-
-// EstimateGrowing produces one estimate per stepSeconds using ALL audio
-// accumulated so far (reference and recording from time zero) — the way a
-// live system with the full session history would run GCC-PHAT. The wide
-// lag space makes the 300 ms plausibility rule an effective garbage filter:
-// when chatter destroys the correlation, the argmax lands almost anywhere
-// in ±t and is rejected, reproducing the paper's collapse in measurement
-// rate (§6.4).
-func EstimateGrowing(ref, rec *audio.Buffer, stepSeconds float64) []Measurement {
-	step := int(stepSeconds * float64(ref.Rate))
-	if step <= 0 {
-		return nil
-	}
-	n := min(ref.Len(), rec.Len())
-	var out []Measurement
-	for end := step; end <= n; end += step {
-		r := Estimate(ref.Slice(0, end), rec.Slice(0, end))
-		out = append(out, Measurement{
-			ISDSeconds:  r,
-			WindowStart: float64(end-step) / float64(ref.Rate),
-			Plausible:   math.Abs(r) <= MaxPlausibleISDSeconds,
-		})
-	}
-	return out
 }
 
 // EstimateSegments produces one estimate per second the way the paper's

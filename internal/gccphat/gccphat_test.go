@@ -26,7 +26,8 @@ func TestEstimateRecoversKnownDelay(t *testing.T) {
 	for _, delayMs := range []float64{0, 10, 50, -30, 120} {
 		shift := int(delayMs / 1000 * audio.SampleRate)
 		rec := shiftBuffer(clip, shift)
-		got := Estimate(clip, rec)
+		// The middle segment sits wholly inside the shifted recording.
+		got := EstimateSegments(clip, rec, 1)[1].ISDSeconds
 		if math.Abs(got-delayMs/1000) > 0.001 {
 			t.Fatalf("delay %g ms: estimated %g s", delayMs, got)
 		}
@@ -39,9 +40,10 @@ func TestEstimateCleanChannelAccuracy(t *testing.T) {
 	clip := gamesynth.Generate(gamesynth.Catalog()[2], 3)
 	ch := acoustic.Channel{Mic: acoustic.StudioMic, Attenuation: 0.2, AmbientLevel: 0.0001, NoiseSeed: 1}
 	rec := ch.Transmit(clip) // 0 extra delay beyond channel's own
-	got := Estimate(clip, rec)
-	if math.Abs(got) > 0.002 {
-		t.Fatalf("estimated %g s on clean channel, want ~0 (propagation excluded)", got)
+	for _, m := range EstimateSegments(clip, rec, 1) {
+		if math.Abs(m.ISDSeconds) > 0.002 {
+			t.Fatalf("estimated %g s on clean channel, want ~0 (propagation excluded)", m.ISDSeconds)
+		}
 	}
 }
 
@@ -55,9 +57,9 @@ func TestChatterBreaksGCCPHAT(t *testing.T) {
 	ch := acoustic.Channel{Mic: acoustic.XboxHeadset, Attenuation: 0.1, AmbientLevel: 0.001, NoiseSeed: 2}
 	rec := ch.TransmitMixed(clip, chatter, 0.5)
 
-	ms := EstimateWindowed(clip, rec, 1)
+	ms := EstimateSegments(clip, rec, 1)
 	if len(ms) == 0 {
-		t.Fatal("no windows")
+		t.Fatal("no segments")
 	}
 	bad := 0
 	for _, m := range ms {
@@ -67,14 +69,14 @@ func TestChatterBreaksGCCPHAT(t *testing.T) {
 		}
 	}
 	if bad == 0 {
-		t.Fatal("loud chatter should corrupt at least one GCC-PHAT window")
+		t.Fatal("loud chatter should corrupt at least one GCC-PHAT segment")
 	}
 }
 
 func TestEstimateWindowedBasics(t *testing.T) {
 	clip := gamesynth.Generate(gamesynth.Catalog()[4], 4)
 	rec := shiftBuffer(clip, 480) // 10 ms
-	ms := EstimateWindowed(clip, rec, 1)
+	ms := EstimateSegments(clip, rec, 1)
 	if len(ms) != 4 {
 		t.Fatalf("windows %d want 4", len(ms))
 	}
@@ -83,7 +85,7 @@ func TestEstimateWindowedBasics(t *testing.T) {
 			t.Fatalf("window %d start %g", i, m.WindowStart)
 		}
 	}
-	if EstimateWindowed(clip, rec, 0) != nil {
+	if EstimateSegments(clip, rec, 0) != nil {
 		t.Fatal("zero window should give nil")
 	}
 }
@@ -97,7 +99,7 @@ func TestPlausibilityRule(t *testing.T) {
 	// Completely unrelated recording: estimates are arbitrary; the rule
 	// just flags big ones. Verify the field is consistent.
 	other := gamesynth.Generate(gamesynth.Catalog()[9], 2)
-	for _, mm := range EstimateWindowed(clip, other, 1) {
+	for _, mm := range EstimateSegments(clip, other, 1) {
 		if mm.Plausible != (math.Abs(mm.ISDSeconds) <= MaxPlausibleISDSeconds) {
 			t.Fatal("plausibility flag inconsistent")
 		}
@@ -105,9 +107,8 @@ func TestPlausibilityRule(t *testing.T) {
 }
 
 func TestEstimateEmpty(t *testing.T) {
-	e := Estimate(audio.NewBuffer(audio.SampleRate, 0), audio.NewBuffer(audio.SampleRate, 0))
-	if e != 0 {
-		t.Fatalf("empty estimate %g", e)
+	if ms := EstimateSegments(audio.NewBuffer(audio.SampleRate, 0), audio.NewBuffer(audio.SampleRate, 0), 1); ms != nil {
+		t.Fatalf("empty estimate %v", ms)
 	}
 }
 
@@ -117,30 +118,7 @@ func BenchmarkEstimate1s(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Estimate(clip, rec)
-	}
-}
-
-func TestEstimateGrowingRecoversDelay(t *testing.T) {
-	clip := gamesynth.Generate(gamesynth.Catalog()[3], 4)
-	rec := shiftBuffer(clip, 960) // 20 ms
-	ms := EstimateGrowing(clip, rec, 1)
-	if len(ms) != 4 {
-		t.Fatalf("estimates %d want 4", len(ms))
-	}
-	for i, m := range ms {
-		if m.WindowStart != float64(i) {
-			t.Fatalf("window %d start %g", i, m.WindowStart)
-		}
-		if !m.Plausible || math.Abs(m.ISDSeconds-0.02) > 0.001 {
-			t.Fatalf("estimate %d: %+v", i, m)
-		}
-	}
-	if EstimateGrowing(clip, rec, 0) != nil {
-		t.Fatal("zero step should give nil")
-	}
-	if EstimateGrowing(clip, audio.NewBuffer(audio.SampleRate, 0), 1) != nil {
-		t.Fatal("empty recording should give nil")
+		EstimateSegments(clip, rec, 1)
 	}
 }
 

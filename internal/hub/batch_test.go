@@ -38,7 +38,7 @@ func mediaDatagram(t testing.TB, id uint32, seq uint32) []byte {
 	for i := range samples {
 		samples[i] = int16(i)
 	}
-	b, err := transport.EncodeMedia(transport.Media{
+	b, err := transport.AppendMedia(nil, transport.Media{
 		Seq: seq, Session: id, ContentStart: int64(seq) * 960, Samples: samples})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestDrainUnderLoad(t *testing.T) {
 
 	first := mem.Endpoint("first")
 	if err := first.SendTo(
-		transport.EncodeHello(transport.Hello{Session: 1, Role: transport.RoleScreen}),
+		transport.AppendHello(nil, transport.Hello{Session: 1, Role: transport.RoleScreen}),
 		server.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDrainUnderLoad(t *testing.T) {
 
 	second := mem.Endpoint("second")
 	if err := second.SendTo(
-		transport.EncodeHello(transport.Hello{Session: 2, Role: transport.RoleScreen}),
+		transport.AppendHello(nil, transport.Hello{Session: 2, Role: transport.RoleScreen}),
 		server.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}

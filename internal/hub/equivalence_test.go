@@ -25,7 +25,7 @@ func (c *isdCollector) CompensationAction(float64, ekho.Action) { c.actions++ }
 
 // TestHubMatchesDirectPipeline is the sim/hub equivalence check for the
 // shared server core: a single-session hub loopback (full wire path —
-// serialization, MemNet datagrams, shard workers) must produce exactly the
+// serialization, MemNet datagrams, the hub loop) must produce exactly the
 // same ISD measurement sequence as a directly driven serverpipe.Pipeline
 // fed the same client arithmetic. Any hub-private processing that crept
 // back in (its own matcher, sequencer or scheduler) would break this.

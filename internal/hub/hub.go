@@ -32,8 +32,8 @@
 // returns stalls every session, not a shard of them. A slow one is
 // counted (Snapshot.TickOverruns) and the tick grid keeps its phase.
 //
-// The single-session demo server (internal/live.RunServer) is a
-// capacity-1 hub; cmd/ekho-server runs an unrestricted one.
+// cmd/ekho-server runs a hub on a UDP socket; internal/live's screen and
+// controller roles are its demo clients.
 package hub
 
 import (

@@ -123,7 +123,7 @@ func TestHubIdleReap(t *testing.T) {
 
 	client := mem.Endpoint("client")
 	if err := client.SendTo(
-		transport.EncodeHello(transport.Hello{Session: 7, Role: transport.RoleScreen}),
+		transport.AppendHello(nil, transport.Hello{Session: 7, Role: transport.RoleScreen}),
 		server.LocalAddr()); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestHubDrain(t *testing.T) {
 
 	first := mem.Endpoint("first")
 	if err := first.SendTo(
-		transport.EncodeHello(transport.Hello{Session: 1, Role: transport.RoleScreen}),
+		transport.AppendHello(nil, transport.Hello{Session: 1, Role: transport.RoleScreen}),
 		server.LocalAddr()); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestHubDrain(t *testing.T) {
 	h.Drain()
 	second := mem.Endpoint("second")
 	if err := second.SendTo(
-		transport.EncodeHello(transport.Hello{Session: 2, Role: transport.RoleScreen}),
+		transport.AppendHello(nil, transport.Hello{Session: 2, Role: transport.RoleScreen}),
 		server.LocalAddr()); err != nil {
 		t.Fatalf("hello: %v", err)
 	}

@@ -152,7 +152,7 @@ func stallLoop(t *testing.T, every time.Duration, lateHello bool) stallRun {
 	join := func(id uint32) {
 		t.Helper()
 		for _, role := range []transport.Role{transport.RoleScreen, transport.RoleController} {
-			send(mem.Endpoint(fmt.Sprintf("%v-%d", role, id)), transport.EncodeHello(transport.Hello{Session: id, Role: role}))
+			send(mem.Endpoint(fmt.Sprintf("%v-%d", role, id)), transport.AppendHello(nil, transport.Hello{Session: id, Role: role}))
 		}
 	}
 	wait := func(what string, ch <-chan time.Time) time.Time {
@@ -202,12 +202,12 @@ func stallLoop(t *testing.T, every time.Duration, lateHello bool) stallRun {
 	}
 	lateEP := mem.Endpoint("late")
 	if lateHello {
-		send(lateEP, transport.EncodeHello(transport.Hello{Session: late, Role: transport.RoleScreen}))
+		send(lateEP, transport.AppendHello(nil, transport.Hello{Session: late, Role: transport.RoleScreen}))
 	}
 	r.released = wait("stall never ended", released)
 	if lateHello {
 		r.admitted = wait("Hello sent during the stall never admitted", admitted)
-		send(lateEP, transport.EncodeBye(transport.Bye{Session: late}))
+		send(lateEP, transport.AppendBye(nil, transport.Bye{Session: late}))
 		select {
 		case id := <-ended:
 			if id != late {
@@ -330,7 +330,7 @@ func wakeupsPerTick(t *testing.T, sessions, stripes int) {
 				t.Fatal(err)
 			}
 			socks = append(socks, c)
-			if err := c.SendTo(transport.EncodeHello(transport.Hello{Session: uint32(i + 1), Role: role}), conn.LocalAddr()); err != nil {
+			if err := c.SendTo(transport.AppendHello(nil, transport.Hello{Session: uint32(i + 1), Role: role}), conn.LocalAddr()); err != nil {
 				t.Fatal(err)
 			}
 		}

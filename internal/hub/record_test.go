@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"ekho/internal/trace"
@@ -101,7 +102,7 @@ func TestSessionStatsLines(t *testing.T) {
 		}
 		lines = append(lines, rep.Final)
 	}
-	trace.SortSessionStats(lines)
+	sort.Slice(lines, func(i, j int) bool { return lines[i].ID < lines[j].ID })
 	for i, st := range lines {
 		want := fmt.Sprintf("session %d frames=%d measurements=%d actions=%d pending=%d records=%d resamples=%d",
 			st.ID, st.Frames, st.Measurements, st.Actions, st.Pending, st.Records, st.Resamples)

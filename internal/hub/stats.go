@@ -215,11 +215,6 @@ func (h *Hub) DispatchLatency() LatencyHist {
 	return l
 }
 
-// Metrics returns the hub's metric registry; cmd binaries mount it on
-// an HTTP mux via RegisterAdmin, and embedders may add their own
-// metrics to it.
-func (h *Hub) Metrics() *metrics.Registry { return h.stats.reg }
-
 // Snapshot is a point-in-time view of the hub's counters.
 type Snapshot struct {
 	// ActiveSessions / PeakSessions count currently admitted sessions

@@ -62,14 +62,15 @@ type Buffer struct {
 	// starts (e.g. 3 frames = 60 ms as in §3.3's example).
 	ThresholdFrames int
 	// MaxFrames caps how many frames the buffer holds; arrivals beyond
-	// it are dropped (Stats.Overflows). A consumer that stops calling
+	// it are dropped (counted in overflows). A consumer that stops calling
 	// Pop — a stalled playout clock — therefore bounds its memory at
 	// MaxFrames instead of buffering the rest of the stream.
 	MaxFrames int
 
-	frames    map[int]Frame
-	nextSeq   int  // next sequence number to play
-	started   bool // reached threshold at least once since last depletion
+	frames  map[int]Frame
+	nextSeq int  // next sequence number to play
+	started bool // reached threshold at least once since last depletion
+	// Playout counters, for tests of the buffer's accounting.
 	played    int
 	conceals  int
 	waits     int
@@ -91,8 +92,7 @@ func New(thresholdFrames int) *Buffer {
 
 // Push inserts a received frame and reports whether it was kept. Late
 // frames (seq already played), duplicates, and arrivals into a full
-// buffer (the overflow-drop event counted in Stats.Overflows) are
-// dropped.
+// buffer (the overflow-drop event counted in overflows) are dropped.
 func (b *Buffer) Push(f Frame) bool {
 	if f.Seq < b.nextSeq {
 		return false // too late, playout has moved past it
@@ -155,19 +155,5 @@ func (b *Buffer) oldestSeq() int {
 	return keys[0]
 }
 
-// Level returns the number of buffered frames.
-func (b *Buffer) Level() int { return len(b.frames) }
-
 // NextSeq returns the sequence number the buffer expects to play next.
 func (b *Buffer) NextSeq() int { return b.nextSeq }
-
-// Stats summarizes playout history. Overflows counts frames dropped on
-// arrival because the buffer was at MaxFrames.
-type Stats struct {
-	Played, Concealed, Waits, Overflows int
-}
-
-// Stats returns cumulative playout counters.
-func (b *Buffer) Stats() Stats {
-	return Stats{Played: b.played, Concealed: b.conceals, Waits: b.waits, Overflows: b.overflows}
-}

@@ -57,9 +57,8 @@ func TestConcealOnGap(t *testing.T) {
 	if ev != Concealed || int(s[0]) != 3 {
 		t.Fatalf("gap should jump ahead to frame 3, got %v %v", s, ev)
 	}
-	st := b.Stats()
-	if st.Concealed != 1 || st.Played != 2 {
-		t.Fatalf("stats %+v", st)
+	if b.conceals != 1 || b.played != 2 {
+		t.Fatalf("concealed %d, played %d", b.conceals, b.played)
 	}
 }
 
@@ -89,12 +88,12 @@ func TestLateAndDuplicateFramesDropped(t *testing.T) {
 	b.Push(frame(0))
 	b.Pop()
 	b.Push(frame(0)) // late
-	if b.Level() != 0 {
+	if len(b.frames) != 0 {
 		t.Fatal("late frame should be dropped")
 	}
 	b.Push(frame(5))
 	b.Push(Frame{Seq: 5, Samples: []float64{99}}) // duplicate
-	if b.Level() != 1 {
+	if len(b.frames) != 1 {
 		t.Fatal("duplicate should be ignored")
 	}
 	// Frames 1-4 were never pushed: playback jumps straight to frame 5,
@@ -139,11 +138,10 @@ func TestConservationProperty(t *testing.T) {
 				pops++
 			}
 		}
-		st := b.Stats()
-		if st.Played+st.Concealed+st.Waits != pops {
+		if b.played+b.conceals+b.waits != pops {
 			return false
 		}
-		return st.Played+b.Level() <= pushed
+		return b.played+len(b.frames) <= pushed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -173,11 +173,11 @@ func TestBufferOverflowDrop(t *testing.T) {
 			t.Fatalf("push %d: kept %v", i, kept)
 		}
 	}
-	if b.Level() != 3 {
-		t.Fatalf("level %d, want 3", b.Level())
+	if len(b.frames) != 3 {
+		t.Fatalf("level %d, want 3", len(b.frames))
 	}
-	if st := b.Stats(); st.Overflows != 2 {
-		t.Fatalf("stats %+v, want 2 overflows", st)
+	if b.overflows != 2 {
+		t.Fatalf("%d overflows, want 2", b.overflows)
 	}
 	// Draining makes room again.
 	b.Pop()

@@ -1,3 +1,8 @@
+// Package live implements the real-UDP device roles used by the demo
+// binaries (cmd/ekho-screen, cmd/ekho-client): the same screen and
+// controller roles as the virtual-time simulator, but running in
+// wall-clock time over net.PacketConn sockets with the transport wire
+// protocol, against an internal/hub server such as cmd/ekho-server.
 package live
 
 import (
@@ -15,6 +20,11 @@ import (
 	"ekho/internal/rtp"
 	"ekho/internal/transport"
 )
+
+// Logf is a printf-style sink for role progress output.
+type Logf func(format string, args ...any)
+
+func nopLog(string, ...any) {}
 
 // wireEnc maps a device's configured wire framing onto its stateless
 // encoder. The air hop between screen and headset always stays on v2
@@ -42,13 +52,44 @@ func busyErr(b transport.Busy) error {
 	return fmt.Errorf("live: server busy: %d/%d sessions active", b.Active, b.Capacity)
 }
 
+// playout is a device's jitter buffer over media frames: the buffer
+// orders sequence numbers and metaBySeq holds each buffered frame until it
+// plays. A frame the buffer refuses (late, duplicate or overflowing) is
+// never stored, so nothing outlives its frame.
+type playout struct {
+	buf       *jitterbuf.Buffer
+	metaBySeq map[int]transport.Media
+}
+
+func newPlayout(thresholdFrames int) *playout {
+	return &playout{buf: jitterbuf.New(thresholdFrames), metaBySeq: map[int]transport.Media{}}
+}
+
+// push offers an arriving frame to the jitter buffer.
+func (p *playout) push(m transport.Media) {
+	if p.buf.Push(jitterbuf.Frame{Seq: int(m.Seq)}) {
+		p.metaBySeq[int(m.Seq)] = m
+	}
+}
+
+// pop runs one playout tick and returns the frame that plays, or false
+// while the buffer is (re)filling.
+func (p *playout) pop() (transport.Media, bool) {
+	if _, ev := p.buf.Pop(); ev == jitterbuf.Waiting {
+		return transport.Media{}, false
+	}
+	seq := p.buf.NextSeq() - 1
+	m, ok := p.metaBySeq[seq]
+	delete(p.metaBySeq, seq)
+	return m, ok
+}
+
 // ScreenConfig configures the live screen-device role: playback is
 // emulated by forwarding played frames over UDP to the client's "air"
 // port after a configurable extra delay.
 type ScreenConfig struct {
 	Server string
-	// Session is the wire session identifier to join (0 joins a v1
-	// single-session server).
+	// Session is the wire session identifier to join.
 	Session      uint32
 	Air          string
 	ExtraDelay   time.Duration
@@ -105,8 +146,7 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 	logf("screen up; media from %s (session %d), playing into %s with +%s lag",
 		cfg.Server, cfg.Session, cfg.Air, cfg.ExtraDelay)
 
-	buf := jitterbuf.New(cfg.JitterFrames)
-	metaBySeq := map[int]transport.Media{}
+	play := newPlayout(cfg.JitterFrames)
 	queue := list.New()
 
 	media := make(chan transport.Media, 64)
@@ -145,25 +185,16 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 			if !ok {
 				return stats, nil
 			}
-			metaBySeq[int(m.Seq)] = m
-			buf.Push(jitterbuf.Frame{Seq: int(m.Seq), Samples: nil})
+			play.push(m)
 		case now := <-tick.C:
 			// A starved buffer still emits silence — the speaker's DAC
 			// keeps running, so the overheard waveform clock never
 			// stalls (Ekho's chat timeline depends on that).
-			_, ev := buf.Pop()
-			var out transport.Media
-			if ev == jitterbuf.Waiting {
-				out = transport.Media{ContentStart: -1, Samples: make([]int16, audio.FrameSamples)}
+			out, ok := play.pop()
+			if ok {
+				stats.Played++
 			} else {
-				seq := buf.NextSeq() - 1
-				if m, ok := metaBySeq[seq]; ok {
-					delete(metaBySeq, seq)
-					out = m
-					stats.Played++
-				} else {
-					out = transport.Media{ContentStart: -1, Samples: make([]int16, audio.FrameSamples)}
-				}
+				out = transport.Media{ContentStart: -1, Samples: make([]int16, audio.FrameSamples)}
 			}
 			queue.PushBack(delayed{at: now.Add(cfg.ExtraDelay), media: out})
 			for e := queue.Front(); e != nil; {
@@ -174,7 +205,7 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 				next := e.Next()
 				queue.Remove(e)
 				e = next
-				b, err := transport.EncodeMedia(d.media)
+				b, err := transport.AppendMedia(nil, d.media)
 				if err != nil {
 					return stats, fmt.Errorf("live: encode air frame: %w", err)
 				}
@@ -195,8 +226,7 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 // ClientConfig configures the live controller/headset role.
 type ClientConfig struct {
 	Server string
-	// Session is the wire session identifier to join (0 joins a v1
-	// single-session server).
+	// Session is the wire session identifier to join.
 	Session      uint32
 	AirListen    string
 	ClockOffset  time.Duration
@@ -304,8 +334,7 @@ func RunClient(cfg ClientConfig) (ClientStats, error) {
 	localMicros := func(t time.Time) int64 { return t.Add(cfg.ClockOffset).UnixMicro() }
 
 	m := &mic{}
-	buf := jitterbuf.New(cfg.JitterFrames)
-	samplesBySeq := map[int]transport.Media{}
+	play := newPlayout(cfg.JitterFrames)
 	var mu sync.Mutex
 	var pendingRecords []transport.PlaybackRecord
 
@@ -369,26 +398,19 @@ func RunClient(cfg ClientConfig) (ClientStats, error) {
 				if !ok {
 					break drain
 				}
-				samplesBySeq[int(md.Seq)] = md
-				buf.Push(jitterbuf.Frame{Seq: int(md.Seq), Samples: nil})
+				play.push(md)
 			default:
 				break drain
 			}
 		}
-		if _, ev := buf.Pop(); ev != jitterbuf.Waiting {
-			seq := buf.NextSeq() - 1
-			if md, ok := samplesBySeq[seq]; ok {
-				delete(samplesBySeq, seq)
-				if md.ContentStart >= 0 {
-					mu.Lock()
-					pendingRecords = append(pendingRecords, transport.PlaybackRecord{
-						ContentStart: md.ContentStart,
-						LocalMicros:  localMicros(now),
-						N:            uint16(len(md.Samples)) - md.ContentOff,
-					})
-					mu.Unlock()
-				}
-			}
+		if md, ok := play.pop(); ok && md.ContentStart >= 0 {
+			mu.Lock()
+			pendingRecords = append(pendingRecords, transport.PlaybackRecord{
+				ContentStart: md.ContentStart,
+				LocalMicros:  localMicros(now),
+				N:            uint16(len(md.Samples)) - md.ContentOff,
+			})
+			mu.Unlock()
 		}
 		for burst := 0; burst < 2; burst++ {
 			captured, capturedAt, ok := m.capture(audio.FrameSamples)

@@ -2,10 +2,13 @@ package live
 
 import (
 	"math"
-	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"ekho/internal/hub"
+	"ekho/internal/rtp"
+	"ekho/internal/transport"
 )
 
 // TestLiveLoopbackSynchronizes runs all three roles over real UDP loopback
@@ -18,26 +21,53 @@ func TestLiveLoopbackSynchronizes(t *testing.T) {
 	}
 	const runFor = 18 * time.Second
 
-	ready := make(chan net.Addr, 1)
+	// The server is a capacity-1 hub on a socket that accepts both wire
+	// framings, as cmd/ekho-server runs it.
+	conn, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDecoder(rtp.NewCodec())
+	serverAddr := conn.LocalAddr().String()
 	airReady := make(chan string, 1)
+	sessionReady := make(chan uint32, 1)
+	results := make(chan hub.SessionResult, 1)
+	h := hub.New(hub.Config{
+		Capacity: 1,
+		OnSessionReady: func(id uint32) {
+			select {
+			case sessionReady <- id:
+			default:
+			}
+		},
+		OnSessionEnd: func(id uint32, r hub.SessionResult) {
+			select {
+			case results <- r:
+			default:
+			}
+		},
+	}, conn)
 
 	var (
-		wg          sync.WaitGroup
-		serverStats ServerStats
-		serverErr   error
-		clientErr   error
-		screenErr   error
+		wg        sync.WaitGroup
+		serverErr error
+		clientErr error
+		screenErr error
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		serverStats, serverErr = RunServer(ServerConfig{
-			Listen:   "127.0.0.1:0",
-			Duration: runFor,
-			Ready:    ready,
-		})
+		serverErr = h.Serve()
 	}()
-	serverAddr := (<-ready).String()
+	// The streaming clock starts once both endpoints have joined.
+	go func() {
+		select {
+		case <-sessionReady:
+			time.Sleep(runFor)
+		case <-time.After(time.Minute):
+		}
+		h.Close()
+	}()
 
 	wg.Add(1)
 	go func() {
@@ -74,6 +104,12 @@ func TestLiveLoopbackSynchronizes(t *testing.T) {
 		t.Fatalf("screen: %v", screenErr)
 	}
 
+	var serverStats hub.SessionResult
+	select {
+	case serverStats = <-results:
+	default:
+		t.Fatal("no session ended")
+	}
 	if serverStats.Measurements < 5 {
 		t.Fatalf("only %d measurements in %s", serverStats.Measurements, runFor)
 	}

@@ -65,8 +65,6 @@ var (
 	WiFi = LinkConfig{BaseDelay: 0.025, JitterStd: 0.004, LossProb: 0.0003, BurstFactor: 2}
 	// Cellular: high delay, heavy jitter.
 	Cellular = LinkConfig{BaseDelay: 0.060, JitterStd: 0.010, LossProb: 0.0005, BurstFactor: 3}
-	// CongestedWiFi: public AP with many users (§5.1's rare exception).
-	CongestedWiFi = LinkConfig{BaseDelay: 0.045, JitterStd: 0.015, LossProb: 0.002, BurstFactor: 4}
 )
 
 // Link is one unidirectional packet pipe.
@@ -224,14 +222,6 @@ func (l *Link) Stats() Stats {
 type Path struct {
 	Down *Link // server -> device
 	Up   *Link // device -> server
-}
-
-// NewPath builds a path from two directional configs.
-func NewPath(down, up LinkConfig, sched *vclock.Scheduler, deliverDown, deliverUp func(Packet)) *Path {
-	return &Path{
-		Down: NewLink(down, sched, deliverDown),
-		Up:   NewLink(up, sched, deliverUp),
-	}
 }
 
 // Asymmetric derives an upstream config whose base delay differs by

@@ -62,13 +62,3 @@ func ProviderByName(name string) (ProviderProfile, bool) {
 	}
 	return ProviderProfile{}, false
 }
-
-// ProviderNames lists the canonical built-in profile names.
-func ProviderNames() []string {
-	ps := Providers()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}

@@ -27,14 +27,6 @@ func (e Exchange) Offset() float64 {
 	return ((e.T2 - e.T1) + (e.T3 - e.T4)) / 2
 }
 
-// RTT returns the measured round-trip time excluding server hold time.
-func (e Exchange) RTT() float64 {
-	return (e.T4 - e.T1) - (e.T3 - e.T2)
-}
-
-// OneWayDelayRTT2 is the RTT/2 one-way-delay estimate the paper critiques.
-func (e Exchange) OneWayDelayRTT2() float64 { return e.RTT() / 2 }
-
 // Client runs NTP-style exchanges over a simulated path and estimates the
 // clock offset between a device clock and the (true-time) server.
 type Client struct {
@@ -126,6 +118,3 @@ func (c *Client) TrueOffset() float64 { return c.clock.Offset }
 func (c *Client) OffsetError() float64 {
 	return math.Abs(c.EstimatedOffset() - c.TrueOffset())
 }
-
-// Exchanges exposes the raw measurements.
-func (c *Client) Exchanges() []Exchange { return c.events }

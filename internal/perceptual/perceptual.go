@@ -25,17 +25,9 @@ import (
 	"ekho/internal/gamesynth"
 )
 
-// DCR is the 5-point Degradation Category Rating scale.
+// DCR is the 5-point Degradation Category Rating scale (5 = degradation
+// inaudible .. 1 = very distracting).
 type DCR float64
-
-// Scale anchors (5 = degradation inaudible .. 1 = very distracting).
-const (
-	Inaudible           DCR = 5
-	Audible             DCR = 4
-	SlightlyDistracting DCR = 3
-	Distracting         DCR = 2
-	VeryDistracting     DCR = 1
-)
 
 // Label renders the nearest category name.
 func (d DCR) Label() string {
@@ -168,14 +160,9 @@ func Score(ratings []int) (mean, ci95 float64) {
 	return mean, ci95
 }
 
-// SoundLevelDBA measures the calibrated A-weighted level of a buffer —
-// exposed here because the Figure 13 "quiet library" comparison is a
-// perceptual statement. Reference anchors follow common charts.
-func SoundLevelDBA(b *audio.Buffer) float64 { return audio.DBA(b) }
-
-// Ambient reference levels used in Figure 13's horizontal guide lines.
+// Ambient reference levels used in Figure 13's horizontal guide lines
+// (anchors follow common sound-level charts).
 const (
-	RecordingStudioDBA    = 20.0
 	QuietLibraryDBA       = 40.0
 	AirConditionerDBA     = 50.0
 	NormalConversationDBA = 60.0

@@ -74,11 +74,12 @@ func TestMarkerAudibilityShape(t *testing.T) {
 }
 
 func TestDCRLabels(t *testing.T) {
-	if Inaudible.Label() != "Inaudible" ||
-		Audible.Label() != "Audible" ||
-		SlightlyDistracting.Label() != "Slightly Distracting" ||
-		Distracting.Label() != "Distracting" ||
-		VeryDistracting.Label() != "Very Distracting" {
+	// Scale anchors: 5 = degradation inaudible .. 1 = very distracting.
+	if DCR(5).Label() != "Inaudible" ||
+		DCR(4).Label() != "Audible" ||
+		DCR(3).Label() != "Slightly Distracting" ||
+		DCR(2).Label() != "Distracting" ||
+		DCR(1).Label() != "Very Distracting" {
 		t.Fatal("labels")
 	}
 	if DCR(3.2).Label() != "Slightly Distracting" {
@@ -137,8 +138,7 @@ func TestMarkerBandLoudnessMonotone(t *testing.T) {
 }
 
 func TestAmbientAnchorsOrdering(t *testing.T) {
-	if !(RecordingStudioDBA < QuietLibraryDBA &&
-		QuietLibraryDBA < AirConditionerDBA &&
+	if !(QuietLibraryDBA < AirConditionerDBA &&
 		AirConditionerDBA < NormalConversationDBA) {
 		t.Fatal("ambient anchor ordering")
 	}

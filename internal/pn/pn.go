@@ -94,9 +94,6 @@ func (t *AmplitudeTracker) Update(window []float64) float64 {
 	return t.a
 }
 
-// Amplitude returns the current smoothed amplitude.
-func (t *AmplitudeTracker) Amplitude() float64 { return t.a }
-
 // bandRMS measures RMS amplitude in the 6-12 kHz band over the window.
 // BandPower zero-pads the 960-sample window to NextPow2 = 1024 internally
 // (finer bins than the window warrants, but identical for every frame, so
@@ -222,11 +219,6 @@ func (in *Injector) SetLogLimit(n int) {
 	in.trimLog()
 }
 
-// LogLimit returns the configured log bound (0 = unlimited). The
-// capture/replay recorder persists it so a replayed session applies the
-// same trimming and reconstructs identical ledger state.
-func (in *Injector) LogLimit() int { return in.logLimit }
-
 // trimLog drops the oldest log entries beyond the limit, in place.
 func (in *Injector) trimLog() {
 	if in.logLimit <= 0 || len(in.log) <= in.logLimit {
@@ -237,9 +229,6 @@ func (in *Injector) trimLog() {
 	n := copy(in.log, in.log[drop:])
 	in.log = in.log[:n]
 }
-
-// Pos returns the absolute stream position in samples.
-func (in *Injector) Pos() int { return in.pos }
 
 // Mark is a one-shot helper: injects markers into a copy of b with the
 // given C and returns the marked buffer plus the injection log. The buffer

@@ -77,7 +77,7 @@ func (Encoder) AppendBusy(dst []byte, b transport.Busy) []byte {
 // stateless (cycle-0) sequence extension.
 const maxStreams = 8192
 
-// Codec is a per-socket transport.WireCodec: the stateless RTP Encoder
+// Codec is a per-socket wire codec: the stateless RTP Encoder
 // plus a sniffing decoder that demultiplexes inbound datagrams by
 // framing — RTP version bits versus the Ekho v2 magic — and, for RTP,
 // onto per-(SSRC, payload type) AudioDepacketizers for sequence

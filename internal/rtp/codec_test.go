@@ -102,7 +102,7 @@ func normalize(m *transport.Message) {
 func TestCodecFramingGates(t *testing.T) {
 	v2Only := NewCodecFor(transport.WireV2)
 	rtpOnly := NewCodecFor(transport.WireRTP)
-	bv2 := transport.EncodeHello(transport.Hello{Session: 1, Role: transport.RoleScreen})
+	bv2 := transport.AppendHello(nil, transport.Hello{Session: 1, Role: transport.RoleScreen})
 	brtp := Encoder{}.AppendHello(nil, transport.Hello{Session: 1, Role: transport.RoleScreen})
 
 	var msg transport.Message

@@ -40,7 +40,7 @@ func FuzzParseHeader(f *testing.F) {
 // decode must never panic regardless of framing, and a success must
 // label the message with a known wire.
 func FuzzCodecDecode(f *testing.F) {
-	f.Add(transport.EncodeHello(transport.Hello{Session: 1, Role: transport.RoleScreen}))
+	f.Add(transport.AppendHello(nil, transport.Hello{Session: 1, Role: transport.RoleScreen}))
 	f.Add(Encoder{}.AppendHello(nil, transport.Hello{Session: 1, Role: transport.RoleController}))
 	if b, err := (Encoder{}).AppendMedia(nil, transport.Media{Seq: 1, Session: 2, ContentStart: -1, Samples: []int16{1, 2, 3}}); err == nil {
 		f.Add(b)

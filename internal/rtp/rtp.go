@@ -192,20 +192,6 @@ func (d *AudioDepacketizer) Observe(h Header) (uint32, error) {
 	return d.extend(h.Seq), nil
 }
 
-// Depacketize parses one datagram and runs it through Observe, returning
-// the payload (aliasing b), the header and the extended sequence.
-func (d *AudioDepacketizer) Depacketize(b []byte) (payload []byte, h Header, seq uint32, err error) {
-	h, payload, err = ParseHeader(b)
-	if err != nil {
-		return nil, h, 0, err
-	}
-	seq, err = d.Observe(h)
-	if err != nil {
-		return nil, h, 0, err
-	}
-	return payload, h, seq, nil
-}
-
 // Stats returns the stream's cumulative anomaly counters.
 func (d *AudioDepacketizer) Stats() DepacketizerStats { return d.stats }
 

@@ -63,11 +63,13 @@ type Config struct {
 	// Drift tunes the micro-resampling regime for clock-drift (SRO)
 	// scenarios. Disabled by default: with Drift.Enabled false the
 	// pipeline is structurally identical to the level-only loop and its
-	// behavior stays bit-exact with pre-drift sessions.
+	// behavior stays bit-exact with pre-drift sessions. Only the
+	// simulator (internal/session) sets it; trace replay copies it from
+	// the recorded header, and the hub leaves it zero.
 	Drift compensator.DriftConfig
 	// DriftTracker tunes the sliding-window slope fit feeding the drift
 	// regime (zero value = estimator defaults; ignored unless
-	// Drift.Enabled).
+	// Drift.Enabled). Only the simulator sets it, like Drift.
 	DriftTracker estimator.DriftConfig
 	// Now is the pluggable content-time clock used for compensator
 	// settling and event timestamps. Nil uses the built-in clock: the
@@ -79,14 +81,17 @@ type Config struct {
 	// DisableMarkers turns injection off (the Ekho-disabled baseline).
 	DisableMarkers bool
 	// InterpolatedInsert synthesizes inserted delay from surrounding
-	// audio (PLC-style) instead of hard silence.
+	// audio (PLC-style) instead of hard silence. Only the simulator sets
+	// it, like Drift.
 	InterpolatedInsert bool
 	// MutedScreen enables the §6.5 mode: screen game audio is silenced
 	// and markers are mixed at a constant faint amplitude instead of
-	// tracking the (absent) game audio.
+	// tracking the (absent) game audio. Only the simulator sets it, like
+	// Drift.
 	MutedScreen bool
 	// MutedMarkerAmpDB is the constant marker amplitude for MutedScreen,
-	// in dB above the injector floor (0 = 9 dB).
+	// in dB above the injector floor (0 = 9 dB). Only the simulator sets
+	// it, like Drift.
 	MutedMarkerAmpDB float64
 	// ChatStartsAtZero pins the first expected chat sequence number to
 	// zero (the simulator's convention) instead of syncing to the first
@@ -124,8 +129,8 @@ func (cfg Config) withDefaults() Config {
 }
 
 // Pipeline is one session's server core. It is not safe for concurrent
-// use: the host serializes calls (the hub's shard worker, the simulator's
-// event loop).
+// use: the host serializes calls (the hub's loop, the simulator's event
+// loop).
 type Pipeline struct {
 	cfg Config
 
@@ -272,13 +277,6 @@ func (p *Pipeline) injectMutedMarker(dst []float64) bool {
 // chat audio arrives).
 func (p *Pipeline) OfferRecord(r Record) { p.book.Add(r) }
 
-// OfferRecords adds a batch of accessory playback records.
-func (p *Pipeline) OfferRecords(rs []Record) {
-	for _, r := range rs {
-		p.book.Add(r)
-	}
-}
-
 // OfferChat runs the server's uplink path on one chat packet: resolve
 // pending markers against the record book, conceal lost packets so the
 // estimator's timeline stays contiguous (or, past maxConcealFrames,
@@ -385,18 +383,6 @@ func (p *Pipeline) routeResample(r compensator.Resample) {
 	}
 	p.accessory.SetResamplePPM(r.PPM)
 }
-
-// Apply routes an externally decided compensation action (hosts with
-// their own policy, e.g. the multi-screen joint alignment, use the
-// component types directly instead).
-func (p *Pipeline) Apply(a compensator.Action) { p.route(a) }
-
-// ApplyResample routes an externally decided rate retune.
-func (p *Pipeline) ApplyResample(r compensator.Resample) { p.routeResample(r) }
-
-// ResamplePPM reports the rate currently commanded on the accessory
-// stream (0 when the drift regime never engaged).
-func (p *Pipeline) ResamplePPM() float64 { return p.accessory.ResamplePPM() }
 
 // PendingMarkers reports how many injected markers await a covering
 // playback record.

@@ -88,9 +88,6 @@ func (st *Stream) SetResamplePPM(ppm float64) {
 	st.stepPPM = ppm
 }
 
-// ResamplePPM reports the commanded rate offset.
-func (st *Stream) ResamplePPM() float64 { return st.stepPPM }
-
 // Next fills dst (FrameSamples long; callers reuse one buffer to keep
 // the path off the heap) with the next 20 ms frame and returns its frame
 // info. Gap audio is silence by default, or synthesized continuation when

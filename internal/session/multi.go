@@ -159,7 +159,7 @@ func (m *multiSim) setup() {
 	m.game = gamesynth.Generate(gamesynth.Catalog()[sc.ClipIndex%30], gamesynth.ClipSeconds)
 	m.accessStream = serverpipe.NewStream(m.game)
 	m.accessBuf = jitterbuf.New(sc.ControllerJitterFrames)
-	m.accessClk = &vclock.Clock{Offset: -1.5, DriftPPM: 20, DACLatency: 0.002}
+	m.accessClk = &vclock.Clock{Offset: -1.5, DriftPPM: 20}
 
 	for i, spec := range sc.Screens {
 		s := &multiScreen{spec: spec}

@@ -363,8 +363,8 @@ func (s *sim) setup() {
 	}
 	s.chatEnc = codec.NewEncoder(sc.ChatProfile)
 
-	s.screenClk = &vclock.Clock{Offset: sc.ScreenClockOffset, DACLatency: sc.ScreenDeviceLatency}
-	s.accessClk = &vclock.Clock{Offset: sc.ControllerClockOffset, DriftPPM: sc.ControllerDriftPPM, DACLatency: sc.ControllerDeviceLatency}
+	s.screenClk = &vclock.Clock{Offset: sc.ScreenClockOffset}
+	s.accessClk = &vclock.Clock{Offset: sc.ControllerClockOffset, DriftPPM: sc.ControllerDriftPPM}
 	s.air = newAirChannel(sc.Channel)
 
 	s.screenBuf = jitterbuf.New(sc.ScreenJitterFrames)

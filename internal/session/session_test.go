@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ekho/internal/audio"
 	"ekho/internal/compensator"
 )
 
@@ -214,29 +213,5 @@ func TestDeterministicForSeed(t *testing.T) {
 		if a.Trace[i] != b.Trace[i] {
 			t.Fatal("nondeterministic trace")
 		}
-	}
-}
-
-func TestChirpGroundTruthAgreesWithBookkeeping(t *testing.T) {
-	// Validate the §6.1 chirp methodology: build a synthetic third-device
-	// recording with both chirps at a known offset and check AlignChirps.
-	rec := audio.NewBuffer(audio.SampleRate, 4*audio.SampleRate)
-	up := ScreenChirp(audio.SampleRate)
-	down := ControllerChirp(audio.SampleRate)
-	const isdMs = 73.0
-	ctrlAt := audio.SampleRate / 2
-	screenAt := ctrlAt + int(isdMs/1000*audio.SampleRate)
-	rec.MixInto(down.Samples, ctrlAt, 0.8)
-	rec.MixInto(up.Samples, screenAt, 0.6)
-	// Light noise.
-	for i := range rec.Samples {
-		rec.Samples[i] += 0.01 * math.Sin(float64(i))
-	}
-	isd, conf := AlignChirps(rec)
-	if conf < 0.2 {
-		t.Fatalf("confidence %g too low", conf)
-	}
-	if math.Abs(isd-isdMs/1000) > 0.001 {
-		t.Fatalf("chirp ISD %g want %g", isd, isdMs/1000)
 	}
 }

@@ -6,10 +6,6 @@
 // that the replay reproduces the recorded ISD measurement and
 // compensation-action sequences bit for bit.
 //
-// The same container format also carries named network provider profiles
-// (delay/jitter/loss shapes for Stadia, GeForce Now and PlayStation Now),
-// so netsim scenarios can be driven from shipped or captured trace files.
-//
 // # Log format
 //
 // A trace file is a fixed 10-byte preamble — the 8-byte magic "EKHOTRC\0"
@@ -48,7 +44,6 @@ import (
 	"ekho/internal/compensator"
 	"ekho/internal/estimator"
 	"ekho/internal/gamesynth"
-	"ekho/internal/netsim"
 	"ekho/internal/pn"
 	"ekho/internal/serverpipe"
 )
@@ -82,7 +77,7 @@ const (
 	RecChatConcealed
 	RecISD
 	RecAction
-	RecProfile
+	_ // 11 was a provider-profile record; readers skip it as unknown
 	// RecResample carries a drift-regime rate retune (added within
 	// version 1: old readers skip it by its length prefix).
 	RecResample
@@ -116,8 +111,8 @@ type Header struct {
 	Compensator compensator.Config
 	// Quantizer is the raw byte naming how the compensator quantized its
 	// corrections: QuantizerSamples (1) is the only rule this code has —
-	// HeaderFor always records it — and QuantizerFrames (0) marks a trace
-	// from the removed whole-frame rule. Replay refuses anything but
+	// HeaderFor always records it — and 0 marks a trace from the removed
+	// whole-frame rule. Replay refuses anything but
 	// QuantizerSamples (ErrUnsupportedQuantizer).
 	Quantizer uint8
 	// InjectorLogLimit is the configured injection-log bound (negative =
@@ -155,11 +150,9 @@ const (
 	DetectorLegacy     uint8 = 1
 )
 
-// Header.Quantizer values; any other byte is a corrupt header.
-const (
-	QuantizerFrames  uint8 = 0
-	QuantizerSamples uint8 = 1
-)
+// QuantizerSamples is the Header.Quantizer value of this build's sample
+// quantizer; 0 (whole frames) is the only other well-formed byte.
+const QuantizerSamples uint8 = 1
 
 // ErrUnsupportedQuantizer reports a well-formed trace whose compensator
 // rounded corrections to whole frames, which this build no longer does,
@@ -288,8 +281,6 @@ func (r Rec) String() string {
 	case RecAction:
 		return fmt.Sprintf("action now=%.6f stream=%d insert=%d/%d skip=%d/%d", r.Now, r.Action.Stream,
 			r.Action.InsertFrames, r.Action.InsertSamples, r.Action.SkipFrames, r.Action.SkipSamples)
-	case RecProfile:
-		return "profile"
 	case RecResample:
 		return fmt.Sprintf("resample now=%.6f stream=%d ppm=%.3f", r.Now, r.Resample.Stream, r.Resample.PPM)
 	}
@@ -368,20 +359,6 @@ func appendHeader(b []byte, h Header) []byte {
 	b = appendF64(b, h.DriftTracker.MinSpanSec)
 	// Detector tail (version-1 growth; readers accept its absence).
 	b = append(b, h.Detector)
-	return b
-}
-
-// appendLinkConfig serializes one netsim link shape.
-func appendLinkConfig(b []byte, c netsim.LinkConfig) []byte {
-	b = appendF64(b, c.BaseDelay)
-	b = appendF64(b, c.JitterStd)
-	b = appendF64(b, c.LossProb)
-	b = appendF64(b, c.BurstFactor)
-	b = appendF64(b, c.ReorderProb)
-	b = appendF64(b, c.BandwidthBps)
-	b = appendU32(b, uint32(int32(c.PacketBytes)))
-	b = appendU32(b, uint32(int32(c.QueueLimit)))
-	b = appendU64(b, uint64(c.Seed))
 	return b
 }
 
@@ -531,20 +508,6 @@ func decodeHeader(payload []byte) (Header, error) {
 	return h, d.err
 }
 
-func decodeLinkConfig(d *decoder) netsim.LinkConfig {
-	var c netsim.LinkConfig
-	c.BaseDelay = d.f64()
-	c.JitterStd = d.f64()
-	c.LossProb = d.f64()
-	c.BurstFactor = d.f64()
-	c.ReorderProb = d.f64()
-	c.BandwidthBps = d.f64()
-	c.PacketBytes = d.i32()
-	c.QueueLimit = d.i32()
-	c.Seed = d.i64()
-	return c
-}
-
 // Reader decodes a trace container record by record.
 type Reader struct {
 	r       *bufio.Reader
@@ -664,10 +627,6 @@ func (rd *Reader) Next() (Rec, error) {
 			rec.Now = d.f64()
 			rec.Resample.Stream = compensator.Stream(d.i32())
 			rec.Resample.PPM = d.f64()
-		case RecProfile:
-			// Decoded by ReadProviderProfiles; surfaced raw here so Replay
-			// can skip it.
-			return rec, nil
 		default:
 			continue // unknown type: skip
 		}

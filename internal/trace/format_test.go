@@ -11,7 +11,6 @@ import (
 	"ekho/internal/codec"
 	"ekho/internal/compensator"
 	"ekho/internal/estimator"
-	"ekho/internal/netsim"
 	"ekho/internal/serverpipe"
 )
 
@@ -73,7 +72,7 @@ func TestHeaderDetectorTailAbsent(t *testing.T) {
 // was, so old traces still decode; a byte naming no quantizer is
 // corruption.
 func TestHeaderQuantizerByte(t *testing.T) {
-	for _, q := range []uint8{QuantizerFrames, QuantizerSamples} {
+	for _, q := range []uint8{0, QuantizerSamples} {
 		h := testHeader()
 		h.Quantizer = q
 		got, err := decodeHeader(appendHeader(nil, h))
@@ -196,9 +195,6 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatalf("seed %d: Close: %v", seed, err)
-		}
-		if got := rec.Records(); got != int64(n)+1 {
-			t.Fatalf("seed %d: Records() = %d, want %d", seed, got, n+1)
 		}
 
 		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
@@ -386,27 +382,6 @@ func TestUnknownRecordSkipped(t *testing.T) {
 	}
 	if _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
-	}
-}
-
-// TestProviderProfilesRoundTrip checks the profile container round trip.
-func TestProviderProfilesRoundTrip(t *testing.T) {
-	want := netsim.Providers()
-	var buf bytes.Buffer
-	if err := WriteProviderProfiles(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProviderProfiles(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d profiles, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("profile %d:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 
 	"ekho/internal/compensator"
 	"ekho/internal/estimator"
@@ -16,7 +15,7 @@ import (
 // additionally taps its inputs (Tick, OfferRecord, OfferChat) and its
 // outbound packets (MediaOut) at the points it drives the pipeline, in
 // the same order. All calls must come from the goroutine that owns the
-// pipeline (the hub's shard worker, the simulator's event loop) — the
+// pipeline (the hub's loop, the simulator's event loop) — the
 // recorder is deliberately lock-free.
 //
 // The encode path is allocation-free in steady state: records are built
@@ -27,7 +26,6 @@ type Recorder struct {
 	w       *bufio.Writer
 	scratch []byte
 	err     error
-	records int64
 }
 
 // NewRecorder writes the container preamble and the session header.
@@ -73,14 +71,7 @@ func (r *Recorder) emit(t RecType, b []byte) {
 		r.err = err
 		return
 	}
-	r.records++
 }
-
-// Err returns the first write error, if any.
-func (r *Recorder) Err() error { return r.err }
-
-// Records reports how many records have been written (header included).
-func (r *Recorder) Records() int64 { return r.records }
 
 // Close flushes buffered records. The recorder must not be used after.
 func (r *Recorder) Close() error {
@@ -216,10 +207,4 @@ type SessionStat struct {
 func (s SessionStat) String() string {
 	return fmt.Sprintf("session %d frames=%d measurements=%d actions=%d pending=%d records=%d resamples=%d",
 		s.ID, s.Frames, s.Measurements, s.Actions, s.Pending, s.Records, s.Resamples)
-}
-
-// SortSessionStats orders stats by session ID so multi-session dumps are
-// deterministic.
-func SortSessionStats(ss []SessionStat) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].ID < ss[j].ID })
 }

@@ -184,7 +184,7 @@ func TestReplayRefusesLegacyDetector(t *testing.T) {
 // reproduced by this build's sample quantizer: Replay refuses it by name.
 func TestReplayRefusesWholeFrameQuantizer(t *testing.T) {
 	var buf bytes.Buffer
-	rec, err := trace.NewRecorder(&buf, trace.Header{SeqLen: 640, Quantizer: trace.QuantizerFrames})
+	rec, err := trace.NewRecorder(&buf, trace.Header{SeqLen: 640, Quantizer: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		case rec.Type == RecHeader:
 			return nil, fmt.Errorf("%w: duplicate session header at record %d", ErrCorrupt, index)
 		default:
-			// RecProfile and future informational records: ignore.
+			// Future informational records: ignore.
 		}
 	}
 	drainExtra()

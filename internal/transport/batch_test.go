@@ -13,22 +13,22 @@ func mediaPacket(t *testing.T, session uint32, seq uint32, nsamples int) []byte 
 	for i := range samples {
 		samples[i] = int16(i*31 + int(seq))
 	}
-	b, err := EncodeMedia(Media{Seq: seq, Session: session, ContentStart: 960 * int64(seq), Samples: samples})
+	b, err := AppendMedia(nil, Media{Seq: seq, Session: session, ContentStart: 960 * int64(seq), Samples: samples})
 	if err != nil {
-		t.Fatalf("EncodeMedia: %v", err)
+		t.Fatalf("AppendMedia: %v", err)
 	}
 	return b
 }
 
 func chatPacket(t *testing.T, session uint32, seq uint32) []byte {
 	t.Helper()
-	b, err := EncodeChat(Chat{
+	b, err := AppendChat(nil, Chat{
 		Seq: seq, Session: session, ADCMicros: 123456,
 		Records: []PlaybackRecord{{ContentStart: 10, LocalMicros: 20, N: 960}, {ContentStart: 970, LocalMicros: 40020, N: 960}},
 		Encoded: []byte{1, 2, 3, 4, 5, 6, 7, 8},
 	})
 	if err != nil {
-		t.Fatalf("EncodeChat: %v", err)
+		t.Fatalf("AppendChat: %v", err)
 	}
 	return b
 }
@@ -42,13 +42,13 @@ func TestDecodeDoesNotAliasReceiveBuffer(t *testing.T) {
 	media := mediaPacket(t, 7, 3, 96)
 	chat := chatPacket(t, 7, 4)
 
-	mm, err := Decode(media)
+	mm, err := decode(media)
 	if err != nil {
-		t.Fatalf("Decode(media): %v", err)
+		t.Fatalf("decode(media): %v", err)
 	}
-	cm, err := Decode(chat)
+	cm, err := decode(chat)
 	if err != nil {
-		t.Fatalf("Decode(chat): %v", err)
+		t.Fatalf("decode(chat): %v", err)
 	}
 	wantSamples := append([]int16(nil), mm.Media.Samples...)
 	wantRecords := append([]PlaybackRecord(nil), cm.Chat.Records...)
@@ -155,7 +155,7 @@ func TestRecvSendBatchUDP(t *testing.T) {
 		pkts = append(pkts, Packet{Buf: mediaPacket(t, 5, seq, 48), To: server.LocalAddr()})
 	}
 	// A hello rides along so the control-packet From contract is covered.
-	pkts = append(pkts, Packet{Buf: EncodeHello(Hello{Session: 5, Role: RoleScreen}), To: server.LocalAddr()})
+	pkts = append(pkts, Packet{Buf: AppendHello(nil, Hello{Session: 5, Role: RoleScreen}), To: server.LocalAddr()})
 	if sent, err := client.SendBatch(pkts); err != nil || sent != len(pkts) {
 		t.Fatalf("SendBatch sent %d/%d: %v", sent, len(pkts), err)
 	}

@@ -32,9 +32,9 @@ func TestRecvBatchControlFrom(t *testing.T) {
 
 			send := func() {
 				for _, b := range [][]byte{
-					EncodeHello(Hello{Session: 7, Role: RoleController}),
+					AppendHello(nil, Hello{Session: 7, Role: RoleController}),
 					mediaPacket(t, 7, 1, 48),
-					EncodeBye(Bye{Session: 7}),
+					AppendBye(nil, Bye{Session: 7}),
 				} {
 					if err := client.SendTo(b, server.LocalAddr()); err != nil {
 						t.Fatal(err)

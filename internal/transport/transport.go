@@ -7,7 +7,7 @@
 //
 // Wire format (all little-endian):
 //
-//	header:  magic u16 | type u8 | flags u8 | seq u32 | [session u32]
+//	header:  magic u16 | type u8 | flags u8 | seq u32 | session u32
 //	media:   header | contentStart i64 | contentOff u16 | nSamples u16 | samples i16...
 //	chat:    header | adcLocalMicros i64 | nRecords u16 |
 //	         records {contentStart i64, localMicros i64, n u16}... |
@@ -17,13 +17,10 @@
 //	busy:    header | active u32 | capacity u32
 //	marker:  header | contentStart i64   (server -> estimator internal use)
 //
-// Protocol versioning: the original (v1) header is 8 bytes with flags
-// always zero. Version 2 adds a 32-bit session identifier for
-// multi-tenant servers (internal/hub): when FlagSession is set in the
-// flags byte, the header carries a trailing session u32. Packets with
-// session 0 are encoded in the v1 format, so v1 endpoints and v2
-// endpoints interoperate for the default session; unknown flag bits are
-// ignored on decode for forward compatibility.
+// Every header carries FlagSession in its flags byte and the session
+// identifier that routes the packet on a multi-tenant server
+// (internal/hub); a header without the flag is rejected. Unknown flag
+// bits are ignored on decode for forward compatibility.
 package transport
 
 import (
@@ -52,7 +49,8 @@ const (
 	TypeBusy
 )
 
-// FlagSession marks a v2 header carrying a trailing session u32.
+// FlagSession marks a header carrying a trailing session u32; every
+// header sets it.
 const FlagSession = 0x01
 
 // Role identifies an endpoint in Hello packets.
@@ -143,7 +141,7 @@ type Wire uint8
 
 // Wire codecs.
 const (
-	// WireV2 is this package's native framing (the v1/v2 header above).
+	// WireV2 is this package's native framing (the header above).
 	WireV2 Wire = iota
 	// WireRTP is standards-shaped RTP framing (internal/rtp): a 12-byte
 	// RFC 3550 header carrying the same little-endian payload bodies.
@@ -204,15 +202,9 @@ type WireEncoder interface {
 	AppendBusy(dst []byte, b Busy) []byte
 }
 
-// WireCodec is a full wire codec: both directions of one framing (or,
-// for sniffing decoders, several accepted framings behind one Decoder).
-type WireCodec interface {
-	WireEncoder
-	Decoder
-}
-
-// V2 is the native wire codec as a WireCodec value: the same stateless
-// package-level encode/decode functions behind the seam interface.
+// V2 is the native wire codec as a WireEncoder and Decoder value: the
+// same stateless package-level encode/decode functions behind the seam
+// interfaces.
 type V2 struct{}
 
 // Wire implements WireEncoder.
@@ -239,63 +231,43 @@ func (V2) DecodeInto(msg *Message, b []byte) error { return DecodeInto(msg, b) }
 // Forget implements Decoder: v2 decoding keeps no per-flow state.
 func (V2) Forget(uint32) {}
 
-// appendHeader appends a v1 (8-byte) or v2 (12-byte, session-flagged)
-// header to dst.
-func appendHeader(dst []byte, t PacketType, seq, session uint32) []byte {
-	flags := byte(0)
-	if session != 0 {
-		flags = FlagSession
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, Magic)
-	dst = append(dst, byte(t), flags)
-	dst = binary.LittleEndian.AppendUint32(dst, seq)
-	if session != 0 {
-		dst = binary.LittleEndian.AppendUint32(dst, session)
-	}
-	return dst
-}
+// headerSize is the encoded header size.
+const headerSize = 12
 
-// headerLen returns the encoded header size for the session id.
-func headerLen(session uint32) int {
-	if session != 0 {
-		return 12
-	}
-	return 8
+// appendHeader appends a session-flagged header to dst.
+func appendHeader(dst []byte, t PacketType, seq, session uint32) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, Magic)
+	dst = append(dst, byte(t), FlagSession)
+	dst = binary.LittleEndian.AppendUint32(dst, seq)
+	return binary.LittleEndian.AppendUint32(dst, session)
 }
 
 func parseHeader(b []byte) (t PacketType, seq, session uint32, body []byte, err error) {
 	if len(b) < 8 || binary.LittleEndian.Uint16(b[0:]) != Magic {
 		return 0, 0, 0, nil, ErrBadPacket
 	}
-	t = PacketType(b[2])
-	flags := b[3]
-	seq = binary.LittleEndian.Uint32(b[4:])
-	body = b[8:]
-	if flags&FlagSession != 0 {
-		if len(body) < 4 {
-			return 0, 0, 0, nil, fmt.Errorf("%w: truncated session header", ErrBadPacket)
-		}
-		session = binary.LittleEndian.Uint32(body)
-		body = body[4:]
+	if b[3]&FlagSession == 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: header without FlagSession", ErrBadPacket)
 	}
-	return t, seq, session, body, nil
+	if len(b) < headerSize {
+		return 0, 0, 0, nil, fmt.Errorf("%w: truncated session header", ErrBadPacket)
+	}
+	t = PacketType(b[2])
+	seq = binary.LittleEndian.Uint32(b[4:])
+	session = binary.LittleEndian.Uint32(b[8:])
+	return t, seq, session, b[headerSize:], nil
 }
 
-// EncodeMedia serializes a media frame. It refuses frames whose sample
-// count does not fit the wire's u16 field or whose encoding would exceed
-// the datagram size limit.
-func EncodeMedia(m Media) ([]byte, error) {
-	return AppendMedia(nil, m)
-}
-
-// AppendMedia is EncodeMedia appending to dst and returning the extended
-// slice; the per-tick send path reuses one packet buffer per session. On
+// AppendMedia serializes a media frame, appending it to dst and returning
+// the extended slice; the per-tick send path reuses one packet buffer per
+// session. It refuses frames whose sample count does not fit the wire's
+// u16 field or whose encoding would exceed the datagram size limit; on
 // error dst is returned unmodified.
 func AppendMedia(dst []byte, m Media) ([]byte, error) {
 	if len(m.Samples) > maxCount {
 		return dst, fmt.Errorf("%w: %d samples > %d", ErrOversize, len(m.Samples), maxCount)
 	}
-	if headerLen(m.Session)+12+2*len(m.Samples) > maxDatagram {
+	if headerSize+12+2*len(m.Samples) > maxDatagram {
 		return dst, fmt.Errorf("%w: media datagram with %d samples > %d bytes", ErrOversize, len(m.Samples), maxDatagram)
 	}
 	dst = appendHeader(dst, TypeMedia, m.Seq, m.Session)
@@ -326,11 +298,6 @@ func appendMediaBody(dst []byte, m Media) []byte {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(s))
 	}
 	return dst
-}
-
-// DecodeMedia parses a media frame body (after the header).
-func DecodeMedia(seq, session uint32, body []byte) (Media, error) {
-	return decodeMediaInto(nil, seq, session, body)
 }
 
 // DecodeMediaBody is decodeMediaInto for alternative wire codecs: it
@@ -364,15 +331,10 @@ func decodeMediaInto(samples []int16, seq, session uint32, body []byte) (Media, 
 	return m, nil
 }
 
-// EncodeChat serializes a chat packet. It refuses packets whose record or
-// encoded-byte counts do not fit their u16 fields or whose encoding would
-// exceed the datagram size limit.
-func EncodeChat(c Chat) ([]byte, error) {
-	return AppendChat(nil, c)
-}
-
-// AppendChat is EncodeChat appending to dst and returning the extended
-// slice. On error dst is returned unmodified.
+// AppendChat serializes a chat packet, appending it to dst and returning
+// the extended slice. It refuses packets whose record or encoded-byte
+// counts do not fit their u16 fields or whose encoding would exceed the
+// datagram size limit; on error dst is returned unmodified.
 func AppendChat(dst []byte, c Chat) ([]byte, error) {
 	if len(c.Records) > maxCount {
 		return dst, fmt.Errorf("%w: %d playback records > %d", ErrOversize, len(c.Records), maxCount)
@@ -380,7 +342,7 @@ func AppendChat(dst []byte, c Chat) ([]byte, error) {
 	if len(c.Encoded) > maxCount {
 		return dst, fmt.Errorf("%w: %d encoded bytes > %d", ErrOversize, len(c.Encoded), maxCount)
 	}
-	if headerLen(c.Session)+10+18*len(c.Records)+2+len(c.Encoded) > maxDatagram {
+	if headerSize+10+18*len(c.Records)+2+len(c.Encoded) > maxDatagram {
 		return dst, fmt.Errorf("%w: chat datagram > %d bytes", ErrOversize, maxDatagram)
 	}
 	dst = appendHeader(dst, TypeChat, c.Seq, c.Session)
@@ -415,11 +377,6 @@ func appendChatBody(dst []byte, c Chat) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Encoded)))
 	dst = append(dst, c.Encoded...)
 	return dst
-}
-
-// DecodeChat parses a chat packet body.
-func DecodeChat(seq, session uint32, body []byte) (Chat, error) {
-	return decodeChatInto(nil, nil, seq, session, body)
 }
 
 // DecodeChatBody is decodeChatInto for alternative wire codecs: it
@@ -466,12 +423,7 @@ func decodeChatInto(records []PlaybackRecord, encoded []byte, seq, session uint3
 	return c, nil
 }
 
-// EncodeHello serializes a hello.
-func EncodeHello(h Hello) []byte {
-	return AppendHello(make([]byte, 0, 64), h)
-}
-
-// AppendHello is EncodeHello appending to dst.
+// AppendHello serializes a hello, appending it to dst.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendHeader(dst, TypeHello, h.Seq, h.Session)
 	return append(dst, byte(h.Role))
@@ -485,22 +437,12 @@ func DecodeHello(seq, session uint32, body []byte) (Hello, error) {
 	return Hello{Seq: seq, Session: session, Role: Role(body[0])}, nil
 }
 
-// EncodeBye serializes a bye.
-func EncodeBye(b Bye) []byte {
-	return AppendBye(make([]byte, 0, 64), b)
-}
-
-// AppendBye is EncodeBye appending to dst.
+// AppendBye serializes a bye, appending it to dst.
 func AppendBye(dst []byte, b Bye) []byte {
 	return appendHeader(dst, TypeBye, b.Seq, b.Session)
 }
 
-// EncodeBusy serializes a busy reject.
-func EncodeBusy(b Busy) []byte {
-	return AppendBusy(make([]byte, 0, 64), b)
-}
-
-// AppendBusy is EncodeBusy appending to dst.
+// AppendBusy serializes a busy reject, appending it to dst.
 func AppendBusy(dst []byte, b Busy) []byte {
 	dst = appendHeader(dst, TypeBusy, b.Seq, b.Session)
 	dst = binary.LittleEndian.AppendUint32(dst, b.Active)
@@ -524,8 +466,8 @@ func DecodeBusy(seq, session uint32, body []byte) (Busy, error) {
 // Message is a decoded incoming datagram plus its sender.
 type Message struct {
 	Type PacketType
-	// Session is the header's session identifier (0 for v1 packets; the
-	// SSRC for RTP framing).
+	// Session is the header's session identifier (the SSRC for RTP
+	// framing).
 	Session uint32
 	// Wire records which framing carried the datagram, set by the
 	// decoder. Servers latch it from a session's first Hello so replies
@@ -539,21 +481,14 @@ type Message struct {
 	From  net.Addr
 }
 
-// Decode parses any Ekho datagram. The returned message owns its data:
+// DecodeInto parses any Ekho datagram into msg, reusing msg as a decode
+// arena: the capacity of msg's payload slices (Media.Samples,
+// Chat.Records, Chat.Encoded) is kept across calls, so a steady-state
+// receive loop that recycles its Message slots decodes without
+// allocating. Every other field is reset. The result owns its data:
 // nothing in it aliases b, so the caller's receive buffer is free to be
-// reused for the next datagram.
-func Decode(b []byte) (Message, error) {
-	var msg Message
-	err := DecodeInto(&msg, b)
-	return msg, err
-}
-
-// DecodeInto is Decode reusing msg as a decode arena: the capacity of
-// msg's payload slices (Media.Samples, Chat.Records, Chat.Encoded) is
-// kept across calls, so a steady-state receive loop that recycles its
-// Message slots decodes without allocating. Every other field is reset.
-// Like Decode, the result never aliases b. On error msg is left zeroed
-// (payload capacity still retained).
+// reused for the next datagram. On error msg is left zeroed (payload
+// capacity still retained).
 func DecodeInto(msg *Message, b []byte) error {
 	samples := msg.Media.Samples[:0]
 	records := msg.Chat.Records[:0]

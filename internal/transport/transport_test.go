@@ -10,27 +10,34 @@ import (
 	"time"
 )
 
+// decode is DecodeInto into a fresh Message.
+func decode(b []byte) (Message, error) {
+	var msg Message
+	err := DecodeInto(&msg, b)
+	return msg, err
+}
+
 func mustMedia(t testing.TB, m Media) []byte {
 	t.Helper()
-	b, err := EncodeMedia(m)
+	b, err := AppendMedia(nil, m)
 	if err != nil {
-		t.Fatalf("EncodeMedia: %v", err)
+		t.Fatalf("AppendMedia: %v", err)
 	}
 	return b
 }
 
 func mustChat(t testing.TB, c Chat) []byte {
 	t.Helper()
-	b, err := EncodeChat(c)
+	b, err := AppendChat(nil, c)
 	if err != nil {
-		t.Fatalf("EncodeChat: %v", err)
+		t.Fatalf("AppendChat: %v", err)
 	}
 	return b
 }
 
 func TestMediaRoundTrip(t *testing.T) {
 	m := Media{Seq: 42, ContentStart: 123456789, ContentOff: 100, Samples: []int16{1, -2, 32767, -32768}}
-	msg, err := Decode(mustMedia(t, m))
+	msg, err := decode(mustMedia(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +57,7 @@ func TestMediaRoundTrip(t *testing.T) {
 
 func TestMediaSilenceSentinel(t *testing.T) {
 	m := Media{Seq: 1, ContentStart: -1, Samples: []int16{0, 0}}
-	msg, err := Decode(mustMedia(t, m))
+	msg, err := decode(mustMedia(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +84,11 @@ func TestChatRoundTripProperty(t *testing.T) {
 		enc := make([]byte, r.Intn(500))
 		r.Read(enc)
 		c.Encoded = enc
-		b, err := EncodeChat(c)
+		b, err := AppendChat(nil, c)
 		if err != nil {
 			return false
 		}
-		msg, err := Decode(b)
+		msg, err := decode(b)
 		if err != nil || msg.Type != TypeChat {
 			return false
 		}
@@ -113,21 +120,21 @@ func TestChatRoundTripProperty(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	msg, err := Decode(EncodeHello(Hello{Seq: 7, Role: RoleController}))
+	msg, err := decode(AppendHello(nil, Hello{Seq: 7, Role: RoleController}))
 	if err != nil || msg.Hello.Role != RoleController || msg.Hello.Seq != 7 {
 		t.Fatalf("hello: %+v err %v", msg, err)
 	}
 	if msg.Session != 0 || msg.Hello.Session != 0 {
-		t.Fatalf("v1 hello must decode with session 0: %+v", msg)
+		t.Fatalf("session-0 hello must decode with session 0: %+v", msg)
 	}
 }
 
 func TestHelloSessionRoundTrip(t *testing.T) {
-	b := EncodeHello(Hello{Seq: 7, Session: 0xDEADBEEF, Role: RoleScreen})
+	b := AppendHello(nil, Hello{Seq: 7, Session: 0xDEADBEEF, Role: RoleScreen})
 	if b[3]&FlagSession == 0 {
 		t.Fatal("session hello must set FlagSession")
 	}
-	msg, err := Decode(b)
+	msg, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +145,7 @@ func TestHelloSessionRoundTrip(t *testing.T) {
 
 func TestByeRoundTrip(t *testing.T) {
 	for _, session := range []uint32{0, 99} {
-		msg, err := Decode(EncodeBye(Bye{Seq: 3, Session: session}))
+		msg, err := decode(AppendBye(nil, Bye{Seq: 3, Session: session}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +157,7 @@ func TestByeRoundTrip(t *testing.T) {
 
 func TestBusyRoundTrip(t *testing.T) {
 	b := Busy{Seq: 1, Session: 65, Active: 64, Capacity: 64}
-	msg, err := Decode(EncodeBusy(b))
+	msg, err := decode(AppendBusy(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,39 +165,30 @@ func TestBusyRoundTrip(t *testing.T) {
 		t.Fatalf("busy: %+v", msg)
 	}
 	// Truncated busy body must error, not panic.
-	if _, err := Decode(EncodeBusy(b)[:14]); !errors.Is(err, ErrBadPacket) {
+	if _, err := decode(AppendBusy(nil, b)[:14]); !errors.Is(err, ErrBadPacket) {
 		t.Fatalf("truncated busy: %v", err)
 	}
 }
 
-// TestV1HeaderCompat pins the on-wire backward compatibility: session-0
-// packets must be byte-identical to the v1 format (8-byte header, zero
-// flags), and hand-built v1 datagrams must decode.
-func TestV1HeaderCompat(t *testing.T) {
-	b := mustMedia(t, Media{Seq: 9, ContentStart: 960, Samples: []int16{5}})
-	if b[3] != 0 {
-		t.Fatalf("session-0 media must keep v1 zero flags, got %#x", b[3])
+// TestHeaderWithoutSessionFlagRejected: every header, session 0's
+// included, carries FlagSession and a session id; an 8-byte header without
+// the flag is a bad packet, and so is a flagged header cut before its id.
+func TestHeaderWithoutSessionFlagRejected(t *testing.T) {
+	b := AppendHello(nil, Hello{Seq: 11, Role: RoleScreen})
+	if len(b) != headerSize+1 || b[3] != FlagSession {
+		t.Fatalf("session-0 hello: %x, want a %d-byte flagged header", b, headerSize)
 	}
-	// Hand-built v1 hello: magic | type | flags=0 | seq.
-	v1 := make([]byte, 9)
-	binary.LittleEndian.PutUint16(v1[0:], Magic)
-	v1[2] = byte(TypeHello)
-	binary.LittleEndian.PutUint32(v1[4:], 11)
-	v1[8] = byte(RoleScreen)
-	msg, err := Decode(v1)
-	if err != nil || msg.Hello.Seq != 11 || msg.Hello.Role != RoleScreen || msg.Session != 0 {
-		t.Fatalf("v1 hello decode: %+v err %v", msg, err)
+	// Hand-built hello with an 8-byte header: magic | type | flags=0 | seq.
+	short := make([]byte, 9)
+	binary.LittleEndian.PutUint16(short[0:], Magic)
+	short[2] = byte(TypeHello)
+	binary.LittleEndian.PutUint32(short[4:], 11)
+	short[8] = byte(RoleScreen)
+	if _, err := decode(short); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("8-byte header without FlagSession: %v", err)
 	}
-	// The same payload with FlagSession set and a session id appended
-	// must carry the id.
-	b2 := EncodeHello(Hello{Seq: 11, Session: 5, Role: RoleScreen})
-	msg2, err := Decode(b2)
-	if err != nil || msg2.Session != 5 {
-		t.Fatalf("v2 hello decode: %+v err %v", msg2, err)
-	}
-	// A v2 header truncated before its session id is a bad packet.
-	if _, err := Decode(b2[:8]); !errors.Is(err, ErrBadPacket) {
-		t.Fatalf("truncated v2 header: %v", err)
+	if _, err := decode(b[:8]); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("flagged header truncated before its session id: %v", err)
 	}
 }
 
@@ -201,11 +199,11 @@ func TestSessionRoundTripAllTypes(t *testing.T) {
 	for _, b := range [][]byte{
 		media,
 		chat,
-		EncodeHello(Hello{Seq: 3, Session: sid, Role: RoleController}),
-		EncodeBye(Bye{Seq: 4, Session: sid}),
-		EncodeBusy(Busy{Seq: 5, Session: sid, Active: 1, Capacity: 2}),
+		AppendHello(nil, Hello{Seq: 3, Session: sid, Role: RoleController}),
+		AppendBye(nil, Bye{Seq: 4, Session: sid}),
+		AppendBusy(nil, Busy{Seq: 5, Session: sid, Active: 1, Capacity: 2}),
 	} {
-		msg, err := Decode(b)
+		msg, err := decode(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,67 +215,67 @@ func TestSessionRoundTripAllTypes(t *testing.T) {
 
 func TestEncodeMediaOversize(t *testing.T) {
 	// More samples than the u16 count field can hold.
-	if _, err := EncodeMedia(Media{Samples: make([]int16, 70000)}); !errors.Is(err, ErrOversize) {
+	if _, err := AppendMedia(nil, Media{Samples: make([]int16, 70000)}); !errors.Is(err, ErrOversize) {
 		t.Fatalf("70000 samples: want ErrOversize, got %v", err)
 	}
 	// Fits u16 but overflows the datagram limit.
-	if _, err := EncodeMedia(Media{Samples: make([]int16, 40000)}); !errors.Is(err, ErrOversize) {
+	if _, err := AppendMedia(nil, Media{Samples: make([]int16, 40000)}); !errors.Is(err, ErrOversize) {
 		t.Fatalf("40000 samples: want ErrOversize, got %v", err)
 	}
 	// A max-size legal frame still encodes.
-	if _, err := EncodeMedia(Media{Samples: make([]int16, 32000)}); err != nil {
+	if _, err := AppendMedia(nil, Media{Samples: make([]int16, 32000)}); err != nil {
 		t.Fatalf("32000 samples should encode: %v", err)
 	}
 }
 
 func TestEncodeChatOversize(t *testing.T) {
-	if _, err := EncodeChat(Chat{Encoded: make([]byte, 70000)}); !errors.Is(err, ErrOversize) {
+	if _, err := AppendChat(nil, Chat{Encoded: make([]byte, 70000)}); !errors.Is(err, ErrOversize) {
 		t.Fatalf("70000 encoded bytes: want ErrOversize, got %v", err)
 	}
-	if _, err := EncodeChat(Chat{Records: make([]PlaybackRecord, 70000)}); !errors.Is(err, ErrOversize) {
+	if _, err := AppendChat(nil, Chat{Records: make([]PlaybackRecord, 70000)}); !errors.Is(err, ErrOversize) {
 		t.Fatalf("70000 records: want ErrOversize, got %v", err)
 	}
 	// 4000 records × 18 B ≈ 72 KiB: fits u16 but not a datagram.
-	if _, err := EncodeChat(Chat{Records: make([]PlaybackRecord, 4000)}); !errors.Is(err, ErrOversize) {
+	if _, err := AppendChat(nil, Chat{Records: make([]PlaybackRecord, 4000)}); !errors.Is(err, ErrOversize) {
 		t.Fatalf("4000 records: want ErrOversize, got %v", err)
 	}
-	if _, err := EncodeChat(Chat{Records: make([]PlaybackRecord, 100), Encoded: make([]byte, 1000)}); err != nil {
+	if _, err := AppendChat(nil, Chat{Records: make([]PlaybackRecord, 100), Encoded: make([]byte, 1000)}); err != nil {
 		t.Fatalf("legal chat should encode: %v", err)
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {1}, {1, 2, 3, 4, 5, 6, 7, 8}, make([]byte, 8)} {
-		if _, err := Decode(b); !errors.Is(err, ErrBadPacket) {
+		if _, err := decode(b); !errors.Is(err, ErrBadPacket) {
 			t.Fatalf("expected ErrBadPacket for %v, got %v", b, err)
 		}
 	}
 	// Valid header, truncated body.
 	m := mustMedia(t, Media{Seq: 1, Samples: make([]int16, 100)})
-	if _, err := Decode(m[:20]); err == nil {
+	if _, err := decode(m[:20]); err == nil {
 		t.Fatal("truncated media should fail")
 	}
 	c := mustChat(t, Chat{Seq: 1, Encoded: make([]byte, 50)})
-	if _, err := Decode(c[:12]); err == nil {
+	if _, err := decode(c[:12]); err == nil {
 		t.Fatal("truncated chat should fail")
 	}
 }
 
 // TestReEncodeStability: decoding then re-encoding a well-formed packet
-// reproduces the original bytes for every packet type, v1 and v2.
+// reproduces the original bytes for every packet type, session 0 included.
 func TestReEncodeStability(t *testing.T) {
 	packets := [][]byte{
 		mustMedia(t, Media{Seq: 1, ContentStart: 960, ContentOff: 3, Samples: []int16{9, -9}}),
 		mustMedia(t, Media{Seq: 1, Session: 12, ContentStart: 960, Samples: []int16{9}}),
 		mustChat(t, Chat{Seq: 2, ADCMicros: 7, Records: []PlaybackRecord{{1, 2, 3}}, Encoded: []byte{1}}),
 		mustChat(t, Chat{Seq: 2, Session: 12, ADCMicros: 7, Encoded: []byte{1, 2}}),
-		EncodeHello(Hello{Seq: 3, Role: RoleScreen}),
-		EncodeHello(Hello{Seq: 3, Session: 12, Role: RoleScreen}),
-		EncodeBye(Bye{Seq: 4, Session: 12}),
-		EncodeBusy(Busy{Seq: 5, Session: 12, Active: 64, Capacity: 64}),
+		AppendHello(nil, Hello{Seq: 3, Role: RoleScreen}),
+		AppendHello(nil, Hello{Seq: 3, Session: 12, Role: RoleScreen}),
+		AppendBye(nil, Bye{Seq: 4, Session: 12}),
+		AppendBusy(nil, Busy{Seq: 5, Session: 12, Active: 64, Capacity: 64}),
 	}
 	for i, b := range packets {
-		msg, err := Decode(b)
+		msg, err := decode(b)
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
@@ -288,11 +286,11 @@ func TestReEncodeStability(t *testing.T) {
 		case TypeChat:
 			out = mustChat(t, msg.Chat)
 		case TypeHello:
-			out = EncodeHello(msg.Hello)
+			out = AppendHello(nil, msg.Hello)
 		case TypeBye:
-			out = EncodeBye(msg.Bye)
+			out = AppendBye(nil, msg.Bye)
 		case TypeBusy:
-			out = EncodeBusy(msg.Busy)
+			out = AppendBusy(nil, msg.Busy)
 		}
 		if !bytes.Equal(out, b) {
 			t.Fatalf("packet %d re-encode mismatch:\n in %x\nout %x", i, b, out)
@@ -316,7 +314,7 @@ func TestUDPLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SendTo(EncodeHello(Hello{Seq: 1, Role: RoleScreen}), serverAddr); err != nil {
+	if err := client.SendTo(AppendHello(nil, Hello{Seq: 1, Role: RoleScreen}), serverAddr); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := server.Recv(time.Now().Add(2 * time.Second))
@@ -356,7 +354,7 @@ func TestRecvSkipsStrayDatagrams(t *testing.T) {
 	if err := client.SendTo([]byte("not ekho"), addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SendTo(EncodeHello(Hello{Seq: 2, Role: RoleController}), addr); err != nil {
+	if err := client.SendTo(AppendHello(nil, Hello{Seq: 2, Role: RoleController}), addr); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := server.Recv(time.Now().Add(2 * time.Second))

@@ -37,9 +37,6 @@ type Clock struct {
 	// transducer and the sample being timestamped ("no variation" class
 	// in §3.3).
 	ADCLatency Duration
-	// DACLatency is the fixed delay between a sample being scheduled and
-	// it actually leaving the speaker.
-	DACLatency Duration
 }
 
 // Local converts true time to this device's local time.
@@ -54,12 +51,6 @@ func (c *Clock) TrueTime(local Time) Time {
 
 // StampADC returns the local timestamp a capture at true time t receives.
 func (c *Clock) StampADC(t Time) Time { return c.Local(t + Time(c.ADCLatency)) }
-
-// StampDAC returns the true time at which a sample scheduled for local
-// time local actually plays.
-func (c *Clock) StampDAC(local Time) Time {
-	return c.TrueTime(local) + Time(c.DACLatency)
-}
 
 // event is a scheduled callback in the discrete-event queue.
 type event struct {
@@ -162,6 +153,3 @@ func (s *Scheduler) Run() {
 	for s.Step() {
 	}
 }
-
-// Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
