@@ -29,9 +29,13 @@ package dsp
 // Both types follow the Decimator streaming contract: output m is the
 // causal convolution sampled at input index m·D with x[k<0] = 0, chunk
 // boundaries never change the result, and steady-state Process allocates
-// nothing when dst has capacity. Both the mic stream and the correlation
-// template run through identically constructed instances, so group delays
-// cancel and decimated lag τ still maps to full-rate sample τ·D exactly.
+// nothing when dst has capacity. Between calls each keeps only its tap
+// history, the inputs the next output still reaches; a call stages that
+// history and its input, in chunks of decimatorChunk, in a window
+// borrowed from the package free list (scratch.go). Both the mic stream
+// and the correlation template run through identically constructed
+// instances, so group delays cancel and decimated lag τ still maps to
+// full-rate sample τ·D exactly.
 
 // BandDecimator mixes a real stream down by a fixed oscillator and
 // decimates by M in a single fused pass (see the package comment above).
@@ -51,11 +55,17 @@ type BandDecimator struct {
 	// complex multiply. Empty otherwise.
 	quad []uint8
 
-	// Sliding real input window; buf[0] is absolute input index base.
-	buf  []float64
+	// Tap history: the inputs the next output still reaches, at most
+	// hist of them; hbuf[0] is absolute input index base.
+	hbuf []float64
 	base int
 	next int // next absolute output index to emit
 }
+
+// decimatorChunk is the most input a decimator stages per pass; a longer
+// Process call runs in several, so the borrowed window has one size
+// whatever the caller feeds.
+const decimatorChunk = 1024
 
 // NewBandDecimator builds a fused mix-down decimator: freq and rate define
 // the oscillator e^{-j2π·freq/rate·n} (positive integers, exact period),
@@ -75,6 +85,7 @@ func NewBandDecimator(freq, rate, factor int, taps []float64) *BandDecimator {
 		hist: n - 1,
 		gr:   make([]float64, n),
 		gi:   make([]float64, n),
+		hbuf: make([]float64, 0, n-1),
 	}
 	for j, h := range taps {
 		w := osc.Factor(j) // e^{-jω0·j}
@@ -118,21 +129,34 @@ func NewBandDecimator(freq, rate, factor int, taps []float64) *BandDecimator {
 // Factor returns the decimation factor M.
 func (b *BandDecimator) Factor() int { return b.m }
 
-// Reset restarts the stream at input index 0, keeping the window's storage.
-func (b *BandDecimator) Reset() { b.buf, b.base, b.next = b.buf[:0], 0, 0 }
+// Reset restarts the stream at input index 0, keeping the history's
+// storage.
+func (b *BandDecimator) Reset() { b.hbuf, b.base, b.next = b.hbuf[:0], 0, 0 }
 
 // Process consumes real samples, appends every newly computable complex
 // baseband output to dst and returns the extended slice.
 func (b *BandDecimator) Process(dst []complex128, x []float64) []complex128 {
-	b.buf = append(b.buf, x...)
-	end := b.base + len(b.buf)
+	win := BorrowFloats(b.hist + decimatorChunk)
+	for len(x) > 0 {
+		n := min(len(x), decimatorChunk)
+		dst = b.pass(dst, append(append(win[:0], b.hbuf...), x[:n]...))
+		x = x[n:]
+	}
+	ReturnFloats(win)
+	return dst
+}
+
+// pass emits the outputs computable from buf, the tap history followed
+// by new input, and keeps buf's tail as the next history.
+func (b *BandDecimator) pass(dst []complex128, buf []float64) []complex128 {
+	end := b.base + len(buf)
 	ri := b.next % len(b.rot) // advanced by wrap, not a per-output divide
 	for k := b.next * b.m; k < end; k += b.m {
 		i := k - b.base
 		var sr, si float64
 		if lo := i - b.hist; lo >= 0 {
 			// Steady state: dense unrolled dot over the full window.
-			win := b.buf[lo : i+1]
+			win := buf[lo : i+1]
 			gr := b.gr[:len(win)]
 			gi := b.gi[:len(win)]
 			var sr0, si0, sr1, si1 float64
@@ -153,7 +177,7 @@ func (b *BandDecimator) Process(dst []complex128, x []float64) []complex128 {
 		} else {
 			// Stream head: taps reaching before input 0 read zeros.
 			for t := -lo; t <= b.hist; t++ {
-				v := b.buf[lo+t]
+				v := buf[lo+t]
 				sr += v * b.gr[t]
 				si += v * b.gi[t]
 			}
@@ -178,15 +202,10 @@ func (b *BandDecimator) Process(dst []complex128, x []float64) []complex128 {
 		}
 		b.next++
 	}
-	// Drop inputs the next output can no longer reach.
-	if drop := b.next*b.m - b.hist - b.base; drop > 0 {
-		if drop > len(b.buf) {
-			drop = len(b.buf)
-		}
-		n := copy(b.buf, b.buf[drop:])
-		b.buf = b.buf[:n]
-		b.base += drop
-	}
+	// Keep the inputs the next output can still reach.
+	drop := min(max(b.next*b.m-b.hist-b.base, 0), len(buf))
+	b.hbuf = append(b.hbuf[:0], buf[drop:]...)
+	b.base += drop
 	return dst
 }
 
@@ -200,8 +219,9 @@ type HalfBandDecimator struct {
 	c      int       // tap index of the center coefficient
 	hist   int
 
-	// Sliding input window; buf[0] is absolute input index base.
-	buf  []complex128
+	// Tap history, as in BandDecimator; hbuf[0] is absolute input index
+	// base.
+	hbuf []complex128
 	base int
 	next int
 }
@@ -222,7 +242,7 @@ func NewHalfBandDecimator(taps []float64) *HalfBandDecimator {
 			maxAbs = a
 		}
 	}
-	h := &HalfBandDecimator{center: taps[c], c: c, hist: n - 1}
+	h := &HalfBandDecimator{center: taps[c], c: c, hist: n - 1, hbuf: make([]complex128, 0, n-1)}
 	for d := 1; d <= c; d++ {
 		lo, hi := taps[c-d], taps[c+d]
 		if d%2 == 0 {
@@ -236,14 +256,26 @@ func NewHalfBandDecimator(taps []float64) *HalfBandDecimator {
 	return h
 }
 
-// Reset restarts the stream at input index 0, keeping the window's storage.
-func (h *HalfBandDecimator) Reset() { h.buf, h.base, h.next = h.buf[:0], 0, 0 }
+// Reset restarts the stream at input index 0, keeping the history's
+// storage.
+func (h *HalfBandDecimator) Reset() { h.hbuf, h.base, h.next = h.hbuf[:0], 0, 0 }
 
 // Process consumes complex samples, appends every newly computable output
 // to dst and returns the extended slice.
 func (h *HalfBandDecimator) Process(dst []complex128, x []complex128) []complex128 {
-	h.buf = append(h.buf, x...)
-	end := h.base + len(h.buf)
+	win := BorrowComplex(h.hist + decimatorChunk)
+	for len(x) > 0 {
+		n := min(len(x), decimatorChunk)
+		dst = h.pass(dst, append(append(win[:0], h.hbuf...), x[:n]...))
+		x = x[n:]
+	}
+	ReturnComplex(win)
+	return dst
+}
+
+// pass is BandDecimator.pass for the half-band stage.
+func (h *HalfBandDecimator) pass(dst []complex128, buf []complex128) []complex128 {
+	end := h.base + len(buf)
 	for k := h.next * 2; k < end; k += 2 {
 		i := k - h.base
 		var sr, si float64
@@ -251,7 +283,7 @@ func (h *HalfBandDecimator) Process(dst []complex128, x []complex128) []complex1
 			// Steady state: center plus symmetric wing pairs, two pairs per
 			// iteration so each component's add chain splits across two
 			// accumulators instead of serializing on FP-add latency.
-			win := h.buf[lo : i+1]
+			win := buf[lo : i+1]
 			cv := win[h.c]
 			sr0 := h.center * real(cv)
 			si0 := h.center * imag(cv)
@@ -280,19 +312,19 @@ func (h *HalfBandDecimator) Process(dst []complex128, x []complex128) []complex1
 			// Stream head: taps reaching before input 0 read zeros.
 			cpos := i - h.c
 			if cpos >= 0 {
-				cv := h.buf[cpos]
+				cv := buf[cpos]
 				sr = h.center * real(cv)
 				si = h.center * imag(cv)
 			}
 			for t, wv := range h.wing {
 				d := 2*t + 1
 				if j := cpos - d; j >= 0 {
-					v := h.buf[j]
+					v := buf[j]
 					sr += wv * real(v)
 					si += wv * imag(v)
 				}
 				if j := cpos + d; j >= 0 {
-					v := h.buf[j]
+					v := buf[j]
 					sr += wv * real(v)
 					si += wv * imag(v)
 				}
@@ -301,15 +333,10 @@ func (h *HalfBandDecimator) Process(dst []complex128, x []complex128) []complex1
 		dst = append(dst, complex(sr, si))
 		h.next++
 	}
-	// Drop inputs the next output can no longer reach.
-	if drop := h.next*2 - h.hist - h.base; drop > 0 {
-		if drop > len(h.buf) {
-			drop = len(h.buf)
-		}
-		n := copy(h.buf, h.buf[drop:])
-		h.buf = h.buf[:n]
-		h.base += drop
-	}
+	// Keep the inputs the next output can still reach.
+	drop := min(max(h.next*2-h.hist-h.base, 0), len(buf))
+	h.hbuf = append(h.hbuf[:0], buf[drop:]...)
+	h.base += drop
 	return dst
 }
 

@@ -18,8 +18,8 @@ import (
 // ordinary 2B-point overlap-save block whose first B lags are exact, and C
 // over lags [mB, (m+1)B) is the sum of partition k's block over segment
 // m+k. Summing in the frequency domain makes one block cost one 2B-point
-// forward transform (the newest segment) and one 2B-point inverse whose
-// gather sums the P spectrum products (Plan4.InverseFromProducts) — against
+// forward transform (the newest segment) and one 2B-point inverse of the
+// summed P spectrum products (Plan4.InverseFromProducts) — against
 // a single-partition correlator, whose transform must exceed the whole
 // template, for the same B lags.
 //
@@ -201,9 +201,8 @@ func (c *ComplexCorrelator) CorrelateInto(dst, seg []complex128) []complex128 {
 // to SegmentLen() past len(dst) if short, so the lags land where they are
 // returned without a copy; like append, it overwrites whatever lies in
 // that capacity. The template spectrum carries the 1/n round-trip scale
-// (see conjSpectrumComplex), and both transforms run through Plan4's fused
-// gather entry points, so the whole block is three passes of transform
-// butterflies and nothing else.
+// (see conjSpectrumComplex), and both transforms run through Plan4's
+// out-of-place entry points.
 func (c *ComplexCorrelator) AppendCorrelate(dst, seg []complex128) []complex128 {
 	CheckLen("overlap-save segment", len(seg), c.n)
 	at := len(dst)

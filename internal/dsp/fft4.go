@@ -15,14 +15,14 @@ import (
 // moves. When log2(n) is odd the transform runs one radix-2 stage last,
 // over the full block, where it costs a single extra pass.
 //
-// Beyond the in-place Forward/Inverse pair, Plan4 offers out-of-place
-// entry points that fuse the input traversal into the first butterfly
-// stage: ForwardFrom gathers directly from a read-only source (absorbing
-// both the caller's staging copy and the permutation pass), and
-// InverseFromProducts additionally folds a sum of elementwise spectrum
-// products into the gather — together they cut an overlap-save convolution
-// from five full-size passes per transform pair down to three, and let a
-// partitioned convolution sum its partitions in the same pass.
+// Beyond the in-place Forward/Inverse pair, Plan4 offers two out-of-place
+// entry points for overlap-save: ForwardFrom transforms a read-only source
+// into a destination, and InverseFromProducts inverts a sum of elementwise
+// spectrum products, so a partitioned convolution sums its partitions
+// before one inverse. Both stage their input in natural order and run the
+// in-place transform: the partition sum then streams its cold delay-line
+// spectra sequentially, where a gather fused into the first butterfly
+// stage would read them in digit-reversed order (DESIGN.md §6).
 //
 // The band-decimated detector's partitioned correlator (cxcorr.go), the
 // power-of-two FFT/IFFT and RealPlan's half-size transform all run here;
@@ -30,13 +30,12 @@ import (
 // immutable after construction, cached per size, and safe for concurrent
 // use.
 type Plan4 struct {
-	n    int
-	perm []int32 // digit-reversal permutation: stage input i is x[perm[i]]
-	// The same permutation stored as sequential transpositions for the
-	// in-place entry points. The mixed-radix reversal (base-4 digits, one
-	// base-2 digit when log2(n) is odd) is not an involution, so unlike a
-	// bit-reversal the pairs here must be applied in order:
-	// swapping (i0,i1),(i1,i2),… along each cycle realizes x[i] ← x[perm[i]].
+	n int
+	// The digit-reversal permutation x[i] ← x[perm[i]] as sequential
+	// transpositions. The mixed-radix reversal (base-4 digits, one base-2
+	// digit when log2(n) is odd) is not an involution, so unlike a
+	// bit-reversal the pairs must be applied in order: swapping
+	// (i0,i1),(i1,i2),… along each cycle realizes it.
 	pairs []int32
 	// w[k] = exp(-2πik/n) for k < 3n/4, the highest index the radix-4
 	// butterflies reach (3·stride·(quarter−1)). The inverse conjugates
@@ -73,7 +72,7 @@ func newPlan4(n int) *Plan4 {
 	// Digit-reversal for the stage order transform uses: radix-4 stages
 	// from size 1 up, then one radix-2 stage when log2(n) is odd. Peeling
 	// base-4 digits first matches that order.
-	p.perm = make([]int32, n)
+	perm := make([]int32, n)
 	for i := 0; i < n; i++ {
 		j, rem, m := 0, i, n
 		for m > 1 {
@@ -87,17 +86,17 @@ func newPlan4(n int) *Plan4 {
 				m >>= 1
 			}
 		}
-		p.perm[i] = int32(j)
+		perm[i] = int32(j)
 	}
 	seen := make([]bool, n)
-	for i := range p.perm {
-		if seen[i] || int(p.perm[i]) == i {
+	for i := range perm {
+		if seen[i] || int(perm[i]) == i {
 			continue
 		}
 		at := int32(i)
 		for {
 			seen[at] = true
-			nxt := p.perm[at]
+			nxt := perm[at]
 			if seen[nxt] {
 				break
 			}
@@ -152,40 +151,20 @@ func (p *Plan4) transform(x []complex128, inverse bool) {
 }
 
 // ForwardFrom computes the unscaled DFT of src into dst, leaving src
-// untouched: the digit-reversal gather and the first butterfly stage run
-// fused as a single pass over the input. dst and src must not alias.
+// untouched. dst and src must not alias.
 func (p *Plan4) ForwardFrom(dst, src []complex128) {
 	CheckLen("plan4 transform input", len(src), p.n)
 	CheckLen("plan4 transform output", len(dst), p.n)
-	n := p.n
-	if n < 4 {
-		copy(dst, src)
-		if n == 2 {
-			a, b := dst[0], dst[1]
-			dst[0], dst[1] = a+b, a-b
-		}
-		return
-	}
-	pm := p.perm
-	for s := 0; s < n; s += 4 {
-		a := src[pm[s]]
-		b := src[pm[s+1]]
-		c := src[pm[s+2]]
-		d := src[pm[s+3]]
-		t0, t1 := a+c, a-c
-		t2, t3 := b+d, b-d
-		jt3 := complex(-imag(t3), real(t3))
-		dst[s], dst[s+1], dst[s+2], dst[s+3] = t0+t2, t1-jt3, t0-t2, t1+jt3
-	}
-	p.tail(dst, false)
+	copy(dst, src)
+	p.transform(dst, false)
 }
 
 // InverseFromProducts computes the unscaled inverse DFT of the sum of
 // elementwise products Σ_k u[k]·v[k] into dst, leaving the inputs
-// untouched: the products, their sum, the digit-reversal gather and the
-// first butterfly stage run as one pass. A single pair is the plain
-// overlap-save inverse; several pairs are a partitioned convolution's
-// spectrum sum. Divide by Size() for the true inverse. dst must alias no
+// untouched. A single pair is the plain overlap-save inverse; several
+// pairs are a partitioned convolution's spectrum sum. The products are
+// summed in natural order, so each pass streams its spectra
+// sequentially. Divide by Size() for the true inverse. dst must alias no
 // input.
 func (p *Plan4) InverseFromProducts(dst []complex128, u, v [][]complex128) {
 	if len(u) != len(v) || len(u) == 0 {
@@ -196,38 +175,17 @@ func (p *Plan4) InverseFromProducts(dst []complex128, u, v [][]complex128) {
 		CheckLen("plan4 product input", len(v[k]), p.n)
 	}
 	CheckLen("plan4 transform output", len(dst), p.n)
-	n := p.n
-	if n < 4 {
-		for i := range dst {
-			dst[i] = sumProducts(u, v, int32(i))
-		}
-		if n == 2 {
-			a, b := dst[0], dst[1]
-			dst[0], dst[1] = a+b, a-b
-		}
-		return
+	u0, v0 := u[0], v[0]
+	for i := range dst {
+		dst[i] = u0[i] * v0[i]
 	}
-	pm := p.perm
-	for s := 0; s < n; s += 4 {
-		a := sumProducts(u, v, pm[s])
-		b := sumProducts(u, v, pm[s+1])
-		c := sumProducts(u, v, pm[s+2])
-		d := sumProducts(u, v, pm[s+3])
-		t0, t1 := a+c, a-c
-		t2, t3 := b+d, b-d
-		jt3 := complex(imag(t3), -real(t3))
-		dst[s], dst[s+1], dst[s+2], dst[s+3] = t0+t2, t1-jt3, t0-t2, t1+jt3
-	}
-	p.tail(dst, true)
-}
-
-// sumProducts returns Σ_k u[k][i]·v[k][i], accumulated in k order.
-func sumProducts(u, v [][]complex128, i int32) complex128 {
-	s := u[0][i] * v[0][i]
 	for k := 1; k < len(u); k++ {
-		s += u[k][i] * v[k][i]
+		uk, vk := u[k][:len(dst)], v[k][:len(dst)]
+		for i := range dst {
+			dst[i] += uk[i] * vk[i]
+		}
 	}
-	return s
+	p.transform(dst, true)
 }
 
 // plan4Leaf is the largest sub-block (complex128 elements) the recursion
@@ -236,7 +194,7 @@ func sumProducts(u, v [][]complex128, i int32) complex128 {
 // transform through the cache once per stage.
 const plan4Leaf = 1024
 
-// tail runs the butterfly stages above the fused/in-place first stage:
+// tail runs the butterfly stages above the adjacent-quad first stage:
 // radix-4 from size 4 up, then one radix-2 stage over the full block when
 // log2(n) is odd. The radix-4 part recurses four-step style — blocks are
 // contiguous and twiddles depend only on block length, so each quarter is

@@ -94,8 +94,16 @@ const (
 	czKeep = refineRadius/coarseFactor + interpHalfWidth + 4
 
 	// feedChunk is the Feed size the buffers are pre-sized for: one 20 ms
-	// frame, the unit every host feeds the detector in.
+	// frame, the unit every host feeds the detector in. Longer feeds are
+	// decimated a chunk at a time.
 	feedChunk = audio.FrameSamples
+
+	// refineLags bounds the lags one refinement scores: the window
+	// [t0−refineRadius, t0+refineRadius].
+	refineLags = 2*refineRadius + 1
+	// refineHead bounds the reconstructed per-sample head [lo, rEnd) of a
+	// refinement: the window plus up to two coarse blocks past its end.
+	refineHead = 2*refineRadius + 2*coarseFactor
 )
 
 // IncrementalDetector is the streaming marker detector; see the file
@@ -108,7 +116,8 @@ type IncrementalDetector struct {
 	// sample recBase. Float32 is enough: the samples only feed 48000-term
 	// dots that pick an integer lag, the decoder bounds them to ±16, and
 	// the codec's own noise sits orders of magnitude above float32's 2⁻²⁴
-	// relative rounding. refine widens the window it scores to float64.
+	// relative rounding. refine's dot kernels read it in place, widening
+	// each sample as they load it.
 	rec     []float32
 	recBase int
 
@@ -117,13 +126,16 @@ type IncrementalDetector struct {
 	osc *dsp.QuadOsc
 
 	// Fused front-end: a modulated ÷(D/2) stage reading the real stream
-	// directly, then a half-band ÷2.
-	fastA  *dsp.BandDecimator
-	fastB  *dsp.HalfBandDecimator
-	mixBuf []complex128 // per-feed scratch between the two links
+	// directly, then a half-band ÷2. Each keeps only its tap history; what
+	// passes between them is per-feed scratch (ingest).
+	fastA *dsp.BandDecimator
+	fastB *dsp.HalfBandDecimator
 
-	// Decimated baseband; bb[0] is absolute decimated index bbBase.
-	bb     []complex128
+	// Decimated baseband; bb[0] is absolute decimated index bbBase. It is
+	// stored at complex64, the precision of the audio it comes from (rec),
+	// and widened to complex128 once per segment for the correlator
+	// (pushSegment).
+	bb     []complex64
 	bbBase int
 	sNext  int // absolute decimated index of the next segment to transform
 	cNext  int // next absolute decimated lag to correlate
@@ -145,12 +157,6 @@ type IncrementalDetector struct {
 
 	scan coarseScan
 	conf peakConfirm
-
-	refZt   []float64 // reconstructed Z̃ over the refinement window
-	refPz   []float64 // prefix sums of Z̃²
-	refBp   []float64 // prefix sums of the coarse block power (D/2)·|A|²
-	refEx   []float64 // exact Z cache across the refinement window
-	refExOk []bool    // which refEx entries hold a computed dot
 
 	// Cumulative unit calibration between exact Z and the reconstruction,
 	// accumulated at phase-0 lags only (where Z̃ carries no interpolation
@@ -345,20 +351,14 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	d.rec = make([]float32, 0, (ahead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
 	// bb holds the next segment and at most one feed more; it starts with
 	// the correlator's zero history (startBB).
-	d.bb = make([]complex128, 0, d.corr.SegmentLen()+feedChunk/coarseFactor)
+	d.bb = make([]complex64, 0, d.corr.SegmentLen()+feedChunk/coarseFactor)
 	d.startBB()
-	d.mixBuf = make([]complex128, 0, feedChunk/(coarseFactor/2)+1)
 	d.cz = make([]complex128, 0, czTail)
 	d.scan.z = make([]float64, 0, zTail)
 	d.scan.zPrefix = make([]float64, 0, zTail+1)
 	d.scan.env = make([]float64, 0, envTail)
 	d.scan.cands = make([]scanPeak, 0, 8)
 	d.conf.pending = make([]pendingPeak, 0, 8)
-	d.refZt = make([]float64, 0, 4*refineRadius+2*coarseFactor+8)
-	d.refPz = make([]float64, 0, 4*refineRadius+2*coarseFactor+9)
-	d.refBp = make([]float64, 0, sDec+8)
-	d.refEx = make([]float64, 0, 2*refineRadius+2)
-	d.refExOk = make([]bool, 0, 2*refineRadius+2)
 	return d
 }
 
@@ -379,12 +379,21 @@ func (d *IncrementalDetector) ingest(samples []float64) {
 	for i, v := range samples {
 		d.rec[n+i] = float32(v)
 	}
-	// Heterodyne and decimate the new audio down to complex baseband: the
-	// modulated ÷(D/2) stage reads the real samples directly, so no
-	// full-rate complex stream is ever materialized.
-	mid := d.fastA.Process(d.mixBuf[:0], samples)
-	d.mixBuf = mid[:0]
-	d.bb = d.fastB.Process(d.bb, mid)
+	// Heterodyne and decimate the new audio down to complex baseband, a
+	// frame at a time through scratch borrowed for the call: the modulated
+	// ÷(D/2) stage reads the real samples directly, so no full-rate complex
+	// stream is ever materialized.
+	mid := dsp.BorrowComplex(feedChunk/(coarseFactor/2) + 1)
+	out := dsp.BorrowComplex(feedChunk/coarseFactor + 1)
+	for len(samples) > 0 {
+		k := min(len(samples), feedChunk)
+		for _, v := range d.fastB.Process(out[:0], d.fastA.Process(mid[:0], samples[:k])) {
+			d.bb = append(d.bb, complex64(v))
+		}
+		samples = samples[k:]
+	}
+	dsp.ReturnComplex(mid)
+	dsp.ReturnComplex(out)
 }
 
 // Reset returns the detector to its just-constructed state, an empty
@@ -438,15 +447,21 @@ func (d *IncrementalDetector) correlate(force bool) {
 	}
 }
 
-// pushSegment hands the segment at sNext to the correlator and integrates
-// the lags it completes below limit, borrowing the block arrays first
-// (lend); the lags land in cz.
+// pushSegment hands the segment at sNext, widened to complex128 in
+// borrowed scratch, to the correlator and integrates the lags it completes
+// below limit, borrowing the block arrays first (lend); the lags land in
+// cz.
 func (d *IncrementalDetector) pushSegment(limit int) {
 	d.lend()
 	n := d.corr.SegmentLen()
 	off := d.sNext - d.bbBase
 	at := len(d.cz)
-	d.cz = d.corr.Push(d.cz, d.bb[off:off+n])
+	seg := dsp.BorrowComplex(n)
+	for i, v := range d.bb[off : off+n] {
+		seg[i] = complex128(v)
+	}
+	d.cz = d.corr.Push(d.cz, seg)
+	dsp.ReturnComplex(seg)
 	d.work.coarsePoints += n
 	if len(d.cz) > at {
 		d.work.coarsePoints += n
@@ -643,41 +658,50 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	if hi < lo {
 		return Detection{Sample: t0, Strength: p.val}, p.val >= d.cfg.Theta
 	}
+	// The per-lag scratch is bounded by the window, so it lives on the
+	// stack; the block-power prefix, sized by the normalization window, is
+	// borrowed for the call.
+	var (
+		zt [refineHead]float64     // reconstructed Z̃ over [lo, rEnd)
+		pz [refineHead + 1]float64 // prefix sums of Z̃²
+		ex [refineLags]float64     // exact Z across the window
+		ok uint64                  // bit t−lo: ex[t−lo] holds a computed dot
+	)
 	// Reconstruct Z̃ from lo through the end of the block containing
 	// hi+fac, so every candidate's per-sample head [t, rEnd) is covered.
 	mHead := hi/coarseFactor + 2
 	rEnd := mHead * coarseFactor
-	d.refZt = d.refZt[:0]
-	d.refPz = append(d.refPz[:0], 0)
 	for t := lo; t < rEnd; t++ {
 		ar, ai := d.reconstructA(t)
 		f := d.osc.Factor(t)
 		// Z̃[t] = Re{conj(Factor(t))·Ã} — the exact carrier at t.
-		zt := real(f)*ar + imag(f)*ai
-		d.refZt = append(d.refZt, zt)
-		d.refPz = append(d.refPz, d.refPz[len(d.refPz)-1]+zt*zt)
+		z := real(f)*ar + imag(f)*ai
+		zt[t-lo] = z
+		pz[t-lo+1] = pz[t-lo] + z*z
 	}
 	// Block-power prefix over the coarse lags covering the rest of the
 	// normalization window, [mHead, mHead + S/D + 1].
 	S := d.cfg.NormWindow
 	nb := S/coarseFactor + 2
-	d.refBp = append(d.refBp[:0], 0)
+	bp := dsp.BorrowFloats(nb + 1)
+	defer dsp.ReturnFloats(bp)
+	bp[0] = 0
 	for j := 0; j < nb; j++ {
-		d.refBp = append(d.refBp, d.refBp[len(d.refBp)-1]+d.blockPower(mHead+j))
+		bp[j+1] = bp[j] + d.blockPower(mHead+j)
 	}
 	// denSum(t) = S·den²[t]: per-sample head to rEnd, whole blocks
 	// beyond, and a proportional share of the final straddled block
 	// (keeps den smooth in t rather than quantized to block boundaries).
 	denSum := func(t int) float64 {
-		sum := d.refPz[rEnd-lo] - d.refPz[t-lo]
+		sum := pz[rEnd-lo] - pz[t-lo]
 		remain := S - (rEnd - t)
 		whole := remain / coarseFactor
 		if whole > nb-1 {
 			whole = nb - 1
 		}
-		sum += d.refBp[whole]
+		sum += bp[whole]
 		if fr := remain - whole*coarseFactor; fr > 0 && whole < nb {
-			sum += float64(fr) / coarseFactor * (d.refBp[whole+1] - d.refBp[whole])
+			sum += float64(fr) / coarseFactor * (bp[whole+1] - bp[whole])
 		}
 		return sum
 	}
@@ -685,25 +709,11 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	// span grows.
 	d.work.refined++
 	w := d.cfg.Seq.Samples
-	// The dots read the retained audio widened to float64 once per call:
-	// x[i] is sample lo+i. Lag t's template window is [t, t+L), and dots8
-	// reads L+7 past its base, whose highest value is hi−7, so the window
-	// ends at hi+L (inside rec: hi ≤ recEnd−L). It is borrowed at its
-	// largest length, L + 2·refineRadius, so one buffer per refining
-	// goroutine serves every session.
-	xBuf := dsp.BorrowFloats(L + 2*refineRadius)
-	defer dsp.ReturnFloats(xBuf)
-	x := xBuf[: hi-lo+L : hi-lo+L]
-	for i, v := range d.rec[lo-d.recBase : hi+L-d.recBase] {
-		x[i] = float64(v)
-	}
-	win := hi - lo + 1
-	d.refEx = d.refEx[:0]
-	d.refExOk = d.refExOk[:0]
-	for i := 0; i < win; i++ {
-		d.refEx = append(d.refEx, 0)
-		d.refExOk = append(d.refExOk, false)
-	}
+	// The dots read the retained audio in place: x[i] is sample lo+i. Lag
+	// t's template window is [t, t+L), and dots8 reads L+7 past its base,
+	// whose highest value is hi−7, so the window ends at hi+L (inside rec:
+	// hi ≤ recEnd−L).
+	x := d.rec[lo-d.recBase : hi+L-d.recBase : hi+L-d.recBase]
 	// exactRun fills the dot cache over [a, b]. A lone dot streams the
 	// 48000-sample template and window through the cache and is memory-
 	// bound, so runs of uncached adjacent lags are computed eight, then
@@ -711,28 +721,28 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	// the streaming cost that dominates the single-lag form (dot1).
 	exactRun := func(a, b int) {
 		for t := a; t <= b; t++ {
-			if d.refExOk[t-lo] {
+			if ok&(1<<(t-lo)) != 0 {
 				continue
 			}
 			r := t
-			for r < b && !d.refExOk[r+1-lo] {
+			for r < b && ok&(1<<(r+1-lo)) == 0 {
 				r++
 			}
 			base := t
 			for ; base+7 <= r; base += 8 {
-				dots8(d.refEx[base-lo:], w, x[base-lo:])
+				dots8(ex[base-lo:], w, x[base-lo:])
 				d.work.passes++
 			}
 			for ; base+3 <= r; base += 4 {
-				dots4(d.refEx[base-lo:], w, x[base-lo:])
+				dots4(ex[base-lo:], w, x[base-lo:])
 				d.work.passes++
 			}
 			for ; base <= r; base++ {
-				d.refEx[base-lo] = dot1(w, x[base-lo:base-lo+L])
+				ex[base-lo] = dot1(w, x[base-lo:base-lo+L])
 				d.work.passes++
 			}
 			for i := t - lo; i <= r-lo; i++ {
-				d.refExOk[i] = true
+				ok |= 1 << i
 			}
 			t = r
 		}
@@ -765,8 +775,8 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	var sumEx, sumRec float64
 	exactRun(s0, s1)
 	for t := s0; t <= s1; t++ {
-		ze := d.refEx[t-lo]
-		zr := d.refZt[t-lo]
+		ze := ex[t-lo]
+		zr := zt[t-lo]
 		sumEx += ze * ze
 		sumRec += zr * zr
 		if t%coarseFactor == 0 {
@@ -789,8 +799,8 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 		best, bestScore = t0, -1.0
 		var exTail, recTail float64
 		for t := s1; t >= s0; t-- {
-			ze := d.refEx[t-lo]
-			zr := d.refZt[t-lo]
+			ze := ex[t-lo]
+			zr := zt[t-lo]
 			exTail += ze * ze
 			recTail += zr * zr
 			ds := g2*(denSum(t)-recTail) + exTail
@@ -831,36 +841,37 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 // over w. Each lag keeps a single accumulator summed in k order, so every
 // dot is bit-identical to dots4's for the same lag: the eight-lag pass only
 // halves how often the 48000-sample template streams through the cache.
-func dots8(out, w, x []float64) {
+// x is the retained float32 audio, widened exactly as each sample loads.
+func dots8(out, w []float64, x []float32) {
 	out = out[:8]
 	x = x[:len(w)+7]
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
 	for k, v := range w {
 		s := x[k : k+8 : k+8]
-		a0 += v * s[0]
-		a1 += v * s[1]
-		a2 += v * s[2]
-		a3 += v * s[3]
-		a4 += v * s[4]
-		a5 += v * s[5]
-		a6 += v * s[6]
-		a7 += v * s[7]
+		a0 += v * float64(s[0])
+		a1 += v * float64(s[1])
+		a2 += v * float64(s[2])
+		a3 += v * float64(s[3])
+		a4 += v * float64(s[4])
+		a5 += v * float64(s[5])
+		a6 += v * float64(s[6])
+		a7 += v * float64(s[7])
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 	out[4], out[5], out[6], out[7] = a4, a5, a6, a7
 }
 
 // dots4 is dots8 for four lags.
-func dots4(out, w, x []float64) {
+func dots4(out, w []float64, x []float32) {
 	out = out[:4]
 	x = x[:len(w)+3]
 	var a0, a1, a2, a3 float64
 	for k, v := range w {
 		s := x[k : k+4 : k+4]
-		a0 += v * s[0]
-		a1 += v * s[1]
-		a2 += v * s[2]
-		a3 += v * s[3]
+		a0 += v * float64(s[0])
+		a1 += v * float64(s[1])
+		a2 += v * float64(s[2])
+		a3 += v * float64(s[3])
 	}
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
@@ -868,18 +879,18 @@ func dots4(out, w, x []float64) {
 // dot1 returns Σ_k w[k]·x[k] for one lag. Four independent accumulators
 // keep the 48000-MAC dot at the load-port limit instead of the FP-add
 // latency limit.
-func dot1(w, x []float64) float64 {
+func dot1(w []float64, x []float32) float64 {
 	w = w[:len(x)]
 	var s0, s1, s2, s3 float64
 	k := 0
 	for ; k+3 < len(w); k += 4 {
-		s0 += x[k] * w[k]
-		s1 += x[k+1] * w[k+1]
-		s2 += x[k+2] * w[k+2]
-		s3 += x[k+3] * w[k+3]
+		s0 += float64(x[k]) * w[k]
+		s1 += float64(x[k+1]) * w[k+1]
+		s2 += float64(x[k+2]) * w[k+2]
+		s3 += float64(x[k+3]) * w[k+3]
 	}
 	for ; k < len(w); k++ {
-		s0 += x[k] * w[k]
+		s0 += float64(x[k]) * w[k]
 	}
 	return (s0 + s1) + (s2 + s3)
 }

@@ -305,25 +305,38 @@ func TestDetectorWorkCounts(t *testing.T) {
 }
 
 // The eight-lag dot kernel keeps one sequential accumulator per lag, so it
-// is bit-identical to two four-lag passes, at every alignment.
+// is bit-identical to two four-lag passes, at every alignment, and to the
+// plain k-order sum over the audio widened to float64 first: reading the
+// float32 audio in place changes no bit.
 func TestDots8MatchesDots4Bitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	w := make([]float64, 4801)
-	x := make([]float64, len(w)+64)
+	x := make([]float32, len(w)+64)
 	for i := range w {
 		w[i] = rng.NormFloat64()
 	}
 	for i := range x {
-		x[i] = rng.NormFloat64() * 1e3
+		x[i] = float32(rng.NormFloat64() * 1e3)
+	}
+	wide := make([]float64, len(x))
+	for i, v := range x {
+		wide[i] = float64(v)
 	}
 	for off := 0; off < 16; off++ {
-		var got [8]float64
-		var want [8]float64
+		var got, want, ref [8]float64
 		dots8(got[:], w, x[off:])
 		dots4(want[:4], w, x[off:])
 		dots4(want[4:], w, x[off+4:])
 		if got != want {
 			t.Fatalf("offset %d: dots8 %v, dots4 %v", off, got, want)
+		}
+		for j := range ref {
+			for k, v := range w {
+				ref[j] += v * wide[off+j+k]
+			}
+		}
+		if got != ref {
+			t.Fatalf("offset %d: dots8 %v, float64 reference %v", off, got, ref)
 		}
 	}
 }

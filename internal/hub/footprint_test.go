@@ -1,17 +1,40 @@
 package hub
 
 import (
+	"net"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"ekho/internal/audio"
+	"ekho/internal/codec"
+	"ekho/internal/serverpipe"
+	"ekho/internal/transport"
 )
 
 // fixedFootprintBound is what a serving hub with no session may keep on
 // the heap: its stripes, the receive batch, the tick scratch and its
 // metrics. Per-session memory is budgeted separately
-// (serverpipe.TestSessionFootprint).
+// (TestHubSessionFootprint, and serverpipe.TestSessionFootprint for the
+// pipeline alone).
 const fixedFootprintBound = 256 << 10
+
+// Per-session memory budget of a hosting hub: a session's pipeline plus
+// its hub buffers (reorder slots, packet buffers, results), with the
+// shared clip, template and plans excluded.
+const (
+	// hubSessionLiveBytes bounds each session's live heap: 0.51 MB on
+	// SWB32 and 0.49 MB lossless, with a 5 % margin. Before the detector
+	// read its audio in place and kept the coarse baseband at complex64 and
+	// its scratch per call, it read 0.59 and 0.56 MB.
+	hubSessionLiveBytes = 550 << 10
+	// hubSessionAllocBytes bounds what each session allocates once warm
+	// (after its first 2 s), ≈ 6 KB: detections and measurements only,
+	// since nothing a session owns regrows after admission. A record
+	// book grown by append, as before, read 24 KB.
+	hubSessionAllocBytes = 12 << 10
+)
 
 // TestHubFixedFootprint measures the heap a default hub retains once it
 // is serving on a MemNet with no session — New plus a running Serve — as
@@ -55,4 +78,129 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// discardConn is a MemNet endpoint whose sends vanish: MemNet copies
+// every datagram it delivers, and the footprint below counts what the hub
+// keeps, not what a network would carry.
+type discardConn struct{ Conn }
+
+func (discardConn) SendBatch(pkts []transport.Packet) (int, error) { return len(pkts), nil }
+func (discardConn) SendTo([]byte, net.Addr) error                  { return nil }
+
+// TestHubSessionFootprint hosts 32 sessions per chat profile on a hub
+// driven tick by tick, each chatting back the marked screen audio with
+// its playback records, and holds each session to the budget above: live
+// heap after 20 s, and bytes allocated after a 2 s warm-up. -v prints the
+// measurements. Skipped under -race, whose instrumentation distorts both.
+func TestHubSessionFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 s of session time for 64 sessions")
+	}
+	if raceEnabled {
+		t.Skip("the race detector distorts heap and allocation counts")
+	}
+	for _, prof := range []codec.Profile{codec.SWB32, codec.Lossless} {
+		t.Run(prof.Name, func(t *testing.T) { hubSessionFootprint(t, prof) })
+	}
+}
+
+func hubSessionFootprint(t *testing.T, prof codec.Profile) {
+	const (
+		sessions = 32
+		ticks    = 20 * 50
+		warm     = 2 * 50
+		atten    = 0.1
+	)
+	mem := NewMemNet()
+	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: sessions, Codec: prof},
+		discardConn{mem.Endpoint("hub")})
+	defer h.Close()
+	screen, ctrl := mem.Endpoint("screen").LocalAddr(), mem.Endpoint("ctrl").LocalAddr()
+
+	// Every session streams the same clip and markers, so one probe
+	// pipeline renders the uplink they all send back: the marked screen
+	// audio, attenuated at zero air delay and encoded, with the accessory's
+	// playback record for the same tick. The probe also warms the shared
+	// clip, template caches, plans and scratch free list, which belong to
+	// no session.
+	probe := serverpipe.New(serverpipe.Config{
+		Game: h.clip(h.cfg.Clip), Seq: h.markerSeq(), MarkerC: h.cfg.MarkerC, Codec: prof})
+	enc := codec.NewEncoder(prof)
+	frame := make([]float64, audio.FrameSamples)
+	mic := make([]float64, audio.FrameSamples)
+	chats := make([]transport.Chat, ticks)
+	for i := range chats {
+		fi := probe.NextScreenFrame(frame)
+		for j, v := range frame {
+			mic[j] = v * atten
+		}
+		pkt, err := enc.Encode(mic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := transport.Chat{Seq: fi.Seq, ADCMicros: int64(fi.Seq) * 20000, Encoded: pkt}
+		if fa := probe.NextAccessoryFrame(frame); fa.ContentStart >= 0 {
+			c.Records = []transport.PlaybackRecord{{
+				ContentStart: fa.ContentStart,
+				N:            uint16(audio.FrameSamples - fa.ContentOff),
+				LocalMicros:  int64(fa.Seq)*20000 + int64(fa.ContentOff)*1e6/audio.SampleRate,
+			}}
+		}
+		chats[i] = c
+		probe.OfferChat(fi.Seq, float64(fi.Seq)*frameSec, pkt)
+	}
+	probe = nil
+
+	base := liveHeap()
+	msgs := make([]transport.Message, 0, 2*sessions)
+	for id := uint32(1); id <= sessions; id++ {
+		for _, hello := range []struct {
+			role transport.Role
+			from net.Addr
+		}{{transport.RoleScreen, screen}, {transport.RoleController, ctrl}} {
+			msgs = append(msgs, transport.Message{Type: transport.TypeHello, Session: id,
+				Hello: transport.Hello{Session: id, Role: hello.role}, From: hello.from})
+		}
+	}
+	h.DispatchBatch(msgs)
+	if got := h.Stats().ActiveSessions; got != sessions {
+		t.Fatalf("%d sessions admitted, want %d", got, sessions)
+	}
+	msgs = msgs[:sessions]
+	var warmed, streamed runtime.MemStats
+	for tick := 0; tick < ticks; tick++ {
+		if tick == warm {
+			runtime.ReadMemStats(&warmed)
+		}
+		h.Tick()
+		for i := range msgs {
+			id := uint32(i + 1)
+			c := chats[tick]
+			c.Session = id
+			msgs[i] = transport.Message{Type: transport.TypeChat, Session: id, Chat: c, From: ctrl}
+		}
+		h.DispatchBatch(msgs)
+	}
+	runtime.ReadMemStats(&streamed)
+	live := liveHeap() - base
+	runtime.KeepAlive(chats)
+
+	for _, info := range h.SessionInfos() {
+		if info.Measurements < 10 {
+			t.Fatalf("session %d measured %d markers in 20 s: the detector was not exercised",
+				info.ID, info.Measurements)
+		}
+	}
+	livePer := live / sessions
+	allocPer := int64(streamed.TotalAlloc-warmed.TotalAlloc) / sessions
+	t.Logf("%s: live heap %.3f MB/session (budget %.3f), allocated once warm %.1f KB/session (budget %d)",
+		prof.Name, float64(livePer)/(1<<20), float64(hubSessionLiveBytes)/(1<<20),
+		float64(allocPer)/1024, hubSessionAllocBytes>>10)
+	if livePer > hubSessionLiveBytes {
+		t.Errorf("live heap %d B per session, budget %d", livePer, hubSessionLiveBytes)
+	}
+	if allocPer > hubSessionAllocBytes {
+		t.Errorf("allocated %d B per session once warm, budget %d", allocPer, hubSessionAllocBytes)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ekho"
+	"ekho/internal/estimator"
 	"ekho/internal/transport"
 )
 
@@ -215,5 +216,34 @@ func TestShardIndexSpread(t *testing.T) {
 		if n == 0 {
 			t.Errorf("shard %d received no sessions out of 256 sequential ids", i)
 		}
+	}
+}
+
+// A session's result keeps only its newest isdKeep measurements, oldest
+// first, while Measurements counts them all: a session that lives for
+// days must not grow its result by 8 B a second.
+func TestSessionResultKeepsNewestISDs(t *testing.T) {
+	h := New(Config{TickEvery: -1, IdleTimeout: -1}, NewMemNet().Endpoint("hub"))
+	defer h.Close()
+	s := &session{id: 1, hub: h}
+	const extra = 37
+	isd := func(i int) float64 { return float64(i) * 1e-4 }
+	for i := 0; i < isdKeep+extra; i++ {
+		s.ISDMeasurement(float64(i), estimator.Measurement{ISDSeconds: isd(i)})
+		if want := min(i+1, isdKeep); len(s.res.ISDs) != want {
+			t.Fatalf("after %d measurements: %d ISDs kept, want %d", i+1, len(s.res.ISDs), want)
+		}
+	}
+	res := s.result()
+	if res.Measurements != isdKeep+extra {
+		t.Errorf("Measurements = %d, want %d", res.Measurements, isdKeep+extra)
+	}
+	for j, v := range res.ISDs {
+		if want := isd(extra + j); v != want {
+			t.Fatalf("ISDs[%d] = %v, want measurement %d (%v)", j, v, extra+j, want)
+		}
+	}
+	if c := cap(res.ISDs); c > 2*isdKeep {
+		t.Errorf("ISDs capacity %d for %d kept", c, isdKeep)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"ekho/internal/compensator"
 	"ekho/internal/estimator"
 	"ekho/internal/jitterbuf"
+	"ekho/internal/rtp"
 	"ekho/internal/serverpipe"
 	"ekho/internal/trace"
 	"ekho/internal/transport"
@@ -25,6 +26,16 @@ const frameSec = float64(audio.FrameSamples) / audio.SampleRate
 // reordering — beyond that the packet is as good as lost for a 10 ms
 // sync target.
 const chatReorderWindow = 4
+
+// isdKeep is how many of a session's newest ISD measurements
+// SessionResult.ISDs keeps: about 17 minutes at one marker a second.
+const isdKeep = 1024
+
+// mediaPacketCap is one encoded media packet: a 12-byte header on either
+// framing (v2 and RTP alike) and the frame's body. The session's packet
+// buffers are allocated at this size, so the first tick does not grow
+// them.
+const mediaPacketCap = rtp.HeaderLen + 12 + 2*audio.FrameSamples
 
 // SessionResult summarizes one hosted session after it ends.
 type SessionResult struct {
@@ -42,7 +53,9 @@ type SessionResult struct {
 	// FirstActionFrames is the insert size of the first compensation,
 	// rounded to whole frames.
 	FirstActionFrames int
-	// ISDs holds every measured ISD in seconds, in order.
+	// ISDs holds the newest measured ISDs in seconds, oldest first: all
+	// of them up to isdKeep (1024), then the newest isdKeep. Measurements
+	// still counts every one.
 	ISDs []float64
 	// Frames is the number of media frame pairs streamed.
 	Frames int
@@ -127,6 +140,8 @@ func (h *Hub) newSession(st *stripe, id uint32, wire transport.Wire) *session {
 		res:     SessionResult{ID: id},
 		reorder: jitterbuf.NewReorder(chatReorderWindow),
 		hold:    make([]heldChat, chatReorderWindow),
+		pktScr:  make([]byte, 0, mediaPacketCap),
+		pktAcc:  make([]byte, 0, mediaPacketCap),
 	}
 	cfg := serverpipe.Config{
 		Game:        h.clip(h.cfg.Clip),
@@ -427,6 +442,9 @@ func (s *session) ISDMeasurement(now float64, m estimator.Measurement) {
 	s.hub.stats.measurements.Add(1)
 	if s.res.Actions > 0 {
 		s.res.PostActionMeasurements++
+	}
+	if len(s.res.ISDs) == isdKeep {
+		s.res.ISDs = s.res.ISDs[:copy(s.res.ISDs, s.res.ISDs[1:])]
 	}
 	s.res.ISDs = append(s.res.ISDs, m.ISDSeconds)
 	s.isdLastMS = m.ISDSeconds * 1000

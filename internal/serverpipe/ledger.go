@@ -13,24 +13,36 @@ type MarkerTimeSink interface {
 	AddMarkerTime(localTime float64)
 }
 
-// MarkerExpireSlack is how far (in content samples) accessory playback
-// may run past a pending marker's content before the marker is abandoned.
-// Ten seconds is far beyond any plausible uplink reorder, so expiry only
-// removes markers that can never match — content the accessory skipped
-// over, whose playback record will never exist. Without expiry such
-// markers would pin the record book's eviction floor forever.
+// MarkerExpireSlack is how far (in content samples) accessory playback,
+// or the screen's marker injection, may run past a pending marker's
+// content before the marker is abandoned. Ten seconds is far beyond any
+// plausible uplink reorder, so expiry only removes markers that can never
+// match — content the accessory skipped over, whose playback record will
+// never exist, or markers of a session whose controller sends no records
+// at all. Without expiry such markers would pin the record book's
+// eviction floor, and fill the ledger, forever.
 const MarkerExpireSlack = 10 * audio.SampleRate
+
+// ledgerCap is the pending list's capacity, allocated on the first Add:
+// expiry behind the newest marker bounds the list to the markers of
+// MarkerExpireSlack of content, eleven at one marker a second.
+const ledgerCap = 16
 
 // MarkerLedger tracks injected markers awaiting a covering playback
 // record. Content positions are appended in increasing order (the screen
 // stream's content position is monotonic).
 type MarkerLedger struct {
 	pending []int64
+	newest  int64 // content of the newest marker added
 }
 
 // Add registers a marker injected at the given content position.
 func (l *MarkerLedger) Add(content int64) {
+	if l.pending == nil {
+		l.pending = make([]int64, 0, ledgerCap)
+	}
 	l.pending = append(l.pending, content)
+	l.newest = content
 }
 
 // Pending reports how many markers await resolution.
@@ -47,9 +59,10 @@ func (l *MarkerLedger) MinPending() int64 {
 
 // Resolve matches pending markers against the record book: matched
 // markers emit their accessory-local playback time to the sink; markers
-// whose content lies MarkerExpireSlack behind the newest covered record
-// are expired. Both paths filter the pending list in place (no
-// allocation in steady state).
+// whose content lies more than MarkerExpireSlack behind the newest covered
+// record, or behind the newest marker added, are expired. The second
+// bound holds when no record ever arrives. Both paths filter the pending
+// list in place (no allocation in steady state).
 func (l *MarkerLedger) Resolve(book *RecordBook, times MarkerTimeSink, sink EventSink) {
 	if len(l.pending) == 0 {
 		return
@@ -61,7 +74,7 @@ func (l *MarkerLedger) Resolve(book *RecordBook, times MarkerTimeSink, sink Even
 			sink.MarkerMatched(mc, t)
 			continue
 		}
-		if book.MaxCovered() > mc+MarkerExpireSlack {
+		if book.MaxCovered() > mc+MarkerExpireSlack || l.newest > mc+MarkerExpireSlack {
 			sink.MarkerExpired(mc)
 			continue
 		}

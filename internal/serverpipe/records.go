@@ -28,11 +28,17 @@ const (
 	RecordLowWater  = 200
 )
 
+// recordBookCap is the capacity a book allocates on first use, so it
+// never regrows in a session: the high-water mark or the ~500 frame
+// records a marker can pin until it expires (MarkerExpireSlack),
+// whichever is more, plus a chat packet's batch of new ones.
+const recordBookCap = max(RecordHighWater, MarkerExpireSlack/audio.FrameSamples) + 12
+
 // RecordBook holds playback records sorted by ContentStart so marker
 // matching is a binary search instead of a linear scan. Appends are O(1)
 // for in-order arrival (the common case) and binary-insert for delayed
-// packets. All mutation is in place: steady state allocates nothing once
-// the backing array has grown to the retention bound.
+// packets. All mutation is in place, in storage allocated at the first
+// Add and sized past the retention bound.
 type RecordBook struct {
 	recs   []Record
 	maxEnd int64 // highest ContentStart+N ever added (survives eviction)
@@ -42,6 +48,9 @@ type RecordBook struct {
 func (b *RecordBook) Add(r Record) {
 	if end := r.ContentStart + int64(r.N); end > b.maxEnd {
 		b.maxEnd = end
+	}
+	if b.recs == nil {
+		b.recs = make([]Record, 0, recordBookCap)
 	}
 	n := len(b.recs)
 	if n == 0 || b.recs[n-1].ContentStart <= r.ContentStart {

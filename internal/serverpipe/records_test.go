@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"ekho/internal/audio"
+	"ekho/internal/codec"
+	"ekho/internal/gamesynth"
+	"ekho/internal/pn"
 )
 
 func TestRecordBookLookup(t *testing.T) {
@@ -101,6 +104,52 @@ func TestMarkerExpiry(t *testing.T) {
 	ledger.Resolve(&b, &sink, &events)
 	if ledger.Pending() != 0 || events.expired != 1 || len(sink.times) != 0 {
 		t.Fatalf("pending=%d expired=%d times=%v", ledger.Pending(), events.expired, sink.times)
+	}
+}
+
+// injectCounter counts the ledger's lifecycle events on a pipeline.
+type injectCounter struct {
+	eventCounter
+	injected int
+}
+
+func (e *injectCounter) MarkerInjected(int64) { e.injected++ }
+
+// A controller that sends chat but never a playback record leaves every
+// marker unmatched, and MaxCovered never advances to expire them: the
+// ledger must still stay bounded, expiring markers MarkerExpireSlack
+// behind the newest one, and count every expiry.
+func TestRecordlessChatBoundsPendingMarkers(t *testing.T) {
+	const seconds = 120
+	var sink injectCounter
+	p := New(Config{
+		Game:  gamesynth.Generate(gamesynth.Catalog()[0], gamesynth.ClipSeconds),
+		Seq:   pn.NewSequence(4242, pn.DefaultLength),
+		Codec: codec.Lossless,
+		Sink:  &sink,
+	})
+	pkt, err := codec.NewEncoder(codec.Lossless).Encode(make([]float64, audio.FrameSamples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]float64, audio.FrameSamples)
+	most := 0
+	for i := 0; i < seconds*audio.SampleRate/audio.FrameSamples; i++ {
+		fi := p.NextScreenFrame(frame)
+		p.NextAccessoryFrame(frame)
+		p.OfferChat(fi.Seq, float64(fi.Seq)*frameSec, pkt)
+		most = max(most, p.PendingMarkers())
+	}
+	t.Logf("%d markers injected, %d expired, %d pending (at most %d)",
+		sink.injected, sink.expired, p.PendingMarkers(), most)
+	if most > 11 {
+		t.Errorf("%d markers pending at once over %d s of recordless chat, want <= 11", most, seconds)
+	}
+	if sink.injected < seconds-1 || sink.matched != 0 {
+		t.Fatalf("%d markers injected, %d matched: want one a second, none matched", sink.injected, sink.matched)
+	}
+	if got := sink.injected - p.PendingMarkers(); sink.expired != got {
+		t.Errorf("%d expiries counted, want %d (every marker no longer pending)", sink.expired, got)
 	}
 }
 

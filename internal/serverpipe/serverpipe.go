@@ -13,9 +13,10 @@
 // supplies identical measurement behavior everywhere.
 //
 // The steady-state hot path (NextScreenFrame / NextAccessoryFrame /
-// OfferChat without detections) allocates nothing: scratch buffers live
-// in the Pipeline, the record book and marker ledger mutate in place, and
-// the injector's log is bounded.
+// OfferChat without detections) allocates nothing: the chat-decode
+// scratch is borrowed per call from dsp's free list rather than held per
+// session, the record book and marker ledger mutate in place in storage
+// sized on first use, and the injector's log is bounded.
 package serverpipe
 
 import (
@@ -24,6 +25,7 @@ import (
 	"ekho/internal/audio"
 	"ekho/internal/codec"
 	"ekho/internal/compensator"
+	"ekho/internal/dsp"
 	"ekho/internal/estimator"
 	"ekho/internal/pn"
 )
@@ -165,8 +167,6 @@ type Pipeline struct {
 
 	mutedAmp float64
 	mutedPos int
-
-	chatBuf []float64 // decode/conceal scratch
 }
 
 // New assembles a pipeline. Config.Game and Config.Seq are required.
@@ -287,6 +287,10 @@ func (p *Pipeline) OfferChat(seq uint32, adcLocal float64, encoded []byte) {
 	p.ledger.Resolve(&p.book, p.est, p.sink)
 	p.book.Evict(p.ledger.MinPending())
 
+	// Decode/conceal scratch for this call: AddChat copies the samples it
+	// keeps, so one frame-sized buffer serves every frame below.
+	buf := dsp.BorrowFloats(audio.FrameSamples)
+	defer dsp.ReturnFloats(buf)
 	lost, fresh := p.seqr.Offer(seq)
 	if lost > maxConcealFrames {
 		// The audio before the gap can no longer pair with what follows:
@@ -296,24 +300,22 @@ func (p *Pipeline) OfferChat(seq uint32, adcLocal float64, encoded []byte) {
 		lost = 0
 	}
 	for i := lost; i > 0; i-- {
-		// AddChat copies the samples, so the scratch is safe to reuse.
-		p.chatBuf = p.dec.ConcealTo(p.chatBuf[:0])
+		concealed := p.dec.ConcealTo(buf[:0])
 		p.sink.ChatGapConcealed(seq-uint32(i), p.lastChatEnd)
-		p.feedChat(p.chatBuf, p.lastChatEnd)
+		p.feedChat(concealed, p.lastChatEnd)
 	}
 	if !fresh {
 		return // stale duplicate/reorder
 	}
 	// Decoder output lags capture by one codec hop; correct the stamp.
 	startLocal := adcLocal - p.codecDelaySec
-	decoded, err := p.dec.DecodeTo(p.chatBuf[:0], encoded)
+	decoded, err := p.dec.DecodeTo(buf[:0], encoded)
 	if err != nil {
 		// A corrupt or hostile frame is concealed like a lost one, and
 		// counted the same way.
-		decoded = p.dec.ConcealTo(p.chatBuf[:0])
+		decoded = p.dec.ConcealTo(buf[:0])
 		p.sink.ChatGapConcealed(seq, startLocal)
 	}
-	p.chatBuf = decoded
 	p.feedChat(decoded, startLocal)
 }
 
