@@ -141,16 +141,6 @@ type (
 	Action = compensator.Action
 	// Resample is the drift regime's continuous rate-retune action.
 	Resample = compensator.Resample
-	// DriftCompensatorConfig tunes the micro-resampling regime.
-	DriftCompensatorConfig = compensator.DriftConfig
-	// DriftLoop layers micro-resampling over the discrete compensator.
-	DriftLoop = compensator.DriftLoop
-	// DriftTracker fits ISD level+slope over a sliding window.
-	DriftTracker = estimator.DriftTracker
-	// DriftTrackerConfig tunes the sliding-window slope fit.
-	DriftTrackerConfig = estimator.DriftConfig
-	// DriftFit is one windowed least-squares level+slope fit.
-	DriftFit = estimator.DriftFit
 )
 
 // Stream identifiers for compensation actions.

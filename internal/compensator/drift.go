@@ -30,82 +30,40 @@ type Resample struct {
 	PPM    float64
 }
 
-// DriftConfig tunes the micro-resampling regime. The zero value of
-// Enabled keeps the compensator byte-identical to the level-only loop.
-type DriftConfig struct {
-	// Enabled turns the drift regime on. Off by default: every zero-drift
-	// code path must be bit-identical to the pre-drift behavior.
-	Enabled bool
-	// EngagePPM is the fitted-slope magnitude (ppm) above which
-	// micro-resampling engages (default 30).
-	EngagePPM float64
-	// ReleasePPM is the residual-slope magnitude (ppm) below which the
-	// loop stops retuning and holds its current rate (default 10).
-	// Between Release and Engage an already-engaged loop keeps adjusting
-	// — that asymmetry is the regime hysteresis.
-	ReleasePPM float64
-	// MaxPPM clamps the commanded rate (default 400). Real device SROs
-	// are tens of ppm; a fit demanding more than this is distrusted.
-	MaxPPM float64
-	// MaxStepPPM clamps how far one retune may move an already-engaged
-	// rate (default 2·EngagePPM). The first engagement jumps straight to
-	// the fitted slope, but once the loop has converged the true offset
-	// only wanders slowly — a fit demanding a large swing is almost
-	// always a transient (a network excursion read as slope), and the
-	// clamp bounds the damage to one settle period of small error
-	// instead of a rate flip.
-	MaxStepPPM float64
-	// SettleSec is the minimum time between rate updates (default 8 s):
-	// after a retune the tracker needs a fresh window before its slope
-	// means anything.
-	SettleSec float64
-	// TStat is the significance gate: the fitted slope must exceed
-	// TStat · SlopeStdErr to act (default 2.5), so measurement noise on
-	// a drift-free stream cannot engage the regime.
-	TStat float64
-	// BlankSec is how long after an applied correction the drift tracker
-	// ignores incoming measurements (default 2.5 s), measured on the
-	// tracker's own x-axis (marker detection time). A correction changes
-	// the ISD trajectory only after it propagates through jitter buffers
-	// and playout; measurements detected before that still show the old
-	// trajectory, and letting them seed the freshly reset window makes
-	// the next fit see a step or kink that is not drift. Blanking on
-	// detection time rather than arrival time also excludes measurements
-	// that were detected pre-correction but delivered late (uplink and
-	// correlation latency run to seconds).
-	BlankSec float64
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.EngagePPM == 0 {
-		c.EngagePPM = 30
-	}
-	if c.ReleasePPM == 0 {
-		c.ReleasePPM = 10
-	}
-	if c.MaxPPM == 0 {
-		c.MaxPPM = 400
-	}
-	if c.MaxStepPPM == 0 {
-		c.MaxStepPPM = 2 * c.EngagePPM
-	}
-	if c.SettleSec == 0 {
-		c.SettleSec = 8
-	}
-	if c.TStat == 0 {
-		c.TStat = 2.5
-	}
-	if c.BlankSec == 0 {
-		c.BlankSec = 2.5
-	}
-	return c
-}
+// Micro-resampling regime constants.
+const (
+	// engagePPM is the fitted-slope magnitude (ppm) above which
+	// micro-resampling engages.
+	engagePPM = 30
+	// releasePPM is the residual-slope magnitude (ppm) below which the
+	// loop stops retuning and holds its current rate. Between release and
+	// engage an already-engaged loop keeps adjusting — that asymmetry is
+	// the regime hysteresis.
+	releasePPM = 10
+	// maxPPM clamps the commanded rate. Real device SROs are tens of ppm;
+	// a fit demanding more than this is distrusted.
+	maxPPM = 400
+	// maxStepPPM clamps how far one retune may move an already-engaged
+	// rate. The first engagement jumps straight to the fitted slope, but
+	// once the loop has converged the true offset only wanders slowly — a
+	// fit demanding a large swing is almost always a transient (a network
+	// excursion read as slope), and the clamp bounds the damage to one
+	// settle period of small error instead of a rate flip.
+	maxStepPPM = 2 * engagePPM
+	// rateSettleSec is the minimum time between rate updates: after a
+	// retune the tracker needs a fresh window before its slope means
+	// anything.
+	rateSettleSec = 8
+	// tStat is the significance gate: the fitted slope must exceed
+	// tStat · SlopeStdErr to act, so measurement noise on a drift-free
+	// stream cannot engage the regime.
+	tStat = 2.5
+)
 
 // DriftLoop layers the micro-resampling regime over the discrete level
 // compensator. At most one of the two returned actions is non-nil per
 // offer: a rate retune consumes the measurement that triggered it.
 type DriftLoop struct {
-	cfg   DriftConfig
 	level *Compensator
 	// appliedPPM is the rate currently commanded on the accessory stream.
 	appliedPPM float64
@@ -114,10 +72,9 @@ type DriftLoop struct {
 	rateSettleUntil float64
 }
 
-// NewDriftLoop wraps the discrete compensator. With cfg.Enabled false the
-// loop is a pure passthrough to level.Offer.
-func NewDriftLoop(cfg DriftConfig, level *Compensator) *DriftLoop {
-	return &DriftLoop{cfg: cfg.withDefaults(), level: level, rateSettleUntil: math.Inf(-1)}
+// NewDriftLoop wraps the discrete compensator.
+func NewDriftLoop(level *Compensator) *DriftLoop {
+	return &DriftLoop{level: level, rateSettleUntil: math.Inf(-1)}
 }
 
 // Offer presents one ISD measurement at local time now together with the
@@ -126,9 +83,6 @@ func NewDriftLoop(cfg DriftConfig, level *Compensator) *DriftLoop {
 // after applying either kind of correction — both move the ISD trajectory
 // out from under the fitted window.
 func (l *DriftLoop) Offer(now, isdSeconds float64, fit estimator.DriftFit) (*Action, *Resample) {
-	if !l.cfg.Enabled {
-		return l.level.Offer(now, isdSeconds), nil
-	}
 	if rs := l.maybeRetune(now, fit); rs != nil {
 		return nil, rs
 	}
@@ -147,17 +101,17 @@ func (l *DriftLoop) maybeRetune(now float64, fit estimator.DriftFit) *Resample {
 		return nil
 	}
 	slopePPM := fit.SlopeSecPerSec * 1e6
-	threshold := l.cfg.EngagePPM
+	threshold := float64(engagePPM)
 	if l.engaged {
-		threshold = l.cfg.ReleasePPM
+		threshold = releasePPM
 	}
 	if math.Abs(slopePPM) <= threshold {
 		return nil
 	}
-	if math.Abs(fit.SlopeSecPerSec) <= l.cfg.TStat*fit.SlopeStdErr {
+	if math.Abs(fit.SlopeSecPerSec) <= tStat*fit.SlopeStdErr {
 		return nil
 	}
-	if math.Abs(slopePPM) > l.cfg.MaxPPM {
+	if math.Abs(slopePPM) > maxPPM {
 		// Real oscillator offsets are tens of ppm; a fit steeper than the
 		// rate clamp itself is a polluted window (a discrete-correction
 		// step that leaked past the blanking), not drift. Acting on it
@@ -168,24 +122,21 @@ func (l *DriftLoop) maybeRetune(now float64, fit estimator.DriftFit) *Resample {
 	// accessory content-time rate ≈ 1 + sro + applied·1e-6, so the rate
 	// that zeroes the ramp is applied − slope.
 	delta := -slopePPM
-	if l.engaged && math.Abs(delta) > l.cfg.MaxStepPPM {
+	if l.engaged && math.Abs(delta) > maxStepPPM {
 		if delta > 0 {
-			delta = l.cfg.MaxStepPPM
+			delta = maxStepPPM
 		} else {
-			delta = -l.cfg.MaxStepPPM
+			delta = -maxStepPPM
 		}
 	}
 	next := l.appliedPPM + delta
-	if next > l.cfg.MaxPPM {
-		next = l.cfg.MaxPPM
-	} else if next < -l.cfg.MaxPPM {
-		next = -l.cfg.MaxPPM
+	if next > maxPPM {
+		next = maxPPM
+	} else if next < -maxPPM {
+		next = -maxPPM
 	}
 	l.appliedPPM = next
 	l.engaged = true
-	l.rateSettleUntil = now + l.cfg.SettleSec
+	l.rateSettleUntil = now + rateSettleSec
 	return &Resample{Stream: AccessoryStream, PPM: next}
 }
-
-// BlankSec returns the resolved post-correction tracker blanking period.
-func (l *DriftLoop) BlankSec() float64 { return l.cfg.BlankSec }

@@ -32,7 +32,7 @@ func (s *driftSim) step(dt float64) float64 {
 // returns the last commanded rate plus counters.
 func runLoop(t *testing.T, loop *DriftLoop, sim *driftSim, seconds float64) (actions, resamples int) {
 	t.Helper()
-	tr := estimator.NewDriftTracker(estimator.DriftConfig{})
+	var tr estimator.DriftTracker
 	const dt = 1.5
 	for now := 0.0; now < seconds; now += dt {
 		isd := sim.step(dt)
@@ -67,16 +67,16 @@ func runLoop(t *testing.T, loop *DriftLoop, sim *driftSim, seconds float64) (act
 // the residual slope inside the release band.
 func TestDriftLoopConvergesOnSRO(t *testing.T) {
 	for _, sro := range []float64{100, -100, 200, -50} {
-		loop := NewDriftLoop(DriftConfig{Enabled: true}, New(Config{}))
+		loop := NewDriftLoop(New(Config{}))
 		sim := &driftSim{sroPPM: sro}
 		_, resamples := runLoop(t, loop, sim, 120)
 		if resamples == 0 {
 			t.Fatalf("sro=%v: never engaged", sro)
 		}
 		residual := sro + loop.appliedPPM
-		if math.Abs(residual) > loop.cfg.ReleasePPM {
+		if math.Abs(residual) > releasePPM {
 			t.Errorf("sro=%v ppm: applied %.1f ppm leaves residual %.1f ppm (> release band %v)",
-				sro, loop.appliedPPM, residual, loop.cfg.ReleasePPM)
+				sro, loop.appliedPPM, residual, releasePPM)
 		}
 		if !loop.engaged {
 			t.Errorf("sro=%v: loop not engaged after convergence", sro)
@@ -85,10 +85,9 @@ func TestDriftLoopConvergesOnSRO(t *testing.T) {
 }
 
 // Zero drift with realistic measurement noise must never engage the
-// resampling regime (the t-statistic gate) — and with the regime disabled
-// the loop must be a bit-exact passthrough to the level compensator.
+// resampling regime (the t-statistic gate).
 func TestDriftLoopNoFalseEngage(t *testing.T) {
-	loop := NewDriftLoop(DriftConfig{Enabled: true}, New(Config{}))
+	loop := NewDriftLoop(New(Config{}))
 	sim := &driftSim{sroPPM: 0, noise: 0.0004, rng: rand.New(rand.NewSource(11))}
 	_, resamples := runLoop(t, loop, sim, 300)
 	if resamples != 0 {
@@ -99,21 +98,21 @@ func TestDriftLoopNoFalseEngage(t *testing.T) {
 	}
 }
 
-// Disabled drift must defer to the level compensator with the RAW
-// measurement — identical offers must yield identical actions.
+// Until the tracker's window is valid the drift regime is dormant: the
+// loop must defer to the level compensator with the RAW measurement —
+// identical offers must yield identical actions. (A session with drift
+// off builds no loop at all; see serverpipe.)
 func TestDriftLoopDisabledPassthrough(t *testing.T) {
 	direct := New(Config{})
-	wrapped := NewDriftLoop(DriftConfig{}, New(Config{}))
-	tr := estimator.NewDriftTracker(estimator.DriftConfig{})
+	wrapped := NewDriftLoop(New(Config{}))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
 		now := float64(i) * 1.5
 		isd := 0.012*math.Sin(float64(i)/9) + 0.002*rng.NormFloat64()
-		tr.Add(now, isd)
 		want := direct.Offer(now, isd)
-		got, rs := wrapped.Offer(now, isd, tr.Fit())
+		got, rs := wrapped.Offer(now, isd, estimator.DriftFit{LevelSeconds: isd, Points: 1})
 		if rs != nil {
-			t.Fatal("resample issued while disabled")
+			t.Fatal("resample issued without a valid fit")
 		}
 		if (want == nil) != (got == nil) {
 			t.Fatalf("offer %d: passthrough diverged (want %v, got %v)", i, want, got)
@@ -137,11 +136,11 @@ func TestDriftLoopHysteresis(t *testing.T) {
 			SpanSec:        20,
 		}
 	}
-	fresh := NewDriftLoop(DriftConfig{Enabled: true}, New(Config{}))
+	fresh := NewDriftLoop(New(Config{}))
 	if _, rs := fresh.Offer(0, 0, mk()); rs != nil {
 		t.Fatal("mid-band slope engaged a fresh loop")
 	}
-	engaged := NewDriftLoop(DriftConfig{Enabled: true}, New(Config{}))
+	engaged := NewDriftLoop(New(Config{}))
 	big := mk()
 	big.SlopeSecPerSec = 100e-6
 	if _, rs := engaged.Offer(0, 0, big); rs == nil {
@@ -163,11 +162,11 @@ func TestDriftLoopHysteresis(t *testing.T) {
 	}
 }
 
-// The commanded rate must clamp at MaxPPM even when the fits keep
-// demanding more, and engaged retunes may move at most MaxStepPPM per
+// The commanded rate must clamp at maxPPM even when the fits keep
+// demanding more, and engaged retunes may move at most maxStepPPM per
 // settle window.
 func TestDriftLoopClampsRate(t *testing.T) {
-	loop := NewDriftLoop(DriftConfig{Enabled: true}, New(Config{}))
+	loop := NewDriftLoop(New(Config{}))
 	fit := func(ppm float64) estimator.DriftFit {
 		return estimator.DriftFit{
 			Valid: true, SlopeSecPerSec: ppm * 1e-6, SlopeStdErr: 1e-6,
@@ -176,35 +175,35 @@ func TestDriftLoopClampsRate(t *testing.T) {
 	}
 	// First engagement jumps straight to the estimate (just inside the
 	// sanity gate).
-	_, rs := loop.Offer(0, 0, fit(loop.cfg.MaxPPM-10))
+	_, rs := loop.Offer(0, 0, fit(maxPPM-10))
 	if rs == nil {
 		t.Fatal("no engagement retune")
 	}
-	if got := rs.PPM; got != -(loop.cfg.MaxPPM - 10) {
-		t.Fatalf("engagement rate %v, want %v", got, -(loop.cfg.MaxPPM - 10))
+	if got := rs.PPM; got != -(maxPPM - 10) {
+		t.Fatalf("engagement rate %v, want %v", got, -(maxPPM - 10))
 	}
-	// Once engaged, a retune moves at most MaxStepPPM...
-	_, rs = loop.Offer(100, 0, fit(loop.cfg.MaxPPM-10))
+	// Once engaged, a retune moves at most maxStepPPM...
+	_, rs = loop.Offer(100, 0, fit(maxPPM-10))
 	if rs == nil {
 		t.Fatal("no engaged retune")
 	}
-	if want := -(loop.cfg.MaxPPM - 10) - loop.cfg.MaxStepPPM; math.Abs(rs.PPM-want) > 1e-9 && rs.PPM != -loop.cfg.MaxPPM {
-		t.Fatalf("engaged retune %v, want step-clamped %v or rate-clamped %v", rs.PPM, want, -loop.cfg.MaxPPM)
+	if want := float64(-(maxPPM - 10) - maxStepPPM); math.Abs(rs.PPM-want) > 1e-9 && rs.PPM != -maxPPM {
+		t.Fatalf("engaged retune %v, want step-clamped %v or rate-clamped %v", rs.PPM, want, -maxPPM)
 	}
-	// ...and the commanded rate never exceeds ±MaxPPM no matter how many
+	// ...and the commanded rate never exceeds ±maxPPM no matter how many
 	// rounds demand more.
 	for i := 0; i < 10; i++ {
-		loop.Offer(200+float64(i)*100, 0, fit(loop.cfg.MaxPPM-10))
+		loop.Offer(200+float64(i)*100, 0, fit(maxPPM-10))
 	}
-	if math.Abs(loop.appliedPPM) != loop.cfg.MaxPPM {
-		t.Fatalf("rate %v not clamped to ±%v", loop.appliedPPM, loop.cfg.MaxPPM)
+	if math.Abs(loop.appliedPPM) != maxPPM {
+		t.Fatalf("rate %v not clamped to ±%v", loop.appliedPPM, maxPPM)
 	}
 }
 
-// A fit steeper than MaxPPM is a polluted window (a correction step read
+// A fit steeper than maxPPM is a polluted window (a correction step read
 // as slope), not a plausible oscillator: the loop must ignore it.
 func TestDriftLoopRejectsImplausibleSlope(t *testing.T) {
-	loop := NewDriftLoop(DriftConfig{Enabled: true}, New(Config{}))
+	loop := NewDriftLoop(New(Config{}))
 	junk := estimator.DriftFit{
 		Valid: true, SlopeSecPerSec: 5000e-6, SlopeStdErr: 1e-6,
 		Points: 16, SpanSec: 20,

@@ -107,7 +107,7 @@ func TestDetectorBuffersNeverRegrow(t *testing.T) {
 	// scan arrays.
 	t.Logf("borrowed per block in flight (dsp free list, not per session): %d bytes",
 		16*(n+n+czTail+n)+8*(zTail+step+zTail+1+step+envTail+step))
-	t.Logf("borrowed per refinement in flight: %d bytes", 8*(d.cfg.NormWindow/coarseFactor+3))
+	t.Logf("borrowed per refinement in flight: %d bytes", 8*(normWindow/coarseFactor+3))
 	if total+line > detectorBudget {
 		t.Errorf("detector holds %d bytes per session, budget %d", total+line, detectorBudget)
 	}

@@ -317,8 +317,8 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 		panic("estimator: NewIncrementalDetector needs Config.Seq (the PN marker sequence)")
 	}
 	mdec := decimatedLen(c.Seq.Len())
-	sDec := max(c.NormWindow/coarseFactor, 1)
-	dDec := decimatedLen(c.Delta)
+	sDec := max(normWindow/coarseFactor, 1)
+	dDec := decimatedLen(peakDelta)
 	d := &IncrementalDetector{
 		cfg:  c,
 		mdec: mdec,
@@ -326,11 +326,11 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 		kern: interpKernel(),
 		scan: coarseScan{
 			normWindow: sDec,
-			beta2:      math.Pow(c.Beta, 2*coarseFactor),
+			beta2:      math.Pow(envelopeBeta, 2*coarseFactor),
 			theta2:     (c.Theta * coarseThetaScale) * (c.Theta * coarseThetaScale),
 			delta:      dDec,
 		},
-		conf: peakConfirm{interval: c.IntervalSamples, delta: c.Delta},
+		conf: peakConfirm{interval: c.IntervalSamples, delta: peakDelta},
 	}
 	d.fastA, d.fastB = fastFrontEnd()
 	// The conjugate partition spectra are shared across sessions, keyed by
@@ -681,7 +681,7 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	}
 	// Block-power prefix over the coarse lags covering the rest of the
 	// normalization window, [mHead, mHead + S/D + 1].
-	S := d.cfg.NormWindow
+	S := normWindow
 	nb := S/coarseFactor + 2
 	bp := dsp.BorrowFloats(nb + 1)
 	defer dsp.ReturnFloats(bp)

@@ -14,40 +14,22 @@ import "math"
 // continuous micro-resampling instead of chasing the ramp with discrete
 // silence/skip steps.
 
-// DriftConfig tunes the sliding-window line fit.
-type DriftConfig struct {
-	// Window is the maximum number of measurements retained (default 32).
-	Window int
-	// SpanSec is the maximum age of a retained measurement relative to
-	// the newest one (default 30 s). Older points are evicted so a slope
-	// change is forgotten within one span.
-	SpanSec float64
-	// MinPoints is the minimum number of points for a valid fit
-	// (default 6; a two-parameter fit needs well more than 2 points
-	// before its standard error means anything).
-	MinPoints int
-	// MinSpanSec is the minimum time span for a valid fit (default 4 s);
-	// slope estimated over a short baseline is dominated by measurement
-	// noise.
-	MinSpanSec float64
-}
-
-// withDefaults fills zero fields.
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.SpanSec <= 0 {
-		c.SpanSec = 30
-	}
-	if c.MinPoints <= 0 {
-		c.MinPoints = 6
-	}
-	if c.MinSpanSec <= 0 {
-		c.MinSpanSec = 4
-	}
-	return c
-}
+// Sliding-window fit constants.
+const (
+	// driftWindow is the maximum number of measurements retained.
+	driftWindow = 32
+	// driftSpanSec is the maximum age of a retained measurement relative
+	// to the newest one. Older points are evicted so a slope change is
+	// forgotten within one span.
+	driftSpanSec = 30
+	// driftMinPoints is the minimum number of points for a valid fit (a
+	// two-parameter fit needs well more than 2 points before its standard
+	// error means anything).
+	driftMinPoints = 6
+	// driftMinSpanSec is the minimum time span for a valid fit; slope
+	// estimated over a short baseline is dominated by measurement noise.
+	driftMinSpanSec = 4
+)
 
 // DriftFit is one windowed least-squares fit of ISD against time.
 type DriftFit struct {
@@ -77,19 +59,11 @@ type driftPoint struct {
 }
 
 // DriftTracker maintains the sliding window and produces fits. The zero
-// value is not usable; construct with NewDriftTracker.
+// value is an empty window, ready to use.
 type DriftTracker struct {
-	cfg  DriftConfig
-	ring []driftPoint // fixed capacity cfg.Window
-	head int          // index of oldest point
-	n    int          // points in window
-}
-
-// NewDriftTracker returns a tracker with the given configuration (zero
-// fields take defaults).
-func NewDriftTracker(cfg DriftConfig) *DriftTracker {
-	cfg = cfg.withDefaults()
-	return &DriftTracker{cfg: cfg, ring: make([]driftPoint, cfg.Window)}
+	ring [driftWindow]driftPoint
+	head int // index of oldest point
+	n    int // points in window
 }
 
 // Reset discards the window. Callers reset after every applied
@@ -122,7 +96,7 @@ func (d *DriftTracker) Add(t, isd float64) {
 
 // evictOld drops points older than the span limit behind the newest.
 func (d *DriftTracker) evictOld(newest float64) {
-	for d.n > 0 && newest-d.ring[d.head].t > d.cfg.SpanSec {
+	for d.n > 0 && newest-d.ring[d.head].t > driftSpanSec {
 		d.head = (d.head + 1) % len(d.ring)
 		d.n--
 	}
@@ -142,7 +116,7 @@ func (d *DriftTracker) Fit() DriftFit {
 		Points:       d.n,
 		SpanSec:      newest.t - oldest.t,
 	}
-	if d.n < d.cfg.MinPoints || fit.SpanSec < d.cfg.MinSpanSec {
+	if d.n < driftMinPoints || fit.SpanSec < driftMinSpanSec {
 		return fit
 	}
 	// Two-pass least squares around the centroid for numerical stability

@@ -58,7 +58,7 @@ func TestDriftTrackerRamps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			tr := NewDriftTracker(DriftConfig{})
+			var tr DriftTracker
 			truth := func(now float64) (isd, slope float64) {
 				if tc.slope2 != 0 && now >= tc.switchAt {
 					atSwitch := tc.level + tc.slope*tc.switchAt
@@ -102,7 +102,7 @@ func TestDriftTrackerRamps(t *testing.T) {
 			}
 			if converged < 0 {
 				t.Errorf("slope never converged within ±%.2g", tc.slopeTol)
-			} else if limit := lastRegime + max(tr.cfg.MinPoints, 2) + tc.convergeWithin; converged > limit {
+			} else if limit := lastRegime + max(driftMinPoints, 2) + tc.convergeWithin; converged > limit {
 				t.Errorf("slope converged at point %d, want ≤ %d", converged, limit)
 			}
 		})
@@ -113,7 +113,7 @@ func TestDriftTrackerRamps(t *testing.T) {
 // reported standard error must be ~0; a noisy line's standard error must
 // bracket the true slope at a few sigma.
 func TestDriftTrackerStdErr(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{})
+	var tr DriftTracker
 	for i := 0; i < 20; i++ {
 		tr.Add(float64(i)*1.5, 0.001+75e-6*float64(i)*1.5)
 	}
@@ -147,15 +147,15 @@ func TestDriftTrackerStdErr(t *testing.T) {
 // Window behavior: old points age out by span, capacity is bounded, and a
 // backwards timestamp resets the window.
 func TestDriftTrackerWindow(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{Window: 8, SpanSec: 10, MinPoints: 3, MinSpanSec: 2})
-	for i := 0; i < 50; i++ {
-		tr.Add(float64(i), float64(i)*1e-5)
+	var tr DriftTracker
+	for i := 0; i < 100; i++ {
+		tr.Add(float64(i)/2, float64(i)/2*1e-5)
 	}
-	if tr.Len() > 8 {
-		t.Fatalf("window holds %d points, cap 8", tr.Len())
+	if tr.Len() > driftWindow {
+		t.Fatalf("window holds %d points, cap %d", tr.Len(), driftWindow)
 	}
 	fit := tr.Fit()
-	if fit.SpanSec > 10 {
+	if fit.SpanSec > driftSpanSec {
 		t.Fatalf("span %.1f s exceeds limit", fit.SpanSec)
 	}
 	if !fit.Valid || math.Abs(fit.SlopeSecPerSec-1e-5) > 1e-12 {
@@ -181,7 +181,7 @@ func TestDriftTrackerWindow(t *testing.T) {
 // Invalid fits (too few points / short span) must degrade to the latest
 // raw measurement with zero slope — the level-only behavior.
 func TestDriftTrackerDegradesToLevel(t *testing.T) {
-	tr := NewDriftTracker(DriftConfig{})
+	var tr DriftTracker
 	tr.Add(0, 0.015)
 	tr.Add(1.5, 0.017)
 	fit := tr.Fit()

@@ -29,21 +29,26 @@ import (
 	"ekho/internal/pn"
 )
 
-// Config carries the detection parameters; zero fields take the paper's
-// defaults via (*Config).withDefaults.
+// The paper's fixed detection parameters.
+const (
+	// normWindow is S in Eq. 4, in samples (100 ms).
+	normWindow = 4800
+	// envelopeBeta is β, the envelope decay of Eq. 5.
+	envelopeBeta = 0.99995
+	// peakDelta is δ, the peak-dominance / companion-alignment slack of
+	// Eq. 7 in samples (~2 ms; see Appendix A's (2δ+1)p² false-peak
+	// model).
+	peakDelta = 100
+)
+
+// Config carries the detection parameters the ablations vary; zero fields
+// take the paper's defaults via (*Config).withDefaults.
 type Config struct {
 	// Seq is the PN sequence shared with the injector. Required.
 	Seq *pn.Sequence
-	// NormWindow is S in Eq. 4, in samples (default 4800 = 100 ms).
-	NormWindow int
-	// Beta is the envelope decay (default 0.99995).
-	Beta float64
 	// Theta is the minimum peak threshold in normalized-correlation units
 	// (default 5, derived in Appendix A).
 	Theta float64
-	// Delta is the peak-dominance / companion-alignment slack in samples
-	// (default 100, ~2 ms; see Appendix A's (2δ+1)p² false-peak model).
-	Delta int
 	// IntervalSamples is the marker period L (default 48000 = 1 s).
 	IntervalSamples int
 	// MaxISDSeconds bounds |ISD| during matching (default 0.5 s, half the
@@ -52,17 +57,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.NormWindow == 0 {
-		c.NormWindow = 4800
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.99995
-	}
 	if c.Theta == 0 {
 		c.Theta = 5
-	}
-	if c.Delta == 0 {
-		c.Delta = 100
 	}
 	if c.IntervalSamples == 0 {
 		c.IntervalSamples = audio.SampleRate
@@ -89,8 +85,8 @@ func DetectMarkers(rec []float64, cfg Config) []Detection {
 		return nil
 	}
 	z := dsp.CrossCorrelate(rec, cfg.Seq.Samples) // Eq. 3
-	zn := normalize(z, cfg.NormWindow)            // Eq. 4
-	env := envelope(zn, cfg.Beta)                 // Eq. 5
+	zn := normalize(z, normWindow)                // Eq. 4
+	env := envelope(zn, envelopeBeta)             // Eq. 5
 	peaks := pickPeaks(env, cfg.Theta)            // Eq. 6
 	return filterPeaks(peaks, env, cfg)           // Eq. 7
 }
@@ -174,7 +170,7 @@ func filterPeaks(peaks []int, env []float64, cfg Config) []Detection {
 	if len(peaks) == 0 {
 		return nil
 	}
-	l, delta := cfg.IntervalSamples, cfg.Delta
+	l, delta := cfg.IntervalSamples, peakDelta
 	sorted := append([]int(nil), peaks...)
 	sort.Ints(sorted)
 	hasPeakNear := func(center int) bool {
@@ -340,8 +336,8 @@ func ComputeStages(rec []float64, cfg Config) Stages {
 		return Stages{}
 	}
 	z := dsp.CrossCorrelate(rec, cfg.Seq.Samples)
-	zn := normalize(z, cfg.NormWindow)
-	env := envelope(zn, cfg.Beta)
+	zn := normalize(z, normWindow)
+	env := envelope(zn, envelopeBeta)
 	peaks := pickPeaks(env, cfg.Theta)
 	return Stages{
 		Raw:        z,

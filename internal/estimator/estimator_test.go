@@ -258,7 +258,7 @@ func TestFilterPeaksRequiresCompanion(t *testing.T) {
 	}
 	// Pair separated by L+delta+1: rejected.
 	env3 := make([]float64, 200000)
-	off := cfg.IntervalSamples + cfg.Delta + 1
+	off := cfg.IntervalSamples + peakDelta + 1
 	env3[50000], env3[50000+off] = 8, 7
 	out = filterPeaks([]int{50000, 50000 + off}, env3, cfg)
 	if len(out) != 0 {

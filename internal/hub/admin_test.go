@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ekho/internal/metrics"
 	"ekho/internal/transport"
 )
 
@@ -22,8 +21,7 @@ import (
 func TestAdminEndpoints(t *testing.T) {
 	mem := NewMemNet()
 	conn := mem.Endpoint("hub")
-	reg := metrics.NewRegistry()
-	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4, Metrics: reg}, conn)
+	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 4}, conn)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- h.Serve() }()
 	defer h.Close()
@@ -84,16 +82,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if len(infos) != 1 || infos[0].ID != 7 || infos[0].Wire != "rtp" {
 		t.Fatalf("/sessions = %+v, want one session 7 on rtp wire", infos)
-	}
-
-	// The shared registry handed in via Config is the same one the
-	// handler renders: embedders can merge their own metrics into it.
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "ekho_sessions_active 1") {
-		t.Fatal("Config.Metrics registry not wired to hub counters")
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 
 	"ekho/internal/audio"
 	"ekho/internal/codec"
+	"ekho/internal/compensator"
+	"ekho/internal/estimator"
 	"ekho/internal/serverpipe"
 	"ekho/internal/transport"
 )
@@ -67,6 +69,35 @@ func TestHubFixedFootprint(t *testing.T) {
 		float64(retained)/1024, fixedFootprintBound>>10, len(h.stripes))
 	if retained > fixedFootprintBound {
 		t.Errorf("idle hub retains %d B of heap, want <= %d B", retained, fixedFootprintBound)
+	}
+}
+
+// TestSessionEventsAllocsWithoutLogf holds a session's per-event sink
+// calls to zero allocations when the hub has no Logf: the log lines'
+// arguments must not be boxed for a sink that prints nothing. Skipped
+// under -race, which distorts allocation counts.
+func TestSessionEventsAllocsWithoutLogf(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector distorts allocation counts")
+	}
+	h := New(Config{TickEvery: -1, IdleTimeout: -1}, NewMemNet().Endpoint("hub"))
+	defer h.Close()
+	s := h.newSession(h.stripes[0], 1, transport.WireV2)
+	// A full ISD window: each measurement shifts it in place, as in a
+	// session past its first isdKeep measurements.
+	s.res.ISDs = make([]float64, isdKeep)
+	m := estimator.Measurement{ISDSeconds: 0.0123, DetectionTime: 4.5, MarkerTime: 4.1, Strength: 17}
+	act := compensator.Action{Stream: compensator.AccessoryStream, InsertFrames: 1, InsertSamples: 7}
+	rs := compensator.Resample{Stream: compensator.AccessoryStream, PPM: -97.5}
+	if n := testing.AllocsPerRun(200, func() { s.ISDMeasurement(5, m) }); n != 0 {
+		t.Errorf("ISDMeasurement allocates %.0f times per call with nil Logf", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		s.MarkerExpired(96000)
+		s.CompensationAction(5, act)
+		s.ResampleApplied(5, rs)
+	}); n != 0 {
+		t.Errorf("MarkerExpired + CompensationAction + ResampleApplied allocate %.0f times with nil Logf", n)
 	}
 }
 

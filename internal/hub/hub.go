@@ -58,6 +58,10 @@ import (
 	"ekho/internal/transport"
 )
 
+// markerSeed is the PN marker sequence seed every session uses (the demo
+// seed).
+const markerSeed = 4242
+
 // Logf is a printf-style sink for hub progress output.
 type Logf func(format string, args ...any)
 
@@ -107,8 +111,6 @@ type Config struct {
 	MarkerC float64
 	// Clip selects the corpus clip every session streams.
 	Clip int
-	// Seed is the PN marker sequence seed (0 = 4242, the demo seed).
-	Seed int64
 	// Codec is the chat uplink profile (zero value = SWB32).
 	Codec codec.Profile
 	// Compensator tunes the per-session feedback loop.
@@ -117,11 +119,6 @@ type Config struct {
 	// to <RecordDir>/session-<id>.ektrace for deterministic replay with
 	// cmd/ekho-replay (see internal/trace).
 	RecordDir string
-	// Metrics is the registry the hub publishes its counters into (nil =
-	// a private registry; read it back with Hub.Metrics). Sharing one
-	// registry lets an embedder co-host its own metrics on the same
-	// /metrics endpoint.
-	Metrics *metrics.Registry
 	// Logf receives progress lines (nil silences them).
 	Logf Logf
 	// OnSessionReady fires when a session's screen and controller have
@@ -150,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MarkerC == 0 {
 		c.MarkerC = pn.DefaultC
-	}
-	if c.Seed == 0 {
-		c.Seed = 4242
 	}
 	if c.Codec.Name == "" {
 		c.Codec = codec.SWB32
@@ -195,10 +189,7 @@ type Hub struct {
 // one registry stripe per runtime.GOMAXPROCS(0) at the time of the call.
 func New(cfg Config, conn Conn) *Hub {
 	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	h := &Hub{
 		cfg:   cfg,
 		conn:  conn,
@@ -248,7 +239,7 @@ func (h *Hub) clip(idx int) *audio.Buffer {
 
 // markerSeq returns the shared, read-only PN marker template.
 func (h *Hub) markerSeq() *pn.Sequence {
-	h.seqOne.Do(func() { h.seq = pn.NewSequence(h.cfg.Seed, pn.DefaultLength) })
+	h.seqOne.Do(func() { h.seq = pn.NewSequence(markerSeed, pn.DefaultLength) })
 	return h.seq
 }
 

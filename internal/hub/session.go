@@ -168,7 +168,7 @@ func (s *session) openRecorder(cfg serverpipe.Config) {
 		s.hub.logf("hub: session %d: recording disabled: %v", s.id, err)
 		return
 	}
-	rec, err := trace.NewRecorder(f, trace.HeaderFor(s.id, s.hub.cfg.Clip, s.hub.cfg.Seed, cfg))
+	rec, err := trace.NewRecorder(f, trace.HeaderFor(s.id, s.hub.cfg.Clip, markerSeed, cfg))
 	if err != nil {
 		s.hub.logf("hub: session %d: recording disabled: %v", s.id, err)
 		f.Close()
@@ -390,7 +390,9 @@ func (s *session) info() SessionInfo {
 
 // The session is its pipeline's EventSink: measurement and action events
 // feed the hub's per-session results and fleet counters, and are teed to
-// the trace recorder when the hub records.
+// the trace recorder when the hub records. The per-event log lines are
+// formatted only when Config.Logf is set: boxing their arguments costs an
+// allocation per event even when nothing prints them.
 
 // MarkerInjected implements serverpipe.EventSink.
 func (s *session) MarkerInjected(content int64) {
@@ -417,7 +419,9 @@ func (s *session) MarkerExpired(content int64) {
 	}
 	s.expired++
 	s.hub.stats.expired.Inc()
-	s.hub.logf("hub: session %d: marker at content %d expired unmatched", s.id, content)
+	if logf := s.hub.cfg.Logf; logf != nil {
+		logf("hub: session %d: marker at content %d expired unmatched", s.id, content)
+	}
 }
 
 // ChatGapConcealed implements serverpipe.EventSink.
@@ -452,7 +456,9 @@ func (s *session) ISDMeasurement(now float64, m estimator.Measurement) {
 		s.isdPeakMS = abs
 		s.hub.stats.isdPeakMS.Observe(abs)
 	}
-	s.hub.logf("hub: session %d: ISD measurement %+.1f ms (strength %.0f)", s.id, m.ISDSeconds*1000, m.Strength)
+	if logf := s.hub.cfg.Logf; logf != nil {
+		logf("hub: session %d: ISD measurement %+.1f ms (strength %.0f)", s.id, m.ISDSeconds*1000, m.Strength)
+	}
 }
 
 // CompensationAction implements serverpipe.EventSink.
@@ -465,8 +471,10 @@ func (s *session) CompensationAction(now float64, a compensator.Action) {
 	if s.res.Actions == 1 {
 		s.res.FirstActionFrames = int(math.Round(a.TotalDelaySeconds() / frameSec))
 	}
-	s.hub.logf("hub: session %d: compensation %v stream insert=%d frames %d samples",
-		s.id, a.Stream, a.InsertFrames, a.InsertSamples)
+	if logf := s.hub.cfg.Logf; logf != nil {
+		logf("hub: session %d: compensation %v stream insert=%d frames %d samples",
+			s.id, a.Stream, a.InsertFrames, a.InsertSamples)
+	}
 }
 
 // ResampleApplied implements serverpipe.EventSink.
@@ -476,5 +484,7 @@ func (s *session) ResampleApplied(now float64, r compensator.Resample) {
 	}
 	s.res.Resamples++
 	s.hub.stats.resamples.Add(1)
-	s.hub.logf("hub: session %d: resample %v stream rate %+.1f ppm", s.id, r.Stream, r.PPM)
+	if logf := s.hub.cfg.Logf; logf != nil {
+		logf("hub: session %d: resample %v stream rate %+.1f ppm", s.id, r.Stream, r.PPM)
+	}
 }

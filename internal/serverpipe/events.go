@@ -36,7 +36,7 @@ type EventSink interface {
 	CompensationAction(now float64, a compensator.Action)
 	// ResampleApplied fires when the drift regime retunes a stream's
 	// content-consumption rate (the pipeline has already applied it).
-	// Never fires unless Config.Drift.Enabled.
+	// Never fires unless Config.Drift.
 	ResampleApplied(now float64, r compensator.Resample)
 }
 

@@ -44,6 +44,22 @@ const maxConcealFrames = 50
 // needs the start count, so a short tail (for debugging) suffices.
 const injectorLogKeep = 16
 
+// trackerBlankSec is how long after an applied correction the drift
+// tracker ignores incoming measurements, measured on the tracker's own
+// x-axis (marker detection time). A correction changes the ISD trajectory
+// only after it propagates through jitter buffers and playout;
+// measurements detected before that still show the old trajectory, and
+// letting them seed the freshly reset window makes the next fit see a
+// step or kink that is not drift. Blanking on detection time rather than
+// arrival time also excludes measurements that were detected
+// pre-correction but delivered late (uplink and correlation latency run
+// to seconds).
+const trackerBlankSec = 2.5
+
+// mutedAmp is the constant marker amplitude of the §6.5 muted-screen
+// mode: 9 dB above the injector floor.
+var mutedAmp = pn.MinAmplitude * math.Pow(10, 9.0/20)
+
 // Config assembles one per-session pipeline.
 type Config struct {
 	// Game is the looping game clip both streams transmit (shared,
@@ -62,17 +78,13 @@ type Config struct {
 	// Compensator tunes the correction loop (zero value = paper
 	// defaults: 5 ms hysteresis, 6 s settling).
 	Compensator compensator.Config
-	// Drift tunes the micro-resampling regime for clock-drift (SRO)
-	// scenarios. Disabled by default: with Drift.Enabled false the
-	// pipeline is structurally identical to the level-only loop and its
-	// behavior stays bit-exact with pre-drift sessions. Only the
-	// simulator (internal/session) sets it; trace replay copies it from
-	// the recorded header, and the hub leaves it zero.
-	Drift compensator.DriftConfig
-	// DriftTracker tunes the sliding-window slope fit feeding the drift
-	// regime (zero value = estimator defaults; ignored unless
-	// Drift.Enabled). Only the simulator sets it, like Drift.
-	DriftTracker estimator.DriftConfig
+	// Drift turns on the micro-resampling regime for clock-drift (SRO)
+	// scenarios. Off by default: with Drift false the pipeline is
+	// structurally identical to the level-only loop and its behavior
+	// stays bit-exact with pre-drift sessions. Only the simulator
+	// (internal/session) sets it; trace replay copies it from the
+	// recorded header, and the hub leaves it false.
+	Drift bool
 	// Now is the pluggable content-time clock used for compensator
 	// settling and event timestamps. Nil uses the built-in clock: the
 	// count of produced screen frames times 20 ms, which holds whether
@@ -87,23 +99,14 @@ type Config struct {
 	// it, like Drift.
 	InterpolatedInsert bool
 	// MutedScreen enables the §6.5 mode: screen game audio is silenced
-	// and markers are mixed at a constant faint amplitude instead of
-	// tracking the (absent) game audio. Only the simulator sets it, like
-	// Drift.
+	// and markers are mixed at a constant faint amplitude (mutedAmp)
+	// instead of tracking the (absent) game audio. Only the simulator
+	// sets it, like Drift.
 	MutedScreen bool
-	// MutedMarkerAmpDB is the constant marker amplitude for MutedScreen,
-	// in dB above the injector floor (0 = 9 dB). Only the simulator sets
-	// it, like Drift.
-	MutedMarkerAmpDB float64
 	// ChatStartsAtZero pins the first expected chat sequence number to
 	// zero (the simulator's convention) instead of syncing to the first
 	// packet seen (the hub's convention for clients joining mid-stream).
 	ChatStartsAtZero bool
-	// InjectorLogLimit bounds the injector's retained injection log
-	// (0 = the default short debugging tail, negative = unlimited). The
-	// capture/replay recorder persists this value in the trace header so
-	// a replayed session reconstructs identical injector ledger state.
-	InjectorLogLimit int
 }
 
 // Normalized returns cfg with every defaulted field made explicit — the
@@ -121,12 +124,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Sink == nil {
 		cfg.Sink = NopSink{}
 	}
-	if cfg.MutedMarkerAmpDB == 0 {
-		cfg.MutedMarkerAmpDB = 9
-	}
-	if cfg.InjectorLogLimit == 0 {
-		cfg.InjectorLogLimit = injectorLogKeep
-	}
 	return cfg
 }
 
@@ -143,14 +140,14 @@ type Pipeline struct {
 	comp      *compensator.Compensator
 	dec       *codec.Decoder
 
-	// Drift regime (nil unless Config.Drift.Enabled): tracker fits the
-	// ISD slope across measurements, drift wraps comp with the
-	// micro-resampling policy.
+	// Drift regime (nil unless Config.Drift): tracker fits the ISD slope
+	// across measurements, drift wraps comp with the micro-resampling
+	// policy.
 	tracker *estimator.DriftTracker
 	drift   *compensator.DriftLoop
 	// lastDetection is the newest measurement detection time seen;
 	// trackerBlankUntil suppresses tracker feeding for measurements
-	// detected before the latest correction propagated (Drift.BlankSec,
+	// detected before the latest correction propagated (trackerBlankSec,
 	// on the detection-time axis — late-delivered pre-correction
 	// measurements are excluded no matter when they arrive).
 	lastDetection     float64
@@ -165,7 +162,6 @@ type Pipeline struct {
 	lastChatEnd   float64
 	frames        int // produced screen frames (the default clock)
 
-	mutedAmp float64
 	mutedPos int
 }
 
@@ -186,14 +182,11 @@ func New(cfg Config) *Pipeline {
 		seqr:          NewChatSequencer(cfg.ChatStartsAtZero),
 		sink:          cfg.Sink,
 		codecDelaySec: float64(cfg.Codec.Delay()) / audio.SampleRate,
-		mutedAmp:      pn.MinAmplitude * math.Pow(10, cfg.MutedMarkerAmpDB/20),
 	}
-	if cfg.InjectorLogLimit > 0 {
-		p.injector.SetLogLimit(cfg.InjectorLogLimit)
-	}
-	if cfg.Drift.Enabled {
-		p.tracker = estimator.NewDriftTracker(cfg.DriftTracker)
-		p.drift = compensator.NewDriftLoop(cfg.Drift, p.comp)
+	p.injector.SetLogLimit(injectorLogKeep)
+	if cfg.Drift {
+		p.tracker = new(estimator.DriftTracker)
+		p.drift = compensator.NewDriftLoop(p.comp)
 	}
 	if cfg.InterpolatedInsert {
 		p.screen.EnableInterpolation()
@@ -264,7 +257,7 @@ func (p *Pipeline) injectMutedMarker(dst []float64) bool {
 	for i := range dst {
 		mi := (p.mutedPos + i) % audio.SampleRate
 		if mi < len(w) {
-			dst[i] += p.mutedAmp * w[mi]
+			dst[i] += mutedAmp * w[mi]
 		}
 	}
 	p.mutedPos += len(dst)
@@ -357,13 +350,13 @@ func (p *Pipeline) feedChat(samples []float64, startLocal float64) {
 			p.routeResample(*rs)
 			p.sink.ResampleApplied(now, *rs)
 			p.tracker.Reset()
-			p.trackerBlankUntil = p.lastDetection + p.drift.BlankSec()
+			p.trackerBlankUntil = p.lastDetection + trackerBlankSec
 		}
 		if act != nil {
 			p.sink.CompensationAction(now, *act)
 			p.route(*act)
 			p.tracker.Reset()
-			p.trackerBlankUntil = p.lastDetection + p.drift.BlankSec()
+			p.trackerBlankUntil = p.lastDetection + trackerBlankSec
 		}
 	}
 }

@@ -31,7 +31,6 @@ func zeroDriftScenarios() map[string]Scenario {
 
 	muted := base()
 	muted.MutedScreen = true
-	muted.MutedMarkerAmpDB = 9
 	scs["muted"] = muted
 
 	for _, p := range []string{"stadia", "gfn", "psnow"} {

@@ -84,7 +84,6 @@ func TestHapticsGeneration(t *testing.T) {
 func TestMutedScreenSessionConverges(t *testing.T) {
 	sc := shortScenario()
 	sc.MutedScreen = true
-	sc.MutedMarkerAmpDB = 9
 	res := Run(sc)
 	if len(res.Measurements) == 0 {
 		t.Fatal("muted-screen session produced no measurements")

@@ -126,12 +126,10 @@ type Scenario struct {
 	// content and reports their skew to the screen playback.
 	HapticsEnabled bool
 	// MutedScreen enables the §6.5 mode: the screen audio is silenced and
-	// markers are sent at a constant faint amplitude instead of tracking
-	// the (absent) game audio. Video-to-audio sync still converges.
+	// markers are sent at a constant faint amplitude (9 dB above the
+	// injector floor; the paper suggests 6-15 dB) instead of tracking the
+	// (absent) game audio. Video-to-audio sync still converges.
 	MutedScreen bool
-	// MutedMarkerAmpDB is the constant marker amplitude for MutedScreen
-	// (dB above the injector floor; the paper suggests 6-15 dB).
-	MutedMarkerAmpDB float64
 	// Provider, when non-empty, selects a named provider-shaped network
 	// profile (netsim.ProviderByName: "stadia", "gfn", "psnow") and
 	// overrides ScreenLink, ControllerLink and ControllerUplink with its
@@ -339,13 +337,12 @@ func (s *sim) setup() {
 		Seq:                s.pnSeq,
 		MarkerC:            sc.MarkerC,
 		Codec:              sc.ChatProfile,
-		Drift:              compensator.DriftConfig{Enabled: sc.DriftCompensation},
+		Drift:              sc.DriftCompensation,
 		Now:                func() float64 { return float64(s.sched.Now()) },
 		Sink:               s,
 		DisableMarkers:     !sc.EkhoEnabled,
 		InterpolatedInsert: sc.InterpolatedInsert,
 		MutedScreen:        sc.MutedScreen,
-		MutedMarkerAmpDB:   sc.MutedMarkerAmpDB,
 		ChatStartsAtZero:   true,
 	}
 	s.pipe = serverpipe.New(cfg)

@@ -15,21 +15,20 @@
 //	[type uint8][length uint32][payload ...]
 //
 // All integers are little-endian; floats are IEEE-754 bits. A session
-// trace starts with one header record (type 0) carrying everything needed
-// to reconstruct the pipeline (clip index, PN seed, codec profile,
-// compensator tuning, injector log limit, mode flags); the remaining
-// records are the interleaved inputs and events in the exact order the
-// live session processed them.
+// trace starts with one header record (type 0) carrying what a session can
+// vary (clip index, PN seed, marker volume, codec profile, compensator
+// tuning, mode flags, drift on or off); everything else the pipeline uses
+// is a constant of this build. The remaining records are the interleaved
+// inputs and events in the exact order the live session processed them.
 //
 // # Versioning rules
 //
-//   - The version is bumped only for incompatible layout changes; readers
-//     reject versions they do not know.
+//   - A record's payload layout is fixed within a version: adding,
+//     removing or reordering a field bumps the version. Readers reject
+//     versions they do not know.
 //   - Within a version, unknown record types are skipped (their length
 //     prefix makes that possible), so new informational record types can
 //     be added without a version bump.
-//   - Record payloads may only grow at the tail within a version; readers
-//     ignore trailing bytes they do not understand.
 package trace
 
 import (
@@ -48,8 +47,8 @@ import (
 	"ekho/internal/serverpipe"
 )
 
-// Version is the current trace format version.
-const Version = 1
+// Version is the current trace format version; readers refuse any other.
+const Version = 2
 
 // magic identifies a trace container file.
 var magic = [8]byte{'E', 'K', 'H', 'O', 'T', 'R', 'C', 0}
@@ -77,9 +76,7 @@ const (
 	RecChatConcealed
 	RecISD
 	RecAction
-	_ // 11 was a provider-profile record; readers skip it as unknown
-	// RecResample carries a drift-regime rate retune (added within
-	// version 1: old readers skip it by its length prefix).
+	// RecResample carries a drift-regime rate retune.
 	RecResample
 )
 
@@ -90,18 +87,19 @@ const (
 )
 
 // Header reconstructs a session's pipeline configuration on replay. It
-// captures the *effective* (defaulted) configuration, so a replayed
-// pipeline is assembled identically to the recorded one.
+// records the *effective* (defaulted) value of every setting a session
+// can vary, so a replayed pipeline is assembled identically to the
+// recorded one. The game clip's length (gamesynth.ClipSeconds) and the PN
+// template's length (pn.DefaultLength) are the same for every session and
+// are not recorded.
 type Header struct {
 	// SessionID is the wire session identifier (0 for simulator runs).
 	SessionID uint32
-	// ClipIndex / ClipSeconds regenerate the looping game clip from the
-	// deterministic gamesynth corpus.
-	ClipIndex   int
-	ClipSeconds float64
-	// Seed / SeqLen regenerate the PN marker template.
-	Seed   int64
-	SeqLen int
+	// ClipIndex regenerates the looping game clip from the deterministic
+	// gamesynth corpus.
+	ClipIndex int
+	// Seed regenerates the PN marker template.
+	Seed int64
 	// MarkerC is the relative marker volume.
 	MarkerC float64
 	// Codec is the full chat uplink profile (stored field by field, so
@@ -109,60 +107,13 @@ type Header struct {
 	Codec codec.Profile
 	// Compensator is the correction-loop tuning.
 	Compensator compensator.Config
-	// Quantizer is the raw byte naming how the compensator quantized its
-	// corrections: QuantizerSamples (1) is the only rule this code has —
-	// HeaderFor always records it — and 0 marks a trace from the removed
-	// whole-frame rule. Replay refuses anything but
-	// QuantizerSamples (ErrUnsupportedQuantizer).
-	Quantizer uint8
-	// InjectorLogLimit is the configured injection-log bound (negative =
-	// unlimited); replay must apply the same limit so the injector's
-	// ledger state — and therefore its memory behavior — is identical.
-	InjectorLogLimit int
 	// Mode flags, mirrored from serverpipe.Config.
 	DisableMarkers     bool
 	InterpolatedInsert bool
 	MutedScreen        bool
 	ChatStartsAtZero   bool
-	MutedMarkerAmpDB   float64
-	// Drift is the micro-resampling regime tuning and DriftTracker the
-	// slope-fit tuning (serverpipe.Config.Drift / .DriftTracker). These
-	// fields sit at the payload tail, appended within version 1: readers
-	// accept old traces without them (all-zero = drift disabled, which is
-	// what every pre-drift session ran).
-	Drift        compensator.DriftConfig
-	DriftTracker estimator.DriftConfig
-	// Detector is the raw byte naming the streaming marker detector the
-	// session ran: DetectorCoarseFine (0) is the only one this code has —
-	// HeaderFor always records it — and DetectorLegacy (1) marks a trace
-	// from the removed full-rate streaming detector. The byte sits at the
-	// payload tail, appended within version 1; traces without it predate
-	// the coarse-to-fine detector, so absence decodes as DetectorLegacy.
-	// Replay refuses anything but DetectorCoarseFine
-	// (ErrUnsupportedDetector) rather than re-driving a different detector
-	// and reporting phantom divergences.
-	Detector uint8
+	Drift              bool
 }
-
-// Header.Detector values; any other byte is a corrupt header.
-const (
-	DetectorCoarseFine uint8 = 0
-	DetectorLegacy     uint8 = 1
-)
-
-// QuantizerSamples is the Header.Quantizer value of this build's sample
-// quantizer; 0 (whole frames) is the only other well-formed byte.
-const QuantizerSamples uint8 = 1
-
-// ErrUnsupportedQuantizer reports a well-formed trace whose compensator
-// rounded corrections to whole frames, which this build no longer does,
-// so it cannot be replayed faithfully.
-var ErrUnsupportedQuantizer = errors.New("trace: recorded with whole-frame compensation, which this build cannot replay")
-
-// ErrUnsupportedDetector reports a well-formed trace recorded under a
-// marker detector this build no longer has, so it cannot be replayed
-// faithfully.
-var ErrUnsupportedDetector = errors.New("trace: recorded with the legacy full-rate streaming detector, which this build cannot replay")
 
 // HeaderFor captures a session's effective pipeline configuration. The
 // clip index and PN seed are passed separately because serverpipe.Config
@@ -172,21 +123,15 @@ func HeaderFor(sessionID uint32, clipIndex int, seed int64, cfg serverpipe.Confi
 	return Header{
 		SessionID:          sessionID,
 		ClipIndex:          clipIndex,
-		ClipSeconds:        gamesynth.ClipSeconds,
 		Seed:               seed,
-		SeqLen:             cfg.Seq.Len(),
 		MarkerC:            cfg.MarkerC,
 		Codec:              cfg.Codec,
 		Compensator:        cfg.Compensator,
-		Quantizer:          QuantizerSamples,
-		InjectorLogLimit:   cfg.InjectorLogLimit,
 		DisableMarkers:     cfg.DisableMarkers,
 		InterpolatedInsert: cfg.InterpolatedInsert,
 		MutedScreen:        cfg.MutedScreen,
 		ChatStartsAtZero:   cfg.ChatStartsAtZero,
-		MutedMarkerAmpDB:   cfg.MutedMarkerAmpDB,
 		Drift:              cfg.Drift,
-		DriftTracker:       cfg.DriftTracker,
 	}
 }
 
@@ -196,19 +141,16 @@ func HeaderFor(sessionID uint32, clipIndex int, seed int64, cfg serverpipe.Confi
 func (h Header) PipelineConfig() serverpipe.Config {
 	cat := gamesynth.Catalog()
 	return serverpipe.Config{
-		Game:               gamesynth.Generate(cat[h.ClipIndex%len(cat)], h.ClipSeconds),
-		Seq:                pn.NewSequence(h.Seed, h.SeqLen),
+		Game:               gamesynth.Generate(cat[h.ClipIndex%len(cat)], gamesynth.ClipSeconds),
+		Seq:                pn.NewSequence(h.Seed, pn.DefaultLength),
 		MarkerC:            h.MarkerC,
 		Codec:              h.Codec,
 		Compensator:        h.Compensator,
-		InjectorLogLimit:   h.InjectorLogLimit,
 		DisableMarkers:     h.DisableMarkers,
 		InterpolatedInsert: h.InterpolatedInsert,
 		MutedScreen:        h.MutedScreen,
 		ChatStartsAtZero:   h.ChatStartsAtZero,
-		MutedMarkerAmpDB:   h.MutedMarkerAmpDB,
 		Drift:              h.Drift,
-		DriftTracker:       h.DriftTracker,
 	}
 }
 
@@ -325,9 +267,7 @@ func appendString(b []byte, s string) []byte {
 func appendHeader(b []byte, h Header) []byte {
 	b = appendU32(b, h.SessionID)
 	b = appendU32(b, uint32(int32(h.ClipIndex)))
-	b = appendF64(b, h.ClipSeconds)
 	b = appendU64(b, uint64(h.Seed))
-	b = appendU32(b, uint32(int32(h.SeqLen)))
 	b = appendF64(b, h.MarkerC)
 	b = appendString(b, h.Codec.Name)
 	b = appendBool(b, h.Codec.Lossless)
@@ -337,28 +277,11 @@ func appendHeader(b []byte, h Header) []byte {
 	b = appendBool(b, h.Codec.LowDelay)
 	b = appendF64(b, h.Compensator.MinCorrectionSec)
 	b = appendF64(b, h.Compensator.SettleSec)
-	b = append(b, h.Quantizer)
-	b = appendU32(b, uint32(int32(h.InjectorLogLimit)))
 	b = appendBool(b, h.DisableMarkers)
 	b = appendBool(b, h.InterpolatedInsert)
 	b = appendBool(b, h.MutedScreen)
 	b = appendBool(b, h.ChatStartsAtZero)
-	b = appendF64(b, h.MutedMarkerAmpDB)
-	// Drift-regime tail (version-1 growth; readers accept its absence).
-	b = appendBool(b, h.Drift.Enabled)
-	b = appendF64(b, h.Drift.EngagePPM)
-	b = appendF64(b, h.Drift.ReleasePPM)
-	b = appendF64(b, h.Drift.MaxPPM)
-	b = appendF64(b, h.Drift.MaxStepPPM)
-	b = appendF64(b, h.Drift.SettleSec)
-	b = appendF64(b, h.Drift.TStat)
-	b = appendF64(b, h.Drift.BlankSec)
-	b = appendU32(b, uint32(int32(h.DriftTracker.Window)))
-	b = appendF64(b, h.DriftTracker.SpanSec)
-	b = appendU32(b, uint32(int32(h.DriftTracker.MinPoints)))
-	b = appendF64(b, h.DriftTracker.MinSpanSec)
-	// Detector tail (version-1 growth; readers accept its absence).
-	b = append(b, h.Detector)
+	b = appendBool(b, h.Drift)
 	return b
 }
 
@@ -454,9 +377,7 @@ func decodeHeader(payload []byte) (Header, error) {
 	var h Header
 	h.SessionID = d.u32()
 	h.ClipIndex = d.i32()
-	h.ClipSeconds = d.f64()
 	h.Seed = d.i64()
-	h.SeqLen = d.i32()
 	h.MarkerC = d.f64()
 	h.Codec.Name = d.str()
 	h.Codec.Lossless = d.boolean()
@@ -466,45 +387,11 @@ func decodeHeader(payload []byte) (Header, error) {
 	h.Codec.LowDelay = d.boolean()
 	h.Compensator.MinCorrectionSec = d.f64()
 	h.Compensator.SettleSec = d.f64()
-	h.Quantizer = d.u8()
-	if d.err == nil && h.Quantizer > QuantizerSamples {
-		d.err = fmt.Errorf("%w: unknown quantizer byte %d in header", ErrCorrupt, h.Quantizer)
-	}
-	h.InjectorLogLimit = d.i32()
 	h.DisableMarkers = d.boolean()
 	h.InterpolatedInsert = d.boolean()
 	h.MutedScreen = d.boolean()
 	h.ChatStartsAtZero = d.boolean()
-	h.MutedMarkerAmpDB = d.f64()
-	// The drift tail was appended within version 1: a pre-drift trace
-	// ends here, and its absence means drift-disabled (the only behavior
-	// those sessions could have run). The guard must not set the decoder
-	// error — a short payload is valid, a *partial* tail is not.
-	if d.err == nil && d.off < len(d.b) {
-		h.Drift.Enabled = d.boolean()
-		h.Drift.EngagePPM = d.f64()
-		h.Drift.ReleasePPM = d.f64()
-		h.Drift.MaxPPM = d.f64()
-		h.Drift.MaxStepPPM = d.f64()
-		h.Drift.SettleSec = d.f64()
-		h.Drift.TStat = d.f64()
-		h.Drift.BlankSec = d.f64()
-		h.DriftTracker.Window = d.i32()
-		h.DriftTracker.SpanSec = d.f64()
-		h.DriftTracker.MinPoints = d.i32()
-		h.DriftTracker.MinSpanSec = d.f64()
-	}
-	// The detector tail came later still. Traces that end before it ran
-	// the full-rate streaming detector, so absence means DetectorLegacy
-	// explicitly, not the zero value.
-	h.Detector = DetectorLegacy
-	if d.err == nil && d.off < len(d.b) {
-		h.Detector = d.b[d.off]
-		d.off++
-		if h.Detector > DetectorLegacy {
-			d.err = fmt.Errorf("%w: unknown detector byte %d in header", ErrCorrupt, h.Detector)
-		}
-	}
+	h.Drift = d.boolean()
 	return h, d.err
 }
 

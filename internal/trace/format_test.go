@@ -18,72 +18,20 @@ import (
 // round-trip tests cannot pass by accident.
 func testHeader() Header {
 	return Header{
-		SessionID:   77,
-		ClipIndex:   13,
-		ClipSeconds: 7.5,
-		Seed:        -987654321,
-		SeqLen:      640,
-		MarkerC:     0.75,
+		SessionID: 77,
+		ClipIndex: 13,
+		Seed:      -987654321,
+		MarkerC:   0.75,
 		Codec: codec.Profile{
-			Name: "custom-wb", Lossless: false, BitrateKbps: 24,
+			Name: "custom-wb", Lossless: true, BitrateKbps: 24,
 			BandwidthHz: 8000, Complexity: 5, LowDelay: true,
 		},
 		Compensator:        compensator.Config{MinCorrectionSec: 0.012, SettleSec: 4.5},
-		Quantizer:          QuantizerSamples,
-		InjectorLogLimit:   -1,
-		DisableMarkers:     false,
+		DisableMarkers:     true,
 		InterpolatedInsert: true,
 		MutedScreen:        true,
 		ChatStartsAtZero:   true,
-		MutedMarkerAmpDB:   9.5,
-		Drift: compensator.DriftConfig{
-			Enabled: true, EngagePPM: 25, ReleasePPM: 8, MaxPPM: 350,
-			MaxStepPPM: 55, SettleSec: 6.5, TStat: 2.25, BlankSec: 3.25,
-		},
-		DriftTracker: estimator.DriftConfig{
-			Window: 48, SpanSec: 25, MinPoints: 5, MinSpanSec: 3.5,
-		},
-		Detector: DetectorLegacy,
-	}
-}
-
-// A trace recorded before the coarse-to-fine detector existed ends before
-// the detector byte; its session can only have run the removed full-rate
-// streaming detector, so the decoder must say so explicitly rather than
-// leave the zero value, and a byte naming no detector is corruption.
-func TestHeaderDetectorTailAbsent(t *testing.T) {
-	h := testHeader()
-	h.Detector = DetectorCoarseFine
-	b := appendHeader(nil, h)
-	got, err := decodeHeader(b[:len(b)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Detector != DetectorLegacy {
-		t.Fatalf("absent detector tail decoded as %d, want DetectorLegacy", got.Detector)
-	}
-	b[len(b)-1] = 2
-	if _, err := decodeHeader(b); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("detector byte 2: got %v, want ErrCorrupt", err)
-	}
-}
-
-// The quantizer byte sits where the whole-frame/sub-frame flag always
-// was, so old traces still decode; a byte naming no quantizer is
-// corruption.
-func TestHeaderQuantizerByte(t *testing.T) {
-	for _, q := range []uint8{0, QuantizerSamples} {
-		h := testHeader()
-		h.Quantizer = q
-		got, err := decodeHeader(appendHeader(nil, h))
-		if err != nil || got.Quantizer != q {
-			t.Fatalf("quantizer %d decoded as %d (%v)", q, got.Quantizer, err)
-		}
-	}
-	h := testHeader()
-	h.Quantizer = 2
-	if _, err := decodeHeader(appendHeader(nil, h)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("quantizer byte 2: got %v, want ErrCorrupt", err)
+		Drift:              true,
 	}
 }
 
@@ -319,12 +267,16 @@ func TestCorruptLog(t *testing.T) {
 		}
 	})
 	t.Run("unknown version", func(t *testing.T) {
-		data := append([]byte(nil), valid...)
-		data[8], data[9] = 0xfe, 0xca
-		if _, err := NewReader(bytes.NewReader(data)); err == nil {
-			t.Fatal("version 0xcafe accepted")
-		} else if errors.Is(err, ErrCorrupt) {
-			t.Fatalf("unsupported version should not be ErrCorrupt: %v", err)
+		// Version 1 is the retired header layout; 0xcafe was never a
+		// version.
+		for _, v := range []uint16{1, 0xcafe} {
+			data := append([]byte(nil), valid...)
+			data[8], data[9] = byte(v), byte(v>>8)
+			if _, err := NewReader(bytes.NewReader(data)); err == nil {
+				t.Fatalf("version %#x accepted", v)
+			} else if errors.Is(err, ErrCorrupt) {
+				t.Fatalf("unsupported version %#x should not be ErrCorrupt: %v", v, err)
+			}
 		}
 	})
 	t.Run("huge record length", func(t *testing.T) {

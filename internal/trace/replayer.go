@@ -139,9 +139,8 @@ func sameEvent(want, got Rec) bool {
 // verifies that every recorded output — marker lifecycle events, ISD
 // measurements, compensation actions, and the outbound frames' content
 // bookkeeping — is reproduced exactly. It returns a report rather than an
-// error for divergences; an error means the log itself was unreadable, or
-// was recorded under a detector (ErrUnsupportedDetector) or a quantizer
-// (ErrUnsupportedQuantizer) this build no longer has.
+// error for divergences; an error means the log itself was unreadable or
+// of a format version this build does not speak.
 func Replay(r io.Reader) (*ReplayReport, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -159,12 +158,6 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		return nil, fmt.Errorf("%w: log does not start with a session header (got %s)", ErrCorrupt, first)
 	}
 	hdr, _ := rd.Header()
-	if hdr.Detector != DetectorCoarseFine {
-		return nil, ErrUnsupportedDetector
-	}
-	if hdr.Quantizer != QuantizerSamples {
-		return nil, ErrUnsupportedQuantizer
-	}
 	rep.Header = hdr
 
 	// Rebuild the pipeline exactly as recorded, with the recorded content
