@@ -204,8 +204,8 @@ func runExperimentHelper(b *testing.B) {
 
 // BenchmarkHubDemux measures the hub's packet demultiplexing path alone:
 // chat packets for 64 registered (but not yet streaming) sessions are
-// dispatched across the sharded registry, so the cost is the hash, the
-// shard lookup and the worker handoff without any DSP behind it.
+// dispatched one at a time, so the cost is the lock, the registry lookup
+// and the stats update without any DSP behind it.
 func BenchmarkHubDemux(b *testing.B) {
 	const sessions = 64
 	mem := hub.NewMemNet()

@@ -16,7 +16,7 @@ import (
 )
 
 // fixedFootprintBound is what a serving hub with no session may keep on
-// the heap: its stripes, the receive batch, the tick scratch and its
+// the heap: its registry, the receive batch, the tick scratch and its
 // metrics. Per-session memory is budgeted separately
 // (TestHubSessionFootprint, and serverpipe.TestSessionFootprint for the
 // pipeline alone).
@@ -65,8 +65,8 @@ func TestHubFixedFootprint(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	t.Logf("idle hub retains %.1f KB of heap (bound %d KB, %d stripes)",
-		float64(retained)/1024, fixedFootprintBound>>10, len(h.stripes))
+	t.Logf("idle hub retains %.1f KB of heap (bound %d KB)",
+		float64(retained)/1024, fixedFootprintBound>>10)
 	if retained > fixedFootprintBound {
 		t.Errorf("idle hub retains %d B of heap, want <= %d B", retained, fixedFootprintBound)
 	}
@@ -82,7 +82,7 @@ func TestSessionEventsAllocsWithoutLogf(t *testing.T) {
 	}
 	h := New(Config{TickEvery: -1, IdleTimeout: -1}, NewMemNet().Endpoint("hub"))
 	defer h.Close()
-	s := h.newSession(h.stripes[0], 1, transport.WireV2)
+	s := h.newSession(1, transport.WireV2)
 	// A full ISD window: each measurement shifts it in place, as in a
 	// session past its first isdKeep measurements.
 	s.res.ISDs = make([]float64, isdKeep)
@@ -155,8 +155,9 @@ func hubSessionFootprint(t *testing.T, prof codec.Profile) {
 	// playback record for the same tick. The probe also warms the shared
 	// clip, template caches, plans and scratch free list, which belong to
 	// no session.
+	game, seq := h.media()
 	probe := serverpipe.New(serverpipe.Config{
-		Game: h.clip(h.cfg.Clip), Seq: h.markerSeq(), MarkerC: h.cfg.MarkerC, Codec: prof})
+		Game: game, Seq: seq, MarkerC: h.cfg.MarkerC, Codec: prof})
 	enc := codec.NewEncoder(prof)
 	frame := make([]float64, audio.FrameSamples)
 	mic := make([]float64, audio.FrameSamples)

@@ -14,12 +14,11 @@
 //     when the next tick is due; what it leaves waits in the kernel's
 //     receive buffer. During admission it waits on the socket instead, so
 //     a Hello is answered at once;
-//   - sessions live in registry stripes, pinned by ID hash. A stripe is a
-//     partition, not a goroutine: with one core the loop runs every
-//     stripe itself, and with more it runs one stripe per goroutine and
-//     joins them before it goes on. One hub mutex serializes the loop
-//     with callers on other goroutines (Tick, DispatchBatch,
-//     SessionInfos), so per-session pipeline state needs no locking;
+//   - sessions live in one registry, keyed by session ID, and the loop
+//     handles each received message as it routes it, in arrival order.
+//     One hub mutex serializes the loop with callers on other goroutines
+//     (Tick, DispatchBatch, SessionInfos), so per-session pipeline state
+//     needs no locking;
 //   - admission control caps concurrent sessions (rejecting extra
 //     hellos with TypeBusy), idle sessions are reaped by the loop after a
 //     timeout, and Drain stops admissions while in-flight sessions finish;
@@ -29,8 +28,8 @@
 //     numbers.
 //
 // Running to completion has one cost: a session whose handling never
-// returns stalls every session, not a shard of them. A slow one is
-// counted (Snapshot.TickOverruns) and the tick grid keeps its phase.
+// returns stalls every session. A slow one is counted
+// (Snapshot.TickOverruns) and the tick grid keeps its phase.
 //
 // cmd/ekho-server runs a hub on a UDP socket; internal/live's screen and
 // controller roles are its demo clients.
@@ -42,7 +41,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -69,7 +67,7 @@ type Logf func(format string, args ...any)
 // it drains a burst of datagrams per wakeup and flushes a burst of sends
 // per call, so the whole receive→dispatch→process→send path runs batched
 // (one reused batch of decoded messages per poll, one SendBatch per
-// stripe per tick). *transport.Conn implements it; tests and benchmarks
+// tick). *transport.Conn implements it; tests and benchmarks
 // substitute an in-process loopback network (NewMemNet).
 //
 // RecvBatch fills msgs with one blocking read (until deadline) followed
@@ -160,54 +158,55 @@ type Hub struct {
 	conn  Conn
 	stats counters
 
-	// mu serializes all session work: the pace loop holds it while it runs
-	// ticks, received batches and reaps, never while it sleeps or waits on
-	// the socket; Tick, DispatchBatch and SessionInfos take it too. It
-	// guards the stripes and everything they hold.
-	mu      sync.Mutex
-	stripes []*stripe
 	// batch is the pace loop's receive batch, reused every poll: its
 	// slots keep their payload capacity (transport.DecodeInto).
 	batch []transport.Message
-	// helpers starts the stripe helper goroutines on first use; join is
-	// runStripes' barrier.
-	helpers sync.Once
-	join    sync.WaitGroup
+
+	// mu serializes all session work: the pace loop holds it while it runs
+	// ticks, received batches and reaps, never while it sleeps or waits on
+	// the socket; Tick, DispatchBatch and SessionInfos take it too. It
+	// guards the fields from here to seq.
+	mu       sync.Mutex
+	sessions map[uint32]*session
+	// frame and pcm are the tick scratch: one session's frame is
+	// generated, marked, converted and serialized into that session's
+	// packet buffer before the next session ticks.
+	frame []float64
+	pcm   []int16
+	// egress queues a tick's outbound datagrams; they leave through one
+	// SendBatch per tick.
+	egress []transport.Packet
+	// ended holds the ids of sessions removed while Serve runs, until the
+	// pace loop, which owns the Conn's decoder, forgets their flows.
+	ended []uint32
+	// game and seq are the clip every session streams and the PN marker
+	// template, built on first admission (see media).
+	game *audio.Buffer
+	seq  *pn.Sequence
 
 	draining atomic.Bool
 	served   atomic.Bool
 	done     chan struct{}
 	closing  sync.Once
-
-	clipMu sync.Mutex
-	clips  map[int]*audio.Buffer
-	seqOne sync.Once
-	seq    *pn.Sequence
 }
 
-// New returns a hub serving on conn. Call Serve to start it. The hub has
-// one registry stripe per runtime.GOMAXPROCS(0) at the time of the call.
+// batchSize is how many datagrams one receive batch can carry: the pace
+// loop drains a tick's chat in a few polls without a heavy batch.
+const batchSize = 64
+
+// New returns a hub serving on conn. Call Serve to start it.
 func New(cfg Config, conn Conn) *Hub {
 	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
 	h := &Hub{
-		cfg:   cfg,
-		conn:  conn,
-		stats: newCounters(reg),
-		batch: make([]transport.Message, batchSize),
-		done:  make(chan struct{}),
-		clips: make(map[int]*audio.Buffer),
-	}
-	h.stripes = make([]*stripe, runtime.GOMAXPROCS(0))
-	for i := range h.stripes {
-		h.stripes[i] = &stripe{
-			sessions: make(map[uint32]*session),
-			frame:    make([]float64, audio.FrameSamples),
-			pcm:      make([]int16, audio.FrameSamples),
-		}
-		if i > 0 {
-			h.stripes[i].run = make(chan struct{})
-		}
+		cfg:      cfg,
+		conn:     conn,
+		stats:    newCounters(reg),
+		sessions: make(map[uint32]*session),
+		frame:    make([]float64, audio.FrameSamples),
+		pcm:      make([]int16, audio.FrameSamples),
+		batch:    make([]transport.Message, batchSize),
+		done:     make(chan struct{}),
 	}
 	reg.GaugeFunc("ekho_dispatch_p50_ms", "Median batched dispatch latency (power-of-two resolution).",
 		func() float64 { return float64(h.DispatchLatency().Quantile(0.50)) / 1e6 })
@@ -222,25 +221,17 @@ func (h *Hub) logf(format string, args ...any) {
 	}
 }
 
-func (h *Hub) codecProfile() codec.Profile { return h.cfg.Codec }
-
-// clip returns the (cached) game-audio buffer for a corpus index; all
-// sessions share one read-only buffer so admission cost stays flat.
-func (h *Hub) clip(idx int) *audio.Buffer {
-	h.clipMu.Lock()
-	defer h.clipMu.Unlock()
-	if b, ok := h.clips[idx]; ok {
-		return b
+// media returns the game clip every session streams (Config.Clip) and
+// the PN marker template, building both on first use. They are read-only
+// and shared by all sessions, so admission cost stays flat, and an idle
+// hub does not hold the clip's several MB. The caller holds h.mu.
+func (h *Hub) media() (*audio.Buffer, *pn.Sequence) {
+	if h.game == nil {
+		cat := gamesynth.Catalog()
+		h.game = gamesynth.Generate(cat[h.cfg.Clip%len(cat)], gamesynth.ClipSeconds)
+		h.seq = pn.NewSequence(markerSeed, pn.DefaultLength)
 	}
-	b := gamesynth.Generate(gamesynth.Catalog()[idx%len(gamesynth.Catalog())], gamesynth.ClipSeconds)
-	h.clips[idx] = b
-	return b
-}
-
-// markerSeq returns the shared, read-only PN marker template.
-func (h *Hub) markerSeq() *pn.Sequence {
-	h.seqOne.Do(func() { h.seq = pn.NewSequence(markerSeed, pn.DefaultLength) })
-	return h.seq
+	return h.game, h.seq
 }
 
 // Serve runs the hub until Close: it sizes the socket's receive buffer,
@@ -252,8 +243,7 @@ func (h *Hub) Serve() error {
 		return errors.New("hub: Serve called twice")
 	}
 	h.sizeReadBuffer()
-	h.logf("hub: serving on %s (capacity %d, %d stripes)",
-		h.conn.LocalAddr(), h.cfg.Capacity, len(h.stripes))
+	h.logf("hub: serving on %s (capacity %d)", h.conn.LocalAddr(), h.cfg.Capacity)
 
 	err := h.paceLoop()
 	h.Close()
@@ -309,20 +299,18 @@ func (h *Hub) sizeReadBuffer() {
 // stream's state, which the next packet rebuilds at the same rollover
 // count, zero.
 func (h *Hub) forgetEnded() {
-	for _, st := range h.stripes {
-		for _, id := range st.ended {
-			h.conn.Forget(id)
-		}
-		st.ended = st.ended[:0]
+	for _, id := range h.ended {
+		h.conn.Forget(id)
 	}
+	h.ended = h.ended[:0]
 }
 
 // paceLoop owns the socket, the media ticks and idle reaping until the hub
 // closes, and runs all of their work to completion itself. It runs on a
 // fixed grid of TickEvery ticks. While sessions stream it sleeps to the
-// next tick, ticks (so media leaves first), then drains what the socket
-// holds: chat waits at most one tick, which the estimator, fed in 0.37 s
-// blocks, never notices. The drain stops reading once the next tick is
+// next tick, reads the socket, ticks (so media leaves first), then
+// handles what it read and drains the rest: chat waits at most one tick,
+// which the estimator, fed in 0.37 s blocks, never notices. The drain stops reading once the next tick is
 // due, so the work between two ticks is bounded by the tick, not by the
 // offered load. It waits on the socket instead, until the next tick,
 // while the hub has no session or a Hello or Bye arrived in the last
@@ -363,17 +351,8 @@ func (h *Hub) paceLoop() error {
 		if every > 0 && !now.Before(due) {
 			run, skipped := grid.advance(now)
 			h.stats.ticksSkipped.Add(skipped)
-			h.mu.Lock()
-			h.stageTicks(run)
-			h.mu.Unlock()
 			hot = ctrl
-			// The ticks run with the drain's first batch, ahead of its
-			// packets, so a stripe helper wakes once for both; when
-			// nothing arrived they run here on their own.
-			c, _, err := h.receive(now, grid.next())
-			h.mu.Lock()
-			h.runStripes()
-			h.mu.Unlock()
+			c, _, err := h.receive(now, grid.next(), run)
 			if err != nil {
 				return h.recvErr(err)
 			}
@@ -396,7 +375,7 @@ func (h *Hub) paceLoop() error {
 				h.stats.loopWakeups.Inc()
 				continue
 			}
-			c, first, err := h.receive(wake, due)
+			c, first, err := h.receive(wake, due, 0)
 			h.stats.loopWakeups.Inc()
 			ctrl = ctrl || c
 			if err != nil {
@@ -417,20 +396,24 @@ func (h *Hub) paceLoop() error {
 // completion before the next read: the first RecvBatch waits until
 // deadline (a deadline already passed only polls), and further polls
 // follow while batches come back full and due (zero: no limit) has not
-// passed. It reports whether a Hello or Bye arrived and when it began
-// handling the first batch (zero if nothing arrived). A deadline expiry
-// is not an error.
-func (h *Hub) receive(deadline, due time.Time) (ctrl bool, first time.Time, err error) {
+// passed. ticks media ticks run after the first read, ahead of its
+// packets, so a pass handles the chat that arrived by the tick's due
+// time and no more. It reports whether a Hello or Bye arrived and when it
+// began handling the first batch (zero if nothing arrived). A deadline
+// expiry is not an error.
+func (h *Hub) receive(deadline, due time.Time, ticks int) (ctrl bool, first time.Time, err error) {
 	for {
 		got, err := h.conn.RecvBatch(deadline, h.batch)
+		h.mu.Lock()
+		h.tick(ticks)
+		ticks = 0
 		if got > 0 && !h.isClosed() {
 			if first.IsZero() {
 				first = time.Now()
 			}
-			h.mu.Lock()
 			ctrl = h.dispatch(h.batch[:got]) || ctrl
-			h.mu.Unlock()
 		}
+		h.mu.Unlock()
 		if err != nil && !isTimeout(err) {
 			return ctrl, first, err
 		}
@@ -502,30 +485,32 @@ func (h *Hub) DispatchBatch(msgs []transport.Message) {
 	h.dispatch(msgs)
 }
 
-// dispatch routes msgs to their sessions' stripes, admitting on Hello and
-// counting strays, then runs the stripes to completion. It reports
-// whether msgs held a Hello or Bye. The caller holds h.mu.
+// dispatch handles msgs in arrival order: each is routed to its session
+// and handled before the next is routed, so a Bye frees its slot and its
+// id for a Hello later in the same batch. A Hello for an unknown session
+// is admitted first; any other message for one is counted as a stray. It
+// reports whether msgs held a Hello or Bye. The caller holds h.mu.
 func (h *Hub) dispatch(msgs []transport.Message) (ctrl bool) {
 	now := time.Now().UnixNano()
 	h.stats.packetsIn.Add(int64(len(msgs)))
 	for i := range msgs {
 		msg := &msgs[i]
 		ctrl = ctrl || msg.Type == transport.TypeHello || msg.Type == transport.TypeBye
-		st := h.stripeFor(msg.Session)
-		s := st.sessions[msg.Session]
+		s := h.sessions[msg.Session]
 		if s == nil {
 			if msg.Type != transport.TypeHello {
 				h.stats.strays.Add(1)
 				continue
 			}
-			if s = h.admit(st, msg); s == nil {
+			if s = h.admit(msg); s == nil {
 				continue
 			}
 		}
 		s.lastActive = now
-		st.items = append(st.items, packetWork{m: msg, s: s})
+		if done := s.handle(msg); done {
+			h.remove(s, false)
+		}
 	}
-	h.runStripes()
 	h.stats.observeDispatch(time.Now().UnixNano()-now, len(msgs))
 	return ctrl
 }
@@ -540,11 +525,12 @@ func wireEncoder(w transport.Wire) transport.WireEncoder {
 	return transport.V2{}
 }
 
-// admit applies admission control for a first Hello. It returns the new
-// session, registered on st, or nil after sending a TypeBusy reject. The
-// session's wire codec is latched from the Hello's framing: every packet
-// the hub sends to this session uses the framing the client helloed in.
-func (h *Hub) admit(st *stripe, msg *transport.Message) *session {
+// admit applies admission control for a first Hello. It registers and
+// returns the new session, or returns nil after sending a TypeBusy
+// reject. The session's wire codec is latched from the Hello's framing:
+// every packet the hub sends to this session uses the framing the client
+// helloed in.
+func (h *Hub) admit(msg *transport.Message) *session {
 	active := h.stats.active.Load()
 	if h.draining.Load() || active >= int64(h.cfg.Capacity) {
 		h.stats.rejected.Add(1)
@@ -558,8 +544,8 @@ func (h *Hub) admit(st *stripe, msg *transport.Message) *session {
 			msg.Session, active, h.cfg.Capacity, h.draining.Load())
 		return nil
 	}
-	s := h.newSession(st, msg.Session, msg.Wire)
-	st.sessions[s.id] = s
+	s := h.newSession(msg.Session, msg.Wire)
+	h.sessions[s.id] = s
 	cur := h.stats.active.Add(1)
 	h.stats.peak.BumpMax(cur)
 	h.stats.admitted.Add(1)
@@ -577,19 +563,33 @@ func (h *Hub) Tick() {
 	if h.isClosed() {
 		return
 	}
-	h.stageTicks(1)
-	h.runStripes()
+	h.tick(1)
 }
 
-// stageTicks stages n media ticks on every stripe with sessions; the next
-// runStripes runs them ahead of any packet routed with them. The caller
-// holds h.mu.
-func (h *Hub) stageTicks(n int) {
-	for _, st := range h.stripes {
-		if len(st.sessions) > 0 {
-			st.ticks += n
+// tick runs n media ticks. Each ticks every session and then flushes the
+// tick's media, so a tick's frames leave before the next tick's are made.
+// The caller holds h.mu.
+func (h *Hub) tick(n int) {
+	for ; n > 0; n-- {
+		for _, s := range h.sessions {
+			s.tick()
 		}
+		h.flushEgress()
 	}
+}
+
+// flushEgress transmits the queued outbound datagrams in one SendBatch,
+// after which the sessions' packet buffers are free for reuse.
+func (h *Hub) flushEgress() {
+	if len(h.egress) == 0 {
+		return
+	}
+	// The first error is not reported on its own: every failed packet is
+	// counted in sendErrs.
+	sent, _ := h.conn.SendBatch(h.egress)
+	h.stats.packetsOut.Add(int64(sent))
+	h.stats.sendErrs.Add(int64(len(h.egress) - sent))
+	h.egress = h.egress[:0]
 }
 
 // reapEvery is how often the pace loop looks for idle sessions: a quarter
@@ -606,11 +606,9 @@ func (h *Hub) reapIdle(now time.Time) {
 	cutoff := now.UnixNano() - h.cfg.IdleTimeout.Nanoseconds()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, st := range h.stripes {
-		for _, s := range st.sessions {
-			if s.lastActive < cutoff {
-				h.remove(st, s, true)
-			}
+	for _, s := range h.sessions {
+		if s.lastActive < cutoff {
+			h.remove(s, true)
 		}
 	}
 }
@@ -634,9 +632,9 @@ func (h *Hub) Shutdown(grace time.Duration) {
 	h.Close()
 }
 
-// Close stops the hub: the pace loop and the stripe helpers exit, the
-// socket is closed, and Serve returns after emitting OnSessionEnd for
-// every session still registered.
+// Close stops the hub: the pace loop exits, the socket is closed, and
+// Serve returns after emitting OnSessionEnd for every session still
+// registered.
 func (h *Hub) Close() {
 	h.closing.Do(func() {
 		close(h.done)
@@ -657,15 +655,36 @@ func (h *Hub) isClosed() bool {
 // shutdown, in session ID order. The caller holds h.mu, so session state
 // is quiescent.
 func (h *Hub) flushSessions() {
-	var all []*session
-	for _, st := range h.stripes {
-		for _, s := range st.sessions {
-			all = append(all, s)
-		}
+	all := make([]*session, 0, len(h.sessions))
+	for _, s := range h.sessions {
+		all = append(all, s)
 	}
 	slices.SortFunc(all, func(a, b *session) int { return cmp.Compare(a.id, b.id) })
 	for _, s := range all {
-		h.remove(s.stripe, s, false)
+		h.remove(s, false)
+	}
+}
+
+// remove unregisters a session and emits its result. The caller holds
+// h.mu, so the session's pipeline state is quiescent.
+func (h *Hub) remove(s *session, reaped bool) {
+	if h.sessions[s.id] != s {
+		return
+	}
+	delete(h.sessions, s.id)
+	h.stats.active.Add(-1)
+	h.stats.ended.Add(1)
+	if h.served.Load() {
+		// Without Serve no pace loop owns a decoder to forget in.
+		h.ended = append(h.ended, s.id)
+	}
+	if reaped {
+		h.stats.reaped.Add(1)
+		h.logf("hub: session %d reaped after idle timeout", s.id)
+	}
+	s.closeRecorder()
+	if h.cfg.OnSessionEnd != nil {
+		h.cfg.OnSessionEnd(s.id, s.result())
 	}
 }
 

@@ -2,6 +2,7 @@ package hub
 
 import (
 	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -200,23 +201,37 @@ func TestHubDrain(t *testing.T) {
 	}
 }
 
-// TestShardIndexSpread checks that the shard hash distributes sequential
-// session IDs (the common client convention) across all shards.
-func TestShardIndexSpread(t *testing.T) {
-	const shards = 8
-	var hits [shards]int
-	for id := uint32(1); id <= 256; id++ {
-		idx := shardIndex(id, shards)
-		if idx < 0 || idx >= shards {
-			t.Fatalf("shardIndex(%d) = %d out of range", id, idx)
-		}
-		hits[idx]++
+// TestDispatchInArrivalOrder checks that a batch is handled message by
+// message: a Bye ends its session before the next message in the same
+// batch is routed, so that message sees the freed slot and the freed id.
+func TestDispatchInArrivalOrder(t *testing.T) {
+	msg := func(typ transport.PacketType, id uint32, from net.Addr) transport.Message {
+		return transport.Message{Type: typ, Session: id, From: from,
+			Hello: transport.Hello{Session: id, Role: transport.RoleScreen}}
 	}
-	for i, n := range hits {
-		if n == 0 {
-			t.Errorf("shard %d received no sessions out of 256 sequential ids", i)
-		}
+	run := func(capacity int, second uint32) (Snapshot, []SessionInfo) {
+		mem := NewMemNet()
+		h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: capacity}, mem.Endpoint("hub"))
+		defer h.Close()
+		from := mem.Endpoint("client").LocalAddr()
+		h.DispatchBatch([]transport.Message{msg(transport.TypeHello, 1, from)})
+		h.DispatchBatch([]transport.Message{msg(transport.TypeBye, 1, from), msg(transport.TypeHello, second, from)})
+		return h.Stats(), h.SessionInfos()
 	}
+	t.Run("bye frees the slot", func(t *testing.T) {
+		s, infos := run(1, 2)
+		if s.Admitted != 2 || s.Rejected != 0 || len(infos) != 1 || infos[0].ID != 2 {
+			t.Errorf("[Bye 1, Hello 2] at capacity 1: %v, sessions %v; want 2 admitted, 0 rejected, session 2 active",
+				s, infos)
+		}
+	})
+	t.Run("bye frees the id", func(t *testing.T) {
+		s, infos := run(2, 1)
+		if s.Admitted != 2 || s.Ended != 1 || len(infos) != 1 || infos[0].ID != 1 {
+			t.Errorf("[Bye 1, Hello 1]: %v, sessions %v; want 2 admitted, 1 ended, session 1 active",
+				s, infos)
+		}
+	})
 }
 
 // A session's result keeps only its newest isdKeep measurements, oldest

@@ -3,7 +3,6 @@ package hub
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -260,37 +259,21 @@ func medianPhase(ts []time.Time, ref time.Time, every time.Duration) time.Durati
 
 // TestPaceLoopWakeupsPerTick runs a hub on real loopback UDP with 4 and
 // then 16 streaming sessions, each chatting at 50 datagrams a second
-// spread evenly over the tick, and counts every goroutine wake-up the hub
-// makes to do work: the pace loop's and the stripe helpers'. The loop
-// must wake about once per tick whatever the session count: at most 1.1
-// times. A helper is woken by the loop once per pass that has work for its
-// stripe, and a tick's pass runs the tick and the drain's first batch
-// together, so the total is at most 1.1 per tick per stripe: 1.1 with one
-// stripe, where no helper exists, and 2.2 with two. Both are run when
-// GOMAXPROCS > 1. A hub woken per datagram wakes 4 or 16 times per tick.
+// spread evenly over the tick, and counts the pace loop's wake-ups, which
+// are every goroutine wake-up the hub makes to do work. The loop must wake
+// about once per tick whatever the session count: at most 1.1 times. A
+// hub woken per datagram wakes 4 or 16 times per tick. The hub keeps its
+// sessions in one registry, so each run is named stripes=1, the name the
+// one-stripe case had when the registry could be split.
 func TestPaceLoopWakeupsPerTick(t *testing.T) {
 	for _, n := range []int{4, 16} {
 		t.Run(fmt.Sprintf("sessions=%d", n), func(t *testing.T) {
-			stripes := []int{1}
-			if p := runtime.GOMAXPROCS(0); p > 1 {
-				stripes = append(stripes, p)
-			}
-			for _, k := range stripes {
-				t.Run(fmt.Sprintf("stripes=%d", k), func(t *testing.T) { wakeupsPerTick(t, n, k) })
-			}
+			t.Run("stripes=1", func(t *testing.T) { wakeupsPerTick(t, n) })
 		})
 	}
 }
 
-// newStriped returns New(cfg, conn) with the given number of stripes: New
-// takes the count from runtime.GOMAXPROCS(0), so it is set around the
-// call and restored.
-func newStriped(stripes int, cfg Config, conn Conn) *Hub {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(stripes))
-	return New(cfg, conn)
-}
-
-func wakeupsPerTick(t *testing.T, sessions, stripes int) {
+func wakeupsPerTick(t *testing.T, sessions int) {
 	const (
 		every  = 20 * time.Millisecond
 		window = time.Second
@@ -300,7 +283,7 @@ func wakeupsPerTick(t *testing.T, sessions, stripes int) {
 		t.Fatal(err)
 	}
 	ready := make(chan uint32, sessions)
-	h := newStriped(stripes, Config{
+	h := New(Config{
 		Capacity:       sessions,
 		TickEvery:      every,
 		IdleTimeout:    -1,
@@ -374,16 +357,10 @@ func wakeupsPerTick(t *testing.T, sessions, stripes int) {
 		t.Fatalf("hub received %d chat datagrams, want >= %d", chats, min)
 	}
 	loop := float64(s1.LoopWakeups-s0.LoopWakeups) / ticks
-	helpers := float64(s1.HelperWakeups-s0.HelperWakeups) / ticks
-	t.Logf("%d sessions, %d stripes: %d chats in %.0f ticks; wake-ups per tick: pace loop %.2f, helpers %.2f (total %.2f); %d ticks skipped, %d overruns",
-		sessions, stripes, chats, ticks, loop, helpers, loop+helpers,
-		s1.TicksSkipped-s0.TicksSkipped, s1.TickOverruns-s0.TickOverruns)
+	t.Logf("%d sessions: %d chats in %.0f ticks; pace loop wake-ups per tick %.2f; %d ticks skipped, %d overruns",
+		sessions, chats, ticks, loop, s1.TicksSkipped-s0.TicksSkipped, s1.TickOverruns-s0.TickOverruns)
 	if loop > 1.1 {
 		t.Errorf("pace loop woke %.2f times per tick, want <= 1.1", loop)
-	}
-	if total, bound := loop+helpers, 1.1*float64(stripes); total > bound {
-		t.Errorf("hub woke %.2f times per tick (loop %.2f, helpers %.2f), want <= %.1f with %d stripes",
-			total, loop, helpers, bound, stripes)
 	}
 }
 

@@ -64,12 +64,11 @@ type SessionResult struct {
 // session hosts one Ekho pipeline on the hub: it owns the socket I/O and
 // wire serialization for two endpoints and delegates everything else —
 // streams, markers, estimation, compensation — to a serverpipe.Pipeline.
-// Its state is touched only by whoever runs its stripe, under the hub's
-// mutex, so it needs no locking of its own.
+// Its state is touched only under the hub's mutex, so it needs no locking
+// of its own.
 type session struct {
-	id     uint32
-	hub    *Hub
-	stripe *stripe // the stripe this session is pinned to (scratch, egress)
+	id  uint32
+	hub *Hub
 
 	// wire is the framing the session helloed in; enc is the matching
 	// stateless encoder, used for every packet sent to this session.
@@ -106,11 +105,11 @@ type session struct {
 	recFile *os.File
 
 	// Per-tick packet buffers, one per stream. The frame and its PCM
-	// conversion are stripe scratch (a stripe ticks one session at a
-	// time and serializes before the next runs), but the packets stay
-	// queued on the stripe's egress until it is flushed at the end of
-	// the tick, so each needs its own storage; they are free for reuse by
-	// the next tick, which runs strictly after the flush.
+	// conversion are the hub's tick scratch (the hub ticks one session at
+	// a time and serializes before the next runs), but the packets stay
+	// queued on the hub's egress until it is flushed at the end of the
+	// tick, so each needs its own storage; they are free for reuse by the
+	// next tick, which runs strictly after the flush.
 	pktScr  []byte
 	pktAcc  []byte
 	lastPkt int // wire size of the most recently serialized frame
@@ -130,11 +129,10 @@ type heldChat struct {
 	encoded   []byte
 }
 
-func (h *Hub) newSession(st *stripe, id uint32, wire transport.Wire) *session {
+func (h *Hub) newSession(id uint32, wire transport.Wire) *session {
 	s := &session{
 		id:      id,
 		hub:     h,
-		stripe:  st,
 		wire:    wire,
 		enc:     wireEncoder(wire),
 		res:     SessionResult{ID: id},
@@ -143,11 +141,12 @@ func (h *Hub) newSession(st *stripe, id uint32, wire transport.Wire) *session {
 		pktScr:  make([]byte, 0, mediaPacketCap),
 		pktAcc:  make([]byte, 0, mediaPacketCap),
 	}
+	game, seq := h.media()
 	cfg := serverpipe.Config{
-		Game:        h.clip(h.cfg.Clip),
-		Seq:         h.markerSeq(),
+		Game:        game,
+		Seq:         seq,
 		MarkerC:     h.cfg.MarkerC,
-		Codec:       h.codecProfile(),
+		Codec:       h.cfg.Codec,
 		Compensator: h.cfg.Compensator,
 		Sink:        s,
 	}
@@ -234,7 +233,7 @@ func (s *session) hello(msg *transport.Message) {
 
 // tick emits one 20 ms frame pair: marked screen audio to the screen
 // endpoint and accessory audio to the controller endpoint. Both packets
-// are queued on the stripe's egress and leave in one batched flush.
+// are queued on the hub's egress and leave in one batched flush.
 func (s *session) tick() {
 	if !s.ready {
 		return
@@ -242,13 +241,13 @@ func (s *session) tick() {
 	if s.rec != nil {
 		s.rec.Tick(s.pipe.Now())
 	}
-	fi := s.pipe.NextScreenFrame(s.stripe.frame)
+	fi := s.pipe.NextScreenFrame(s.hub.frame)
 	s.pktScr = s.sendMedia(s.pktScr, s.screenAddr, transport.Media{
 		Seq: fi.Seq, Session: s.id, ContentStart: fi.ContentStart, ContentOff: uint16(fi.ContentOff)})
 	if s.rec != nil {
 		s.rec.MediaOut(trace.StreamScreen, fi, s.lastPkt)
 	}
-	fi = s.pipe.NextAccessoryFrame(s.stripe.frame)
+	fi = s.pipe.NextAccessoryFrame(s.hub.frame)
 	s.pktAcc = s.sendMedia(s.pktAcc, s.controllerAddr, transport.Media{
 		Seq: fi.Seq, Session: s.id, ContentStart: fi.ContentStart, ContentOff: uint16(fi.ContentOff)})
 	if s.rec != nil {
@@ -334,20 +333,19 @@ func (s *session) chat(chat transport.Chat) {
 	s.pipe.OfferChat(chat.Seq, adc, chat.Encoded)
 }
 
-// result snapshots the session's outcome; callers must run the session's
-// stripe or hold the hub's mutex.
+// result snapshots the session's outcome; callers hold the hub's mutex.
 func (s *session) result() SessionResult { return s.res }
 
-// sendMedia serializes the stripe's scratch frame as the media payload
-// into buf (reusing its capacity) and queues it on the stripe's egress;
-// the end-of-tick flush transmits it. It returns the grown buffer for
-// the caller to retain; s.lastPkt records the wire size.
+// sendMedia serializes the hub's scratch frame as the media payload into
+// buf (reusing its capacity) and queues it on the hub's egress; the
+// end-of-tick flush transmits it. It returns the grown buffer for the
+// caller to retain; s.lastPkt records the wire size.
 func (s *session) sendMedia(buf []byte, to net.Addr, m transport.Media) []byte {
-	st := s.stripe
-	for i, v := range st.frame {
-		st.pcm[i] = audio.FloatToInt16(v)
+	h := s.hub
+	for i, v := range h.frame {
+		h.pcm[i] = audio.FloatToInt16(v)
 	}
-	m.Samples = st.pcm
+	m.Samples = h.pcm
 	out, err := s.enc.AppendMedia(buf[:0], m)
 	if err != nil {
 		s.hub.stats.sendErrs.Add(1)
@@ -356,7 +354,7 @@ func (s *session) sendMedia(buf []byte, to net.Addr, m transport.Media) []byte {
 	}
 	s.lastPkt = len(out)
 	if to != nil {
-		st.egress = append(st.egress, transport.Packet{Buf: out, To: to})
+		h.egress = append(h.egress, transport.Packet{Buf: out, To: to})
 	}
 	return out
 }

@@ -43,14 +43,12 @@ type counters struct {
 
 	// Pace loop: ticksSkipped counts overdue ticks dropped from the grid,
 	// tickOverruns the loop's work that ran past the next tick's due time,
-	// loopWakeups the loop's returns from a sleep or a blocking read,
-	// helperWakeups the stripe helpers' wake-ups to run a stripe, and
+	// loopWakeups the loop's returns from a sleep or a blocking read, and
 	// rcvbuf the socket receive buffer the kernel granted.
-	ticksSkipped  *metrics.Counter
-	tickOverruns  *metrics.Counter
-	loopWakeups   *metrics.Counter
-	helperWakeups *metrics.Counter
-	rcvbuf        *metrics.Gauge
+	ticksSkipped *metrics.Counter
+	tickOverruns *metrics.Counter
+	loopWakeups  *metrics.Counter
+	rcvbuf       *metrics.Gauge
 
 	// Marker plane: injections/matches/expiries across all sessions.
 	injections *metrics.Counter
@@ -100,11 +98,10 @@ func newCounters(reg *metrics.Registry) counters {
 		actions:      reg.Counter("ekho_compensation_actions_total", "Compensation actions across all sessions."),
 		resamples:    reg.Counter("ekho_resamples_total", "Drift-regime resample retunes across all sessions."),
 
-		ticksSkipped:  reg.Counter("ekho_ticks_skipped_total", "Overdue media ticks skipped to keep the tick grid."),
-		tickOverruns:  reg.Counter("ekho_tick_overrun_total", "Pace loop passes whose work started before the next tick's due time and ended after it."),
-		loopWakeups:   reg.Counter("ekho_loop_wakeups_total", "Pace loop wake-ups (a tick sleep or a blocking socket read returned)."),
-		helperWakeups: reg.Counter("ekho_stripe_helper_wakeups_total", "Stripe helper goroutine wake-ups (one per stripe run handed to a helper)."),
-		rcvbuf:        reg.Gauge("ekho_socket_rcvbuf_bytes", "Socket receive buffer granted by the kernel."),
+		ticksSkipped: reg.Counter("ekho_ticks_skipped_total", "Overdue media ticks skipped to keep the tick grid."),
+		tickOverruns: reg.Counter("ekho_tick_overrun_total", "Pace loop passes whose work started before the next tick's due time and ended after it."),
+		loopWakeups:  reg.Counter("ekho_loop_wakeups_total", "Pace loop wake-ups (a tick sleep or a blocking socket read returned)."),
+		rcvbuf:       reg.Gauge("ekho_socket_rcvbuf_bytes", "Socket receive buffer granted by the kernel."),
 
 		injections: reg.Counter("ekho_markers_injected_total", "PN markers injected into screen streams."),
 		matches:    reg.Counter("ekho_markers_matched_total", "PN markers matched in returned chat audio."),
@@ -243,13 +240,11 @@ type Snapshot struct {
 	// TicksSkipped counts media ticks the pace loop skipped because it
 	// woke two or more ticks late. TickOverruns counts loop passes whose
 	// work started before the next tick's due time and ended after it.
-	// LoopWakeups counts the pace loop's wake-ups and HelperWakeups the
-	// stripe helpers' (0 with one stripe); their sum is every goroutine
-	// wake-up the hub makes to do work.
-	TicksSkipped  int64
-	TickOverruns  int64
-	LoopWakeups   int64
-	HelperWakeups int64
+	// LoopWakeups counts the pace loop's wake-ups: every goroutine wake-up
+	// the hub makes to do work.
+	TicksSkipped int64
+	TickOverruns int64
+	LoopWakeups  int64
 	// Measurements / Actions / Resamples aggregate the per-session
 	// estimator and compensator activity across all sessions ever hosted
 	// (Resamples counts drift-regime rate retunes).
@@ -277,7 +272,6 @@ func (h *Hub) Stats() Snapshot {
 		TicksSkipped:   c.ticksSkipped.Load(),
 		TickOverruns:   c.tickOverruns.Load(),
 		LoopWakeups:    c.loopWakeups.Load(),
-		HelperWakeups:  c.helperWakeups.Load(),
 		Measurements:   c.measurements.Load(),
 		Actions:        c.actions.Load(),
 		Resamples:      c.resamples.Load(),
@@ -320,10 +314,8 @@ func (h *Hub) SessionInfos() []SessionInfo {
 		return nil
 	}
 	var all []SessionInfo
-	for _, st := range h.stripes {
-		for _, s := range st.sessions {
-			all = append(all, s.info())
-		}
+	for _, s := range h.sessions {
+		all = append(all, s.info())
 	}
 	h.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })

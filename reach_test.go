@@ -2,6 +2,8 @@ package ekho_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -13,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,10 +33,11 @@ func TestEveryInternalDeclReachable(t *testing.T) {
 	if len(reachExceptions) > 10 {
 		t.Errorf("%d reachability exceptions; at most 10 are allowed", len(reachExceptions))
 	}
-	unreached, err := unreachedDecls(".")
+	l, err := rootPkgs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	unreached := unreachedDecls(l, ".")
 	seen := map[string]bool{}
 	for _, d := range unreached {
 		seen[d.key] = true
@@ -50,12 +54,13 @@ func TestEveryInternalDeclReachable(t *testing.T) {
 
 // The gate against a fixture module whose verdicts are known.
 func TestReachGateFixture(t *testing.T) {
-	unreached, err := unreachedDecls(filepath.Join("testdata", "reach"))
+	root := filepath.Join("testdata", "reach")
+	l, err := loadReachPkgs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, d := range unreached {
+	for _, d := range unreachedDecls(l, root) {
 		got = append(got, d.key)
 	}
 	want := []string{
@@ -201,17 +206,17 @@ func loadReachPkgs(root string) (*reachLoader, error) {
 	return l, nil
 }
 
+// rootPkgs loads the repository's packages once for every gate in this
+// file.
+var rootPkgs = sync.OnceValues(func() (*reachLoader, error) { return loadReachPkgs(".") })
+
 // unreachedDecls returns the top-level declarations of the internal
-// packages under root that no root reaches, sorted by key. A declaration
+// packages loaded from root that no root reaches, sorted by key. A declaration
 // reaches every object its syntax uses (generic instances count as their
 // origin), and a reached type reaches each of its methods whose name is a
 // method of some interface: one declared or named in the source, or a
 // standard one in reachStdMethods.
-func unreachedDecls(root string) ([]reachDecl, error) {
-	l, err := loadReachPkgs(root)
-	if err != nil {
-		return nil, err
-	}
+func unreachedDecls(l *reachLoader, root string) []reachDecl {
 	topModule := modulePath(filepath.Join(root, "go.mod"))
 	nodes := map[types.Object]*reachNode{}
 	methods := map[types.Object][]types.Object{}
@@ -360,7 +365,7 @@ func unreachedDecls(root string) ([]reachDecl, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out, nil
+	return out
 }
 
 func usesIota(d *ast.GenDecl) bool {
@@ -372,4 +377,130 @@ func usesIota(d *ast.GenDecl) bool {
 		return !found
 	})
 	return found
+}
+
+// The ratchet holds what simplicity work has shrunk to its checked-in
+// ceiling in testdata/ratchet.json:
+//
+//   - non_test_lines: lines of non-test Go outside benchmark/ and
+//     testdata/, as `find . -name '*.go' ! -name '*_test.go' ! -path
+//     './benchmark/*' ! -path './testdata/*' | xargs wc -l` counts them;
+//   - settable_values: the exported fields of every struct type under
+//     internal/ named Config or Scenario or ending in one of them, plus
+//     every flag a package in cmd/ or benchmark/ defines.
+//
+// A count above its entry fails. Raising an entry is a reviewed change
+// with its reason in CHANGES.md. A count below its entry is logged, so the
+// change that shrank it lowers the entry too.
+func TestRatchet(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "ratchet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ceiling map[string]int
+	if err := json.Unmarshal(raw, &ceiling); err != nil {
+		t.Fatal(err)
+	}
+	l, err := rootPkgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := nonTestLines(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{"non_test_lines": lines, "settable_values": settableValues(l, ".")}
+	for name, n := range got {
+		limit, ok := ceiling[name]
+		switch {
+		case !ok:
+			t.Errorf("testdata/ratchet.json has no %q entry (count %d)", name, n)
+		case n > limit:
+			t.Errorf("%s rose to %d, above its ratchet of %d", name, n, limit)
+		case n < limit:
+			t.Logf("%s fell to %d: lower its entry in testdata/ratchet.json from %d", name, n, limit)
+		}
+	}
+}
+
+// nonTestLines counts the newlines in every non-test .go file under root,
+// skipping root's benchmark/ and testdata/ trees.
+func nonTestLines(root string) (int, error) {
+	skip := map[string]bool{filepath.Join(root, "benchmark"): true, filepath.Join(root, "testdata"): true}
+	n := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skip[path] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		n += bytes.Count(b, []byte("\n"))
+		return err
+	})
+	return n, err
+}
+
+// flagDefiners are the flag package's functions and FlagSet methods that
+// define a flag.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// settableValues counts what a user can set: the exported fields of the
+// Config and Scenario structs under root's internal/, and the flags
+// defined in its cmd/ and benchmark/ packages.
+func settableValues(l *reachLoader, root string) int {
+	n := 0
+	for _, p := range l.pkgs {
+		rel, _ := filepath.Rel(root, p.dir)
+		rel = filepath.ToSlash(rel)
+		if strings.HasPrefix(rel, "internal/") {
+			scope := p.pkg.Scope()
+			for _, name := range scope.Names() {
+				if !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Scenario") {
+					continue
+				}
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i).Exported() {
+						n++
+					}
+				}
+			}
+		}
+		if rel == "benchmark" || strings.HasPrefix(rel, "benchmark/") || strings.HasPrefix(rel, "cmd/") {
+			for _, f := range p.files {
+				ast.Inspect(f, func(x ast.Node) bool {
+					if call, ok := x.(*ast.CallExpr); ok {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+							if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
+								fn.Pkg().Path() == "flag" && flagDefiners[fn.Name()] {
+								n++
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return n
 }
