@@ -20,6 +20,9 @@ package dsp
 // per output — and applies the residual rotation e^{-jω0·M·m} from an
 // exact table (for Ekho's ω0 = 2π·9000/48000 and M = 4 the table is just
 // {1, +j, −1, −j}). No intermediate full-rate complex stream ever exists.
+// When h is symmetric and its span N−1 is a whole number of oscillator
+// periods, g[N−1−j] = conj(g[j]), so each tap pair folds to
+// gr·(x₁+x₂) + j·gi·(x₁−x₂): one multiply per component per pair.
 //
 // HalfBandDecimator is the ÷2 tail of the chain: a symmetric half-band
 // FIR over complex samples, stored as a center coefficient plus one
@@ -46,6 +49,9 @@ type BandDecimator struct {
 	// Modulated taps g[j] = h[j]·e^{+jω0·j}, stored reversed so the inner
 	// dot walks the input window forward and contiguously.
 	gr, gi []float64
+	// folded: the taps are conjugate-symmetric to rounding (see the
+	// package comment), so the steady-state dot reads them in pairs.
+	folded bool
 
 	// rot[k] = e^{-jω0·M·k} over one exact period.
 	rot []complex128
@@ -92,6 +98,10 @@ func NewBandDecimator(freq, rate, factor int, taps []float64) *BandDecimator {
 		t := n - 1 - j
 		b.gr[t] = h * real(w)
 		b.gi[t] = -h * imag(w) // conjugate: e^{+jω0·j}
+	}
+	b.folded = n%2 == 1
+	for t := 0; t <= n/2 && b.folded; t++ {
+		b.folded = abs64(b.gr[t]-b.gr[n-1-t])+abs64(b.gi[t]+b.gi[n-1-t]) < 1e-12
 	}
 	period := osc.Period() / gcd(factor, osc.Period())
 	b.rot = make([]complex128, period)
@@ -154,7 +164,12 @@ func (b *BandDecimator) pass(dst []complex128, buf []float64) []complex128 {
 	for k := b.next * b.m; k < end; k += b.m {
 		i := k - b.base
 		var sr, si float64
-		if lo := i - b.hist; lo >= 0 {
+		if lo := i - b.hist; lo >= 0 && b.folded {
+			// Steady state, folded: pairs (t, N−1−t), then the real center.
+			c := b.hist / 2
+			sr, si = foldedDot(buf[lo:lo+c], buf[lo+c+1:i+1], b.gr[:c], b.gi[:c])
+			sr += b.gr[c] * buf[lo+c]
+		} else if lo >= 0 {
 			// Steady state: dense unrolled dot over the full window.
 			win := buf[lo : i+1]
 			gr := b.gr[:len(win)]
@@ -207,6 +222,28 @@ func (b *BandDecimator) pass(dst []complex128, buf []float64) []complex128 {
 	b.hbuf = append(b.hbuf[:0], buf[drop:]...)
 	b.base += drop
 	return dst
+}
+
+// foldedDot sums the folded tap pairs, gr[t]·(x+y) and gi[t]·(x−y) for
+// x = left[t] and y = right[len(right)−1−t]: both window ends inward, two
+// pairs per iteration so each add chain splits across two accumulators.
+func foldedDot(left, right, gr, gi []float64) (sr, si float64) {
+	n := len(left)
+	right, gr, gi = right[:n], gr[:n], gi[:n]
+	var sr1, si1 float64
+	t, r := 0, n-1
+	for ; t+1 < n && r >= 1; t, r = t+2, r-2 {
+		x0, y0, x1, y1 := left[t], right[r], left[t+1], right[r-1]
+		sr += gr[t] * (x0 + y0)
+		si += gi[t] * (x0 - y0)
+		sr1 += gr[t+1] * (x1 + y1)
+		si1 += gi[t+1] * (x1 - y1)
+	}
+	if t < n && r >= 0 {
+		sr += gr[t] * (left[t] + right[r])
+		si += gi[t] * (left[t] - right[r])
+	}
+	return sr + sr1, si + si1
 }
 
 // HalfBandDecimator halves the rate of a complex stream through a

@@ -60,6 +60,49 @@ func TestBandDecimatorChunkInvariant(t *testing.T) {
 	}
 }
 
+// A 33-tap design spans two 16-sample carrier periods, so its modulated
+// taps fold in conjugate pairs; a 21-tap one does not and keeps the plain
+// dot. Both must match the direct modulated FIR
+// y[m] = Σ_j h[j]·x[mM−j]·e^{-jω0(mM−j)} over random chunkings.
+func TestBandDecimatorFoldMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	x := make([]float64, 6000)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	osc := NewQuadOsc(9000, 48000)
+	for _, tc := range []struct {
+		taps   int
+		folded bool
+	}{{33, true}, {21, false}} {
+		h := LowPass(6000, 48000, tc.taps).Taps
+		st := NewBandDecimator(9000, 48000, 4, h)
+		if st.folded != tc.folded {
+			t.Fatalf("%d taps: folded %v, want %v", tc.taps, st.folded, tc.folded)
+		}
+		var got []complex128
+		for pos := 0; pos < len(x); {
+			n := min(1+rng.Intn(700), len(x)-pos)
+			got = st.Process(got, x[pos:pos+n])
+			pos += n
+		}
+		if want := (len(x) + 3) / 4; len(got) != want {
+			t.Fatalf("%d taps: %d outputs, want %d", tc.taps, len(got), want)
+		}
+		for m, y := range got {
+			var want complex128
+			for j, hj := range h {
+				if k := 4*m - j; k >= 0 {
+					want += complex(hj*x[k], 0) * osc.Factor(k)
+				}
+			}
+			if e := cmplx.Abs(y - want); e > 1e-12 {
+				t.Fatalf("%d taps, output %d: %v, direct %v (off %g)", tc.taps, m, y, want, e)
+			}
+		}
+	}
+}
+
 func TestBandDecimatorSteadyStateAllocs(t *testing.T) {
 	taps := LowPass(6000, 48000, 29).Taps
 	st := NewBandDecimator(9000, 48000, 4, taps)

@@ -54,7 +54,7 @@ func bufferOf[T any](name string, s []T) detectorBuffer {
 
 func detectorBuffers(d *IncrementalDetector) []detectorBuffer {
 	return []detectorBuffer{
-		bufferOf("rec", d.rec),
+		bufferOf("u", d.u),
 		bufferOf("bb", d.bb),
 		bufferOf("cz", d.cz),
 		bufferOf("scan.z", d.scan.z),
@@ -66,9 +66,11 @@ func detectorBuffers(d *IncrementalDetector) []detectorBuffer {
 }
 
 // detectorBudget bounds one detector's own storage, delay line included:
-// 475,696 B, with a 3 % margin. A complex128 bb, or per-detector mixing
-// and refinement scratch, held 519,866 B; a float64 rec would hold 0.72 MB.
-const detectorBudget = 480 << 10
+// 335,144 B, with a 5 % margin. Retaining the full-rate audio as float32
+// for the refiner instead of the 12 kHz complex64 history held 475,696 B;
+// a complex128 bb, or per-detector mixing and refinement scratch, held
+// 519,866 B before that.
+const detectorBudget = 344 << 10
 
 // Every buffer is sized at construction to its peak under frame-sized
 // feeds, so none regrows mid-stream: a regrown buffer leaves its outgrown

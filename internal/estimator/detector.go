@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"ekho/internal/audio"
@@ -49,14 +48,13 @@ import (
 // Fine stage. A coarse candidate localizes the marker to ±(D/2) samples,
 // plus up to a ~carrier half-cycle of skew between the envelope max and
 // the real correlation's argmax. The refiner scores a contiguous span of
-// lags around τ·D with exact 48 kHz template dot products under the same
-// Eq. 4 normalization as the batch pipeline (den's baseline comes from the
-// de-rotated baseband, calibrated into full-rate units; den *differences*
-// between span lags come from the exact dots), growing the span whenever
-// the argmax rides its edge — the sample-accurate position the
-// compensator needs, at the cost of a dozen-odd 48000-MAC dots per
-// detection instead of any full-rate streaming work. See refine for the
-// numerics.
+// full-rate lags around τ·D under the batch pipeline's Eq. 4
+// normalization, growing it while the argmax rides its edge. It reads the
+// first link's 12 kHz complex output ũ, the only audio the detector keeps
+// (the 6 kHz-wide band fits it unaliased): lag t = 4q + p scores
+// Z̃(t) = 8·Σ_m Re{conj(G̃_p[m])·ũ[m+q]}, G̃_p being the template delayed
+// by p through the same link, so group delays cancel, and both with the
+// link's residual rotation undone. See refine for the numerics.
 //
 // Confirmation (Eq. 7 companion pairing) runs on the refined full-rate
 // positions in peakConfirm.
@@ -104,6 +102,18 @@ const (
 	// refineHead bounds the reconstructed per-sample head [lo, rEnd) of a
 	// refinement: the window plus up to two coarse blocks past its end.
 	refineHead = 2*refineRadius + 2*coarseFactor
+
+	// fineFactor is the first link's decimation, to the fine stage's 12 kHz.
+	fineFactor = coarseFactor / 2
+	// refineRun is how many adjacent lags one traversal of the fine
+	// templates scores: two per phase, the width of the initial span.
+	refineRun = 2 * fineFactor
+
+	// firstLinkTaps spans two carrier periods, so the link's modulated taps
+	// fold in conjugate pairs (dsp.BandDecimator), and its stop band keeps
+	// 0–2 kHz game audio from aliasing into the fine stage's band: at 21
+	// taps 4 of the parity suite's 87 detections moved by 3 samples.
+	firstLinkTaps = 33
 )
 
 // IncrementalDetector is the streaming marker detector; see the file
@@ -112,14 +122,12 @@ type IncrementalDetector struct {
 	cfg  Config
 	mdec int // decimated template length
 
-	// Full-rate audio retained for the fine stage; rec[0] is absolute
-	// sample recBase. Float32 is enough: the samples only feed 48000-term
-	// dots that pick an integer lag, the decoder bounds them to ±16, and
-	// the codec's own noise sits orders of magnitude above float32's 2⁻²⁴
-	// relative rounding. refine's dot kernels read it in place, widening
-	// each sample as they load it.
-	rec     []float32
-	recBase int
+	// The fine stage's 12 kHz history ũ, u[0] at absolute index uBase, and
+	// its shared templates G̃_p. Complex64 is enough: the codec's noise sits
+	// far above float32's 2⁻²⁴ rounding, and the scores only pick a lag.
+	u     []complex64
+	uBase int
+	fine  *[fineFactor][]complex64
 
 	// osc is the band-center carrier e^{-jω0·t} the fine stage puts back
 	// on the reconstructed baseband.
@@ -132,8 +140,8 @@ type IncrementalDetector struct {
 	fastB *dsp.HalfBandDecimator
 
 	// Decimated baseband; bb[0] is absolute decimated index bbBase. It is
-	// stored at complex64, the precision of the audio it comes from (rec),
-	// and widened to complex128 once per segment for the correlator
+	// stored at complex64, the precision of the history beside it, and
+	// widened to complex128 once per segment for the correlator
 	// (pushSegment).
 	bb     []complex64
 	bbBase int
@@ -170,8 +178,9 @@ type IncrementalDetector struct {
 // so tests can bound its work in operations rather than host time.
 type detectorWork struct {
 	coarsePoints int // coarse transform points, forward and inverse
-	refined      int // candidates whose exact dots were computed
-	passes       int // template traversals by the refiner's dot kernels
+	refined      int // candidates whose lags were scored
+	passes       int // template traversals by the refiner's kernels
+	refineMACs   int // multiply-adds those traversals spent
 }
 
 // coarseKey identifies a decimated template: sequence seed and length. A
@@ -184,7 +193,8 @@ type coarseKey struct {
 
 type coarseEntry struct {
 	sum  uint64
-	wdec []complex128
+	wdec []complex128            // coarse template, fastB(G_0)
+	fine [fineFactor][]complex64 // fine templates G̃_p (see the file comment)
 }
 
 var coarseTemplateCache sync.Map // coarseKey -> *coarseEntry
@@ -203,14 +213,11 @@ func fastFrontEnd() (*dsp.BandDecimator, *dsp.HalfBandDecimator) {
 	r1 := float64(rate) / float64(m1)
 	pass1 := math.Min(bandHalf, 0.85*r1/2)
 	stop1 := r1 - pass1
-	// The first link tolerates a transition running ~15% past the fold
-	// edge: only the outermost slice of the folded image lands in band,
-	// and it arrives tens of dB down. The fine stage's exact dots are
-	// unaffected; only the coarse gate sees the slightly higher noise
-	// floor, inside the coarseThetaScale margin.
-	taps1 := int(math.Ceil(2.6 * float64(rate) / (stop1 - pass1)))
+	// The first link's output feeds both the next link and the fine stage,
+	// so its length is set by the fine stage's alias rejection
+	// (firstLinkTaps), not by the coarse gate's margin.
 	a := dsp.NewBandDecimator(bandCenterHz(), rate, m1,
-		dsp.LowPass((pass1+stop1)/2, float64(rate), taps1).Taps)
+		dsp.LowPass((pass1+stop1)/2, float64(rate), firstLinkTaps).Taps)
 	r2 := r1 / 2
 	// The final link runs at the critical rate, so its transition band is
 	// the tightest in the chain and dominates the front-end's tap budget;
@@ -224,39 +231,49 @@ func fastFrontEnd() (*dsp.BandDecimator, *dsp.HalfBandDecimator) {
 	return a, b
 }
 
-// coarseTemplateFor returns the decimated complex template for seq, shared
+// coarseTemplateFor returns the coarse and fine templates for seq, shared
 // across sessions via the package cache.
-func coarseTemplateFor(seq *pn.Sequence) []complex128 {
+func coarseTemplateFor(seq *pn.Sequence) *coarseEntry {
 	key := coarseKey{seed: seq.Seed, length: seq.Len()}
 	sum := dsp.ChecksumFloats(seq.Samples)
-	if e, ok := coarseTemplateCache.Load(key); ok {
-		ent := e.(*coarseEntry)
-		if ent.sum == sum {
-			return ent.wdec
-		}
-		return buildCoarseTemplate(seq)
+	if e, ok := coarseTemplateCache.Load(key); ok && e.(*coarseEntry).sum == sum {
+		return e.(*coarseEntry)
 	}
-	ent := &coarseEntry{sum: sum, wdec: buildCoarseTemplate(seq)}
-	if prev, loaded := coarseTemplateCache.LoadOrStore(key, ent); loaded {
-		got := prev.(*coarseEntry)
-		if got.sum == sum {
-			return got.wdec
-		}
+	ent := buildTemplates(seq, sum)
+	if prev, loaded := coarseTemplateCache.LoadOrStore(key, ent); loaded && prev.(*coarseEntry).sum == sum {
+		return prev.(*coarseEntry)
 	}
-	return ent.wdec
+	return ent
 }
 
-// buildCoarseTemplate passes the template through a chain identical to the
-// stream's, so the group delays cancel.
-func buildCoarseTemplate(seq *pn.Sequence) []complex128 {
+// buildTemplates passes the template through a chain identical to the
+// stream's, so the group delays cancel: G_p is it delayed by p samples
+// through the first link, tail included, and the coarse template is G_0
+// through the second.
+func buildTemplates(seq *pn.Sequence, sum uint64) *coarseEntry {
+	ent := &coarseEntry{sum: sum}
 	a, b := fastFrontEnd()
-	mid := a.Process(make([]complex128, 0, len(seq.Samples)/a.Factor()+1), seq.Samples)
-	w := b.Process(make([]complex128, 0, len(mid)/2+1), mid)
-	if mdec := decimatedLen(seq.Len()); len(w) > mdec {
-		w = w[:mdec]
+	for p := range ent.fine {
+		x := make([]float64, seq.Len()+fineFactor-1+firstLinkTaps-1)
+		copy(x[p:], seq.Samples)
+		a.Reset()
+		g := a.Process(nil, x)
+		if p == 0 {
+			ent.wdec = b.Process(nil, g)[:decimatedLen(seq.Len())]
+		}
+		ent.fine[p] = make([]complex64, len(g))
+		for m, v := range g {
+			ent.fine[p][m] = unrotate(m, v)
+		}
 	}
-	return w
+	return ent
 }
+
+// unrotate undoes the first link's residual rotation e^{-jω0·4m} = j^m at
+// 12 kHz index m: an exact quarter turn per sample.
+func unrotate(m int, v complex128) complex64 { return complex64(v * quarterTurns[m&3]) }
+
+var quarterTurns = [4]complex128{1, -1i, -1, 1i} // (−j)^m
 
 // decimatedLen is ⌈n/D⌉: the coarse-rate length of n full-rate samples.
 func decimatedLen(n int) int { return (n + coarseFactor - 1) / coarseFactor }
@@ -269,7 +286,7 @@ func decimatedLen(n int) int { return (n + coarseFactor - 1) / coarseFactor }
 // is four points whatever the template; a single-partition segment must
 // exceed the template and pays more per lag the shorter its block. B sets
 // the block cadence — how often a session's detector can speak, so its
-// first-measurement latency — and the full-rate audio each session keeps
+// first-measurement latency — and the 12 kHz history each session keeps
 // for the fine stage. For the 6000-sample
 // decimated marker B = 2048 (0.34 s) and P = 3. DESIGN.md §12 has the
 // table.
@@ -333,9 +350,11 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 		conf: peakConfirm{interval: c.IntervalSamples, delta: peakDelta},
 	}
 	d.fastA, d.fastB = fastFrontEnd()
-	// The conjugate partition spectra are shared across sessions, keyed by
-	// the PN seed.
-	d.corr = dsp.NewPartitionedCorrelator(coarseTemplateFor(c.Seq), coarseBlock(mdec), uint64(c.Seq.Seed))
+	// The templates and the conjugate partition spectra are shared across
+	// sessions, keyed by the PN seed.
+	tmpl := coarseTemplateFor(c.Seq)
+	d.fine = &tmpl.fine
+	d.corr = dsp.NewPartitionedCorrelator(tmpl.wdec, coarseBlock(mdec), uint64(c.Seq.Seed))
 	// Size every buffer to the longest it gets when fed one frame at a time,
 	// so none regrows mid-stream: a regrown buffer leaves its outgrown
 	// storage behind as garbage in every session the hub admits. Larger
@@ -343,12 +362,12 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	// sized to their tails here and borrowed whole per block (lend).
 	// DESIGN.md §12 tabulates the budget.
 	czTail, zTail, envTail := d.tailLens()
-	// rec peaks on the feed that completes a block: the segment that
+	// u peaks on the feed that completes a block: the segment that
 	// completes lags from the correlation frontier ends (P+1)·B − Lead
 	// decimated samples past it, the frontier leads the peak-scan frontier by
-	// sDec+dDec lags, and trimRec trails that by 2·refineRadius samples.
+	// sDec+dDec lags, and trimHistory trails that by 2·refineRadius samples.
 	ahead := (d.corr.Partitions()+1)*d.corr.Block() - d.corr.Lead()
-	d.rec = make([]float32, 0, (ahead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)
+	d.u = make([]complex64, 0, ((ahead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)/fineFactor+1)
 	// bb holds the next segment and at most one feed more; it starts with
 	// the correlator's zero history (startBB).
 	d.bb = make([]complex64, 0, d.corr.SegmentLen()+feedChunk/coarseFactor)
@@ -371,23 +390,20 @@ func (d *IncrementalDetector) Feed(samples []float64) []Detection {
 	return d.conf.take()
 }
 
-// ingest appends samples to the retained audio, grown once and converted
-// by index, and to the decimated baseband.
+// ingest heterodynes and decimates new audio, a frame at a time through
+// scratch borrowed for the call: the modulated ÷(D/2) stage reads the real
+// samples directly, and its output goes, unrotated, into the history and
+// on to the half-band stage.
 func (d *IncrementalDetector) ingest(samples []float64) {
-	n := len(d.rec)
-	d.rec = slices.Grow(d.rec, len(samples))[:n+len(samples)]
-	for i, v := range samples {
-		d.rec[n+i] = float32(v)
-	}
-	// Heterodyne and decimate the new audio down to complex baseband, a
-	// frame at a time through scratch borrowed for the call: the modulated
-	// ÷(D/2) stage reads the real samples directly, so no full-rate complex
-	// stream is ever materialized.
-	mid := dsp.BorrowComplex(feedChunk/(coarseFactor/2) + 1)
+	mid := dsp.BorrowComplex(feedChunk/fineFactor + 1)
 	out := dsp.BorrowComplex(feedChunk/coarseFactor + 1)
 	for len(samples) > 0 {
 		k := min(len(samples), feedChunk)
-		for _, v := range d.fastB.Process(out[:0], d.fastA.Process(mid[:0], samples[:k])) {
+		mid = d.fastA.Process(mid[:0], samples[:k])
+		for _, v := range mid {
+			d.u = append(d.u, unrotate(d.uBase+len(d.u), v))
+		}
+		for _, v := range d.fastB.Process(out[:0], mid) {
 			d.bb = append(d.bb, complex64(v))
 		}
 		samples = samples[k:]
@@ -402,7 +418,7 @@ func (d *IncrementalDetector) ingest(samples []float64) {
 func (d *IncrementalDetector) Reset() {
 	d.fastA.Reset()
 	d.fastB.Reset()
-	d.rec, d.recBase = d.rec[:0], 0
+	d.u, d.uBase = d.u[:0], 0
 	d.startBB()
 	d.cNext = 0
 	d.corr.Reset()
@@ -573,7 +589,7 @@ func (d *IncrementalDetector) advance() {
 	d.scan.cands = d.scan.cands[:0]
 	d.conf.confirm(d.scan.peakNext * coarseFactor)
 	d.trimCZ()
-	d.trimRec()
+	d.trimHistory()
 	d.settle()
 }
 
@@ -624,38 +640,30 @@ func (d *IncrementalDetector) blockPower(tau int) float64 {
 // per-sample reconstruction Z̃[t] from the decimated correlation is only
 // reliable at phase-0 lags — between them the interpolation error runs to
 // tens of percent and cannot rank carrier extrema. The refiner therefore
-// scores a small *contiguous* span of lags around the coarse position with
-// exact 48 kHz template dots: numerators are exact, and the den drop
-// between any two span lags — the decisive quantity — telescopes out of
-// the exact span power alone. The reconstruction supplies only the den
-// baseline (per-sample Z̃² to the span's right edge, then (D/2)·|A[τ]|²
+// scores a small *contiguous* span of lags around the coarse position from
+// the 12 kHz history (the file comment's Z̃(t), within ≈ 1 % of the exact
+// 48 kHz dot): the den drop between any two span lags — the decisive
+// quantity — telescopes out of the span's own power. The reconstruction
+// supplies only the den baseline (per-sample Z̃² to the span's right edge,
+// then (D/2)·|A[τ]|²
 // block sums), bridged into full-rate units by a per-call least-squares
 // calibration over the span; any residual baseline error is common to
 // every candidate and cancels to first order in the score ratios. If the
 // argmax lands at a span edge the span grows and rescoring repeats (cached
-// dots are not recomputed), so the winner is always interior or pinned at
-// the window bound.
+// scores are not recomputed), so the winner is always interior or pinned
+// at the window bound.
 //
 // The refined score is the full-rate Z* estimate in σ units, so the
 // Eq. 6 threshold is re-applied here exactly where the batch pipeline
 // applies it; the coarse stage's relaxed gate only selects which lags get
 // refined.
 func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
+	// Lag t = 4q + p reads the history over [q, q + len(G̃_p)). A window
+	// narrower than one run, only ever at a stream's edges, is not refined.
 	t0 := p.pos * coarseFactor
-	lo := t0 - refineRadius
-	if lo < 0 {
-		lo = 0
-	}
-	hi := t0 + refineRadius
-	L := d.cfg.Seq.Len()
-	recEnd := d.recBase + len(d.rec)
-	if m := recEnd - L; hi > m {
-		hi = m
-	}
-	if lo < d.recBase {
-		lo = d.recBase
-	}
-	if hi < lo {
+	lo := max(t0-refineRadius, d.uBase*fineFactor)
+	hi := min(t0+refineRadius, (d.uBase+len(d.u)-len(d.fine[0]))*fineFactor+fineFactor-1)
+	if hi-lo < refineRun-1 {
 		return Detection{Sample: t0, Strength: p.val}, p.val >= d.cfg.Theta
 	}
 	// The per-lag scratch is bounded by the window, so it lives on the
@@ -664,8 +672,8 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	var (
 		zt [refineHead]float64     // reconstructed Z̃ over [lo, rEnd)
 		pz [refineHead + 1]float64 // prefix sums of Z̃²
-		ex [refineLags]float64     // exact Z across the window
-		ok uint64                  // bit t−lo: ex[t−lo] holds a computed dot
+		ex [refineLags]float64     // scored Z across the window
+		ok uint64                  // bit t−lo: ex[t−lo] holds a computed score
 	)
 	// Reconstruct Z̃ from lo through the end of the block containing
 	// hi+fac, so every candidate's per-sample head [t, rEnd) is covered.
@@ -705,46 +713,17 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 		}
 		return sum
 	}
-	// Exact dot cache across the window; entries computed on demand as the
-	// span grows.
+	// Score cache across the window; entries computed on demand as the
+	// span grows, eight adjacent lags per traversal of the templates
+	// (scoreLags), kept inside the window.
 	d.work.refined++
-	w := d.cfg.Seq.Samples
-	// The dots read the retained audio in place: x[i] is sample lo+i. Lag
-	// t's template window is [t, t+L), and dots8 reads L+7 past its base,
-	// whose highest value is hi−7, so the window ends at hi+L (inside rec:
-	// hi ≤ recEnd−L).
-	x := d.rec[lo-d.recBase : hi+L-d.recBase : hi+L-d.recBase]
-	// exactRun fills the dot cache over [a, b]. A lone dot streams the
-	// 48000-sample template and window through the cache and is memory-
-	// bound, so runs of uncached adjacent lags are computed eight, then
-	// four, at a time in a single traversal each (dots8, dots4), amortizing
-	// the streaming cost that dominates the single-lag form (dot1).
 	exactRun := func(a, b int) {
 		for t := a; t <= b; t++ {
-			if ok&(1<<(t-lo)) != 0 {
-				continue
+			if ok&(1<<(t-lo)) == 0 {
+				base := min(t, hi-refineRun+1)
+				d.scoreLags((*[refineRun]float64)(ex[base-lo:]), base)
+				ok |= (1<<refineRun - 1) << (base - lo)
 			}
-			r := t
-			for r < b && ok&(1<<(r+1-lo)) == 0 {
-				r++
-			}
-			base := t
-			for ; base+7 <= r; base += 8 {
-				dots8(ex[base-lo:], w, x[base-lo:])
-				d.work.passes++
-			}
-			for ; base+3 <= r; base += 4 {
-				dots4(ex[base-lo:], w, x[base-lo:])
-				d.work.passes++
-			}
-			for ; base <= r; base++ {
-				ex[base-lo] = dot1(w, x[base-lo:base-lo+L])
-				d.work.passes++
-			}
-			for i := t - lo; i <= r-lo; i++ {
-				ok |= 1 << i
-			}
-			t = r
 		}
 	}
 	// Initial span: the interpolated coarse peak localizes the envelope max
@@ -837,62 +816,50 @@ func (d *IncrementalDetector) refine(p scanPeak) (Detection, bool) {
 	return Detection{Sample: best, Strength: bestScore}, bestScore >= d.cfg.Theta
 }
 
-// dots8 sets out[j] = Σ_k w[k]·x[k+j] for the eight lags j < 8 in one pass
-// over w. Each lag keeps a single accumulator summed in k order, so every
-// dot is bit-identical to dots4's for the same lag: the eight-lag pass only
-// halves how often the 48000-sample template streams through the cache.
-// x is the retained float32 audio, widened exactly as each sample loads.
-func dots8(out, w []float64, x []float32) {
-	out = out[:8]
-	x = x[:len(w)+7]
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	for k, v := range w {
-		s := x[k : k+8 : k+8]
-		a0 += v * float64(s[0])
-		a1 += v * float64(s[1])
-		a2 += v * float64(s[2])
-		a3 += v * float64(s[3])
-		a4 += v * float64(s[4])
-		a5 += v * float64(s[5])
-		a6 += v * float64(s[6])
-		a7 += v * float64(s[7])
+// scoreLags sets out[k] = Z̃(t+k) for eight consecutive lags in one
+// traversal of the templates. With t = 4q + p, lag t+k has phase
+// φ = (p+k) mod 4 and reads the history from q_φ, or q_φ+1 for k ≥ 4,
+// where q_φ is q+1 for the phases below p and q otherwise.
+func (d *IncrementalDetector) scoreLags(out *[refineRun]float64, t int) {
+	q, p := t/fineFactor, t%fineFactor
+	var u [fineFactor][]complex64
+	for phi := range u {
+		u[phi] = d.u[q-d.uBase:]
+		if phi < p {
+			u[phi] = u[phi][1:]
+		}
 	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-	out[4], out[5], out[6], out[7] = a4, a5, a6, a7
+	var z [refineRun]float64
+	bandDots(&z, d.fine, &u)
+	for k := range out {
+		out[k] = 8 * z[(p+k)%fineFactor+k/fineFactor*fineFactor]
+	}
+	d.work.passes++
+	d.work.refineMACs += 2 * len(d.fine[0]) * refineRun
 }
 
-// dots4 is dots8 for four lags.
-func dots4(out, w []float64, x []float32) {
-	out = out[:4]
-	x = x[:len(w)+3]
-	var a0, a1, a2, a3 float64
-	for k, v := range w {
-		s := x[k : k+4 : k+4]
-		a0 += v * float64(s[0])
-		a1 += v * float64(s[1])
-		a2 += v * float64(s[2])
-		a3 += v * float64(s[3])
-	}
-	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
-}
+// cdot is Re{conj(g)·u} at the inputs' float32 precision; bandDots sums
+// the products in float64, so rounding does not build up over the sum.
+func cdot(g, u complex64) float32 { return real(g)*real(u) + imag(g)*imag(u) }
 
-// dot1 returns Σ_k w[k]·x[k] for one lag. Four independent accumulators
-// keep the 48000-MAC dot at the load-port limit instead of the FP-add
-// latency limit.
-func dot1(w []float64, x []float32) float64 {
-	w = w[:len(x)]
-	var s0, s1, s2, s3 float64
-	k := 0
-	for ; k+3 < len(w); k += 4 {
-		s0 += float64(x[k]) * w[k]
-		s1 += float64(x[k+1]) * w[k+1]
-		s2 += float64(x[k+2]) * w[k+2]
-		s3 += float64(x[k+3]) * w[k+3]
+// bandDots sets z[φ] = Σ_m Re{conj(g[φ][m])·u[φ][m]} and z[φ+4] the same
+// one history sample later, for the four phases in one pass.
+func bandDots(z *[refineRun]float64, g, u *[fineFactor][]complex64) {
+	n := len(g[0])
+	g0, g1, g2, g3 := g[0][:n], g[1][:n], g[2][:n], g[3][:n]
+	u0, u1, u2, u3 := u[0][:n+1], u[1][:n+1], u[2][:n+1], u[3][:n+1]
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	for m := range g0 {
+		a0 += float64(cdot(g0[m], u0[m]))
+		b0 += float64(cdot(g0[m], u0[m+1]))
+		a1 += float64(cdot(g1[m], u1[m]))
+		b1 += float64(cdot(g1[m], u1[m+1]))
+		a2 += float64(cdot(g2[m], u2[m]))
+		b2 += float64(cdot(g2[m], u2[m+1]))
+		a3 += float64(cdot(g3[m], u3[m]))
+		b3 += float64(cdot(g3[m], u3[m+1]))
 	}
-	for ; k < len(w); k++ {
-		s0 += float64(x[k]) * w[k]
-	}
-	return (s0 + s1) + (s2 + s3)
+	*z = [refineRun]float64{a0, a1, a2, a3, b0, b1, b2, b3}
 }
 
 // trimCZ drops de-rotated correlation history the fine stage can no
@@ -907,23 +874,16 @@ func (d *IncrementalDetector) trimCZ() {
 	}
 }
 
-// trimRec drops full-rate audio behind every possible future refinement
-// window. Each block moves the frontier by Block()·D ≈ 16.4k samples, so
-// the cut is one copy per block of the retained span: the template-length
-// overlap not yet correlated plus the scan's lag behind the correlation
-// frontier, ≈ 53k float32 samples.
-func (d *IncrementalDetector) trimRec() {
-	cutoff := d.scan.peakNext*coarseFactor - refineRadius - 2*coarseFactor
-	drop := cutoff - d.recBase
-	if drop <= 0 {
-		return
+// trimHistory drops history behind every possible future refinement
+// window: once per block, a copy of the ≈ 13k retained samples (the
+// template overlap not yet correlated plus the scan's lag).
+func (d *IncrementalDetector) trimHistory() {
+	cutoff := (d.scan.peakNext*coarseFactor - refineRadius - 2*coarseFactor) / fineFactor
+	if drop := min(cutoff-d.uBase, len(d.u)); drop > 0 {
+		n := copy(d.u, d.u[drop:])
+		d.u = d.u[:n]
+		d.uBase += drop
 	}
-	if drop > len(d.rec) {
-		drop = len(d.rec)
-	}
-	n := copy(d.rec, d.rec[drop:])
-	d.rec = d.rec[:n]
-	d.recBase += drop
 }
 
 // coarseScan runs the Eq. 4-6 stages — running power normalization,

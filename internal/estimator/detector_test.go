@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -197,12 +198,13 @@ func TestIncrementalStateBounded(t *testing.T) {
 			max      int
 			peak, at int
 		}{
-			// Full-rate audio retained for refinement: (P+1)·B − Lead
+			// The 12 kHz history retained for refinement: (P+1)·B − Lead
 			// decimated samples past the correlation frontier (the segment
 			// that completes the frontier's block ends there), the scan's
-			// lag behind it, the refine radius behind the scan and one feed.
-			{name: "rec", len: func() int { return len(d.rec) },
-				max: ((p+1)*blk-lead+sDec+dDec)*coarseFactor + 2*refineRadius + feedChunk},
+			// lag behind it, the refine radius behind the scan and one feed,
+			// at a quarter of the full rate and rounded up.
+			{name: "u", len: func() int { return len(d.u) },
+				max: (((p+1)*blk-lead+sDec+dDec)*coarseFactor+2*refineRadius+feedChunk)/fineFactor + 1},
 			// The next 2B-sample segment and one feed: the earlier
 			// segments live on as spectra in the correlator's delay line.
 			{name: "bb", len: func() int { return len(d.bb) }, max: 2*blk + feedChunk/coarseFactor},
@@ -273,11 +275,16 @@ func BenchmarkIncrementalDetector1s(b *testing.B) {
 // Work, counted rather than timed: 10 s of marked audio through a room
 // channel in 20 ms frames. The coarse stage may spend at most 25 k
 // transform points per second of audio (four per lag in 2048-lag blocks:
-// 24 k at steady state; a single 8192-point segment spent 44.8 k), and
-// the refiner at most 1.3 passes over the 48000-sample template per
-// candidate it refines (the initial eight-lag span is one pass; split into
-// fours it was two, ≈ 2.1 per candidate with the extensions).
+// 24 k at steady state; a single 8192-point segment spent 44.8 k). The
+// refiner may make at most 1.3 passes over its templates per candidate it
+// refines (the initial eight-lag span is one pass; split into fours it was
+// two, ≈ 2.1 per candidate with the extensions), and spend at most 0.6× the
+// multiply-adds that full-rate 48000-MAC dots spent on this input.
 func TestDetectorWorkCounts(t *testing.T) {
+	// fullRateMACs is what scoring the same lags with 48000-MAC dots over
+	// 48 kHz audio spent per refined candidate here: 12 candidates, eight
+	// lags each.
+	const fullRateMACs = 8 * 48000
 	marked, _ := makeMarked(t, 10, 0.5, 2)
 	sig := acoustic.DefaultChannel().Transmit(marked).Samples
 	d := NewIncrementalDetector(Config{Seq: testSeq})
@@ -291,8 +298,11 @@ func TestDetectorWorkCounts(t *testing.T) {
 	seconds := float64(fed) / audio.SampleRate
 	pointsPerSec := float64(w.coarsePoints) / seconds
 	passesPer := float64(w.passes) / float64(max(w.refined, 1))
+	macsPer := float64(w.refineMACs) / float64(max(w.refined, 1))
 	t.Logf("%.1f s: %d detections, %.0f coarse transform points/s, %d candidates refined in %d template passes (%.2f each)",
 		seconds, dets, pointsPerSec, w.refined, w.passes, passesPer)
+	t.Logf("refiner: %.0f multiply-adds per candidate, full-rate dots %d (%.2f×)",
+		macsPer, fullRateMACs, macsPer/fullRateMACs)
 	if dets < 5 || w.refined < dets {
 		t.Fatalf("%d detections from %d refined candidates: the stages were not exercised", dets, w.refined)
 	}
@@ -302,42 +312,68 @@ func TestDetectorWorkCounts(t *testing.T) {
 	if passesPer > 1.3 {
 		t.Errorf("refiner: %.2f template passes per refined candidate, limit 1.3", passesPer)
 	}
+	if macsPer > 0.6*fullRateMACs {
+		t.Errorf("refiner: %.0f multiply-adds per refined candidate, limit %.0f", macsPer, 0.6*fullRateMACs)
+	}
 }
 
-// The eight-lag dot kernel keeps one sequential accumulator per lag, so it
-// is bit-identical to two four-lag passes, at every alignment, and to the
-// plain k-order sum over the audio widened to float64 first: reading the
-// float32 audio in place changes no bit.
-func TestDots8MatchesDots4Bitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	w := make([]float64, 4801)
-	x := make([]float32, len(w)+64)
-	for i := range w {
-		w[i] = rng.NormFloat64()
+// The fine stage's score from the 12 kHz history must track the exact
+// full-rate correlation Z(t) = Σ_k w[k]·x[t+k] (Eq. 3, as the batch
+// pipeline computes it) where the refiner reads it: at every lag within
+// ±refineRadius of each parity-suite detection the error stays under 2 %
+// of the window's largest |Z| (≈ 1.3 % measured), scored eight lags per
+// call as the refiner scores them. A history one 12 kHz sample out of
+// register must fail the same bound.
+func TestBandScoreMatchesDirectDot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
 	}
-	for i := range x {
-		x[i] = float32(rng.NormFloat64() * 1e3)
-	}
-	wide := make([]float64, len(x))
-	for i, v := range x {
-		wide[i] = float64(v)
-	}
-	for off := 0; off < 16; off++ {
-		var got, want, ref [8]float64
-		dots8(got[:], w, x[off:])
-		dots4(want[:4], w, x[off:])
-		dots4(want[4:], w, x[off+4:])
-		if got != want {
-			t.Fatalf("offset %d: dots8 %v, dots4 %v", off, got, want)
-		}
-		for j := range ref {
-			for k, v := range w {
-				ref[j] += v * wide[off+j+k]
+	const bound = 0.02
+	for _, sc := range parityScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			rec := sc.rec(t)
+			st := ComputeStages(rec, Config{Seq: testSeq})
+			d := NewIncrementalDetector(Config{Seq: testSeq})
+			d.ingest(rec)
+			lg := len(d.fine[0])
+			// worst returns the window's largest error relative to its
+			// largest |Z|, scored with the history starting at uBase.
+			worst := func(s, uBase int) float64 {
+				d.uBase = uBase
+				var band [2*refineRadius + 1]float64
+				for at := s - refineRadius; at <= s+refineRadius; at += refineRun {
+					base := min(at, s+refineRadius-refineRun+1)
+					d.scoreLags((*[refineRun]float64)(band[base-s+refineRadius:]), base)
+				}
+				var peak, err float64
+				for i, z := range st.Raw[s-refineRadius : s+refineRadius+1] {
+					peak = max(peak, math.Abs(z))
+					err = max(err, math.Abs(band[i]-z))
+				}
+				return err / peak
 			}
-		}
-		if got != ref {
-			t.Fatalf("offset %d: dots8 %v, float64 reference %v", off, got, ref)
-		}
+			checked, worstSeen := 0, 0.0
+			for _, det := range st.Confirmed {
+				s := det.Sample
+				if s < refineRadius+fineFactor || (s+refineRadius)/fineFactor+lg+2 > len(d.u) ||
+					s+refineRadius >= len(st.Raw) {
+					continue
+				}
+				e := worst(s, 0)
+				if e > bound {
+					t.Errorf("detection at %d: score off by %.2f %% of the window's peak, bound %.0f %%", s, 100*e, 100*bound)
+				}
+				worstSeen = max(worstSeen, e)
+				if e := worst(s, 1); e <= bound {
+					t.Errorf("detection at %d: history shifted by one sample still within %.2f %%", s, 100*e)
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatal("no detection to check")
+			}
+			t.Logf("%d detections, worst error %.2f %% of the window's peak", checked, 100*worstSeen)
+		})
 	}
 }
 
@@ -362,18 +398,18 @@ func TestDetectorsSharePartitionSpectra(t *testing.T) {
 }
 
 // TestRefineWindowEdges checks the fine stage where its window is clipped
-// against the retained audio, against the batch oracle. lo is clipped at
-// recBase when a marker starts within refineRadius of the stream start. hi
-// is clipped at recEnd−L when a candidate's template window ends on the
-// newest fed sample. Feed never produces that: a coarse candidate needs the
-// scan's normalization lookahead, a tenth of a second past its window. So
-// the test refines every candidate a second time with rec cut to end
-// where the batch winner's window ends, keeping the detector's state as is.
+// against the retained history, against the batch oracle. lo is clipped at
+// the history's start when a marker starts within refineRadius of the
+// stream start. hi is clipped at the last lag whose 12 kHz template window
+// ends inside the history, when it ends on the newest sample. Feed never
+// produces that: a coarse candidate needs the scan's normalization
+// lookahead, a tenth of a second past its window. So the test refines
+// every candidate a second time with the history cut to end where the
+// batch winner's window ends, keeping the detector's state as is.
 func TestRefineWindowEdges(t *testing.T) {
 	marked, _ := makeMarked(t, 6, 0.5, 2)
 	rec := acoustic.DefaultChannel().Transmit(marked).Samples
 	cfg := Config{Seq: testSeq}
-	L := testSeq.Len()
 
 	t.Run("lo at stream start", func(t *testing.T) {
 		// Start the stream 5 samples before a marker.
@@ -411,18 +447,21 @@ func TestRefineWindowEdges(t *testing.T) {
 						want, found = r, true
 					}
 				}
-				end := want.Sample + L
-				if !found || end-d.recBase > len(d.rec) {
+				// The winner's window is [q, q+len(G̃_p)) for lag 4q+p, and
+				// the cut makes 4q+3 the last lag scored.
+				lg := len(d.fine[0])
+				end := want.Sample/fineFactor + lg
+				if !found || end-d.uBase > len(d.u) {
 					continue
 				}
 				// Refine with the newest sample at end−1, then restore the
 				// stream and the calibration sums the call accumulated.
-				full, gEx, gRec := d.rec, d.gEx, d.gRec
-				d.rec = d.rec[:end-d.recBase]
+				full, gEx, gRec := d.u, d.gEx, d.gRec
+				d.u = d.u[:end-d.uBase]
 				got, _ := d.refine(p)
-				d.rec, d.gEx, d.gRec = full, gEx, gRec
-				if t0+refineRadius <= want.Sample {
-					t.Fatalf("candidate %d: hi not clipped at %d", t0, want.Sample)
+				d.u, d.gEx, d.gRec = full, gEx, gRec
+				if clip := (end-lg)*fineFactor + fineFactor - 1; t0+refineRadius <= clip {
+					t.Fatalf("candidate %d: hi not clipped at %d", t0, clip)
 				}
 				if dd := absInt(got.Sample - want.Sample); dd > parityTol {
 					t.Errorf("candidate %d clipped at %d: refined to %d, batch %d", t0, want.Sample, got.Sample, want.Sample)

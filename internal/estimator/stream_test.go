@@ -97,11 +97,11 @@ func TestStreamerBoundsMemory(t *testing.T) {
 	// history than its constructor sized it for: about one coarse segment
 	// of audio and one normalization window of squared lags.
 	d := s.det
-	maxRec, maxZ := cap(d.rec), cap(d.scan.z)
+	maxU, maxZ := cap(d.u), cap(d.scan.z)
 	for i := 0; i+audio.FrameSamples <= marked.Len(); i += audio.FrameSamples {
 		s.AddChat(marked.Samples[i:i+audio.FrameSamples], float64(i)/audio.SampleRate)
-		if len(d.rec) > maxRec {
-			t.Fatalf("recording buffer grew to %d > %d", len(d.rec), maxRec)
+		if len(d.u) > maxU {
+			t.Fatalf("history grew to %d > %d", len(d.u), maxU)
 		}
 		if len(d.scan.z) > maxZ {
 			t.Fatalf("correlation buffer grew to %d > %d", len(d.scan.z), maxZ)

@@ -14,13 +14,13 @@ import (
 // Per-session memory budget, as a hub hosting many sessions sees it.
 const (
 	// footprintLiveBytes bounds each session's live heap: the marker
-	// detector (475,696 B, of which 281,120 B is its float32 retained chat
-	// audio, set by the estimator's 4096-point coarse segment) plus
-	// everything else a pipeline owns, 0.50 MB on SWB32 and 0.49 MB
-	// lossless; the bound leaves a 4 % margin. Per-session scratch (a
-	// complex128 baseband, decimator windows, refinement and decode
-	// buffers) read 0.56 and 0.55 MB and fails it.
-	footprintLiveBytes = 52 * (1 << 20) / 100
+	// detector (335,144 B, of which 140,568 B is its 12 kHz complex64
+	// history, set by the estimator's 4096-point coarse segment) plus
+	// everything else a pipeline owns, 0.365 MB on SWB32 and 0.353 MB
+	// lossless; the bound leaves a 4 % margin. Retaining the chat as
+	// full-rate float32 audio for the refiner instead read 0.50 and
+	// 0.49 MB and fails it.
+	footprintLiveBytes = 38 * (1 << 20) / 100
 	// footprintAllocBytes bounds what each session allocates after
 	// admission over 30 s of streaming, ≈ 23 KB: buffers are sized at
 	// construction or first use, so this is the record book's one
