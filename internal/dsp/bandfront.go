@@ -1,5 +1,7 @@
 package dsp
 
+import "slices"
+
 // Fused band-translation front-ends for the two-stage marker detector.
 //
 // The textbook chain — a QuadOsc mix-down into a ÷2 half-band cascade — does
@@ -157,71 +159,94 @@ func (b *BandDecimator) Process(dst []complex128, x []float64) []complex128 {
 }
 
 // pass emits the outputs computable from buf, the tap history followed
-// by new input, and keeps buf's tail as the next history.
+// by new input, and keeps buf's tail as the next history. The dots land
+// unrotated in dst's new tail for rotate to turn.
 func (b *BandDecimator) pass(dst []complex128, buf []float64) []complex128 {
-	end := b.base + len(buf)
-	ri := b.next % len(b.rot) // advanced by wrap, not a per-output divide
-	for k := b.next * b.m; k < end; k += b.m {
-		i := k - b.base
+	i := b.next*b.m - b.base // buf index of the next output's newest input
+	n := max(len(buf)-i+b.m-1, 0) / b.m
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	out := dst[len(dst)-n:]
+	j := 0
+	for ; j < n && i < b.hist; j, i = j+1, i+b.m { // stream head: taps before input 0 read zeros
 		var sr, si float64
-		if lo := i - b.hist; lo >= 0 && b.folded {
-			// Steady state, folded: pairs (t, N−1−t), then the real center.
-			c := b.hist / 2
-			sr, si = foldedDot(buf[lo:lo+c], buf[lo+c+1:i+1], b.gr[:c], b.gi[:c])
-			sr += b.gr[c] * buf[lo+c]
-		} else if lo >= 0 {
-			// Steady state: dense unrolled dot over the full window.
-			win := buf[lo : i+1]
-			gr := b.gr[:len(win)]
-			gi := b.gi[:len(win)]
-			var sr0, si0, sr1, si1 float64
-			t := 0
-			for ; t+1 < len(gr); t += 2 {
-				x0, x1 := win[t], win[t+1]
-				sr0 += x0 * gr[t]
-				si0 += x0 * gi[t]
-				sr1 += x1 * gr[t+1]
-				si1 += x1 * gi[t+1]
-			}
-			if t < len(gr) {
-				x0 := win[t]
-				sr0 += x0 * gr[t]
-				si0 += x0 * gi[t]
-			}
-			sr, si = sr0+sr1, si0+si1
-		} else {
-			// Stream head: taps reaching before input 0 read zeros.
-			for t := -lo; t <= b.hist; t++ {
-				v := buf[lo+t]
-				sr += v * b.gr[t]
-				si += v * b.gi[t]
-			}
+		for t := b.hist - i; t <= b.hist; t++ {
+			v := buf[i-b.hist+t]
+			sr += v * b.gr[t]
+			si += v * b.gi[t]
 		}
-		if b.quad != nil {
-			switch b.quad[ri] {
-			case 0:
-				dst = append(dst, complex(sr, si))
-			case 1:
-				dst = append(dst, complex(si, -sr))
-			case 2:
-				dst = append(dst, complex(-sr, -si))
-			default:
-				dst = append(dst, complex(-si, sr))
-			}
-		} else {
-			w := b.rot[ri]
-			dst = append(dst, complex(sr*real(w)-si*imag(w), sr*imag(w)+si*real(w)))
-		}
-		if ri++; ri == len(b.rot) {
-			ri = 0
-		}
-		b.next++
+		out[j] = complex(sr, si)
 	}
+	if c := b.hist / 2; b.folded {
+		// Steady state, folded: pairs (t, N−1−t), then the real center.
+		gr, gi, gc := b.gr[:c], b.gi[:c], b.gr[c]
+		for ; j < n; j, i = j+1, i+b.m {
+			lo := i - b.hist
+			sr, si := foldedDot(buf[lo:lo+c], buf[lo+c+1:i+1], gr, gi)
+			out[j] = complex(sr+gc*buf[lo+c], si)
+		}
+	}
+	for ; j < n; j, i = j+1, i+b.m {
+		// Steady state: dense unrolled dot over the full window.
+		win := buf[i-b.hist : i+1]
+		gr := b.gr[:len(win)]
+		gi := b.gi[:len(win)]
+		var sr0, si0, sr1, si1 float64
+		t := 0
+		for ; t+1 < len(gr); t += 2 {
+			x0, x1 := win[t], win[t+1]
+			sr0 += x0 * gr[t]
+			si0 += x0 * gi[t]
+			sr1 += x1 * gr[t+1]
+			si1 += x1 * gi[t+1]
+		}
+		if t < len(gr) {
+			x0 := win[t]
+			sr0 += x0 * gr[t]
+			si0 += x0 * gi[t]
+		}
+		out[j] = complex(sr0+sr1, si0+si1)
+	}
+	b.rotate(out)
 	// Keep the inputs the next output can still reach.
 	drop := min(max(b.next*b.m-b.hist-b.base, 0), len(buf))
 	b.hbuf = append(b.hbuf[:0], buf[drop:]...)
 	b.base += drop
 	return dst
+}
+
+// rotate applies the residual rotation to out, the stream's next outputs,
+// phase by phase in strides of the period, so each phase picks its
+// rotation once per call: on the axes a swap and negation, else a
+// multiply. It then advances the stream past them.
+func (b *BandDecimator) rotate(out []complex128) {
+	per := len(b.rot)
+	for k := range min(per, len(out)) {
+		ph := (b.next + k) % per
+		q := uint8(4)
+		if b.quad != nil {
+			q = b.quad[ph]
+		}
+		switch w := b.rot[ph]; q {
+		case 1:
+			for j := k; j < len(out); j += per {
+				out[j] = complex(imag(out[j]), -real(out[j]))
+			}
+		case 2:
+			for j := k; j < len(out); j += per {
+				out[j] = -out[j]
+			}
+		case 3:
+			for j := k; j < len(out); j += per {
+				out[j] = complex(-imag(out[j]), real(out[j]))
+			}
+		case 4:
+			for j := k; j < len(out); j += per {
+				sr, si := real(out[j]), imag(out[j])
+				out[j] = complex(sr*real(w)-si*imag(w), sr*imag(w)+si*real(w))
+			}
+		}
+	}
+	b.next += len(out)
 }
 
 // foldedDot sums the folded tap pairs, gr[t]·(x+y) and gi[t]·(x−y) for

@@ -299,7 +299,7 @@ func TestSharedSpectrumIdentity(t *testing.T) {
 	}
 	x := make([]complex128, 600)
 	x[100] = 1
-	assertStreamMatches(t, c, x, CrossCorrelateComplex(x, w2), "collision fallback")
+	assertStreamMatches(t, c, x, w2, "collision fallback")
 }
 
 func TestSharedSpectrumConcurrent(t *testing.T) {
@@ -321,14 +321,13 @@ func TestSharedSpectrumConcurrent(t *testing.T) {
 	x := make([]complex128, 400)
 	x[1] = complex(0, 1)
 	x[250] = 2
-	want := CrossCorrelateComplex(x, w)
 	for i, c := range cs {
 		for k := range c.parts {
 			if &c.parts[k][0] != &cs[0].parts[k][0] {
 				t.Fatalf("correlator %d partition %d not shared", i, k)
 			}
 		}
-		assertStreamMatches(t, c, x, want, fmt.Sprintf("correlator %d", i))
+		assertStreamMatches(t, c, x, w, fmt.Sprintf("correlator %d", i))
 	}
 }
 
@@ -344,11 +343,18 @@ func streamPartitioned(c *PartitionedCorrelator, x []complex128) []complex128 {
 	return out
 }
 
-// assertStreamMatches streams x through c and checks every completed lag
-// against want, the direct correlation; the lags cover want up to the
-// last whole block.
-func assertStreamMatches(t *testing.T, c *PartitionedCorrelator, x, want []complex128, what string) {
+// assertStreamMatches streams x through c, built for template w, and
+// checks every completed lag against the direct correlation; the lags
+// cover it up to the last whole block. The delay line stores P−1 segment
+// spectra at complex64, each bin rounded by at most 2⁻²⁴ of its magnitude,
+// which by Cauchy–Schwarz and Parseval moves lag t of block m by at most
+// 2⁻²⁴·Σ_k ‖seg_{m+k}‖₂·‖w_k‖₂ over the stored k < P−1 (segments and
+// partitions as the correlator cuts them, zero lead included). The rest is
+// complex128 overlap-save, held to 1e-9 of the output's scale; with P = 1
+// that is the whole bound.
+func assertStreamMatches(t *testing.T, c *PartitionedCorrelator, x, w []complex128, what string) {
 	t.Helper()
+	want := CrossCorrelateComplex(x, w)
 	got := streamPartitioned(c, x)
 	if len(got) == 0 {
 		t.Fatalf("%s: no lags completed", what)
@@ -360,9 +366,23 @@ func assertStreamMatches(t *testing.T, c *PartitionedCorrelator, x, want []compl
 	for _, v := range want {
 		scale = max(scale, cmplx.Abs(v))
 	}
+	b, lead := c.Block(), make([]complex128, c.Lead())
+	xp, wp := append(lead, x...), append(lead[:len(lead):len(lead)], w...)
+	norm := func(v []complex128) float64 {
+		s := 0.0
+		for _, z := range v {
+			s += real(z)*real(z) + imag(z)*imag(z)
+		}
+		return math.Sqrt(s)
+	}
 	for i := range got {
-		if e := cmplx.Abs(got[i] - want[i]); e > 1e-9*(scale+1) {
-			t.Fatalf("%s lag %d: partitioned %v direct %v", what, i, got[i], want[i])
+		m, stored := i/b, 0.0
+		for k := 0; k < c.Partitions()-1; k++ {
+			stored += norm(xp[(m+k)*b:(m+k+2)*b]) * norm(wp[k*b:(k+1)*b])
+		}
+		bound := 0x1p-24*stored + 1e-9*(scale+1)
+		if e := cmplx.Abs(got[i] - want[i]); e > bound {
+			t.Fatalf("%s lag %d: partitioned %v direct %v (off %g, bound %g)", what, i, got[i], want[i], e, bound)
 		}
 	}
 }
@@ -402,18 +422,18 @@ func TestPartitionedCorrelatorMatchesDirect(t *testing.T) {
 				}
 			}
 			c.Reset()
-			want := CrossCorrelateComplex(x, w)
-			assertStreamMatches(t, c, x, want, what)
+			assertStreamMatches(t, c, x, w, what)
 			// A block is out as soon as its last lag's window is: every
 			// whole block of lags in x.
-			if got := len(streamPartitioned(NewPartitionedCorrelator(w, block, uint64(1000+m)), x)); got != len(want)/block*block {
-				t.Fatalf("%s: %d lags from %d samples, want %d", what, got, len(x), len(want)/block*block)
+			lags := len(x) - m + 1
+			if got := len(streamPartitioned(NewPartitionedCorrelator(w, block, uint64(1000+m)), x)); got != lags/block*block {
+				t.Fatalf("%s: %d lags from %d samples, want %d", what, got, len(x), lags/block*block)
 			}
 			// Reset mid-stream, then a different stream.
 			streamPartitioned(c, x[:5*block])
 			c.Reset()
 			y := x[block/2:]
-			assertStreamMatches(t, c, y, CrossCorrelateComplex(y, w), what+" after Reset")
+			assertStreamMatches(t, c, y, w, what+" after Reset")
 		}
 	}
 }

@@ -19,9 +19,8 @@ import (
 // over lags [mB, (m+1)B) is the sum of partition k's block over segment
 // m+k. Summing in the frequency domain makes one block cost one 2B-point
 // forward transform (the newest segment) and one 2B-point inverse of the
-// summed P spectrum products (Plan4.InverseFromProducts) — against
-// a single-partition correlator, whose transform must exceed the whole
-// template, for the same B lags.
+// summed P spectrum products — against a single-partition correlator,
+// whose transform must exceed the whole template, for the same B lags.
 //
 // The padding sits in front so that a block is complete the moment the
 // window of its last lag is: the stream is read as if Lead() zeros preceded
@@ -30,20 +29,24 @@ import (
 // The partition spectra are immutable and shared by every correlator built
 // for the same (tag, B) (see the template-spectrum cache below). What a
 // stream owns is its delay line: the spectra of its last P−1 segments,
-// allocated with the correlator. The newest segment's spectrum is borrowed
-// from the package free list (see scratch.go) for the call and then takes
-// the oldest one's place, whose buffer goes back to the list. A correlator
-// serves one stream at a time.
+// allocated with the correlator and stored at complex64. The newest is
+// transformed at complex128 in dst's spare capacity, where the products
+// are summed and inverted. Rounding stored spectrum X_k moves each bin by
+// at most 2⁻²⁴·|X_k[f]|, so by Cauchy–Schwarz and Parseval a lag moves by
+// at most 2⁻²⁴·Σ_k ‖seg_k‖₂·‖w_k‖₂ over the stored segments: what rounding
+// the segments themselves would cost, and the detector's baseband already
+// is complex64. With P = 1 the result is plain complex128 overlap-save. A
+// correlator serves one stream at a time.
 type PartitionedCorrelator struct {
 	b     int            // block: lags per block, and the segment hop
 	lead  int            // zeros in front of the template (and the stream)
 	p     *Plan4         // 2B-point plan
 	parts [][]complex128 // parts[k] = conj(FFT(w_k))/2B, shared and immutable
-	// specs holds the delay line oldest first, paired with parts: specs[k]
-	// is the spectrum of the segment P−1−k hops before the newest. Slot
-	// P−1 holds a spectrum only inside Push. filled counts the slots that
-	// hold segments of the current stream; blocks wait until all P−1 do.
-	specs  [][]complex128
+	// line holds the delay line oldest first, paired with parts: line[k]
+	// is the spectrum of the segment P−1−k hops before the one being
+	// pushed. filled counts the slots that hold segments of the current
+	// stream; blocks wait until all P−1 do.
+	line   [][]complex64
 	filled int
 }
 
@@ -66,10 +69,10 @@ func NewPartitionedCorrelator(template []complex128, block int, tag uint64) *Par
 		lead:  np*block - len(template),
 		p:     Plan4For(n),
 		parts: make([][]complex128, np),
-		specs: make([][]complex128, np),
+		line:  make([][]complex64, np-1),
 	}
-	for k := range c.specs[:np-1] {
-		c.specs[k] = make([]complex128, n)
+	for k := range c.line {
+		c.line[k] = make([]complex64, n)
 	}
 	for k := range c.parts {
 		// Partition k holds padded taps [kB, (k+1)B): template taps from
@@ -104,28 +107,45 @@ func (c *PartitionedCorrelator) SegmentLen() int { return 2 * c.b }
 // are in, appends one block of Block() lags to dst: the j-th push (from 0)
 // completes lags [(j−P+1)·B, (j−P+2)·B), the last of which reads through
 // stream sample (j+2)·B − Lead() − 1, the segment's end. Earlier pushes
-// only fill the delay line and return dst unchanged. Like
-// ComplexCorrelator.AppendCorrelate, the inverse runs in dst's spare
+// only fill the delay line and return dst's elements unchanged. Like
+// ComplexCorrelator.AppendCorrelate, every push transforms in dst's spare
 // capacity, grown to SegmentLen() past len(dst) if short.
 func (c *PartitionedCorrelator) Push(dst, seg []complex128) []complex128 {
 	CheckLen("partitioned segment", len(seg), 2*c.b)
-	last := len(c.specs) - 1
-	c.specs[last] = BorrowComplex(2 * c.b)
-	c.p.ForwardFrom(c.specs[last], seg)
-	if c.filled == last {
-		at := len(dst)
-		dst = slices.Grow(dst, 2*c.b)
-		c.p.InverseFromProducts(dst[at:at+2*c.b], c.specs, c.parts)
-		dst = dst[:at+c.b]
+	at, n := len(dst), 2*c.b
+	dst = slices.Grow(dst, n)
+	x := dst[at : at+n]
+	c.p.ForwardFrom(x, seg)
+	newest := c.parts[len(c.line)][:n]
+	if len(c.line) == 0 {
+		for i, v := range x {
+			x[i] = v * newest[i]
+		}
+	} else {
+		// One pass sums the oldest and newest products and rounds the
+		// newest spectrum into the oldest slot, which moves to the end.
+		// A line still filling sums garbage that is never inverted.
+		oldest, p0 := c.line[0][:n], c.parts[0][:n]
+		for i, v := range x {
+			s := complex128(oldest[i]) * p0[i]
+			oldest[i] = complex64(v)
+			x[i] = s + v*newest[i]
+		}
+		for k := 1; k < len(c.line); k++ {
+			l, pk := c.line[k][:n], c.parts[k][:n]
+			for i := range x {
+				x[i] += complex128(l[i]) * pk[i]
+			}
+		}
+		copy(c.line, c.line[1:])
+		c.line[len(c.line)-1] = oldest
 	}
-	// The newest spectrum joins the line; the oldest one's buffer (the
-	// newest itself when P = 1) goes back to the free list.
-	old := c.specs[0]
-	copy(c.specs, c.specs[1:])
-	c.specs[last] = nil
-	ReturnComplex(old)
-	c.filled = min(c.filled+1, last)
-	return dst
+	if c.filled < len(c.line) {
+		c.filled++
+		return dst[:at]
+	}
+	c.p.Inverse(x)
+	return dst[:at+c.b]
 }
 
 // Reset starts a new stream: the next Push is its first segment.
@@ -139,8 +159,8 @@ func (c *PartitionedCorrelator) Reset() { c.filled = 0 }
 //
 // The detector correlates with PartitionedCorrelator; this form remains for
 // timing a whole-template transform against it. A ComplexCorrelator holds
-// no scratch of its own (the forward spectrum is borrowed from the free
-// list for one call), so one correlator is safe for concurrent calls.
+// no scratch of its own (both transforms run in dst), so one correlator is
+// safe for concurrent calls.
 type ComplexCorrelator struct {
 	n    int          // FFT size
 	m    int          // template length
@@ -196,21 +216,22 @@ func (c *ComplexCorrelator) CorrelateInto(dst, seg []complex128) []complex128 {
 }
 
 // AppendCorrelate appends the Step() lags of seg's correlation (seg is
-// exactly SegmentLen() samples) to dst and returns the extended slice. The
-// inverse transform runs in place in dst's spare capacity, which is grown
-// to SegmentLen() past len(dst) if short, so the lags land where they are
-// returned without a copy; like append, it overwrites whatever lies in
-// that capacity. The template spectrum carries the 1/n round-trip scale
-// (see conjSpectrumComplex), and both transforms run through Plan4's
-// out-of-place entry points.
+// exactly SegmentLen() samples) to dst and returns the extended slice. Both
+// transforms run in dst's spare capacity, which is grown to SegmentLen()
+// past len(dst) if short, so the lags land where they are returned without
+// a copy; like append, it overwrites whatever lies in that capacity. The
+// template spectrum carries the 1/n round-trip scale (see
+// conjSpectrumComplex).
 func (c *ComplexCorrelator) AppendCorrelate(dst, seg []complex128) []complex128 {
 	CheckLen("overlap-save segment", len(seg), c.n)
 	at := len(dst)
 	dst = slices.Grow(dst, c.n)
-	x := BorrowComplex(c.n)
+	x := dst[at : at+c.n]
 	c.p.ForwardFrom(x, seg)
-	c.p.InverseFromProducts(dst[at:at+c.n], [][]complex128{x}, [][]complex128{c.wfft})
-	ReturnComplex(x)
+	for i, v := range x {
+		x[i] = v * c.wfft[i]
+	}
+	c.p.Inverse(x)
 	return dst[:at+c.Step()]
 }
 

@@ -72,18 +72,14 @@ func FFTReal(x []float64) []complex128 {
 	rp := RealPlanFor(n)
 	sc := realScratchPool.Get().(*realScratch)
 	f := growFloats(sc.f, n)
-	spec := growComplex(sc.c, rp.HalfLen())
 	copy(f, x)
-	for i := len(x); i < n; i++ {
-		f[i] = 0
-	}
-	rp.Forward(spec, f)
-	copy(buf, spec)
+	clear(f[len(x):])
+	rp.Forward(buf[:rp.HalfLen()], f)
 	for k := n/2 + 1; k < n; k++ {
-		c := spec[n-k]
+		c := buf[n-k]
 		buf[k] = complex(real(c), -imag(c))
 	}
-	sc.f, sc.c = f, spec
+	sc.f = f
 	realScratchPool.Put(sc)
 	return buf
 }
@@ -115,9 +111,9 @@ func fftPow2(x []complex128, inverse bool) {
 // BandPower returns the mean power of x within [lo, hi) Hz, computed in the
 // frequency domain. It is used by the marker amplitude tracker (Eq. 2) to
 // measure game-audio energy in the 6-12 kHz marker band — once per 20 ms
-// frame per session, so it runs on the cached real-input plan with pooled
-// scratch and allocates nothing in steady state. The input is zero-padded
-// to NextPow2(len(x)) like FFTReal.
+// frame per session, so it runs on the cached real-input plan with scratch
+// from the package free list (scratch.go) and allocates nothing in steady
+// state. The input is zero-padded to NextPow2(len(x)) like FFTReal.
 func BandPower(x []float64, sampleRate, lo, hi float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -139,21 +135,17 @@ func BandPower(x []float64, sampleRate, lo, hi float64) float64 {
 		return 0
 	}
 	rp := RealPlanFor(n)
-	sc := realScratchPool.Get().(*realScratch)
-	f := growFloats(sc.f, n)
-	spec := growComplex(sc.c, rp.HalfLen())
+	f, spec := BorrowFloats(n), BorrowComplex(rp.HalfLen())
 	copy(f, x)
-	for i := len(x); i < n; i++ {
-		f[i] = 0
-	}
+	clear(f[len(x):])
 	rp.Forward(spec, f)
 	var sum float64
 	for i := loBin; i < hiBin; i++ {
 		re, im := real(spec[i]), imag(spec[i])
 		sum += re*re + im*im
 	}
-	sc.f, sc.c = f, spec
-	realScratchPool.Put(sc)
+	ReturnFloats(f)
+	ReturnComplex(spec)
 	// Parseval with one-sided doubling, normalized per input sample.
 	return 2 * sum / (float64(n) * float64(len(x)))
 }

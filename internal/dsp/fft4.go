@@ -15,14 +15,13 @@ import (
 // moves. When log2(n) is odd the transform runs one radix-2 stage last,
 // over the full block, where it costs a single extra pass.
 //
-// Beyond the in-place Forward/Inverse pair, Plan4 offers two out-of-place
-// entry points for overlap-save: ForwardFrom transforms a read-only source
-// into a destination, and InverseFromProducts inverts a sum of elementwise
-// spectrum products, so a partitioned convolution sums its partitions
-// before one inverse. Both stage their input in natural order and run the
-// in-place transform: the partition sum then streams its cold delay-line
-// spectra sequentially, where a gather fused into the first butterfly
-// stage would read them in digit-reversed order (DESIGN.md §6).
+// Beyond the in-place Forward/Inverse pair, ForwardFrom transforms a
+// read-only source into a destination for overlap-save. It stages its
+// input in natural order and runs the in-place transform, as the
+// correlators' product sums do before their inverse: those then stream
+// their cold delay-line spectra sequentially, where a gather fused into
+// the first butterfly stage would read them in digit-reversed order
+// (DESIGN.md §6).
 //
 // The band-decimated detector's partitioned correlator (cxcorr.go), the
 // power-of-two FFT/IFFT and RealPlan's half-size transform all run here;
@@ -157,35 +156,6 @@ func (p *Plan4) ForwardFrom(dst, src []complex128) {
 	CheckLen("plan4 transform output", len(dst), p.n)
 	copy(dst, src)
 	p.transform(dst, false)
-}
-
-// InverseFromProducts computes the unscaled inverse DFT of the sum of
-// elementwise products Σ_k u[k]·v[k] into dst, leaving the inputs
-// untouched. A single pair is the plain overlap-save inverse; several
-// pairs are a partitioned convolution's spectrum sum. The products are
-// summed in natural order, so each pass streams its spectra
-// sequentially. Divide by Size() for the true inverse. dst must alias no
-// input.
-func (p *Plan4) InverseFromProducts(dst []complex128, u, v [][]complex128) {
-	if len(u) != len(v) || len(u) == 0 {
-		panic("dsp: InverseFromProducts needs matching, non-empty factor lists")
-	}
-	for k := range u {
-		CheckLen("plan4 product input", len(u[k]), p.n)
-		CheckLen("plan4 product input", len(v[k]), p.n)
-	}
-	CheckLen("plan4 transform output", len(dst), p.n)
-	u0, v0 := u[0], v[0]
-	for i := range dst {
-		dst[i] = u0[i] * v0[i]
-	}
-	for k := 1; k < len(u); k++ {
-		uk, vk := u[k][:len(dst)], v[k][:len(dst)]
-		for i := range dst {
-			dst[i] += uk[i] * vk[i]
-		}
-	}
-	p.transform(dst, true)
 }
 
 // plan4Leaf is the largest sub-block (complex128 elements) the recursion

@@ -107,12 +107,11 @@ func (p *RealPlan) Inverse(dst []float64, spec []complex128) {
 	}
 }
 
-// realScratch bundles the padded-input and spectrum buffers the pooled
-// real-transform helpers (BandPower) reuse across calls.
-type realScratch struct {
-	f []float64
-	c []complex128
-}
+// realScratch holds the padded input FFTReal reuses across calls. It stays
+// on a sync.Pool, unlike the free list (scratch.go), because its sizes
+// follow whole input buffers and the free list keeps every size it has
+// seen.
+type realScratch struct{ f []float64 }
 
 var realScratchPool = sync.Pool{New: func() any { return new(realScratch) }}
 
@@ -120,14 +119,6 @@ var realScratchPool = sync.Pool{New: func() any { return new(realScratch) }}
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growComplex returns s resized to n, reusing capacity when possible.
-func growComplex(s []complex128, n int) []complex128 {
-	if cap(s) < n {
-		return make([]complex128, n)
 	}
 	return s[:n]
 }

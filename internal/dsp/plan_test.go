@@ -138,7 +138,7 @@ func TestPlanCacheConcurrency(t *testing.T) {
 // the heap in steady state.
 func TestBandPowerZeroAlloc(t *testing.T) {
 	x := benchSignal(960, 6)
-	_ = BandPower(x, 48000, 6000, 12000) // warm the pool and plan cache
+	_ = BandPower(x, 48000, 6000, 12000) // warm the free list and plan cache
 	allocs := testing.AllocsPerRun(50, func() {
 		_ = BandPower(x, 48000, 6000, 12000)
 	})

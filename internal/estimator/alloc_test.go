@@ -2,11 +2,13 @@ package estimator
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"ekho/internal/acoustic"
 	"ekho/internal/audio"
+	"ekho/internal/dsp"
 	"ekho/internal/gamesynth"
 )
 
@@ -66,11 +68,11 @@ func detectorBuffers(d *IncrementalDetector) []detectorBuffer {
 }
 
 // detectorBudget bounds one detector's own storage, delay line included:
-// 335,144 B, with a 5 % margin. Retaining the full-rate audio as float32
-// for the refiner instead of the 12 kHz complex64 history held 475,696 B;
-// a complex128 bb, or per-detector mixing and refinement scratch, held
-// 519,866 B before that.
-const detectorBudget = 344 << 10
+// 269,816 B, with a 5 % margin. A complex128 delay line held 335,384 B;
+// retaining the full-rate audio as float32 for the refiner instead of the
+// 12 kHz complex64 history held 475,696 B; a complex128 bb, or
+// per-detector mixing and refinement scratch, held 519,866 B before that.
+const detectorBudget = 277 << 10
 
 // Every buffer is sized at construction to its peak under frame-sized
 // feeds, so none regrows mid-stream: a regrown buffer leaves its outgrown
@@ -100,15 +102,20 @@ func TestDetectorBuffersNeverRegrow(t *testing.T) {
 	}
 	czTail, zTail, envTail := d.tailLens()
 	n, step := d.corr.SegmentLen(), d.corr.Block()
-	// The correlator's delay line: P−1 segment spectra, allocated with it
-	// and rotated through dsp's free list one block at a time.
-	line := 16 * (d.corr.Partitions() - 1) * n
-	t.Logf("%-13s %7d elements %9d bytes", "delay line", line/16, line)
+	// The correlator's delay line, P−1 segment spectra, is what a second
+	// correlator allocates once the partition spectra are cached.
+	wdec := coarseTemplateFor(testSeq).wdec
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dsp.NewPartitionedCorrelator(wdec, step, uint64(testSeq.Seed))
+	runtime.ReadMemStats(&after)
+	line := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%-13s %7d segments %9d bytes", "delay line", d.corr.Partitions()-1, line)
 	t.Logf("%-13s %7s          %9d bytes per session (budget %d)", "total", "", total+line, detectorBudget)
-	// In flight per block: the widened segment, its spectrum, cz and the
-	// scan arrays.
+	// In flight per block: the widened segment, cz (where its spectrum is
+	// transformed) and the scan arrays.
 	t.Logf("borrowed per block in flight (dsp free list, not per session): %d bytes",
-		16*(n+n+czTail+n)+8*(zTail+step+zTail+1+step+envTail+step))
+		16*(n+czTail+n)+8*(zTail+step+zTail+1+step+envTail+step))
 	t.Logf("borrowed per refinement in flight: %d bytes", 8*(normWindow/coarseFactor+3))
 	if total+line > detectorBudget {
 		t.Errorf("detector holds %d bytes per session, budget %d", total+line, detectorBudget)

@@ -104,15 +104,12 @@ const ClipSeconds = 15.0
 
 // Generate renders the clip described by spec: each listed category is
 // synthesized and mixed, the primary category loudest. Deterministic for a
-// given spec.
+// given spec. The secondary categories are summed into the primary's
+// buffer, so a single-category clip allocates one clip's samples.
 func Generate(spec ClipSpec, seconds float64) *audio.Buffer {
 	rng := rand.New(rand.NewSource(spec.Seed))
-	var parts []*audio.Buffer
+	mix := audio.NewBuffer(audio.SampleRate, 0)
 	for i, cat := range spec.Categories {
-		gain := 1.0
-		if i > 0 {
-			gain = 0.55 // secondary content mixed under the primary
-		}
 		sub := rand.New(rand.NewSource(rng.Int63()))
 		var b *audio.Buffer
 		switch cat {
@@ -123,7 +120,11 @@ func Generate(spec ClipSpec, seconds float64) *audio.Buffer {
 		default:
 			b = SFX(sub, seconds)
 		}
-		parts = append(parts, b.Gain(gain))
+		if i == 0 {
+			mix = b
+		} else {
+			mix.MixInto(b.Samples, 0, 0.55) // secondary content mixed under the primary
+		}
 	}
-	return audio.Mix(parts...).Normalize(0.75)
+	return mix.Normalize(0.75)
 }

@@ -26,12 +26,13 @@ const fixedFootprintBound = 256 << 10
 // its hub buffers (reorder slots, packet buffers, results), with the
 // shared clip, template and plans excluded.
 const (
-	// hubSessionLiveBytes bounds each session's live heap: 0.369 MB on
-	// SWB32 and 0.357 MB lossless, with a 5 % margin. With the detector
-	// retaining full-rate float32 chat for its refiner it read 0.51 and
-	// 0.49 MB, and 0.59 and 0.56 MB before it kept the coarse baseband
-	// at complex64 and its scratch per call.
-	hubSessionLiveBytes = 396 << 10
+	// hubSessionLiveBytes bounds each session's live heap: 0.307 MB on
+	// SWB32 and 0.295 MB lossless, with a 5 % margin. With the detector's
+	// delay line at complex128 it read 0.369 and 0.357 MB; retaining
+	// full-rate float32 chat for its refiner, 0.51 and 0.49 MB; and 0.59
+	// and 0.56 MB before it kept the coarse baseband at complex64 and its
+	// scratch per call.
+	hubSessionLiveBytes = 330 << 10
 	// hubSessionAllocBytes bounds what each session allocates once warm
 	// (after its first 2 s), ≈ 6 KB: detections and measurements only,
 	// since nothing a session owns regrows after admission. A record

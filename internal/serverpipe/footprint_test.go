@@ -14,13 +14,14 @@ import (
 // Per-session memory budget, as a hub hosting many sessions sees it.
 const (
 	// footprintLiveBytes bounds each session's live heap: the marker
-	// detector (335,144 B, of which 140,568 B is its 12 kHz complex64
-	// history, set by the estimator's 4096-point coarse segment) plus
-	// everything else a pipeline owns, 0.365 MB on SWB32 and 0.353 MB
-	// lossless; the bound leaves a 4 % margin. Retaining the chat as
-	// full-rate float32 audio for the refiner instead read 0.50 and
-	// 0.49 MB and fails it.
-	footprintLiveBytes = 38 * (1 << 20) / 100
+	// detector (269,816 B, of which 140,568 B is its 12 kHz complex64
+	// history and 65,536 B its complex64 delay line, both set by the
+	// estimator's 4096-point coarse segment) plus everything else a
+	// pipeline owns, 0.302 MB on SWB32 and 0.290 MB lossless; the bound
+	// leaves a 6 % margin. A complex128 delay line read 0.365 and
+	// 0.353 MB, and retaining the chat as full-rate float32 audio for the
+	// refiner 0.50 and 0.49 MB; both fail it.
+	footprintLiveBytes = 32 * (1 << 20) / 100
 	// footprintAllocBytes bounds what each session allocates after
 	// admission over 30 s of streaming, ≈ 23 KB: buffers are sized at
 	// construction or first use, so this is the record book's one
