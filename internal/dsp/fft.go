@@ -118,19 +118,10 @@ func BandPower(x []float64, sampleRate, lo, hi float64) float64 {
 	if len(x) == 0 {
 		return 0
 	}
-	n := NextPow2(len(x))
-	if n < 2 {
-		n = 2
-	}
+	n := max(NextPow2(len(x)), 2)
 	binHz := sampleRate / float64(n)
-	loBin := int(math.Ceil(lo / binHz))
-	hiBin := int(math.Floor(hi / binHz))
-	if hiBin > n/2 {
-		hiBin = n / 2
-	}
-	if loBin < 0 {
-		loBin = 0
-	}
+	loBin := max(int(math.Ceil(lo/binHz)), 0)
+	hiBin := min(int(math.Floor(hi/binHz)), n/2)
 	if loBin >= hiBin {
 		return 0
 	}

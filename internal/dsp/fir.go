@@ -72,11 +72,19 @@ func (f *FIR) GroupDelay() int { return len(f.Taps) / 2 }
 // Apply convolves x with the filter and returns a signal of the same length
 // as x, compensating the linear-phase group delay so features stay aligned
 // with the input. Short inputs are handled by zero-padding at the edges.
-func (f *FIR) Apply(x []float64) []float64 {
+func (f *FIR) Apply(x []float64) []float64 { return f.apply(x, RealPlanFor) }
+
+// ApplyOnce is Apply, bit for bit, with a long input's transform plan
+// built for this call alone instead of kept in the shared cache.
+func (f *FIR) ApplyOnce(x []float64) []float64 {
+	return f.apply(x, func(n int) *RealPlan { return newRealPlan(n, newPlan4) })
+}
+
+func (f *FIR) apply(x []float64, plan func(int) *RealPlan) []float64 {
 	if len(x) == 0 {
 		return make([]float64, 0)
 	}
-	full := f.ApplyFull(x)
+	full := f.applyFull(x, plan)
 	d := f.GroupDelay()
 	out := make([]float64, len(x))
 	copy(out, full[d:])
@@ -85,7 +93,9 @@ func (f *FIR) Apply(x []float64) []float64 {
 
 // ApplyFull returns the full convolution of length len(x)+len(taps)-1.
 // For long inputs it switches to FFT overlap-free block convolution.
-func (f *FIR) ApplyFull(x []float64) []float64 {
+func (f *FIR) ApplyFull(x []float64) []float64 { return f.applyFull(x, RealPlanFor) }
+
+func (f *FIR) applyFull(x []float64, plan func(int) *RealPlan) []float64 {
 	n, m := len(x), len(f.Taps)
 	if n == 0 || m == 0 {
 		return make([]float64, 0)
@@ -105,14 +115,14 @@ func (f *FIR) ApplyFull(x []float64) []float64 {
 		}
 		return out
 	}
-	return fftConvolve(x, f.Taps, outLen)
+	return fftConvolve(plan, x, f.Taps, outLen)
 }
 
-// fftConvolve computes linear convolution via one large real transform:
-// two packed real forwards, a half-spectrum product and a real inverse.
-func fftConvolve(a, b []float64, outLen int) []float64 {
+// fftConvolve computes linear convolution via one real transform from
+// plan: two packed forwards, a half-spectrum product and an inverse.
+func fftConvolve(plan func(int) *RealPlan, a, b []float64, outLen int) []float64 {
 	n := max(NextPow2(outLen), 2)
-	rp := RealPlanFor(n)
+	rp := plan(n)
 	buf := make([]float64, n)
 	fa := make([]complex128, rp.HalfLen())
 	fb := make([]complex128, rp.HalfLen())
@@ -129,9 +139,7 @@ func fftConvolve(a, b []float64, outLen int) []float64 {
 }
 
 func oddify(n int) int {
-	if n < 3 {
-		n = 3
-	}
+	n = max(n, 3)
 	if n%2 == 0 {
 		n++
 	}

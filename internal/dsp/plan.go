@@ -33,18 +33,23 @@ func RealPlanFor(n int) *RealPlan {
 	if p, ok := realPlanCache.Load(n); ok {
 		return p.(*RealPlan)
 	}
+	actual, _ := realPlanCache.LoadOrStore(n, newRealPlan(n, Plan4For))
+	return actual.(*RealPlan)
+}
+
+// newRealPlan builds a real plan of size n on the complex plan half(n/2).
+func newRealPlan(n int, half func(int) *Plan4) *RealPlan {
 	if !isPow2(n) || n < 2 {
 		panic(fmt.Sprintf("dsp: RealPlanFor size %d is not a power of two ≥ 2", n))
 	}
 	m := n / 2
-	p := &RealPlan{n: n, half: Plan4For(m)}
+	p := &RealPlan{n: n, half: half(m)}
 	p.rt = make([]complex128, m/2+1)
 	for k := range p.rt {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		p.rt[k] = complex(c, s)
 	}
-	actual, _ := realPlanCache.LoadOrStore(n, p)
-	return actual.(*RealPlan)
+	return p
 }
 
 // HalfLen returns the half-spectrum length n/2 + 1 (bins 0..n/2; the

@@ -30,7 +30,7 @@ func CrossCorrelate(x, w []float64) []float64 {
 	for i := range w {
 		rev[m-1-i] = w[i]
 	}
-	full := fftConvolve(x, rev, n+m-1)
+	full := fftConvolve(RealPlanFor, x, rev, n+m-1)
 	out := make([]float64, outLen)
 	copy(out, full[m-1:])
 	return out

@@ -3,6 +3,7 @@ package gamesynth
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"ekho/internal/audio"
 )
@@ -18,18 +19,14 @@ const (
 	SFX_
 )
 
+var categoryNames = [...]string{Speech_: "Speech", Music_: "Music", SFX_: "Game SFX"}
+
 // String implements fmt.Stringer.
 func (c Category) String() string {
-	switch c {
-	case Speech_:
-		return "Speech"
-	case Music_:
-		return "Music"
-	case SFX_:
-		return "Game SFX"
-	default:
-		return fmt.Sprintf("Category(%d)", int(c))
+	if c >= 0 && int(c) < len(categoryNames) {
+		return categoryNames[c]
 	}
+	return fmt.Sprintf("Category(%d)", int(c))
 }
 
 // ClipSpec identifies one corpus clip: a game title, its genre, the clip
@@ -46,22 +43,20 @@ type ClipSpec struct {
 // ID returns a short stable identifier such as "halo-infinite#1".
 func (c ClipSpec) ID() string { return fmt.Sprintf("%s#%d", slug(c.Game), c.Index) }
 
+// slug lower-cases s, joins its words with hyphens and drops
+// apostrophes and other punctuation.
 func slug(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
+	return strings.Join(strings.Fields(strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			out = append(out, r)
+			return r
 		case r >= 'A' && r <= 'Z':
-			out = append(out, r+('a'-'A'))
+			return r + ('a' - 'A')
 		case r == ' ' || r == '-':
-			if len(out) > 0 && out[len(out)-1] != '-' {
-				out = append(out, '-')
-			}
-			// apostrophes and other punctuation are dropped entirely
+			return ' '
 		}
-	}
-	return string(out)
+		return -1
+	}, s)), "-")
 }
 
 // Catalog returns the 30-clip corpus mirroring Table 2 of the paper:

@@ -117,3 +117,22 @@ func TestGenerateAllocatesOneClip(t *testing.T) {
 		t.Errorf("allocated %d B, more than 1.05× one clip's %d B", got, clip)
 	}
 }
+
+// BenchmarkGenerate times clip synthesis in ms per clip: the hub's clip
+// (Catalog()[0] at ClipSeconds, built on its first admission) and the
+// whole 30-clip corpus.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		specs []ClipSpec
+	}{{"hub-clip", Catalog()[:1]}, {"corpus", Catalog()}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, spec := range c.specs {
+					Generate(spec, ClipSeconds)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*len(c.specs)), "ms/clip")
+		})
+	}
+}

@@ -2,6 +2,7 @@ package gamesynth
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 
 	"ekho/internal/audio"
@@ -24,10 +25,7 @@ func Music(rng *rand.Rand, seconds float64) *audio.Buffer {
 	chordRoots := []float64{0, 5, 7, 3}
 	for b := 0; b*beatSamples < n; b += 4 {
 		start := b * beatSamples
-		length := 4 * beatSamples
-		if start+length > n {
-			length = n - start
-		}
+		length := min(4*beatSamples, n-start)
 		deg := chordRoots[(b/4)%len(chordRoots)]
 		base := root * math.Pow(2, deg/12)
 		renderNote(out.Samples[start:start+length], rate, base, 0.10, 0.9, 5)
@@ -37,10 +35,7 @@ func Music(rng *rand.Rand, seconds float64) *audio.Buffer {
 	// Bass: root an octave down, each bar.
 	for b := 0; b*beatSamples < n; b += 2 {
 		start := b * beatSamples
-		length := beatSamples
-		if start+length > n {
-			length = n - start
-		}
+		length := min(beatSamples, n-start)
 		deg := chordRoots[(b/4)%len(chordRoots)]
 		renderNote(out.Samples[start:start+length], rate, root/2*math.Pow(2, deg/12), 0.18, 0.5, 3)
 	}
@@ -50,10 +45,7 @@ func Music(rng *rand.Rand, seconds float64) *audio.Buffer {
 			continue // rest
 		}
 		start := b * beatSamples
-		length := beatSamples * 3 / 4
-		if start+length > n {
-			length = n - start
-		}
+		length := min(beatSamples*3/4, n-start)
 		deg := scale[rng.Intn(len(scale))]
 		freq := 2 * root * math.Pow(2, deg/12)
 		renderNote(out.Samples[start:start+length], rate, freq, 0.22, 0.25, 6)
@@ -62,31 +54,31 @@ func Music(rng *rand.Rand, seconds float64) *audio.Buffer {
 }
 
 // renderNote adds a decaying harmonic tone into dst. decay is the fraction
-// of the note length over which the envelope falls to ~5%.
+// of the note length over which the envelope falls to ~5%. Harmonics
+// above 16 kHz are left out.
 func renderNote(dst []float64, rate int, freq, amp, sustain float64, harmonics int) {
 	n := len(dst)
-	if n == 0 || freq <= 0 {
+	if n == 0 || freq <= 0 || freq > 16000 {
 		return
 	}
-	attack := rate * 5 / 1000
-	if attack > n/4 {
-		attack = n / 4
+	for freq*float64(harmonics) > 16000 {
+		harmonics--
 	}
+	attack := min(rate*5/1000, n/4)
 	decayRate := 3.0 / (sustain * float64(n))
+	tone, turn := 0i, cmplx.Rect(1, 2*math.Pi*freq/float64(rate))
+	env, decay := 0.0, math.Exp(-decayRate)
 	for i := 0; i < n; i++ {
-		t := float64(i) / float64(rate)
-		var v float64
-		for h := 1; h <= harmonics; h++ {
-			f := freq * float64(h)
-			if f > 16000 {
-				break
-			}
-			v += math.Sin(2*math.Pi*f*t) / float64(h)
+		if anchored(i) {
+			env = math.Exp(-decayRate * float64(i))
+			tone = cmplx.Rect(1, 2*math.Pi*freq*(float64(i)/float64(rate)))
 		}
-		env := math.Exp(-decayRate * float64(i))
+		e := env
 		if attack > 0 && i < attack {
-			env *= float64(i) / float64(attack)
+			e *= float64(i) / float64(attack)
 		}
-		dst[i] += amp * env * v
+		dst[i] += amp * e * harmonicSum(imag(tone), real(tone), harmonics)
+		env *= decay
+		tone *= turn
 	}
 }

@@ -2,6 +2,7 @@ package gamesynth
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 
 	"ekho/internal/audio"
@@ -29,51 +30,32 @@ func SFX(rng *rand.Rand, seconds float64) *audio.Buffer {
 			break
 		}
 		switch rng.Intn(4) {
-		case 0, 1:
-			gunshot(rng, out.Samples[pos:min(pos+rate/4, n)])
-		case 2:
-			impact(rng, out.Samples[pos:min(pos+rate/6, n)])
-		case 3:
-			explosion(rng, out.Samples[pos:min(pos+rate, n)])
+		case 0, 1: // gunshot: a ~60 ms broadband decay over a 90 Hz thump
+			burst(rng, out.Samples[pos:min(pos+rate/4, n)], dsp.NewLowPassBiquad(9000, rate, 0.707), 0.9, 0.06, 0.4)
+		case 2: // impact: a band-passed click (metal/footstep-like)
+			burst(rng, out.Samples[pos:min(pos+rate/6, n)], dsp.NewPeakingBiquad(800+rng.Float64()*3000, rate, 4, 20), 0.05, 0.025, 0)
+		case 3: // explosion: a long low-passed rumble
+			burst(rng, out.Samples[pos:min(pos+rate, n)], dsp.NewLowPassBiquad(400, rate, 0.707), 1.2, 0.35, 0)
 		}
 	}
 	return out.Normalize(0.75)
 }
 
-// gunshot: a sharp broadband noise burst with a very fast attack and an
-// exponential decay of ~60 ms, plus a low-frequency thump.
-func gunshot(rng *rand.Rand, dst []float64) {
+// burst adds noise shaped by f, gain loud, and a 90 Hz thump, thump
+// loud, both under an exponential decay of time constant tau seconds.
+func burst(rng *rand.Rand, dst []float64, f *dsp.Biquad, gain, tau, thump float64) {
 	const rate = audio.SampleRate
-	n := len(dst)
-	lp := dsp.NewLowPassBiquad(9000, rate, 0.707)
-	for i := 0; i < n; i++ {
-		env := math.Exp(-float64(i) / (0.06 * rate))
-		dst[i] += 0.9 * env * lp.Process(rng.NormFloat64())
-		// thump at ~90 Hz
-		dst[i] += 0.4 * env * math.Sin(2*math.Pi*90*float64(i)/rate)
-	}
-}
-
-// impact: a band-passed click (metal/footstep-like).
-func impact(rng *rand.Rand, dst []float64) {
-	const rate = audio.SampleRate
-	n := len(dst)
-	center := 800 + rng.Float64()*3000
-	bp := dsp.NewPeakingBiquad(center, rate, 4, 20)
-	for i := 0; i < n; i++ {
-		env := math.Exp(-float64(i) / (0.025 * rate))
-		dst[i] += 0.5 * env * bp.Process(rng.NormFloat64()) * 0.1
-	}
-}
-
-// explosion: a long low-passed rumble with slow decay.
-func explosion(rng *rand.Rand, dst []float64) {
-	const rate = audio.SampleRate
-	n := len(dst)
-	lp := dsp.NewLowPassBiquad(400, rate, 0.707)
-	for i := 0; i < n; i++ {
-		env := math.Exp(-float64(i) / (0.35 * rate))
-		dst[i] += 1.2 * env * lp.Process(rng.NormFloat64())
+	tone, turn := 0i, cmplx.Rect(1, 2*math.Pi*90/rate)
+	env, decay := 0.0, math.Exp(-1/(tau*rate))
+	for i := range dst {
+		if anchored(i) {
+			env = math.Exp(-float64(i) / (tau * rate))
+			tone = cmplx.Rect(1, 2*math.Pi*90*float64(i)/rate)
+		}
+		dst[i] += gain * env * f.Process(rng.NormFloat64())
+		dst[i] += thump * env * imag(tone)
+		env *= decay
+		tone *= turn
 	}
 }
 
@@ -84,13 +66,32 @@ func engine(rng *rand.Rand, dst []float64, amp float64) {
 	base := 55 + rng.Float64()*60
 	mod := 0.2 + rng.Float64()*0.3
 	phase := rng.Float64() * 2 * math.Pi
+	wobble, turn := 0i, cmplx.Rect(1, 2*math.Pi*mod/rate)
 	for i := range dst {
 		t := float64(i) / rate
-		rpm := base * (1 + 0.15*math.Sin(2*math.Pi*mod*t+phase))
-		var v float64
-		for h := 1; h <= 6; h++ {
-			v += math.Sin(2*math.Pi*rpm*float64(h)*t) / float64(h)
+		if anchored(i) {
+			wobble = cmplx.Rect(1, 2*math.Pi*mod*t+phase)
 		}
-		dst[i] += amp * v
+		rpm := base * (1 + 0.15*imag(wobble))
+		s, c := math.Sincos(2 * math.Pi * rpm * t)
+		dst[i] += amp * harmonicSum(s, c, 6)
+		wobble *= turn
 	}
+}
+
+// anchored reports whether sample i starts a frame, where every
+// recurrence restarts from its direct formula (see the package doc). A
+// sine at a fixed frequency runs as a unit phasor, e^{jφ}, turned by one
+// complex multiplication per sample.
+func anchored(i int) bool { return i%audio.FrameSamples == 0 }
+
+// harmonicSum returns Σ_{h=1..n} sin(hθ)/h from s = sin θ and c = cos θ
+// by the Chebyshev recurrence sin(hθ) = 2cos θ·sin((h−1)θ) − sin((h−2)θ).
+func harmonicSum(s, c float64, n int) float64 {
+	v, prev, cur := s, 0.0, s
+	for h := 2; h <= n; h++ {
+		prev, cur = cur, 2*c*cur-prev
+		v += cur / float64(h)
+	}
+	return v
 }

@@ -9,10 +9,16 @@
 // music harmonics, broadband SFX transients) and strong amplitude dynamics
 // on the tens-of-milliseconds timescale (which drive the Eq. 2 amplitude
 // tracker). Every generator is deterministic given its seed.
+//
+// Per-sample sines and exponential decays run as recurrences (rotation
+// steps, the Chebyshev step for harmonics, geometric decay steps), each
+// re-anchored from its direct formula once per 960-sample frame: every
+// sample stays within 1e-9 of the direct formula.
 package gamesynth
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 
 	"ekho/internal/audio"
@@ -31,13 +37,9 @@ func Speech(rng *rand.Rand, seconds float64) *audio.Buffer {
 	pos := 0
 	for pos < n {
 		// Phrase of 1-3 s followed by a 0.2-0.6 s pause.
-		phraseLen := int((1 + 2*rng.Float64()) * rate)
-		if pos+phraseLen > n {
-			phraseLen = n - pos
-		}
+		phraseLen := min(int((1+2*rng.Float64())*rate), n-pos)
 		synthPhrase(rng, out.Samples[pos:pos+phraseLen], pitch)
-		pos += phraseLen
-		pos += int((0.2 + 0.4*rng.Float64()) * rate)
+		pos += phraseLen + int((0.2+0.4*rng.Float64())*rate)
 	}
 	return out.Normalize(0.7)
 }
@@ -58,10 +60,7 @@ func synthPhrase(rng *rand.Rand, dst []float64, pitch float64) {
 	n := len(dst)
 	pos := 0
 	for pos < n {
-		sylLen := int((0.12 + 0.15*rng.Float64()) * rate)
-		if pos+sylLen > n {
-			sylLen = n - pos
-		}
+		sylLen := min(int((0.12+0.15*rng.Float64())*rate), n-pos)
 		if sylLen <= 0 {
 			break
 		}
@@ -124,10 +123,14 @@ func synthFricative(rng *rand.Rand, dst []float64) {
 		dsp.NewLowPassBiquad(6000, rate, 0.707),
 	}
 	n := len(dst)
-	for i := 0; i < n; i++ {
+	arc, turn := 0i, cmplx.Rect(1, math.Pi/float64(n)) // a half-sine envelope
+	for i := range dst {
 		v := shaper.Process(rng.NormFloat64())
-		env := math.Sin(math.Pi * float64(i) / float64(n))
-		dst[i] = v * env * 0.12
+		if anchored(i) {
+			arc = cmplx.Rect(1, math.Pi*float64(i)/float64(n))
+		}
+		dst[i] = v * imag(arc) * 0.12
+		arc *= turn
 	}
 }
 
@@ -135,9 +138,7 @@ func synthFricative(rng *rand.Rand, dst []float64) {
 // background chatter used for the Low/Med/Loud Chat conditions. More
 // voices make a denser, more speech-shaped masker.
 func Babble(rng *rand.Rand, seconds float64, voices int) *audio.Buffer {
-	if voices < 1 {
-		voices = 1
-	}
+	voices = max(voices, 1)
 	bufs := make([]*audio.Buffer, voices)
 	for i := range bufs {
 		sub := rand.New(rand.NewSource(rng.Int63()))

@@ -4,12 +4,14 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ekho/internal/audio"
 	"ekho/internal/codec"
 	"ekho/internal/compensator"
+	"ekho/internal/dsp"
 	"ekho/internal/estimator"
 	"ekho/internal/serverpipe"
 	"ekho/internal/transport"
@@ -100,6 +102,40 @@ func TestSessionEventsAllocsWithoutLogf(t *testing.T) {
 		s.ResampleApplied(5, rs)
 	}); n != 0 {
 		t.Errorf("MarkerExpired + CompensationAction + ResampleApplied allocate %.0f times with nil Logf", n)
+	}
+}
+
+// markerPlanAlloc builds a hub, admits one session (which synthesizes
+// the clip and the PN marker) and returns what building dsp's real plan
+// for the marker filter's transform size allocates afterwards. Building
+// the plan caches it, so the probe runs once per process.
+var markerPlanAlloc = sync.OnceValue(func() uint64 {
+	h := New(Config{TickEvery: -1, IdleTimeout: -1}, NewMemNet().Endpoint("hub"))
+	defer h.Close()
+	h.newSession(1, transport.WireV2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dsp.RealPlanFor(markerPlanSize)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+})
+
+// markerPlanSize is the filter transform of a 48,000-sample marker and
+// its 511 taps.
+const markerPlanSize = 1 << 16
+
+// TestAdmissionCachesNoMarkerPlan: the marker is filtered once, at the
+// first admission, and nothing the hub runs later needs a transform of
+// that size, so its plan (≈ 0.9 MB of tables) must not stay in dsp's
+// shared cache. Were it cached, building it again would allocate nothing;
+// it must allocate at least its own and its half-size plan's twiddles.
+func TestAdmissionCachesNoMarkerPlan(t *testing.T) {
+	const n = markerPlanSize
+	twiddles := uint64(n/4+1+3*n/8) * 16
+	got := markerPlanAlloc()
+	t.Logf("RealPlanFor(%d) after an admission allocated %d B (twiddles alone %d B)", n, got, twiddles)
+	if got < twiddles {
+		t.Errorf("RealPlanFor(%d) allocated %d B after an admission: the plan was already cached", n, got)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // integration test behind the cmd/ demo binaries.
 func TestLiveLoopbackSynchronizes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("live loopback test needs ~20 s of wall time")
+		t.Skip("live loopback test needs ~12 s of wall time")
 	}
-	const runFor = 18 * time.Second
+	const runFor = 10 * time.Second
 
 	// The server is a capacity-1 hub on a socket that accepts both wire
 	// framings, as cmd/ekho-server runs it.

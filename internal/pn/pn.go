@@ -12,6 +12,8 @@ package pn
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"ekho/internal/audio"
 	"ekho/internal/dsp"
@@ -38,23 +40,32 @@ type Sequence struct {
 	Seed    int64     // generator seed (shared by server and estimator)
 }
 
+var sequences sync.Map // [2]int64{seed, length} -> samples, filtered once
+
 // NewSequence generates a PN sequence of the given length: length Gaussian
 // variables band-pass filtered to 6-12 kHz, normalized to unit RMS so the
-// injected amplitude is controlled entirely by C·a_k.
+// injected amplitude is controlled entirely by C·a_k. The filter's plan is
+// not cached (no later hub path needs one that size), the result is, and
+// every call gets its own copy of the samples.
 func NewSequence(seed int64, length int) *Sequence {
+	key := [2]int64{seed, int64(length)}
+	if s, ok := sequences.Load(key); ok {
+		return &Sequence{Samples: slices.Clone(s.([]float64)), Seed: seed}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	raw := make([]float64, length)
 	for i := range raw {
 		raw[i] = rng.NormFloat64()
 	}
 	fir := dsp.BandPass(BandLowHz, BandHighHz, audio.SampleRate, 511)
-	filtered := fir.Apply(raw)
+	filtered := fir.ApplyOnce(raw)
 	rms := dsp.RMS(filtered)
 	if rms > 0 {
 		for i := range filtered {
 			filtered[i] /= rms
 		}
 	}
+	sequences.Store(key, slices.Clone(filtered))
 	return &Sequence{Samples: filtered, Seed: seed}
 }
 
@@ -131,16 +142,12 @@ type Injector struct {
 	Interval int // samples between marker starts
 	tracker  *AmplitudeTracker
 
-	pos        int // absolute sample position of the next frame
-	nextMarker int // absolute sample position of the next marker start
-	active     []activeMarker
+	pos        int   // absolute sample position of the next frame
+	nextMarker int   // absolute sample position of the next marker start
+	active     []int // start positions of the markers still playing
 	log        []Injection
 	logLimit   int // 0 = unlimited; otherwise retain only the newest entries
 	dropped    int // log entries trimmed so far (keeps InjectionCount exact)
-}
-
-type activeMarker struct {
-	start int
 }
 
 // NewInjector returns an injector with the paper's defaults (1 s interval).
@@ -163,14 +170,11 @@ func (in *Injector) ProcessFrame(frame []float64) {
 	if len(frame) != TrackerWindow {
 		panic("pn: ProcessFrame requires 20 ms frames")
 	}
-	amp := in.tracker.Update(frame)
-	if amp < MinAmplitude {
-		amp = MinAmplitude
-	}
+	amp := max(in.tracker.Update(frame), MinAmplitude)
 	scaled := in.C * amp
 	// Start a new marker if its start time falls within this frame.
 	if in.pos >= in.nextMarker {
-		in.active = append(in.active, activeMarker{start: in.pos})
+		in.active = append(in.active, in.pos)
 		in.log = append(in.log, Injection{
 			StartSample: in.pos,
 			FrameID:     in.pos / TrackerWindow,
@@ -183,8 +187,8 @@ func (in *Injector) ProcessFrame(frame []float64) {
 	// tracked amplitude.
 	w := in.Seq.Samples
 	kept := in.active[:0]
-	for _, m := range in.active {
-		offset := in.pos - m.start // marker sample index at frame start
+	for _, start := range in.active {
+		offset := in.pos - start // marker sample index at frame start
 		// Mix over the frame samples the marker covers: [lo, hi).
 		lo, hi := max(0, -offset), min(len(frame), len(w)-offset)
 		if lo < hi {
@@ -194,7 +198,7 @@ func (in *Injector) ProcessFrame(frame []float64) {
 			}
 		}
 		if offset+len(frame) < len(w) {
-			kept = append(kept, m)
+			kept = append(kept, start)
 		}
 	}
 	in.active = kept

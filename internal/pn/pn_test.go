@@ -1,6 +1,9 @@
 package pn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,6 +47,28 @@ func TestSequenceDeterministicPerSeed(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different seeds must differ")
+	}
+}
+
+// The marker every session injects is pinned bit for bit: its samples
+// hash to the digest the cached-plan filter produced, whether the call
+// filters or copies the memo, and no call's samples alias another's.
+func TestSequenceGoldenAndUnshared(t *testing.T) {
+	const golden = "34fd8e44479041c8e734123e90d9b844caa9845585217c4b780812f176eaa3f1"
+	digest := func(s []float64) string {
+		h := sha256.New()
+		for _, v := range s {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	a := NewSequence(4242, DefaultLength)
+	if d := digest(a.Samples); d != golden {
+		t.Fatalf("NewSequence(4242) digest %s, golden %s", d, golden)
+	}
+	a.Samples[0]++
+	if d := digest(NewSequence(4242, DefaultLength).Samples); d != golden {
+		t.Fatalf("after a caller changed its copy, NewSequence(4242) digest %s, golden %s", d, golden)
 	}
 }
 
@@ -259,20 +284,6 @@ func TestInjectionPropertyMarkerEnergyScalesWithC(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // refProcessFrame is ProcessFrame with the per-sample range test it had
 // before it mixed each marker over its covered slice; the two must agree
 // bit for bit.
@@ -283,13 +294,13 @@ func refProcessFrame(in *Injector, frame []float64) {
 	}
 	scaled := in.C * amp
 	if in.pos >= in.nextMarker {
-		in.active = append(in.active, activeMarker{start: in.pos})
+		in.active = append(in.active, in.pos)
 		in.nextMarker = in.pos + in.Interval
 	}
 	w := in.Seq.Samples
 	kept := in.active[:0]
-	for _, m := range in.active {
-		offset := in.pos - m.start
+	for _, start := range in.active {
+		offset := in.pos - start
 		for i := 0; i < len(frame); i++ {
 			mi := offset + i
 			if mi < 0 || mi >= len(w) {
@@ -298,7 +309,7 @@ func refProcessFrame(in *Injector, frame []float64) {
 			frame[i] += scaled * w[mi]
 		}
 		if offset+len(frame) < len(w) {
-			kept = append(kept, m)
+			kept = append(kept, start)
 		}
 	}
 	in.active = kept
