@@ -184,10 +184,11 @@ func BenchmarkExtensions(b *testing.B) {
 	runExperimentHelper(b)
 }
 
-// BenchmarkDriftCompensation regenerates the clock-drift sweep (DESIGN
-// §11): micro-resampling vs level-only compensation under sample-rate
-// offsets. The headline metrics are the +100 ppm acceptance pair — tail
-// |ISD| must stay under the 10 ms bound and the residual slope near zero.
+// BenchmarkDriftCompensation regenerates the clock-drift sweep
+// (DESIGN.md §7): micro-resampling vs level-only compensation under
+// sample-rate offsets. The headline metrics are the +100 ppm acceptance
+// pair — tail |ISD| must stay under the 10 ms bound and the residual slope
+// near zero.
 func BenchmarkDriftCompensation(b *testing.B) {
 	runExperiment(b, "drift", map[string]string{
 		"tail_max_ms_drift_100": "ms-tail-max",

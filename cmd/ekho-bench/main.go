@@ -7,7 +7,7 @@
 //	ekho-bench -run all -scale full        # the paper's full workload
 //
 // Each experiment prints the rows/series of the corresponding table or
-// figure (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
+// figure (see DESIGN.md §10 for the experiment index and EXPERIMENTS.md for
 // recorded paper-vs-measured results).
 package main
 

@@ -21,7 +21,7 @@ import (
 // correlators' product sums do before their inverse: those then stream
 // their cold delay-line spectra sequentially, where a gather fused into
 // the first butterfly stage would read them in digit-reversed order
-// (DESIGN.md §6).
+// (DESIGN.md §4).
 //
 // The band-decimated detector's partitioned correlator (cxcorr.go), the
 // power-of-two FFT/IFFT and RealPlan's half-size transform all run here;

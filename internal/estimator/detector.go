@@ -288,7 +288,7 @@ func decimatedLen(n int) int { return (n + coarseFactor - 1) / coarseFactor }
 // the block cadence — how often a session's detector can speak, so its
 // first-measurement latency — and the 12 kHz history each session keeps
 // for the fine stage. For the 6000-sample
-// decimated marker B = 2048 (0.34 s) and P = 3. DESIGN.md §12 has the
+// decimated marker B = 2048 (0.34 s) and P = 3. DESIGN.md §6 has the
 // table.
 func coarseBlock(mdec int) int { return max(dsp.NextPow2(mdec)/4, 1) }
 
@@ -360,7 +360,7 @@ func NewIncrementalDetector(cfg Config) *IncrementalDetector {
 	// storage behind as garbage in every session the hub admits. Larger
 	// feeds still work; their buffers grow once. The block-sized arrays are
 	// sized to their tails here and borrowed whole per block (lend).
-	// DESIGN.md §12 tabulates the budget.
+	// DESIGN.md §6 tabulates the budget.
 	czTail, zTail, envTail := d.tailLens()
 	// u peaks on the feed that completes a block: the segment that
 	// completes lags from the correlation frontier ends (P+1)·B − Lead

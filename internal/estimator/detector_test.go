@@ -183,7 +183,7 @@ func TestFirstDetectionLatencyAcrossPhases(t *testing.T) {
 }
 
 // Long stream: between feeds every buffer stays within the length the
-// constructor derives for it (DESIGN.md §12), at every frame, not just at
+// constructor derives for it (DESIGN.md §6), at every frame, not just at
 // the end.
 func TestIncrementalStateBounded(t *testing.T) {
 	t.Run("two-stage", func(t *testing.T) {

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"fmt"
 	"math"
 
 	"ekho/internal/audio"
@@ -86,16 +85,6 @@ type MultiResult struct {
 	Actions int
 	// InSyncFractions[i] is the post-warmup share of |ISD_i| <= 10 ms.
 	InSyncFractions []float64
-}
-
-// debugMulti enables compensation-decision prints in tests.
-var debugMulti = false
-
-// debugf prints multi-session diagnostics when debugMulti is set.
-func debugf(format string, args ...any) {
-	if debugMulti {
-		fmt.Printf(format+"\n", args...)
-	}
 }
 
 // RunMulti executes the multi-screen scenario.
@@ -372,7 +361,7 @@ func (m *multiSim) onChatPacket(p netsim.Packet) {
 			s.est.AddChat(m.gapBuf, gapStart)
 		}
 	}
-	for i, s := range m.screens {
+	for _, s := range m.screens {
 		// Resolve pending marker content to accessory local times.
 		s.ledger.Resolve(&m.book, s.est, serverpipe.NopSink{})
 
@@ -381,7 +370,6 @@ func (m *multiSim) onChatPacket(p netsim.Packet) {
 			s.prevISD = s.lastISD
 			s.lastISD = meas.ISDSeconds
 			s.nISD++
-			debugf("screen %d ISD %.1f ms at %.2fs", i, meas.ISDSeconds*1000, now)
 		}
 	}
 	// One shared record book serves every screen's ledger: evict only
@@ -430,11 +418,9 @@ func (m *multiSim) maybeCompensate(now float64) {
 	if !any {
 		return
 	}
-	debugf("action at %.2fs: target %.1f ms, accessory insert %+v", now, target*1000, access)
 	m.accessStream.Apply(access)
 	for i, s := range m.screens {
 		s.stream.Apply(screens[i])
-		debugf("  screen %d insert %+v (lastISD %.1f ms)", i, screens[i], s.lastISD*1000)
 		s.nISD = 0
 	}
 	m.actions++
